@@ -14,7 +14,10 @@ import csv
 import math
 import os
 import sys
+import warnings
 from datetime import datetime, timezone
+
+import numpy as np
 
 from .data import Bounds, Dataset, normalize
 from .evaluate import (
@@ -99,28 +102,70 @@ def _write_manifest(command: str, seed, budget, mechanism, output_path: str) -> 
         fh.write(_json_dumps(manifest) + "\n")
 
 
-def _read_xy_csv(path: str):
-    """Parse a two-column CSV with mandatory header ``x,y``."""
+def _read_xy_csv(path: str) -> np.ndarray:
+    """Parse a two-column CSV with mandatory header ``x,y`` into an (n, 2) array."""
     try:
         fh = open(path, newline="")
     except OSError as exc:
         raise _CliError(f"cannot read {path}: {exc.strerror}") from exc
     with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(csv.reader(fh), None)
         if header is None:
             raise _CliError(f"{path}: empty file, expected header 'x,y'")
         if [c.strip() for c in header] != ["x", "y"]:
             raise _CliError(f"{path} line 1: expected header 'x,y', got {','.join(header)!r}")
-        pairs = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 2:
-                raise _CliError(f"{path} line {lineno}: expected 2 fields, got {len(row)}")
-            try:
-                pairs.append((float(row[0]), float(row[1])))
-            except ValueError as exc:
-                raise _CliError(f"{path} line {lineno}: {exc}") from exc
+        rows = _count_lines(path) - 1
+        if rows == 0:
+            return np.empty((0, 2))
+        try:
+            with warnings.catch_warnings():
+                # An all-blank body is caught by the row count below.
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                pairs = np.loadtxt(
+                    fh, delimiter=",", comments=None, quotechar='"', dtype=np.float64, ndmin=2
+                )
+        except ValueError as exc:
+            raise _CliError(_first_bad_line(path) or f"{path}: {exc}") from exc
+    # loadtxt skips blank lines silently, so every line must give one row.
+    if pairs.shape != (rows, 2):
+        raise _CliError(
+            _first_bad_line(path)
+            or f"{path}: {len(pairs)} records on {rows} lines; a record must not span lines"
+        )
     return pairs
+
+
+def _count_lines(path: str) -> int:
+    """Number of lines in ``path``, where \\n, \\r\\n and \\r each end a line."""
+    count, last = 0, "\n"
+    with open(path) as fh:  # universal newlines read every line end as \n
+        for chunk in iter(lambda: fh.read(1 << 20), ""):
+            count += chunk.count("\n")
+            last = chunk[-1]
+    return count + (last != "\n")
+
+
+def _first_bad_line(path: str) -> str | None:
+    """Describe the first record of ``path`` that is not two floats, if any.
+
+    Runs only after the fast parse failed, to name the offending line; it
+    never returns data.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader, None)
+        lineno = 1
+        try:
+            for lineno, row in enumerate(reader, start=2):
+                if len(row) != 2:
+                    return f"{path} line {lineno}: expected 2 fields, got {len(row)}"
+                try:
+                    float(row[0]), float(row[1])
+                except ValueError as exc:
+                    return f"{path} line {lineno}: {exc}"
+        except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+            return f"{path} line {lineno + 1}: {exc}"
+    return None
 
 
 def _bounds_from_args(args) -> Bounds | None:
@@ -161,7 +206,7 @@ def cmd_fit(args) -> int:
             raise _CliError(str(exc)) from exc
     else:
         try:
-            ds = Dataset.from_records(pairs)
+            ds = Dataset(pairs[:, 0], pairs[:, 1])
         except ValueError as exc:
             raise _CliError(
                 f"{exc}; pass --x-min/--x-max/--y-min/--y-max to rescale raw data"

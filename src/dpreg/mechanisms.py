@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Bounds, as_dataset
+from .data import Bounds, as_dataset, exact_sum
 from .median import dp_median
 from .noise import NoiseLedger, RandomStream
 from .simplex import exact_group_stats, privatize_groups, refine
@@ -126,14 +126,14 @@ def _ss_sums(ds) -> np.ndarray:
         xx = x * x
         cached = np.array(
             [
-                math.fsum(x),
-                math.fsum(1.0 - x),
-                math.fsum(y),
-                math.fsum(1.0 - y),
-                math.fsum(xy),
-                math.fsum(1.0 - xy),
-                math.fsum(xx),
-                math.fsum(1.0 - xx),
+                exact_sum(x),
+                exact_sum(1.0 - x),
+                exact_sum(y),
+                exact_sum(1.0 - y),
+                exact_sum(xy),
+                exact_sum(1.0 - xy),
+                exact_sum(xx),
+                exact_sum(1.0 - xx),
             ]
         )
         ds.cache["ss_sums"] = cached

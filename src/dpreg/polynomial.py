@@ -20,12 +20,11 @@ Gaussian elimination.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import as_dataset
+from .data import as_dataset, exact_sum
 from .mechanisms import _as_epsilon
 from .noise import NoiseLedger, RandomStream
 from .simplex import _check_unit
@@ -90,18 +89,50 @@ def poly_group2_contribution(x, y, degree: int) -> np.ndarray:
     return np.stack(parts, axis=-1)
 
 
+def _poly_component_rows(x: np.ndarray, y: np.ndarray, d: int):
+    """Yield ``(group, entry, row)`` for every component of both groups.
+
+    ``group`` is 0 for the x-group and 1 for the xy-group. Each row is one
+    contiguous array over the records, equal bit for bit to column ``entry``
+    of ``poly_group1_contribution`` or ``poly_group2_contribution``, so the
+    ``(n, 2d+1)`` and ``(n, d+2)`` stacks are never built. The powers use
+    the same ``np.power`` loop with an array exponent as those functions; a
+    scalar or stride-0 exponent can take a different, not bit-identical,
+    path.
+    """
+    exponent = np.empty_like(x)
+
+    def power(k: int) -> np.ndarray:
+        exponent.fill(k)
+        return np.power(x, exponent)
+
+    upper = power(2 * d)  # x^j, walking j down from 2d
+    yield 0, 0, upper
+    for j in range(2 * d, 0, -1):
+        if j == d:
+            yield 1, 0, upper * y
+        lower = power(j - 1)
+        diff = lower - upper
+        yield 0, 2 * d - j + 1, diff
+        if j <= d:
+            yield 1, d - j + 1, diff * y
+        upper = lower
+    yield 1, d + 1, 1.0 - y
+
+
 def poly_exact_groups(data, degree: int) -> tuple[np.ndarray, np.ndarray]:
-    """Noise-free group sum vectors of a dataset, cached per degree."""
+    """Noise-free group sum vectors of a dataset, cached per degree.
+
+    Each component sum is exact and bit-identical to ``math.fsum``.
+    """
     d = _check_degree(degree)
     ds = as_dataset(data)
     key = ("poly_groups", d)
     cached = ds.cache.get(key)
     if cached is None:
-        c1 = poly_group1_contribution(ds.x, d) if len(ds) else np.zeros((0, 2 * d + 1))
-        c2 = poly_group2_contribution(ds.x, ds.y, d) if len(ds) else np.zeros((0, d + 2))
-        g1 = np.array([math.fsum(c1[:, k]) for k in range(2 * d + 1)])
-        g2 = np.array([math.fsum(c2[:, k]) for k in range(d + 2)])
-        cached = (g1, g2)
+        cached = (np.empty(2 * d + 1), np.empty(d + 2))
+        for group, entry, row in _poly_component_rows(ds.x, ds.y, d):
+            cached[group][entry] = exact_sum(row)
         ds.cache[key] = cached
     return cached
 

@@ -14,12 +14,11 @@ independent unbiased readings with inverse-variance weights.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import as_dataset
+from .data import as_dataset, exact_sum
 from .noise import RandomStream
 
 # Inverse-variance weights for the refined estimators. Each reading's
@@ -115,8 +114,9 @@ class RefinedStats:
 def exact_group_stats(data):
     """Noise-free group sums of a dataset, cached on the ``Dataset``.
 
-    Sums are accumulated with ``math.fsum`` so repeated fits see one exact,
-    order-independent value per component.
+    Each component sum is exact and correctly rounded, bit-identical to
+    ``math.fsum``, so repeated fits see one order-independent value per
+    component.
     """
     ds = as_dataset(data)
     cached = ds.cache.get("simplex_groups")
@@ -124,8 +124,8 @@ def exact_group_stats(data):
         g1c = simplex_transform_x(ds.x)
         g2c = simplex_transform_xy(ds.x, ds.y)
         cached = (
-            Group1Stats(*(math.fsum(c) for c in g1c)),
-            Group2Stats(*(math.fsum(c) for c in g2c)),
+            Group1Stats(*(exact_sum(c) for c in g1c)),
+            Group2Stats(*(exact_sum(c) for c in g2c)),
         )
         ds.cache["simplex_groups"] = cached
     return cached

@@ -1,13 +1,15 @@
 import json
 
+import numpy as np
 import pytest
 
 from dpreg.cli import MECHANISM_NAMES, RESULTS_HEADER, VERIFY_HEADER, main
 
 
 def write_csv(tmp_path, rows, header="x,y", name="data.csv"):
+    """Write one line per row, its fields joined by commas; () is a blank line."""
     path = tmp_path / name
-    path.write_text("\n".join([header] + [f"{x},{y}" for x, y in rows]) + "\n")
+    path.write_text("\n".join([header] + [",".join(map(str, row)) for row in rows]) + "\n")
     return str(path)
 
 
@@ -97,12 +99,79 @@ def test_fit_stdout_is_deterministic(tmp_path, capsys):
     ([(0.1, 0.2), ("0.5", "abc")], "x,y", "line 3"),
     ([(0.1, 0.2)], "a,b", "header"),
     ([(1.5, 0.2)], "x,y", "--x-min"),
+    ([(0.1, 0.2), (), (0.3, 0.4)], "x,y", "line 3: expected 2 fields, got 0"),
+    ([(0.1, 0.2), ()], "x,y", "line 3: expected 2 fields, got 0"),
+    ([(0.1, 0.2), (0.3,)], "x,y", "line 3: expected 2 fields, got 1"),
+    ([(0.1, 0.2), (0.3, 0.4), (0.5, 0.6, 0.7)], "x,y", "line 4: expected 2 fields, got 3"),
+    ([(0.1, 0.2), ("abc", 0.4)], "x,y", "line 3: could not convert string to float: 'abc'"),
+    ([("0.1", "0.2x")], "x,y", "line 2: could not convert string to float: '0.2x'"),
+    ([(0.1, 0.2), (0.3, "a" * 200_000)], "x,y", "line 3: field larger than field limit"),
 ])
 def test_fit_input_errors(tmp_path, capsys, rows, header, fragment):
     path = write_csv(tmp_path, rows, header=header)
     code, out, err = run(capsys, ["fit", path, "--epsilon", "1.0"])
     assert code == 2
     assert fragment in err
+
+
+def test_fit_accepts_quotes_crlf_and_header_only(tmp_path, capsys):
+    argv = ["--epsilon", "0.5", "--seed", "11"]
+    _, plain, _ = run(capsys, ["fit", write_csv(tmp_path, LINE_ROWS), *argv])
+    quoted = write_csv(tmp_path, [(f'"{x}"', y) for x, y in LINE_ROWS], name="quoted.csv")
+    crlf = tmp_path / "crlf.csv"
+    crlf.write_bytes("\r\n".join(["x,y"] + [f"{x},{y}" for x, y in LINE_ROWS]).encode())
+    for path in (quoted, str(crlf)):
+        code, out, err = run(capsys, ["fit", path, *argv])
+        assert (code, out, err) == (0, plain, ""), path
+
+    header_only = tmp_path / "header.csv"
+    header_only.write_text("x,y")
+    code, out, err = run(capsys, ["fit", str(header_only), *argv])
+    assert code == 0 and err == ""
+    assert json.loads(out)["fallback"] is True
+
+
+def golden_csv(tmp_path, name, x_scale=1.0, y_scale=1.0, y_shift=0.0):
+    """2000 seeded rows of a noisy line, each value written exactly."""
+    rng = np.random.default_rng(20260418)
+    x = rng.random(2000)
+    y = np.clip(0.3 + 0.4 * x + 0.05 * rng.standard_normal(2000), 0.0, 1.0)
+    rows = [(repr(x_scale * a), repr(y_scale * b - y_shift)) for a, b in zip(x.tolist(), y.tolist())]
+    return write_csv(tmp_path, rows, name=name)
+
+
+# Exact stdout of seeded fits. A change to these bytes changes a seeded
+# release, so it must be deliberate and say so.
+GOLDEN_FITS = [
+    (["--mechanism", "dp_rss"],
+     '{\n  "mechanism": "dp_rss",\n  "epsilon": 0.7,\n  "seed": 5,\n'
+     '  "alpha_hat": 0.379113697482,\n  "beta_hat": 0.305160488252,\n  "fallback": false\n}\n'),
+    (["--mechanism", "dp_ss"],
+     '{\n  "mechanism": "dp_ss",\n  "epsilon": 0.7,\n  "seed": 5,\n'
+     '  "alpha_hat": 0.406784361714,\n  "beta_hat": 0.289485712563,\n  "fallback": false\n}\n'),
+    (["--mechanism", "dp_theil_sen"],
+     '{\n  "mechanism": "dp_theil_sen",\n  "epsilon": 0.7,\n  "seed": 5,\n'
+     '  "alpha_hat": 0.39993640681,\n  "beta_hat": 0.300465332559,\n  "fallback": false\n}\n'),
+    (["--mechanism", "dp_rss_poly", "--degree", "3"],
+     '{\n  "mechanism": "dp_rss_poly",\n  "epsilon": 0.7,\n  "seed": 5,\n  "degree": 3,\n'
+     '  "coeffs": [0.568871029712, -0.444987323568, 0.31163922677, 0.346240284135],\n'
+     '  "fallback": false\n}\n'),
+    (["--mechanism", "dp_rss", "--x-min", "0", "--x-max", "10", "--y-min", "-50",
+      "--y-max", "50"],
+     '{\n  "mechanism": "dp_rss",\n  "epsilon": 0.7,\n  "seed": 5,\n'
+     '  "alpha_hat": 3.79113697482,\n  "beta_hat": -19.4839511748,\n  "fallback": false\n}\n'),
+]
+
+
+@pytest.mark.parametrize("flags, expected", GOLDEN_FITS)
+def test_fit_golden_outputs(tmp_path, capsys, flags, expected):
+    if "--x-min" in flags:
+        path = golden_csv(tmp_path, "raw.csv", x_scale=10.0, y_scale=100.0, y_shift=50.0)
+    else:
+        path = golden_csv(tmp_path, "unit.csv")
+    code, out, err = run(capsys, ["fit", path, "--epsilon", "0.7", "--seed", "5", *flags])
+    assert (code, err) == (0, "")
+    assert out == expected
 
 
 def test_fit_flag_misuse(tmp_path, capsys):

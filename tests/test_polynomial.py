@@ -20,7 +20,7 @@ from dpreg import (
     poly_refined_estimates,
     refine,
 )
-from dpreg.polynomial import _solve_normal_equations
+from dpreg.polynomial import _poly_component_rows, _solve_normal_equations
 
 
 def test_contribution_dimensions():
@@ -85,6 +85,30 @@ def test_noise_free_estimates_recover_power_sums(degree, random_dataset):
     for ell in range(0, degree + 1):
         want = math.fsum((ds.x ** ell) * ds.y)
         assert s_xy[ell] == pytest.approx(want, rel=1e-10)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+def test_component_rows_equal_contribution_columns(degree):
+    # The summed rows must be the contribution functions' columns bit for
+    # bit, so the group sums stay fsum of the same components.
+    rng = np.random.default_rng(degree)
+    x = np.concatenate([[0.0, 1.0, 2.0 ** -1074, 0.5, 1.0 - 2.0 ** -53], rng.random(3000)])
+    y = np.concatenate([[1.0, 0.0, 0.5, 2.0 ** -1074, 1.0], rng.random(3000)])
+    columns = (poly_group1_contribution(x, degree), poly_group2_contribution(x, y, degree))
+    seen = {0: [], 1: []}
+    for group, entry, row in _poly_component_rows(x, y, degree):
+        want = np.ascontiguousarray(columns[group][:, entry])
+        assert row.flags.c_contiguous
+        assert np.array_equal(row.view(np.int64), want.view(np.int64)), (group, entry)
+        seen[group].append(entry)
+    assert sorted(seen[0]) == list(range(2 * degree + 1))
+    assert sorted(seen[1]) == list(range(degree + 2))
+    ds = Dataset(x, y)
+    g1, g2 = poly_exact_groups(ds, degree)
+    assert [v.hex() for v in g1.tolist()] == [
+        math.fsum(columns[0][:, k]).hex() for k in range(2 * degree + 1)]
+    assert [v.hex() for v in g2.tolist()] == [
+        math.fsum(columns[1][:, k]).hex() for k in range(degree + 2)]
 
 
 def test_refined_estimates_validate_lengths():
