@@ -33,7 +33,6 @@ from .mechanisms import (
     FALLBACK_ALPHA,
     FALLBACK_BETA,
     FitResult,
-    PrivacyBudget,
     TheilSenHyper,
     denormalize_fit,
     dp_rss_fit,
@@ -41,32 +40,15 @@ from .mechanisms import (
     dp_theil_sen_fit,
 )
 from .median import DegenerateInputWarning, dp_median, median_interval_probs
-from .noise import (
-    LaplaceScale,
-    NoiseEvent,
-    NoiseLedger,
-    RandomStream,
-    ZeroNoiseStream,
-    laplace_sample,
-)
+from .noise import NoiseEvent, NoiseLedger, PrivacyBudget, RandomStream, ZeroNoiseStream
 from .polynomial import (
     PolyFitResult,
     dp_rss_poly_fit,
-    poly_exact_groups,
     poly_group1_contribution,
     poly_group2_contribution,
-    poly_refined_estimates,
 )
 from .simplex import (
-    Group1Stats,
-    Group2Stats,
-    NoisyGroupStats,
-    RefinedStats,
-    added_record_delta,
     exact_group_stats,
-    optimal_weights,
-    privatize_groups,
-    refine,
     sensitivity_oracle,
     simplex_transform_x,
     simplex_transform_xy,
@@ -83,27 +65,21 @@ __all__ = [
     "FALLBACK_ALPHA",
     "FALLBACK_BETA",
     "FitResult",
-    "Group1Stats",
-    "Group2Stats",
-    "LaplaceScale",
     "METHOD_NAMES",
     "MetricResult",
     "NoiseEvent",
     "NoiseLedger",
-    "NoisyGroupStats",
     "PolyFitResult",
     "PrivacyBudget",
     "RSS_VARIANCES",
     "RandomStream",
     "Record",
-    "RefinedStats",
     "STATISTIC_ORDER",
     "SS_VARIANCES",
     "SetupConfig",
     "TheilSenHyper",
     "VarianceRow",
     "ZeroNoiseStream",
-    "added_record_delta",
     "as_dataset",
     "denormalize_fit",
     "dp_median",
@@ -115,18 +91,12 @@ __all__ = [
     "generate_setup",
     "l1_error",
     "l2_error",
-    "laplace_sample",
     "line_errors",
     "median_interval_probs",
     "normalize",
-    "optimal_weights",
-    "poly_exact_groups",
     "poly_group1_contribution",
     "poly_group2_contribution",
-    "poly_refined_estimates",
-    "privatize_groups",
     "reference_setup",
-    "refine",
     "run_experiment",
     "sensitivity_oracle",
     "simplex_transform_x",

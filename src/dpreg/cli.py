@@ -21,25 +21,21 @@ import numpy as np
 
 from .data import Bounds, Dataset, normalize
 from .evaluate import (
+    METHOD_NAMES,
     ExperimentGrid,
     SetupConfig,
     STATISTIC_ORDER,
     run_experiment,
     verify_variances,
 )
-from .mechanisms import denormalize_fit, dp_rss_fit, dp_ss_fit, dp_theil_sen_fit
+from .mechanisms import FITTERS, denormalize_fit
 from .noise import RandomStream
 from .polynomial import dp_rss_poly_fit
 
 RESULTS_HEADER = "method,epsilon,mean_l1,std_l1,mean_l2,std_l2,median_l1,median_l2"
 VERIFY_HEADER = "statistic,method,empirical_var,theoretical_var,relative_error,improvement_ratio"
 
-_LINEAR_FITTERS = {
-    "dp_rss": dp_rss_fit,
-    "dp_ss": dp_ss_fit,
-    "dp_theil_sen": dp_theil_sen_fit,
-}
-MECHANISM_NAMES = tuple(_LINEAR_FITTERS) + ("dp_rss_poly",)
+MECHANISM_NAMES = METHOD_NAMES + ("dp_rss_poly",)
 
 
 class _CliError(Exception):
@@ -220,7 +216,7 @@ def cmd_fit(args) -> int:
         out["coeffs"] = [float(c) for c in fit.coeffs]
         out["fallback"] = fit.fallback
     else:
-        fit = _LINEAR_FITTERS[args.mechanism](ds, args.epsilon, stream)
+        fit = FITTERS[args.mechanism](ds, args.epsilon, stream)
         if bounds is not None:
             fit = denormalize_fit(fit, bounds)
         out["alpha_hat"] = fit.alpha_hat

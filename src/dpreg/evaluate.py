@@ -15,10 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, as_dataset
-from .mechanisms import FitResult, dp_rss_fit, dp_ss_fit, dp_theil_sen_fit
+from .mechanisms import FITTERS, FitResult, _ss_sums
 from .noise import RandomStream
-from .simplex import Group1Stats, Group2Stats, NoisyGroupStats, exact_group_stats, refine
-from .mechanisms import _ss_sums
+from .simplex import LINEAR_COLUMNS, _group_sums, transfer_matrix
 
 
 @dataclass(frozen=True)
@@ -40,13 +39,7 @@ class SetupConfig:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
-METHOD_NAMES = ("dp_rss", "dp_ss", "dp_theil_sen")
-
-_FITTERS = {
-    "dp_rss": dp_rss_fit,
-    "dp_ss": dp_ss_fit,
-    "dp_theil_sen": dp_theil_sen_fit,
-}
+METHOD_NAMES = tuple(FITTERS)
 
 
 @dataclass(frozen=True)
@@ -70,8 +63,8 @@ class ExperimentGrid:
         if len(methods) == 0:
             raise ValueError("methods must not be empty")
         for m in methods:
-            if m not in _FITTERS:
-                raise ValueError(f"unknown method {m!r}; choose from {sorted(_FITTERS)}")
+            if m not in FITTERS:
+                raise ValueError(f"unknown method {m!r}; choose from {sorted(FITTERS)}")
         object.__setattr__(self, "methods", methods)
 
 
@@ -179,7 +172,7 @@ def run_experiment(
     truth = (setup.alpha, setup.beta)
     rows = []
     for method in sorted(grid.methods):
-        fitter = _FITTERS[method]
+        fitter = FITTERS[method]
         for eps in grid.epsilons:
             l1s = np.empty(grid.iterations)
             l2s = np.empty(grid.iterations)
@@ -230,25 +223,17 @@ STATISTIC_ORDER = ("n", "s_x", "s_y", "s_x2", "s_xy")
 
 
 def simulate_refined_stats(data, epsilon: float, trials: int, stream: RandomStream):
-    """Refined statistics of ``trials`` independent noisy releases, as arrays.
+    """Refined statistics over ``trials`` releases, as a dict of arrays.
 
-    Returns a ``RefinedStats`` whose fields are length-``trials`` vectors,
-    one entry per simulated privatization of the same dataset.
+    Each release is the one ``dp_rss_fit`` makes. The noise is drawn as one
+    (trials, 3) block per group, x-group first, and refined by the same
+    transfer matrix as a single fit.
     """
-    ds = as_dataset(data)
-    g1, g2 = exact_group_stats(ds)
-    half = epsilon / 2.0
-    z1 = stream.laplace(1.0 / half, size=(trials, 3))
-    z2 = stream.laplace(1.0 / half, size=(trials, 3))
-    c1 = g1.components()
-    c2 = g2.components()
-    noisy = NoisyGroupStats(
-        Group1Stats(c1[0] + z1[:, 0], c1[1] + z1[:, 1], c1[2] + z1[:, 2]),
-        Group2Stats(c2[0] + z2[:, 0], c2[1] + z2[:, 1], c2[2] + z2[:, 2]),
-        half,
-        half,
-    )
-    return refine(noisy)
+    noise = stream.laplace(2.0 / epsilon, size=(2, trials, 3))
+    noisy = np.concatenate(noise, axis=1)
+    noisy += _group_sums(as_dataset(data), 1)
+    columns = transfer_matrix(1)[:, [LINEAR_COLUMNS[stat] for stat in STATISTIC_ORDER]]
+    return dict(zip(STATISTIC_ORDER, columns.T @ noisy.T))
 
 
 def simulate_baseline_stats(data, epsilon: float, trials: int, stream: RandomStream):
@@ -291,17 +276,10 @@ def verify_variances(epsilon: float, trials: int, stream: RandomStream) -> list[
     ds = Dataset(np.array([0.0, 0.5, 1.0]), np.array([0.2, 0.45, 0.7]))
     ref = simulate_refined_stats(ds, epsilon, trials, stream)
     base = simulate_baseline_stats(ds, epsilon, trials, stream)
-    refined_values = {
-        "n": ref.n_hat,
-        "s_x": ref.s_x,
-        "s_y": ref.s_y,
-        "s_x2": ref.s_x2,
-        "s_xy": ref.s_xy,
-    }
     rows = []
     for stat in STATISTIC_ORDER:
         for method, values, theory in (
-            ("dp_rss", refined_values[stat], RSS_VARIANCES[stat] / epsilon**2),
+            ("dp_rss", ref[stat], RSS_VARIANCES[stat] / epsilon**2),
             ("dp_ss", base[stat], SS_VARIANCES[stat] / epsilon**2),
         ):
             emp = float(np.var(values, ddof=1))

@@ -1,13 +1,16 @@
-"""epsilon-DP simple linear regression mechanisms.
+"""epsilon-DP simple linear regression mechanisms and their registry.
 
 Three fitters share one contract: records in the unit square, an epsilon
 budget, a seeded stream, and a :class:`FitResult` out. Degenerate draws
-(non-positive size estimate, non-positive design determinant, too little
-data) return the fixed fallback fit (0, 0.5) with the flag set instead of
-raising, so Monte Carlo loops never die mid-run.
+return the fixed fallback fit (0, 0.5) with the flag set instead of
+raising, so Monte Carlo loops never die mid-run. ``FITTERS`` maps each
+mechanism name to its fitter; the experiment harness and the CLI both
+dispatch through it.
 
-* ``dp_rss_fit`` privatizes the two simplex query groups and solves the
-  normal equations on the refined statistics.
+* ``dp_rss_fit`` is degree 1 of the refined release in :mod:`dpreg.simplex`:
+  two privatized simplex query groups, refined sufficient statistics, and
+  the normal equations. It falls back when the refined size or x-spread is
+  not positive or the equations are numerically singular.
 * ``dp_ss_fit`` privatizes eight clamped sums directly (the baseline the
   refined mechanism improves on).
 * ``dp_theil_sen_fit`` privatizes the 25th/75th percentiles of pairwise
@@ -23,22 +26,11 @@ import numpy as np
 
 from .data import Bounds, as_dataset, exact_sum
 from .median import dp_median
-from .noise import NoiseLedger, RandomStream
-from .simplex import exact_group_stats, privatize_groups, refine
+from .noise import NoiseLedger, RandomStream, _as_epsilon
+from .simplex import refined_fit
 
 FALLBACK_ALPHA = 0.0
 FALLBACK_BETA = 0.5
-
-
-@dataclass(frozen=True)
-class PrivacyBudget:
-    """Total epsilon available to one mechanism invocation."""
-
-    epsilon: float
-
-    def __post_init__(self):
-        if not (self.epsilon > 0) or not math.isfinite(self.epsilon):
-            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
 
 
 @dataclass(frozen=True)
@@ -78,37 +70,16 @@ class TheilSenHyper:
 _FALLBACK_FIT = FitResult(FALLBACK_ALPHA, FALLBACK_BETA, fallback=True)
 
 
-def _as_epsilon(budget) -> float:
-    if isinstance(budget, PrivacyBudget):
-        return budget.epsilon
-    return PrivacyBudget(float(budget)).epsilon
-
-
 def dp_rss_fit(data, budget, stream: RandomStream, ledger: NoiseLedger | None = None) -> FitResult:
-    """Fit a line by privatizing the simplex groups and refining their sums.
+    """Fit a line from the refined release of the two simplex groups.
 
-    Spends half the budget on each group (per-component Laplace scale
-    2/epsilon), refines the six noisy sums into estimates of n, S_x, S_y,
-    S_{x^2}, S_{xy}, and solves the 2x2 normal equations. Falls back when
-    the refined size or the determinant is non-positive.
+    Degree 1 of :func:`dpreg.simplex.refined_fit`: Laplace noise at scale
+    2/epsilon on each group sum, refined estimates of n, S_x, S_y, S_{x^2},
+    S_{xy}, and the 2x2 normal equations. Falls back when the refined size
+    or x-spread is not positive or the equations are numerically singular.
     """
-    ds = as_dataset(data)
-    eps = _as_epsilon(budget)
-    g1, g2 = exact_group_stats(ds)
-    half = eps / 2.0
-    noisy = privatize_groups(g1, g2, half, half, stream)
-    if ledger is not None:
-        ledger.record("x-group sums", half, scale=1.0 / half)
-        ledger.record("xy-group sums", half, scale=1.0 / half)
-    ref = refine(noisy)
-    if ref.n_hat <= 0:
-        return _FALLBACK_FIT
-    det = ref.s_x2 * ref.n_hat - ref.s_x * ref.s_x
-    if det <= 0:
-        return _FALLBACK_FIT
-    alpha = (ref.n_hat * ref.s_xy - ref.s_x * ref.s_y) / det
-    beta = (ref.s_x2 * ref.s_y - ref.s_x * ref.s_xy) / det
-    return FitResult(float(alpha), float(beta))
+    coeffs = refined_fit(data, 1, budget, stream, ledger)
+    return _FALLBACK_FIT if coeffs is None else FitResult(*coeffs)
 
 
 # Clamped sums released by dp_ss_fit, in draw order. Each of the four
@@ -245,3 +216,10 @@ def denormalize_fit(fit: FitResult, bounds: Bounds) -> FitResult:
     alpha = (dy / dx) * fit.alpha_hat
     beta = bounds.y_min + dy * (fit.beta_hat - (bounds.x_min / dx) * fit.alpha_hat)
     return FitResult(alpha, beta, fit.fallback)
+
+
+FITTERS = {
+    "dp_rss": dp_rss_fit,
+    "dp_ss": dp_ss_fit,
+    "dp_theil_sen": dp_theil_sen_fit,
+}

@@ -1,4 +1,4 @@
-"""Seeded randomness, Laplace sampling, and a budget audit ledger.
+"""Seeded randomness, Laplace sampling, privacy budgets and their audit ledger.
 
 All mechanism randomness flows through :class:`RandomStream` so that a run is
 fully determined by ``(seed, stream_index)``. Laplace draws use the explicit
@@ -16,14 +16,20 @@ import numpy as np
 
 
 @dataclass(frozen=True)
-class LaplaceScale:
-    """Validated scale parameter b of a centered Laplace distribution."""
+class PrivacyBudget:
+    """Total epsilon available to one mechanism invocation."""
 
-    b: float
+    epsilon: float
 
     def __post_init__(self):
-        if not (self.b > 0) or not math.isfinite(self.b):
-            raise ValueError(f"Laplace scale must be positive and finite, got {self.b}")
+        if not (self.epsilon > 0) or not math.isfinite(self.epsilon):
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
+
+
+def _as_epsilon(budget) -> float:
+    if isinstance(budget, PrivacyBudget):
+        return budget.epsilon
+    return PrivacyBudget(float(budget)).epsilon
 
 
 class RandomStream:
@@ -52,7 +58,7 @@ class RandomStream:
     def laplace(self, scale, size=None):
         """Centered Laplace draws via the inverse CDF, one uniform each.
 
-        ``scale`` may be a float or a :class:`LaplaceScale`.
+        ``scale`` must be positive and finite.
         """
         b = _scale_value(scale)
         u = self._gen.random(size)
@@ -90,17 +96,10 @@ class ZeroNoiseStream(RandomStream):
 
 
 def _scale_value(scale) -> float:
-    if isinstance(scale, LaplaceScale):
-        return scale.b
     b = float(scale)
     if not (b > 0) or not math.isfinite(b):
         raise ValueError(f"Laplace scale must be positive and finite, got {scale!r}")
     return b
-
-
-def laplace_sample(stream: RandomStream, scale) -> float:
-    """One centered Laplace draw from ``stream`` at the given scale."""
-    return float(stream.laplace(scale))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Simplex transforms, group statistics, and refined estimators.
+"""Simplex query groups and the refined release, for every degree d.
 
 Each record contributes a non-negative vector summing to exactly 1 to each of
 two query groups, so adding or removing one record moves each group's sum
@@ -6,35 +6,51 @@ vector by l1-distance exactly 1. A group privatized with per-component
 Laplace noise at scale 1/eps is therefore eps-DP, and the total of a noisy
 group doubles as a free estimate of the dataset size.
 
-The x-group of a record is (x^2, x - x^2, 1 - x); the xy-group is
-(xy, (1 - x)y, 1 - y). ``refine`` recombines the six noisy sums into
-estimates of n, S_x, S_y, S_{x^2}, S_{xy} by averaging, for each target, two
-independent unbiased readings with inverse-variance weights.
+For degree d the x-group has the 2d + 1 telescoping entries
+
+    (x^{2d}, x^{2d-1} - x^{2d}, ..., x - x^2, 1 - x)
+
+and the xy-group the d + 2 entries
+
+    (x^d y, (x^{d-1} - x^d) y, ..., (1 - x) y, 1 - y).
+
+Degree 1 is the linear release: (x^2, x - x^2, 1 - x) and
+(xy, (1 - x)y, 1 - y). One release adds Laplace noise at scale 2/eps to all
+3d + 3 group sums, x-group first. Prefix sums of either noisy group read
+every power sum S_{x^l} (l = 0..2d, where S_{x^0} = n) and S_{x^l y}
+(l = 0..d) in two independent ways: directly from its own group, and as the
+other group's total minus the complementary components. The refined
+statistic averages the two readings with inverse-variance weights, which
+are proportional to how many Laplace terms each reading sums. That map is
+linear, so it is one (3d+3) x (3d+2) matrix, ``transfer_matrix(d)``, and it
+refines a leading axis of trials as readily as a single release.
+
+``refined_fit`` solves the normal equations on the refined statistics. It
+falls back (returns None) under one rule for every degree: when the refined
+size n is not positive, when the x-spread n S_{x^2} - S_x^2 is not
+positive, or when partial-pivoting elimination finds the system singular.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .data import as_dataset, exact_sum
-from .noise import RandomStream
-
-# Inverse-variance weights for the refined estimators. Each reading's
-# variance is proportional to how many independent Laplace terms it sums,
-# so the weights come from the term counts: a 1-term direct reading vs a
-# 5-term complement reading gives (5/6, 1/6); 2 terms vs 4 gives (2/3, 1/3).
-_W_DIRECT_1 = 5.0 / 6.0
-_W_COMPL_1 = 1.0 / 6.0
-_W_DIRECT_2 = 2.0 / 3.0
-_W_COMPL_2 = 1.0 / 3.0
+from .noise import NoiseLedger, RandomStream, _as_epsilon
 
 
 def _check_unit(value, name: str) -> None:
     v = np.asarray(value)
     if ((v < 0.0) | (v > 1.0) | ~np.isfinite(v)).any():
         raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
+
+
+def _check_degree(degree: int) -> int:
+    if not isinstance(degree, (int, np.integer)) or degree < 1:
+        raise ValueError(f"degree must be an integer >= 1, got {degree!r}")
+    return int(degree)
 
 
 def simplex_transform_x(x):
@@ -56,154 +72,199 @@ def simplex_transform_xy(x, y):
     return (x * y, (1.0 - x) * y, 1.0 - y)
 
 
-@dataclass(frozen=True)
-class Group1Stats:
-    """Sums of the x-group components over a dataset."""
+def _component_rows(x: np.ndarray, y: np.ndarray, d: int):
+    """Yield ``(group, entry, row)`` for every component of both groups.
 
-    s_x2: float
-    s_x_minus_x2: float
-    s_one_minus_x: float
-
-    def components(self):
-        return (self.s_x2, self.s_x_minus_x2, self.s_one_minus_x)
-
-    def total(self):
-        return self.s_x2 + self.s_x_minus_x2 + self.s_one_minus_x
-
-
-@dataclass(frozen=True)
-class Group2Stats:
-    """Sums of the xy-group components over a dataset."""
-
-    s_xy: float
-    s_one_minus_x_y: float
-    s_one_minus_y: float
-
-    def components(self):
-        return (self.s_xy, self.s_one_minus_x_y, self.s_one_minus_y)
-
-    def total(self):
-        return self.s_xy + self.s_one_minus_x_y + self.s_one_minus_y
-
-
-@dataclass(frozen=True)
-class NoisyGroupStats:
-    """Privatized group sums plus the budget halves that produced them."""
-
-    group1: Group1Stats
-    group2: Group2Stats
-    eps1: float
-    eps2: float
-
-    def __post_init__(self):
-        if not (self.eps1 > 0) or not (self.eps2 > 0):
-            raise ValueError(f"budget shares must be positive, got {self.eps1}, {self.eps2}")
-
-
-@dataclass(frozen=True)
-class RefinedStats:
-    """Refined estimates of the sufficient statistics; fields broadcast."""
-
-    n_hat: float
-    s_x: float
-    s_y: float
-    s_x2: float
-    s_xy: float
-
-
-def exact_group_stats(data):
-    """Noise-free group sums of a dataset, cached on the ``Dataset``.
-
-    Each component sum is exact and correctly rounded, bit-identical to
-    ``math.fsum``, so repeated fits see one order-independent value per
-    component.
+    ``group`` is 0 for the x-group and 1 for the xy-group. Each row is one
+    contiguous array over the records, equal bit for bit to column ``entry``
+    of ``poly_group1_contribution`` or ``poly_group2_contribution``, so the
+    ``(n, 2d+1)`` and ``(n, d+2)`` stacks are never built. The powers use
+    the same ``np.power`` loop with an array exponent as those functions; a
+    scalar or stride-0 exponent can take a different, not bit-identical,
+    path. x^1 and x^0 are exact in that loop, so they are not computed.
     """
-    ds = as_dataset(data)
-    cached = ds.cache.get("simplex_groups")
-    if cached is None:
-        g1c = simplex_transform_x(ds.x)
-        g2c = simplex_transform_xy(ds.x, ds.y)
-        cached = (
-            Group1Stats(*(exact_sum(c) for c in g1c)),
-            Group2Stats(*(exact_sum(c) for c in g2c)),
-        )
-        ds.cache["simplex_groups"] = cached
-    return cached
+    exponent = np.empty_like(x)
+
+    def power(k: int):
+        if k <= 1:
+            return x if k else 1.0
+        exponent.fill(k)
+        return np.power(x, exponent)
+
+    upper = power(2 * d)  # x^j, walking j down from 2d
+    yield 0, 0, upper
+    for j in range(2 * d, 0, -1):
+        if j == d:
+            yield 1, 0, upper * y
+        lower = power(j - 1)
+        diff = lower - upper
+        yield 0, 2 * d - j + 1, diff
+        if j <= d:
+            yield 1, d - j + 1, diff * y
+        upper = lower
+    yield 1, d + 1, 1.0 - y
 
 
-def privatize_groups(
-    g1: Group1Stats,
-    g2: Group2Stats,
-    eps1: float,
-    eps2: float,
+def _group_sums(ds, d: int) -> np.ndarray:
+    """The 3d + 3 exact group sums of a ``Dataset``, x-group first; cached.
+
+    Reads the arrays ``Dataset`` already validated, so no range check runs.
+    """
+    key = ("simplex_groups", d)
+    sums = ds.cache.get(key)
+    if sums is None:
+        sums = np.empty(3 * d + 3)
+        for group, entry, row in _component_rows(ds.x, ds.y, d):
+            sums[group * (2 * d + 1) + entry] = exact_sum(row)
+        sums.setflags(write=False)
+        ds.cache[key] = sums
+    return sums
+
+
+def exact_group_stats(data, degree: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Noise-free sums of the x-group and the xy-group, cached per degree.
+
+    Returns views of one cached vector: the 2d + 1 x-group sums, then the
+    d + 2 xy-group sums. Each sum is exact and correctly rounded,
+    bit-identical to ``math.fsum`` of the components.
+    """
+    d = _check_degree(degree)
+    sums = _group_sums(as_dataset(data), d)
+    return sums[: 2 * d + 1], sums[2 * d + 1 :]
+
+
+@lru_cache(maxsize=None)
+def transfer_matrix(degree: int) -> np.ndarray:
+    """Map from the 3d + 3 noisy group sums to the 3d + 2 refined statistics.
+
+    Columns are (n, S_x, ..., S_{x^{2d}}, S_y, S_{xy}, ..., S_{x^d y}). Each
+    column weights a direct and a complement reading by the other's Laplace
+    term count over their total; the two readings use disjoint noise terms,
+    so every entry is one weight with the reading's sign. Read-only.
+    """
+    d = _check_degree(degree)
+    unit = np.eye(3 * d + 3)
+    g1, g2 = unit[: 2 * d + 1], unit[2 * d + 1 :]
+    n_x, n_y = g1.sum(axis=0), g2.sum(axis=0)
+    readings = [(n_x, n_y)]
+    for l in range(1, 2 * d + 1):  # S_{x^l}: telescope x^{2d} down to x^l
+        readings.append((g1[: 2 * d - l + 1].sum(axis=0), n_y - g1[2 * d - l + 1 :].sum(axis=0)))
+    for l in range(d + 1):  # S_{x^l y}
+        readings.append((g2[: d - l + 1].sum(axis=0), n_x - g2[d - l + 1 :].sum(axis=0)))
+    columns = []
+    for direct, complement in readings:
+        m_d, m_c = np.abs(direct).sum(), np.abs(complement).sum()
+        columns.append((m_c * direct + m_d * complement) / (m_d + m_c))
+    matrix = np.column_stack(columns)
+    matrix.setflags(write=False)
+    return matrix
+
+
+# Column of each statistic in ``transfer_matrix(1)``.
+LINEAR_COLUMNS = {"n": 0, "s_x": 1, "s_x2": 2, "s_y": 3, "s_xy": 4}
+
+
+def refined_release(
+    data,
+    degree: int,
+    budget,
     stream: RandomStream,
-) -> NoisyGroupStats:
-    """Add per-component Laplace noise at scale 1/eps to each group.
+    ledger: NoiseLedger | None = None,
+) -> np.ndarray:
+    """One private release of the refined statistics of ``transfer_matrix``.
 
-    Draw order is fixed (the three x-group components, then the three
-    xy-group components) so a replayed stream replays the noise.
+    Spends half the budget on each group: one Laplace draw at scale 2/eps
+    for all 3d + 3 group sums, x-group first, so a replayed stream replays
+    the noise.
     """
-    if not (eps1 > 0) or not (eps2 > 0):
-        raise ValueError(f"budget shares must be positive, got {eps1}, {eps2}")
-    z1 = stream.laplace(1.0 / eps1, size=3)
-    z2 = stream.laplace(1.0 / eps2, size=3)
-    c1 = g1.components()
-    c2 = g2.components()
-    return NoisyGroupStats(
-        Group1Stats(c1[0] + z1[0], c1[1] + z1[1], c1[2] + z1[2]),
-        Group2Stats(c2[0] + z2[0], c2[1] + z2[1], c2[2] + z2[2]),
-        eps1,
-        eps2,
-    )
+    d = _check_degree(degree)
+    eps = _as_epsilon(budget)
+    half = eps / 2.0
+    noisy = _group_sums(as_dataset(data), d) + stream.laplace(1.0 / half, size=3 * d + 3)
+    if ledger is not None:
+        ledger.record("x-group sums", half, scale=1.0 / half)
+        ledger.record("xy-group sums", half, scale=1.0 / half)
+    return noisy @ transfer_matrix(d)
 
 
-def refine(noisy: NoisyGroupStats) -> RefinedStats:
-    """Recombine noisy group sums into refined sufficient statistics.
+def _solve_normal_equations(a, b):
+    """Solve the small dense system by Gaussian elimination, or None.
 
-    Each target statistic has two independent unbiased readings, one from
-    its own group and one from the other group's total minus complements;
-    they are averaged with the inverse-variance weights above. Requires an
-    even budget split (eps1 == eps2), since the fixed weights assume both
-    groups carry equally noisy components.
-
-    Works elementwise when the group fields hold equal-shape arrays, which
-    the Monte Carlo helpers use to simulate many trials at once.
+    Partial pivoting on Python floats, which for systems this small is
+    several times faster than NumPy scalars. Declares the system singular
+    when any pivot magnitude falls below 1e-12 times the largest entry of
+    ``a``, or when the ratio of the largest to smallest pivot (a cheap
+    condition proxy) exceeds 1e12.
     """
-    if noisy.eps1 != noisy.eps2:
-        raise ValueError(
-            f"refine requires an even budget split, got eps1={noisy.eps1}, eps2={noisy.eps2}"
-        )
-    g1, g2 = noisy.group1, noisy.group2
-    n_x = g1.total()
-    n_y = g2.total()
-    n_hat = 0.5 * (n_x + n_y)
-    s_x2 = _W_DIRECT_1 * g1.s_x2 + _W_COMPL_1 * (n_y - g1.s_x_minus_x2 - g1.s_one_minus_x)
-    s_xy = _W_DIRECT_1 * g2.s_xy + _W_COMPL_1 * (n_x - g2.s_one_minus_x_y - g2.s_one_minus_y)
-    s_x = _W_DIRECT_2 * (g1.s_x2 + g1.s_x_minus_x2) + _W_COMPL_2 * (n_y - g1.s_one_minus_x)
-    s_y = _W_DIRECT_2 * (g2.s_xy + g2.s_one_minus_x_y) + _W_COMPL_2 * (n_x - g2.s_one_minus_y)
-    return RefinedStats(n_hat=n_hat, s_x=s_x, s_y=s_y, s_x2=s_x2, s_xy=s_xy)
+    a = [list(row) for row in a]
+    b = list(b)
+    m = len(a)
+    floor = 1e-12 * max([abs(v) for row in a for v in row])
+    pivots = []
+    for col in range(m):
+        p = col
+        for row in range(col + 1, m):
+            if abs(a[row][col]) > abs(a[p][col]):
+                p = row
+        if p != col:
+            a[col], a[p] = a[p], a[col]
+            b[col], b[p] = b[p], b[col]
+        top = a[col]
+        pivot = top[col]
+        if abs(pivot) <= floor:
+            return None
+        pivots.append(abs(pivot))
+        for row in range(col + 1, m):
+            cur = a[row]
+            factor = cur[col] / pivot
+            for k in range(col, m):
+                cur[k] -= factor * top[k]
+            b[row] -= factor * b[col]
+    if max(pivots) / min(pivots) > 1e12:
+        return None
+    x = [0.0] * m
+    for row in range(m - 1, -1, -1):
+        cur = a[row]
+        acc = 0.0
+        for k in range(row + 1, m):
+            acc += cur[k] * x[k]
+        x[row] = (b[row] - acc) / cur[row]
+    return x
 
 
-def added_record_delta(group: str, x: float, y: float = 0.0) -> np.ndarray:
-    """Change in a group's sum vector when one record (x, y) is added.
+def refined_fit(
+    data,
+    degree: int,
+    budget,
+    stream: RandomStream,
+    ledger: NoiseLedger | None = None,
+) -> list | None:
+    """Least-squares coefficients, highest power first, from one release.
 
-    Sums shift by exactly the added record's contribution, so the delta is
-    the transform of (x, y) itself.
+    Fills the (d+1) x (d+1) normal equations over the monomials x^d..x^0
+    with the refined statistics and solves them. Returns None, the fallback,
+    when the refined size or x-spread is not positive or the system is
+    numerically singular.
     """
-    if group == "group1":
-        return np.asarray(simplex_transform_x(x), dtype=np.float64)
-    if group == "group2":
-        return np.asarray(simplex_transform_xy(x, y), dtype=np.float64)
-    raise ValueError(f"group must be 'group1' or 'group2', got {group!r}")
+    d = _check_degree(degree)
+    stats = refined_release(data, d, budget, stream, ledger).tolist()
+    n_hat, s_x, s_x2 = stats[0], stats[1], stats[2]
+    if n_hat <= 0 or s_x2 * n_hat - s_x * s_x <= 0:
+        return None
+    # Entry (i, j) is S_{x^{2d-i-j}}, at stats[2d-i-j]; right-hand side
+    # entry i is S_{x^{d-i} y}, at stats[3d+1-i].
+    design = [[stats[2 * d - i - j] for j in range(d + 1)] for i in range(d + 1)]
+    return _solve_normal_equations(design, [stats[3 * d + 1 - i] for i in range(d + 1)])
 
 
 def sensitivity_oracle(group: str, grid_step: float) -> float:
-    """Brute-force max l1 norm of the added-record delta over a unit grid.
+    """Brute-force max l1 norm of one record's contribution over a unit grid.
 
-    Evaluates the delta at every (x, y) on a grid with the given step
-    (endpoints included) and returns the largest l1 norm found. For these
-    transforms the norm is identically 1; the oracle checks rather than
-    assumes that.
+    Adding a record shifts a group's sums by exactly that record's
+    transform, so this is the group's l1 sensitivity. Evaluates the
+    transform at every (x, y) on a grid with the given step (endpoints
+    included) and returns the largest l1 norm found. For these transforms
+    the norm is identically 1; the oracle checks rather than assumes that.
     """
     if not (0 < grid_step <= 0.1):
         raise ValueError(f"grid_step must lie in (0, 0.1], got {grid_step}")
@@ -218,15 +279,3 @@ def sensitivity_oracle(group: str, grid_step: float) -> float:
         raise ValueError(f"group must be 'group1' or 'group2', got {group!r}")
     l1 = np.abs(comps[0]) + np.abs(comps[1]) + np.abs(comps[2])
     return float(l1.max())
-
-
-def optimal_weights(var1: float, var2: float) -> tuple[float, float]:
-    """Inverse-variance weights minimizing the combined estimator variance.
-
-    For independent unbiased readings with variances var1 and var2 the
-    minimizing convex combination weights are (var2, var1) / (var1 + var2).
-    """
-    if not (var1 > 0) or not (var2 > 0):
-        raise ValueError(f"variances must be positive, got {var1}, {var2}")
-    total = var1 + var2
-    return (var2 / total, var1 / total)

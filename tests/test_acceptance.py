@@ -133,8 +133,8 @@ def test_criterion_4_released_statistics_are_unbiased():
     eps = 0.5
     trials = 100_000
     refined = simulate_refined_stats(ds, eps, trials, RandomStream(4, 0))
-    refined_values = {"n": refined.n_hat, "s_x": refined.s_x, "s_y": refined.s_y,
-                      "s_x2": refined.s_x2, "s_xy": refined.s_xy}
+    refined_values = {"n": refined["n"], "s_x": refined["s_x"], "s_y": refined["s_y"],
+                      "s_x2": refined["s_x2"], "s_xy": refined["s_xy"]}
     baseline = simulate_baseline_stats(ds, eps, trials, RandomStream(4, 1))
     worst_sigmas = 0.0
     for stat in STATISTIC_ORDER:

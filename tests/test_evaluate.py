@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import simpson
 
 from dpreg import (
+    METHOD_NAMES,
     ExperimentGrid,
     ExperimentRow,
     FitResult,
@@ -24,6 +25,8 @@ from dpreg import (
     simulate_refined_stats,
     verify_variances,
 )
+from dpreg.cli import MECHANISM_NAMES
+from dpreg.mechanisms import FITTERS
 
 
 def test_setup_config_validation():
@@ -119,6 +122,12 @@ def test_experiment_grid_validation():
         ExperimentGrid((1.0,), 3, ("least_squares",))
 
 
+def test_method_names_come_from_the_fitter_registry():
+    assert METHOD_NAMES == tuple(FITTERS) == ("dp_rss", "dp_ss", "dp_theil_sen")
+    assert MECHANISM_NAMES == METHOD_NAMES + ("dp_rss_poly",)
+    assert ExperimentGrid((1.0,), 1, METHOD_NAMES).methods == METHOD_NAMES
+
+
 def test_run_experiment_shape_and_determinism():
     setup = SetupConfig(n=200, alpha=0.5, beta=0.2, sigma=0.05, seed=9)
     grid = ExperimentGrid((0.5, 2.0), 5, ("dp_theil_sen", "dp_rss"))
@@ -152,7 +161,8 @@ def test_run_experiment_fresh_data_mode_is_reproducible():
 
 def test_simulated_stat_arrays_have_trial_shape(three_point_line):
     ref = simulate_refined_stats(three_point_line, 1.0, 64, RandomStream(0, 0))
-    assert ref.n_hat.shape == (64,)
+    assert list(ref) == list(STATISTIC_ORDER)
+    assert ref["n"].shape == (64,)
     base = simulate_baseline_stats(three_point_line, 1.0, 64, RandomStream(0, 0))
     assert set(base) == set(STATISTIC_ORDER)
     assert base["n"].shape == (64,)

@@ -5,22 +5,22 @@ import pytest
 
 from dpreg import (
     Dataset,
-    Group1Stats,
-    Group2Stats,
     NoiseLedger,
-    NoisyGroupStats,
     PolyFitResult,
     RandomStream,
     ZeroNoiseStream,
     dp_rss_fit,
     dp_rss_poly_fit,
-    poly_exact_groups,
+    exact_group_stats,
     poly_group1_contribution,
     poly_group2_contribution,
-    poly_refined_estimates,
-    refine,
 )
-from dpreg.polynomial import _poly_component_rows, _solve_normal_equations
+from dpreg.simplex import (
+    _component_rows,
+    _solve_normal_equations,
+    refined_release,
+    transfer_matrix,
+)
 
 
 def test_contribution_dimensions():
@@ -76,8 +76,8 @@ def test_noise_free_estimates_recover_power_sums(degree, random_dataset):
     # Oracle: plain fsum of the monomials, computed without the telescoped
     # group representation.
     ds = random_dataset(degree, n=150)
-    g1, g2 = poly_exact_groups(ds, degree)
-    n_hat, s_x, s_xy = poly_refined_estimates(g1, g2, degree)
+    stats = refined_release(ds, degree, 1.0, ZeroNoiseStream(0, 0))
+    n_hat, s_x, s_xy = stats[0], stats[1 : 2 * degree + 1], stats[2 * degree + 1 :]
     assert n_hat == pytest.approx(150.0, rel=1e-12)
     for ell in range(1, 2 * degree + 1):
         want = math.fsum(ds.x ** ell)
@@ -96,7 +96,7 @@ def test_component_rows_equal_contribution_columns(degree):
     y = np.concatenate([[1.0, 0.0, 0.5, 2.0 ** -1074, 1.0], rng.random(3000)])
     columns = (poly_group1_contribution(x, degree), poly_group2_contribution(x, y, degree))
     seen = {0: [], 1: []}
-    for group, entry, row in _poly_component_rows(x, y, degree):
+    for group, entry, row in _component_rows(x, y, degree):
         want = np.ascontiguousarray(columns[group][:, entry])
         assert row.flags.c_contiguous
         assert np.array_equal(row.view(np.int64), want.view(np.int64)), (group, entry)
@@ -104,42 +104,47 @@ def test_component_rows_equal_contribution_columns(degree):
     assert sorted(seen[0]) == list(range(2 * degree + 1))
     assert sorted(seen[1]) == list(range(degree + 2))
     ds = Dataset(x, y)
-    g1, g2 = poly_exact_groups(ds, degree)
+    g1, g2 = exact_group_stats(ds, degree)
     assert [v.hex() for v in g1.tolist()] == [
         math.fsum(columns[0][:, k]).hex() for k in range(2 * degree + 1)]
     assert [v.hex() for v in g2.tolist()] == [
         math.fsum(columns[1][:, k]).hex() for k in range(degree + 2)]
 
 
-def test_refined_estimates_validate_lengths():
-    with pytest.raises(ValueError):
-        poly_refined_estimates(np.zeros(4), np.zeros(4), 2)
-
-
 def test_degree_one_estimates_match_linear_refinement(random_dataset):
-    # Same noisy readings through both code paths must agree exactly.
+    # Oracle: the linear refinement written out by hand, each statistic a
+    # direct and a complement reading weighted by the other's term count.
     ds = random_dataset(9, n=70)
-    g1, g2 = poly_exact_groups(ds, 1)
+    g1, g2 = exact_group_stats(ds)
     z = RandomStream(40, 0).laplace(2.0, 6)
-    noisy1 = g1 + z[:3]
-    noisy2 = g2 + z[3:]
-    n_hat, s_x, s_xy = poly_refined_estimates(noisy1, noisy2, 1)
-    ref = refine(NoisyGroupStats(Group1Stats(*noisy1), Group2Stats(*noisy2), 0.5, 0.5))
-    assert n_hat == pytest.approx(ref.n_hat, rel=1e-12)
-    assert s_x[0] == pytest.approx(ref.s_x, rel=1e-12)
-    assert s_x[1] == pytest.approx(ref.s_x2, rel=1e-12)
-    assert s_xy[0] == pytest.approx(ref.s_y, rel=1e-12)
-    assert s_xy[1] == pytest.approx(ref.s_xy, rel=1e-12)
+    a = g1 + z[:3]
+    b = g2 + z[3:]
+    n_x, n_y = a.sum(), b.sum()
+    want = [
+        0.5 * (n_x + n_y),
+        (2 / 3) * (a[0] + a[1]) + (1 / 3) * (n_y - a[2]),
+        (5 / 6) * a[0] + (1 / 6) * (n_y - a[1] - a[2]),
+        (2 / 3) * (b[0] + b[1]) + (1 / 3) * (n_x - b[2]),
+        (5 / 6) * b[0] + (1 / 6) * (n_x - b[1] - b[2]),
+    ]
+    assert np.concatenate([a, b]) @ transfer_matrix(1) == pytest.approx(want, rel=1e-12)
 
 
 def test_degree_one_fit_matches_linear_fit(random_dataset):
-    for seed in range(30):
-        ds = random_dataset(seed, n=90)
-        lin = dp_rss_fit(ds, 0.7, RandomStream(seed, 2))
-        poly = dp_rss_poly_fit(ds, 1, 0.7, RandomStream(seed, 2))
-        assert poly.coeffs[0] == pytest.approx(lin.alpha_hat, abs=1e-10)
-        assert poly.coeffs[1] == pytest.approx(lin.beta_hat, abs=1e-10)
-        assert poly.fallback == lin.fallback
+    # Beside n = 90 at epsilon 0.7, small n and extreme budgets, where
+    # fallbacks are common: degree 1 must fall back, and fit, exactly when
+    # dp_rss does.
+    cases = [(seed, 90, 0.7) for seed in range(30)]
+    cases += [(seed, 50 + seed, eps) for seed in range(300) for eps in (0.05, 1.0, 10.0)]
+    fallbacks = 0
+    for seed, n, eps in cases:
+        ds = random_dataset(seed, n=n)
+        lin = dp_rss_fit(ds, eps, RandomStream(seed, 2))
+        poly = dp_rss_poly_fit(ds, 1, eps, RandomStream(seed, 2))
+        assert poly.fallback == lin.fallback, (seed, n, eps)
+        assert poly.coeffs == (lin.alpha_hat, lin.beta_hat), (seed, n, eps)
+        fallbacks += lin.fallback
+    assert fallbacks >= 50
 
 
 def test_quadratic_zero_noise_recovery():
