@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, as_dataset
-from .mechanisms import FITTERS, FitResult, _ss_sums
+from .mechanisms import _FIT_CORES, FITTERS, FitResult, _ss_sums
 from .noise import RandomStream
 from .simplex import LINEAR_COLUMNS, _group_sums, transfer_matrix
 
@@ -155,6 +155,21 @@ class ExperimentRow:
     median_l2: float
 
 
+def _errors_of_fits(true_fit, fits, n_points: int = 1000) -> tuple[np.ndarray, np.ndarray]:
+    """``l1_error`` and ``l2_error`` of each fit, bit for bit, in one array pass.
+
+    Row j of the (len(fits), n_points) gap grid holds the values that
+    ``l1_error`` averages for fit j, and a row mean sums them in the same
+    pairwise order as the mean of a single row.
+    """
+    a_true, b_true = _line_params(true_fit)
+    da = a_true - np.array([fit.alpha_hat for fit in fits])
+    db = b_true - np.array([fit.beta_hat for fit in fits])
+    xs = np.arange(1, n_points + 1, dtype=np.float64) / n_points
+    l1 = np.mean(np.abs(da[:, None] * xs + db[:, None]), axis=1)
+    return l1, da * da / 3.0 + da * db + db * db
+
+
 def run_experiment(
     setup: SetupConfig,
     grid: ExperimentGrid,
@@ -167,32 +182,36 @@ def run_experiment(
     between cells are paired. By default all cells see the one dataset drawn
     on substream 0; with ``fresh_data_per_iteration`` each iteration draws
     its own dataset from its substream before fitting.
+
+    No mechanism's draws depend on epsilon, so one draw per iteration and
+    method serves every epsilon cell: each method's multi-budget core fits
+    all of the grid's budgets from it (DECISIONS.md, D3). The rows equal,
+    bit for bit, a loop that calls ``FITTERS[method](data, eps,
+    RandomStream(seed, i + 1))`` and ``l1_error``/``l2_error`` per cell.
     """
     fixed = None if fresh_data_per_iteration else generate_setup(setup)
     truth = (setup.alpha, setup.beta)
     rows = []
     for method in sorted(grid.methods):
-        fitter = FITTERS[method]
-        for eps in grid.epsilons:
-            l1s = np.empty(grid.iterations)
-            l2s = np.empty(grid.iterations)
-            for i in range(grid.iterations):
-                stream = RandomStream(setup.seed, i + 1)
-                data = _generate_on(stream, setup) if fresh_data_per_iteration else fixed
-                fit = fitter(data, eps, stream)
-                l1s[i] = l1_error(truth, fit)
-                l2s[i] = l2_error(truth, fit)
-            ddof_ok = grid.iterations > 1
+        fits_at = _FIT_CORES[method]
+        l1s = np.empty((len(grid.epsilons), grid.iterations))
+        l2s = np.empty_like(l1s)
+        for i in range(grid.iterations):
+            stream = RandomStream(setup.seed, i + 1)
+            data = _generate_on(stream, setup) if fresh_data_per_iteration else fixed
+            l1s[:, i], l2s[:, i] = _errors_of_fits(truth, fits_at(data, grid.epsilons, stream))
+        ddof_ok = grid.iterations > 1
+        for eps, l1, l2 in zip(grid.epsilons, l1s, l2s):
             rows.append(
                 ExperimentRow(
                     method=method,
                     epsilon=eps,
-                    mean_l1=float(np.mean(l1s)),
-                    std_l1=float(np.std(l1s, ddof=1)) if ddof_ok else float("nan"),
-                    mean_l2=float(np.mean(l2s)),
-                    std_l2=float(np.std(l2s, ddof=1)) if ddof_ok else float("nan"),
-                    median_l1=float(np.median(l1s)),
-                    median_l2=float(np.median(l2s)),
+                    mean_l1=float(np.mean(l1)),
+                    std_l1=float(np.std(l1, ddof=1)) if ddof_ok else float("nan"),
+                    mean_l2=float(np.mean(l2)),
+                    std_l2=float(np.std(l2, ddof=1)) if ddof_ok else float("nan"),
+                    median_l1=float(np.median(l1)),
+                    median_l2=float(np.median(l2)),
                 )
             )
     return rows

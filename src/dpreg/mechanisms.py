@@ -4,8 +4,15 @@ Three fitters share one contract: records in the unit square, an epsilon
 budget, a seeded stream, and a :class:`FitResult` out. Degenerate draws
 return the fixed fallback fit (0, 0.5) with the flag set instead of
 raising, so Monte Carlo loops never die mid-run. ``FITTERS`` maps each
-mechanism name to its fitter; the experiment harness and the CLI both
-dispatch through it.
+mechanism name to its fitter; the CLI dispatches through it.
+
+Each fitter runs its mechanism's private multi-budget core on a
+one-element budget tuple. A core ``(data, budgets, stream) -> fits`` draws
+the mechanism's uniforms once and runs only the epsilon-dependent
+arithmetic per budget, so fit j equals, bit for bit, the fitter at
+``budgets[j]`` on the same stream. The experiment harness sweeps budgets
+through ``_FIT_CORES``; the cores keep no ledger, because their fits
+together are not epsilon-DP at any one budget (DECISIONS.md, D3).
 
 * ``dp_rss_fit`` is degree 1 of the refined release in :mod:`dpreg.simplex`:
   two privatized simplex query groups, refined sufficient statistics, and
@@ -25,9 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Bounds, as_dataset, exact_sum
-from .median import dp_median
+from .median import _dp_medians
 from .noise import NoiseLedger, RandomStream, _as_epsilon
-from .simplex import refined_fit
+from .simplex import _refined_fits, refined_fit
 
 FALLBACK_ALPHA = 0.0
 FALLBACK_BETA = 0.5
@@ -78,8 +85,16 @@ def dp_rss_fit(data, budget, stream: RandomStream, ledger: NoiseLedger | None = 
     S_{xy}, and the 2x2 normal equations. Falls back when the refined size
     or x-spread is not positive or the equations are numerically singular.
     """
-    coeffs = refined_fit(data, 1, budget, stream, ledger)
+    return _line_fit(refined_fit(data, 1, budget, stream, ledger))
+
+
+def _line_fit(coeffs) -> FitResult:
     return _FALLBACK_FIT if coeffs is None else FitResult(*coeffs)
+
+
+def _rss_fits(data, budgets, stream: RandomStream) -> list[FitResult]:
+    """``dp_rss_fit`` at each budget from one draw of the noise; simulation only."""
+    return [_line_fit(coeffs) for coeffs in _refined_fits(data, 1, budgets, stream)]
 
 
 # Clamped sums released by dp_ss_fit, in draw order. Each of the four
@@ -111,21 +126,7 @@ def _ss_sums(ds) -> np.ndarray:
     return cached
 
 
-def dp_ss_fit(data, budget, stream: RandomStream, ledger: NoiseLedger | None = None) -> FitResult:
-    """Baseline fitter: privatize eight clamped sums, then solve.
-
-    Releases S_x, S_{1-x}, S_y, S_{1-y}, S_{xy}, S_{1-xy}, S_{x^2},
-    S_{1-x^2}, each with Laplace noise at scale 4/epsilon, estimates the
-    size as a quarter of their total, and plugs the noisy sums into the
-    covariance form of the least-squares solution.
-    """
-    ds = as_dataset(data)
-    eps = _as_epsilon(budget)
-    scale = 4.0 / eps
-    noisy = _ss_sums(ds) + stream.laplace(scale, size=8)
-    if ledger is not None:
-        for i in range(0, 8, 2):
-            ledger.record(f"pair {_SS_LABELS[i]}/{_SS_LABELS[i + 1]}", eps / 4.0, scale=scale)
+def _ss_solve(noisy: np.ndarray) -> FitResult:
     s_x, _, s_y, _, s_xy, _, s_x2, _ = noisy
     n_tilde = math.fsum(noisy) / 4.0
     if n_tilde <= 0:
@@ -137,6 +138,35 @@ def dp_ss_fit(data, budget, stream: RandomStream, ledger: NoiseLedger | None = N
     alpha = n_cov / n_var
     beta = (s_y - alpha * s_x) / n_tilde
     return FitResult(float(alpha), float(beta))
+
+
+def _ss_fits(data, budgets, stream: RandomStream) -> list[FitResult]:
+    """``dp_ss_fit`` at each budget from one draw of the noise; simulation only.
+
+    Every budget is checked before any uniform is drawn.
+    """
+    ds = as_dataset(data)
+    epsilons = [_as_epsilon(b) for b in budgets]
+    sums = _ss_sums(ds)
+    noise = stream.laplace(np.array([4.0 / eps for eps in epsilons]), size=8)
+    return [_ss_solve(sums + z) for z in noise]
+
+
+def dp_ss_fit(data, budget, stream: RandomStream, ledger: NoiseLedger | None = None) -> FitResult:
+    """Baseline fitter: privatize eight clamped sums, then solve.
+
+    Releases S_x, S_{1-x}, S_y, S_{1-y}, S_{xy}, S_{1-xy}, S_{x^2},
+    S_{1-x^2}, each with Laplace noise at scale 4/epsilon, estimates the
+    size as a quarter of their total, and plugs the noisy sums into the
+    covariance form of the least-squares solution.
+    """
+    ds = as_dataset(data)
+    eps = _as_epsilon(budget)
+    (fit,) = _ss_fits(ds, (eps,), stream)
+    if ledger is not None:
+        for i in range(0, 8, 2):
+            ledger.record(f"pair {_SS_LABELS[i]}/{_SS_LABELS[i + 1]}", eps / 4.0, scale=4.0 / eps)
+    return fit
 
 
 def _pair_projections(x: np.ndarray, y: np.ndarray, perm: np.ndarray):
@@ -160,6 +190,47 @@ def _pair_projections(x: np.ndarray, y: np.ndarray, perm: np.ndarray):
     return z25, z75
 
 
+def _theil_sen_fits(
+    data,
+    budgets,
+    stream: RandomStream,
+    hyper: TheilSenHyper | None = None,
+) -> list[FitResult]:
+    """``dp_theil_sen_fit`` at each budget from one draw; simulation only.
+
+    The size uniform, the matchings, the projections and their sort are
+    shared by every budget; only the median weights are recomputed per
+    budget. Every budget is checked before any uniform is drawn.
+    """
+    ds = as_dataset(data)
+    epsilons = [_as_epsilon(b) for b in budgets]
+    hyper = hyper or TheilSenHyper()
+    n = len(ds)
+    if n < 2:
+        return [_FALLBACK_FIT] * len(epsilons)
+    # The size estimate n + Laplace(3/eps) is drawn to keep the stream
+    # layout, but the median's rank utility does not read it.
+    stream.laplace(np.array([3.0 / eps for eps in epsilons]))
+    z25_parts, z75_parts = [], []
+    for _ in range(hyper.k):
+        z25, z75 = _pair_projections(ds.x, ds.y, stream.permutation(n))
+        z25_parts.append(z25)
+        z75_parts.append(z75)
+    z25_all = np.concatenate(z25_parts)
+    z75_all = np.concatenate(z75_parts)
+    if z25_all.size == 0:
+        return [_FALLBACK_FIT] * len(epsilons)
+    parts = [eps / 3.0 for eps in epsilons]
+    u = stream.uniform(4)
+    p25s = _dp_medians(z25_all, parts, hyper.r_lo, hyper.r_hi, u[:2])
+    p75s = _dp_medians(z75_all, parts, hyper.r_lo, hyper.r_hi, u[2:])
+    fits = []
+    for p25, p75 in zip(p25s, p75s):
+        alpha = (p75 - p25) / 0.5
+        fits.append(FitResult(alpha, p25 - alpha * 0.25))
+    return fits
+
+
 def dp_theil_sen_fit(
     data,
     budget,
@@ -177,31 +248,14 @@ def dp_theil_sen_fit(
     """
     ds = as_dataset(data)
     eps = _as_epsilon(budget)
-    hyper = hyper or TheilSenHyper()
-    n = len(ds)
-    if n < 2:
-        return _FALLBACK_FIT
-    part = eps / 3.0
-    n_tilde = n + stream.laplace(3.0 / eps)
-    if ledger is not None:
+    (fit,) = _theil_sen_fits(ds, (eps,), stream, hyper)
+    if ledger is not None and len(ds) >= 2:
+        part = eps / 3.0
         ledger.record("size estimate", part, scale=3.0 / eps)
-    z25_parts, z75_parts = [], []
-    for _ in range(hyper.k):
-        z25, z75 = _pair_projections(ds.x, ds.y, stream.permutation(n))
-        z25_parts.append(z25)
-        z75_parts.append(z75)
-    z25_all = np.concatenate(z25_parts)
-    z75_all = np.concatenate(z75_parts)
-    if z25_all.size == 0:
-        return _FALLBACK_FIT
-    p25 = dp_median(z25_all, part, hyper.r_lo, hyper.r_hi, stream, size_hint=n_tilde)
-    p75 = dp_median(z75_all, part, hyper.r_lo, hyper.r_hi, stream, size_hint=n_tilde)
-    if ledger is not None:
-        ledger.record("25th-percentile median", part)
-        ledger.record("75th-percentile median", part)
-    alpha = (p75 - p25) / 0.5
-    beta = p25 - alpha * 0.25
-    return FitResult(alpha, beta)
+        if not fit.fallback:  # the medians ran
+            ledger.record("25th-percentile median", part)
+            ledger.record("75th-percentile median", part)
+    return fit
 
 
 def denormalize_fit(fit: FitResult, bounds: Bounds) -> FitResult:
@@ -222,4 +276,13 @@ FITTERS = {
     "dp_rss": dp_rss_fit,
     "dp_ss": dp_ss_fit,
     "dp_theil_sen": dp_theil_sen_fit,
+}
+
+# Multi-budget core of each fitter, ``(data, budgets, stream) -> fits``.
+# Simulation only: the fits together are not epsilon-DP at any one budget
+# (DECISIONS.md, D3), so the cores stay private and keep no ledger.
+_FIT_CORES = {
+    "dp_rss": _rss_fits,
+    "dp_ss": _ss_fits,
+    "dp_theil_sen": _theil_sen_fits,
 }

@@ -28,6 +28,25 @@ def _check_args(epsilon: float, clip_lo: float, clip_hi: float) -> None:
         raise ValueError(f"clip range must satisfy clip_lo < clip_hi, got [{clip_lo}, {clip_hi}]")
 
 
+def _prepare(values, clip_lo: float, clip_hi: float):
+    """The budget-free part of the mechanism: edges, log lengths, utilities."""
+    v = np.sort(np.clip(np.asarray(values, dtype=np.float64), clip_lo, clip_hi))
+    m = v.size
+    edges = np.concatenate(([clip_lo], v, [clip_hi]))
+    with np.errstate(divide="ignore"):  # log(0) -> -inf marks zero-length intervals
+        log_lengths = np.log(np.diff(edges))
+    utilities = -np.abs(np.arange(m + 1, dtype=np.float64) - m / 2.0)
+    return edges, log_lengths, utilities
+
+
+def _interval_probs(log_lengths, utilities, epsilon: float) -> np.ndarray:
+    """Selection probabilities at one budget, normalized in log space."""
+    log_w = log_lengths + 0.5 * epsilon * utilities
+    log_w -= log_w.max()
+    w = np.exp(log_w)
+    return w / w.sum()
+
+
 def median_interval_probs(values, epsilon: float, clip_lo: float, clip_hi: float):
     """Interval edges and selection probabilities of the median mechanism.
 
@@ -40,16 +59,29 @@ def median_interval_probs(values, epsilon: float, clip_lo: float, clip_hi: float
     ``epsilon * m`` products cannot overflow.
     """
     _check_args(epsilon, clip_lo, clip_hi)
-    v = np.sort(np.clip(np.asarray(values, dtype=np.float64), clip_lo, clip_hi))
-    m = v.size
-    edges = np.concatenate(([clip_lo], v, [clip_hi]))
-    lengths = np.diff(edges)
-    utilities = -np.abs(np.arange(m + 1, dtype=np.float64) - m / 2.0)
-    with np.errstate(divide="ignore"):  # log(0) -> -inf marks zero-length intervals
-        log_w = np.log(lengths) + 0.5 * epsilon * utilities
-    log_w -= log_w.max()
-    w = np.exp(log_w)
-    return edges, w / w.sum()
+    edges, log_lengths, utilities = _prepare(values, clip_lo, clip_hi)
+    return edges, _interval_probs(log_lengths, utilities, epsilon)
+
+
+def _dp_medians(values, epsilons, clip_lo: float, clip_hi: float, uniforms) -> list[float]:
+    """``dp_median`` of non-empty ``values`` at each budget, from one uniform pair.
+
+    Sorts once and reweights per budget. ``uniforms`` are the two uniforms
+    a single ``dp_median`` call draws, interval pick first, so entry j
+    equals ``dp_median(values, epsilons[j], ...)`` on a stream that yields
+    them. Together the outputs are not epsilon-DP at any one budget.
+    """
+    edges, log_lengths, utilities = _prepare(values, clip_lo, clip_hi)
+    u_interval, u_point = uniforms
+    out = []
+    for epsilon in epsilons:
+        _check_args(epsilon, clip_lo, clip_hi)
+        cdf = np.cumsum(_interval_probs(log_lengths, utilities, epsilon))
+        idx = int(np.searchsorted(cdf, u_interval, side="right"))
+        idx = min(idx, cdf.size - 1)  # guard the u ~= 1 rounding edge
+        lo, hi = edges[idx], edges[idx + 1]
+        out.append(float(lo + (hi - lo) * u_point))
+    return out
 
 
 def dp_median(
@@ -80,9 +112,4 @@ def dp_median(
             stacklevel=2,
         )
         return 0.5 * (clip_lo + clip_hi)
-    edges, probs = median_interval_probs(values, epsilon, clip_lo, clip_hi)
-    cdf = np.cumsum(probs)
-    idx = int(np.searchsorted(cdf, stream.uniform(), side="right"))
-    idx = min(idx, probs.size - 1)  # guard the u ~= 1 rounding edge
-    lo, hi = edges[idx], edges[idx + 1]
-    return float(lo + (hi - lo) * stream.uniform())
+    return _dp_medians(values, (epsilon,), clip_lo, clip_hi, stream.uniform(2))[0]

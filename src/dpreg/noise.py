@@ -58,14 +58,22 @@ class RandomStream:
     def laplace(self, scale, size=None):
         """Centered Laplace draws via the inverse CDF, one uniform each.
 
-        ``scale`` must be positive and finite.
+        ``scale`` must be positive and finite, or a 1-D array of such
+        scales. An array draws the uniforms of ``size`` once and scales that
+        one draw by each entry, giving shape ``(len(scale),) + size``; row j
+        equals, bit for bit, ``laplace(scale[j], size)`` on the same stream.
         """
         b = _scale_value(scale)
         u = self._gen.random(size)
         # F^{-1}(u) = -b * sign(u - 1/2) * ln(1 - 2|u - 1/2|), computed with
-        # log1p so values of u near 1/2 lose no precision.
-        out = -b * np.sign(u - 0.5) * np.log1p(-2.0 * np.abs(u - 0.5))
-        return float(out) if size is None else out
+        # log1p so values of u near 1/2 lose no precision. sign(.) * ln(.) is
+        # exact, so -b enters after the single rounding and every scale
+        # rounds the same real product it would round on its own.
+        unit = np.sign(u - 0.5) * np.log1p(-2.0 * np.abs(u - 0.5))
+        if isinstance(b, np.ndarray):
+            return np.multiply.outer(-b, unit)
+        unit *= -b
+        return float(unit) if size is None else unit
 
     def normal(self, size=None):
         """Standard normal draws via Box-Muller (two uniforms per draw)."""
@@ -91,14 +99,22 @@ class ZeroNoiseStream(RandomStream):
         super().__init__(seed, stream_index)
 
     def laplace(self, scale, size=None):
-        _scale_value(scale)
-        return 0.0 if size is None else np.zeros(size)
+        b = _scale_value(scale)
+        draw = 0.0 if size is None else np.zeros(size)
+        return np.zeros(b.shape + np.shape(draw)) if isinstance(b, np.ndarray) else draw
 
 
-def _scale_value(scale) -> float:
-    b = float(scale)
-    if not (b > 0) or not math.isfinite(b):
-        raise ValueError(f"Laplace scale must be positive and finite, got {scale!r}")
+def _scale_value(scale):
+    """``scale`` as a float, or as a 1-D float array; raises if any is bad."""
+    if np.ndim(scale) == 0:
+        b = float(scale)
+        if not (b > 0) or not math.isfinite(b):
+            raise ValueError(f"Laplace scale must be positive and finite, got {scale!r}")
+        return b
+    b = np.asarray(scale, dtype=np.float64)
+    if b.ndim != 1 or not np.all((b > 0) & np.isfinite(b)):
+        raise ValueError(f"Laplace scales must be a 1-D array of positive finite values, "
+                         f"got {scale!r}")
     return b
 
 

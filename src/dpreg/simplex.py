@@ -164,6 +164,19 @@ def transfer_matrix(degree: int) -> np.ndarray:
 LINEAR_COLUMNS = {"n": 0, "s_x": 1, "s_x2": 2, "s_y": 3, "s_xy": 4}
 
 
+def _refined_releases(ds, d: int, epsilons, stream: RandomStream) -> list[np.ndarray]:
+    """Refined statistics at each budget, all from one draw of the noise.
+
+    Draws the 3d + 3 uniforms of one release once and scales them by 2/eps
+    per budget, so entry j equals, bit for bit, the release at
+    ``epsilons[j]`` alone on the same stream. Together the entries are not
+    eps-DP at any one budget; only a single entry is a private release.
+    """
+    noise = stream.laplace(np.array([1.0 / (eps / 2.0) for eps in epsilons]), size=3 * d + 3)
+    sums, matrix = _group_sums(ds, d), transfer_matrix(d)
+    return [(sums + z) @ matrix for z in noise]
+
+
 def refined_release(
     data,
     degree: int,
@@ -180,11 +193,11 @@ def refined_release(
     d = _check_degree(degree)
     eps = _as_epsilon(budget)
     half = eps / 2.0
-    noisy = _group_sums(as_dataset(data), d) + stream.laplace(1.0 / half, size=3 * d + 3)
+    (stats,) = _refined_releases(as_dataset(data), d, (eps,), stream)
     if ledger is not None:
         ledger.record("x-group sums", half, scale=1.0 / half)
         ledger.record("xy-group sums", half, scale=1.0 / half)
-    return noisy @ transfer_matrix(d)
+    return stats
 
 
 def _solve_normal_equations(a, b):
@@ -232,6 +245,17 @@ def _solve_normal_equations(a, b):
     return x
 
 
+def _coefficients(stats: list, d: int) -> list | None:
+    """Solve the normal equations on refined statistics, or None to fall back."""
+    n_hat, s_x, s_x2 = stats[0], stats[1], stats[2]
+    if n_hat <= 0 or s_x2 * n_hat - s_x * s_x <= 0:
+        return None
+    # Entry (i, j) is S_{x^{2d-i-j}}, at stats[2d-i-j]; right-hand side
+    # entry i is S_{x^{d-i} y}, at stats[3d+1-i].
+    design = [[stats[2 * d - i - j] for j in range(d + 1)] for i in range(d + 1)]
+    return _solve_normal_equations(design, [stats[3 * d + 1 - i] for i in range(d + 1)])
+
+
 def refined_fit(
     data,
     degree: int,
@@ -247,14 +271,18 @@ def refined_fit(
     numerically singular.
     """
     d = _check_degree(degree)
-    stats = refined_release(data, d, budget, stream, ledger).tolist()
-    n_hat, s_x, s_x2 = stats[0], stats[1], stats[2]
-    if n_hat <= 0 or s_x2 * n_hat - s_x * s_x <= 0:
-        return None
-    # Entry (i, j) is S_{x^{2d-i-j}}, at stats[2d-i-j]; right-hand side
-    # entry i is S_{x^{d-i} y}, at stats[3d+1-i].
-    design = [[stats[2 * d - i - j] for j in range(d + 1)] for i in range(d + 1)]
-    return _solve_normal_equations(design, [stats[3 * d + 1 - i] for i in range(d + 1)])
+    return _coefficients(refined_release(data, d, budget, stream, ledger).tolist(), d)
+
+
+def _refined_fits(data, degree: int, budgets, stream: RandomStream) -> list:
+    """``refined_fit`` at each budget from one draw of the noise; simulation only.
+
+    Every budget is checked before any uniform is drawn.
+    """
+    d = _check_degree(degree)
+    epsilons = [_as_epsilon(b) for b in budgets]
+    releases = _refined_releases(as_dataset(data), d, epsilons, stream)
+    return [_coefficients(stats.tolist(), d) for stats in releases]
 
 
 def sensitivity_oracle(group: str, grid_step: float) -> float:
@@ -264,7 +292,9 @@ def sensitivity_oracle(group: str, grid_step: float) -> float:
     transform, so this is the group's l1 sensitivity. Evaluates the
     transform at every (x, y) on a grid with the given step (endpoints
     included) and returns the largest l1 norm found. For these transforms
-    the norm is identically 1; the oracle checks rather than assumes that.
+    the norm is 1 up to rounding: summed exactly, a record's double-valued
+    components can exceed 1 by less than an ulp of 1 (8.3e-17 at worst
+    where measured). The oracle checks rather than assumes that.
     """
     if not (0 < grid_step <= 0.1):
         raise ValueError(f"grid_step must lie in (0, 0.1], got {grid_step}")

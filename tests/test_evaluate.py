@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -26,7 +27,8 @@ from dpreg import (
     verify_variances,
 )
 from dpreg.cli import MECHANISM_NAMES
-from dpreg.mechanisms import FITTERS
+from dpreg.evaluate import _generate_on
+from dpreg.mechanisms import _FIT_CORES, FITTERS
 
 
 def test_setup_config_validation():
@@ -123,7 +125,8 @@ def test_experiment_grid_validation():
 
 
 def test_method_names_come_from_the_fitter_registry():
-    assert METHOD_NAMES == tuple(FITTERS) == ("dp_rss", "dp_ss", "dp_theil_sen")
+    assert METHOD_NAMES == tuple(FITTERS) == tuple(_FIT_CORES) == (
+        "dp_rss", "dp_ss", "dp_theil_sen")
     assert MECHANISM_NAMES == METHOD_NAMES + ("dp_rss_poly",)
     assert ExperimentGrid((1.0,), 1, METHOD_NAMES).methods == METHOD_NAMES
 
@@ -157,6 +160,62 @@ def test_run_experiment_fresh_data_mode_is_reproducible():
     fresh = run_experiment(setup, grid, fresh_data_per_iteration=True)
     assert fresh == run_experiment(setup, grid, fresh_data_per_iteration=True)
     assert fresh != fixed
+
+
+def per_cell_rows(setup, grid, fresh_data_per_iteration=False):
+    """The semantics of ``run_experiment``: one public fit per cell.
+
+    Each (method, epsilon, iteration) cell builds its own stream, draws its
+    own data in fresh mode, and scores its fit with ``l1_error`` and
+    ``l2_error``.
+    """
+    fixed = None if fresh_data_per_iteration else generate_setup(setup)
+    truth = (setup.alpha, setup.beta)
+    rows = []
+    for method in sorted(grid.methods):
+        for eps in grid.epsilons:
+            l1s, l2s = [], []
+            for i in range(grid.iterations):
+                stream = RandomStream(setup.seed, i + 1)
+                data = _generate_on(stream, setup) if fresh_data_per_iteration else fixed
+                fit = FITTERS[method](data, eps, stream)
+                l1s.append(l1_error(truth, fit))
+                l2s.append(l2_error(truth, fit))
+            l1s, l2s = np.array(l1s), np.array(l2s)
+            many = grid.iterations > 1
+            rows.append(ExperimentRow(
+                method, eps,
+                float(np.mean(l1s)), float(np.std(l1s, ddof=1)) if many else float("nan"),
+                float(np.mean(l2s)), float(np.std(l2s, ddof=1)) if many else float("nan"),
+                float(np.median(l1s)), float(np.median(l2s)),
+            ))
+    return rows
+
+
+def row_bits(rows):
+    return [tuple(v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(r))
+            for r in rows]
+
+
+@pytest.mark.parametrize("fresh", [False, True])
+@pytest.mark.parametrize("n", [2, 3, 50])
+def test_run_experiment_equals_per_cell_loop_bitwise(n, fresh):
+    # Tiny n makes most fits fall back; the rows must still match exactly.
+    setup = SetupConfig(n=n, alpha=0.5, beta=0.2, sigma=0.3, seed=11)
+    grid = ExperimentGrid((0.05, 1.0, 10.0), 25, METHOD_NAMES)
+    assert row_bits(run_experiment(setup, grid, fresh)) == row_bits(
+        per_cell_rows(setup, grid, fresh))
+
+
+def test_run_experiment_equals_per_cell_loop_on_reference_setups():
+    grid = ExperimentGrid((0.1, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0), 4, METHOD_NAMES)
+    for index, seed in ((1, 101), (2, 202)):
+        setup = reference_setup(index, seed)
+        assert row_bits(run_experiment(setup, grid)) == row_bits(per_cell_rows(setup, grid))
+    single = ExperimentGrid((0.5,), 1, METHOD_NAMES)
+    setup = reference_setup(1, 7)
+    assert row_bits(run_experiment(setup, single, True)) == row_bits(
+        per_cell_rows(setup, single, True))
 
 
 def test_simulated_stat_arrays_have_trial_shape(three_point_line):

@@ -9,17 +9,20 @@ from dpreg import (
     Dataset,
     FitResult,
     NoiseLedger,
+    PolyFitResult,
     PrivacyBudget,
     RandomStream,
     TheilSenHyper,
     ZeroNoiseStream,
     denormalize_fit,
     dp_rss_fit,
+    dp_rss_poly_fit,
     dp_ss_fit,
     dp_theil_sen_fit,
     l2_error,
 )
-from dpreg.mechanisms import FALLBACK_ALPHA, FALLBACK_BETA, _pair_projections
+from dpreg.mechanisms import FALLBACK_ALPHA, FALLBACK_BETA, FITTERS, _pair_projections
+from dpreg.simplex import _refined_fits
 
 
 def ols_oracle(ds):
@@ -151,11 +154,11 @@ def test_theil_sen_combines_medians_into_line(monkeypatch):
     outputs = iter([0.35, 0.85])
     calls = []
 
-    def fake_median(values, epsilon, lo, hi, stream, size_hint=None):
-        calls.append((len(values), epsilon, lo, hi, size_hint))
-        return next(outputs)
+    def fake_medians(values, epsilons, lo, hi, uniforms):
+        calls.append((len(values), list(epsilons), lo, hi, len(uniforms)))
+        return [next(outputs)]
 
-    monkeypatch.setattr(mech, "dp_median", fake_median)
+    monkeypatch.setattr(mech, "_dp_medians", fake_medians)
     x = np.linspace(0.05, 0.95, 10)
     ds = Dataset(x, np.clip(0.5 * x + 0.2, 0.0, 1.0))
     res = dp_theil_sen_fit(ds, 0.9, ZeroNoiseStream(5, 0),
@@ -163,11 +166,11 @@ def test_theil_sen_combines_medians_into_line(monkeypatch):
     assert res.alpha_hat == pytest.approx(1.0, abs=1e-12)
     assert res.beta_hat == pytest.approx(0.1, abs=1e-12)
     assert len(calls) == 2
-    for n_values, epsilon, lo, hi, size_hint in calls:
+    for n_values, epsilons, lo, hi, n_uniforms in calls:
         assert n_values == 15        # three rounds of five pairs accumulate
-        assert epsilon == pytest.approx(0.3)
+        assert epsilons == [pytest.approx(0.3)]
         assert (lo, hi) == (-2.0, 2.0)
-        assert size_hint == 10.0     # noiseless size estimate
+        assert n_uniforms == 2       # each median draws its own pair
 
 
 def test_theil_sen_small_or_degenerate_inputs_fall_back():
@@ -243,3 +246,65 @@ def test_denormalized_line_tracks_normalized_line():
             want = bounds.y_min + bounds.y_span * (fit.alpha_hat * x_unit + fit.beta_hat)
             got = raw.alpha_hat * x_raw + raw.beta_hat
             assert got == pytest.approx(want, abs=1e-10)
+
+
+CORE_BUDGETS = (0.05, 0.3, 1.0, 10.0)
+
+
+def fit_bits(fit):
+    """Hex of every number in a fit, so 0.0 and -0.0 differ too."""
+    if fit is None:
+        return None
+    if isinstance(fit, PolyFitResult):
+        return (tuple(c.hex() for c in fit.coeffs), fit.fallback)
+    if isinstance(fit, FitResult):
+        return (fit.alpha_hat.hex(), fit.beta_hat.hex(), fit.fallback)
+    return tuple(c.hex() for c in fit)
+
+
+def core_cases():
+    """(name, multi-budget core, public fitter) for every mechanism."""
+    cases = [(name, mech._FIT_CORES[name], FITTERS[name]) for name in FITTERS]
+    k3 = TheilSenHyper(k=3)
+    cases.append(("dp_theil_sen k=3",
+                  lambda d, b, s: mech._theil_sen_fits(d, b, s, hyper=k3),
+                  lambda d, e, s: dp_theil_sen_fit(d, e, s, hyper=k3)))
+    cases.append(("dp_rss_poly d=3",
+                  lambda d, b, s: _refined_fits(d, 3, b, s),
+                  lambda d, e, s: dp_rss_poly_fit(d, 3, e, s)))
+    return cases
+
+
+def test_multi_budget_cores_equal_public_fitters_bitwise(random_dataset):
+    assert set(mech._FIT_CORES) == set(FITTERS)
+    datasets = [random_dataset(3, n=60), random_dataset(4, n=3),
+                Dataset(np.array([0.2, 0.9]), np.array([0.8, 0.1])),
+                Dataset(np.full(4, 0.3), np.linspace(0.1, 0.9, 4)),
+                Dataset(np.array([0.5]), np.array([0.5]))]
+    for name, core, fitter in core_cases():
+        for ds in datasets:
+            for make in (RandomStream, ZeroNoiseStream):
+                for seed in range(8):
+                    shared = make(seed, 2)
+                    fits = core(ds, CORE_BUDGETS, shared)
+                    after = shared.uniform()
+                    assert len(fits) == len(CORE_BUDGETS)
+                    for eps, got in zip(CORE_BUDGETS, fits):
+                        alone = make(seed, 2)
+                        want = fitter(ds, eps, alone)
+                        if isinstance(want, PolyFitResult):
+                            want = None if want.fallback else want.coeffs
+                        assert fit_bits(got) == fit_bits(want), (name, len(ds), seed, eps)
+                        # one draw serves all budgets: the stream ends where one fit ends
+                        assert alone.uniform() == after, (name, len(ds), seed, eps)
+
+
+def test_multi_budget_cores_check_every_budget_before_drawing(random_dataset):
+    ds = random_dataset(5, n=20)
+    for name, core, _ in core_cases():
+        for bad in (0.0, -1.0, float("inf"), float("nan")):
+            for budgets in ((bad, 1.0, 2.0), (1.0, 2.0, bad)):
+                stream = RandomStream(8, 1)
+                with pytest.raises(ValueError):
+                    core(ds, budgets, stream)
+                assert stream.uniform() == RandomStream(8, 1).uniform(), (name, budgets)

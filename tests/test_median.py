@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from dpreg import DegenerateInputWarning, RandomStream, dp_median, median_interval_probs
+from dpreg.median import _dp_medians
 
 
 def oracle_probs(values, eps, lo, hi):
@@ -130,3 +131,17 @@ def test_rejects_bad_parameters():
         dp_median([0.1], 1.0, 2.0, -2.0, s)
     with pytest.raises(ValueError):
         median_interval_probs([0.1], 1.0, 1.0, 1.0)
+
+
+def test_multi_budget_median_equals_dp_median_bitwise():
+    # Sort once, reweight per budget: each output is dp_median at that
+    # budget on a stream that yields the same two uniforms.
+    g = RandomStream(30, 0)
+    cases = [g.normal(size=400) * 0.3, np.round(g.uniform(300), 1) * 5.0 - 2.5,
+             np.array([0.7]), np.full(9, 2.5)]
+    budgets = (0.01, 0.3, 1.0, 30.0)
+    for values in cases:
+        for seed in range(20):
+            got = _dp_medians(values, budgets, -2.0, 2.0, RandomStream(seed, 3).uniform(2))
+            for eps, value in zip(budgets, got):
+                assert value.hex() == dp_median(values, eps, -2.0, 2.0, RandomStream(seed, 3)).hex()

@@ -9,7 +9,7 @@ from dpreg import NoiseEvent, NoiseLedger, RandomStream, ZeroNoiseStream
 def test_laplace_scale_must_be_positive():
     # A rejected scale raises before any uniform is consumed.
     s = RandomStream(8, 1)
-    for bad in (0.0, -2.0):
+    for bad in (0.0, -2.0, np.array([1.0, 0.0]), np.array([2.0, np.inf]), np.ones((2, 2))):
         with pytest.raises(ValueError):
             s.laplace(bad, 4)
     assert s.uniform() == RandomStream(8, 1).uniform()
@@ -42,6 +42,24 @@ def test_scalar_draws_match_vector_draws():
     scalars_l = [s.laplace(1.5) for _ in range(8)]
     assert all(isinstance(v, float) for v in scalars_l)
     assert np.array_equal(vec_l, np.array(scalars_l))
+
+
+def test_scale_array_scales_one_draw_bitwise():
+    # One draw of the uniforms serves every scale: row j is the draw that
+    # scale j alone would make, bit for bit, and the stream ends where that
+    # single draw ends.
+    scales = np.array([20.0, 8.0, 1.0, 0.25, 1e-3])
+    for size, shape in ((None, (5,)), (6, (5, 6)), ((2, 3), (5, 2, 3))):
+        multi = RandomStream(5, 2)
+        got = multi.laplace(scales, size)
+        assert got.shape == shape
+        after = multi.uniform()
+        for row, b in zip(got, scales):
+            alone = RandomStream(5, 2)
+            want = alone.laplace(b, size)
+            assert np.array_equal(row, want)
+            assert np.array_equal(np.signbit(row), np.signbit(want))
+            assert alone.uniform() == after
 
 
 @pytest.mark.parametrize("b", [0.5, 1.0, 3.0])
@@ -85,8 +103,12 @@ def test_zero_noise_stream_silences_laplace_only():
     z = ZeroNoiseStream(4, 0)
     assert z.laplace(2.0) == 0.0
     assert np.array_equal(z.laplace(2.0, 5), np.zeros(5))
+    assert np.array_equal(z.laplace(np.array([2.0, 3.0])), np.zeros(2))
+    assert np.array_equal(z.laplace(np.array([2.0, 3.0]), (4, 2)), np.zeros((2, 4, 2)))
     with pytest.raises(ValueError):
         z.laplace(-1.0)  # scale validation is kept
+    with pytest.raises(ValueError):
+        z.laplace(np.array([2.0, -1.0]))
     # non-noise channels still behave like the parent stream
     assert np.array_equal(ZeroNoiseStream(4, 0).permutation(10),
                           RandomStream(4, 0).permutation(10))
