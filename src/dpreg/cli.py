@@ -98,30 +98,56 @@ def _write_manifest(command: str, seed, budget, mechanism, output_path: str) -> 
         fh.write(_json_dumps(manifest) + "\n")
 
 
+# numpy opens a file name ending in one of these through a decompressor.
+_COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
+_BLOCK_BYTES = 1 << 20  # read size of the line count
+
+
 def _read_xy_csv(path: str) -> np.ndarray:
-    """Parse a two-column CSV with mandatory header ``x,y`` into an (n, 2) array."""
+    """Parse a two-column CSV with mandatory header ``x,y`` into an (n, 2) array.
+
+    The input is UTF-8 text with one record per line; \\n, \\r\\n and \\r
+    each end a line. numpy's C reader pulls large blocks only when it is
+    given a file name rather than a handle, and it then decompresses names
+    that end in a compression suffix, so those names are refused.
+    """
+    if os.path.splitext(path)[1] in _COMPRESSED_SUFFIXES:
+        raise _CliError(
+            f"{path}: compressed input is not supported; names ending in "
+            f"{', '.join(_COMPRESSED_SUFFIXES)} are refused, so decompress or rename it"
+        )
     try:
-        fh = open(path, newline="")
+        fh = open(path, encoding="utf-8", errors="surrogateescape", newline="")
     except OSError as exc:
         raise _CliError(f"cannot read {path}: {exc.strerror}") from exc
     with fh:
-        header = next(csv.reader(fh), None)
-        if header is None:
-            raise _CliError(f"{path}: empty file, expected header 'x,y'")
-        if [c.strip() for c in header] != ["x", "y"]:
-            raise _CliError(f"{path} line 1: expected header 'x,y', got {','.join(header)!r}")
-        rows = _count_lines(path) - 1
-        if rows == 0:
-            return np.empty((0, 2))
+        reader = csv.reader(fh)
         try:
-            with warnings.catch_warnings():
-                # An all-blank body is caught by the row count below.
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                pairs = np.loadtxt(
-                    fh, delimiter=",", comments=None, quotechar='"', dtype=np.float64, ndmin=2
-                )
-        except ValueError as exc:
-            raise _CliError(_first_bad_line(path) or f"{path}: {exc}") from exc
+            header = next(reader, None)
+        except csv.Error as exc:
+            raise _CliError(f"{path} line 1: {exc}") from exc
+    if header is None:
+        raise _CliError(f"{path}: empty file, expected header 'x,y'")
+    if not _is_utf8(header):
+        raise _CliError(f"{path} line 1: not UTF-8 text")
+    # loadtxt skips one line, so the header must not span lines.
+    if [c.strip() for c in header] != ["x", "y"] or reader.line_num != 1:
+        raise _CliError(f"{path} line 1: expected header 'x,y', got {','.join(header)!r}")
+    rows = _count_lines(path) - 1
+    if rows == 0:
+        return np.empty((0, 2))
+    try:
+        with warnings.catch_warnings():
+            # An all-blank body is caught by the row count below.
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            # The absolute path keeps numpy from reading a name like
+            # "http://host/x.csv" as a URL.
+            pairs = np.loadtxt(
+                os.path.abspath(path), delimiter=",", comments=None, quotechar='"',
+                skiprows=1, encoding="utf-8", dtype=np.float64, ndmin=2,
+            )
+    except ValueError as exc:  # UnicodeDecodeError included
+        raise _CliError(_first_bad_line(path) or f"{path}: {exc}") from exc
     # loadtxt skips blank lines silently, so every line must give one row.
     if pairs.shape != (rows, 2):
         raise _CliError(
@@ -133,12 +159,25 @@ def _read_xy_csv(path: str) -> np.ndarray:
 
 def _count_lines(path: str) -> int:
     """Number of lines in ``path``, where \\n, \\r\\n and \\r each end a line."""
-    count, last = 0, "\n"
-    with open(path) as fh:  # universal newlines read every line end as \n
-        for chunk in iter(lambda: fh.read(1 << 20), ""):
-            count += chunk.count("\n")
-            last = chunk[-1]
-    return count + (last != "\n")
+    count, last = 0, b"\n"
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(_BLOCK_BYTES), b""):
+            count += block.count(b"\n")
+            if b"\r" in block:  # a fast scan; counting pairs is slow
+                count += block.count(b"\r") - block.count(b"\r\n")
+            if last == b"\r" and block.startswith(b"\n"):  # a \r\n split across blocks
+                count -= 1
+            last = block[-1:]
+    return count + (last not in (b"\n", b"\r"))
+
+
+def _is_utf8(fields) -> bool:
+    """False if ``fields`` hold bytes that were not UTF-8 (surrogate escapes)."""
+    try:
+        ",".join(fields).encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 def _first_bad_line(path: str) -> str | None:
@@ -147,12 +186,16 @@ def _first_bad_line(path: str) -> str | None:
     Runs only after the fast parse failed, to name the offending line; it
     never returns data.
     """
-    with open(path, newline="") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
         reader = csv.reader(fh)
         next(reader, None)
         lineno = 1
         try:
             for lineno, row in enumerate(reader, start=2):
+                if reader.line_num != lineno:  # so far one record per line
+                    return f"{path} line {lineno}: a record must not span lines"
+                if not _is_utf8(row):
+                    return f"{path} line {lineno}: not UTF-8 text"
                 if len(row) != 2:
                     return f"{path} line {lineno}: expected 2 fields, got {len(row)}"
                 try:

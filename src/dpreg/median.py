@@ -90,7 +90,6 @@ def dp_median(
     clip_lo: float,
     clip_hi: float,
     stream: RandomStream,
-    size_hint: float | None = None,
 ) -> float:
     """epsilon-DP median of ``values`` within [clip_lo, clip_hi].
 
@@ -98,11 +97,7 @@ def dp_median(
     :func:`median_interval_probs`, one for the point inside it, so replaying
     a stream replays the output. Empty input returns the midpoint of the
     clip range, emits a :class:`DegenerateInputWarning`, and draws nothing.
-
-    ``size_hint`` is accepted so callers can forward a privatized size
-    estimate alongside the values; the rank utility does not use it.
     """
-    del size_hint
     _check_args(epsilon, clip_lo, clip_hi)
     values = np.asarray(values, dtype=np.float64)
     if values.size == 0:

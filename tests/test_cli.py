@@ -1,9 +1,22 @@
+import bz2
+import csv
+import gzip
 import json
+import lzma
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from dpreg.cli import MECHANISM_NAMES, RESULTS_HEADER, VERIFY_HEADER, main
+from dpreg.cli import (
+    _BLOCK_BYTES,
+    MECHANISM_NAMES,
+    RESULTS_HEADER,
+    VERIFY_HEADER,
+    _count_lines,
+    _read_xy_csv,
+    main,
+)
 
 
 def write_csv(tmp_path, rows, header="x,y", name="data.csv"):
@@ -11,6 +24,13 @@ def write_csv(tmp_path, rows, header="x,y", name="data.csv"):
     path = tmp_path / name
     path.write_text("\n".join([header] + [",".join(map(str, row)) for row in rows]) + "\n")
     return str(path)
+
+
+class RawFile(NamedTuple):
+    """A test input given as the exact bytes of a file and its name."""
+
+    name: str
+    data: bytes
 
 
 def run(capsys, argv):
@@ -106,21 +126,61 @@ def test_fit_stdout_is_deterministic(tmp_path, capsys):
     ([(0.1, 0.2), ("abc", 0.4)], "x,y", "line 3: could not convert string to float: 'abc'"),
     ([("0.1", "0.2x")], "x,y", "line 2: could not convert string to float: '0.2x'"),
     ([(0.1, 0.2), (0.3, "a" * 200_000)], "x,y", "line 3: field larger than field limit"),
+    ([(0.1, 0.2), ('"0.3\n"', 0.4), (0.5, "abc")], "x,y", "line 3: a record must not span"),
+    (RawFile("data.csv", b"x,y\n0.1,0.2\n\xff\xfe,0.3\n"), None, "line 3: not UTF-8 text"),
+    (RawFile("data.csv", b"x\xff,y\n0.1,0.2\n"), None, "line 1: not UTF-8 text"),
+    (RawFile("data.csv", gzip.compress(b"x,y\n0.1,0.2\n")), None, "line 1: not UTF-8 text"),
+    (RawFile("data.csv.gz", gzip.compress(b"x,y\n0.1,0.2\n")), None, "compressed input"),
+    (RawFile("data.csv", b'"x\n",y\n0.1,0.2\n'), None, "line 1: expected header 'x,y'"),
+    (RawFile("data.csv", b"x," + b"y" * 200_000 + b"\n"), None, "line 1: field larger"),
 ])
 def test_fit_input_errors(tmp_path, capsys, rows, header, fragment):
-    path = write_csv(tmp_path, rows, header=header)
+    if isinstance(rows, RawFile):
+        path = tmp_path / rows.name
+        path.write_bytes(rows.data)
+        path = str(path)
+    else:
+        path = write_csv(tmp_path, rows, header=header)
     code, out, err = run(capsys, ["fit", path, "--epsilon", "1.0"])
     assert code == 2
+    assert err.startswith("dpreg: error: ") and "Traceback" not in err
     assert fragment in err
 
 
-def test_fit_accepts_quotes_crlf_and_header_only(tmp_path, capsys):
+COMPRESSORS = {
+    ".gz": gzip.compress,
+    ".bz2": bz2.compress,
+    ".xz": lzma.compress,
+    ".lzma": lambda data: lzma.compress(data, format=lzma.FORMAT_ALONE),
+}
+
+
+@pytest.mark.parametrize("compressed", [False, True])
+@pytest.mark.parametrize("suffix", sorted(COMPRESSORS))
+def test_fit_refuses_compressed_suffixes(tmp_path, capsys, suffix, compressed):
+    # numpy would decompress these names, so neither the plain text nor a
+    # real archive is read.
+    text = ("x,y\n" + "".join(f"{x},{y}\n" for x, y in LINE_ROWS)).encode()
+    path = tmp_path / ("data.csv" + suffix)
+    path.write_bytes(COMPRESSORS[suffix](text) if compressed else text)
+    code, out, err = run(capsys, ["fit", str(path), "--epsilon", "1.0"])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"dpreg: error: {path}: compressed input is not supported")
+
+
+def test_fit_accepts_quotes_crlf_and_header_only(tmp_path, capsys, monkeypatch):
     argv = ["--epsilon", "0.5", "--seed", "11"]
     _, plain, _ = run(capsys, ["fit", write_csv(tmp_path, LINE_ROWS), *argv])
     quoted = write_csv(tmp_path, [(f'"{x}"', y) for x, y in LINE_ROWS], name="quoted.csv")
     crlf = tmp_path / "crlf.csv"
     crlf.write_bytes("\r\n".join(["x,y"] + [f"{x},{y}" for x, y in LINE_ROWS]).encode())
-    for path in (quoted, str(crlf)):
+    # Names that numpy neither decompresses nor, once made absolute, takes
+    # for a URL; the last is the relative path file:/localhost/data.csv.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "file:" / "localhost").mkdir(parents=True)
+    write_csv(tmp_path / "file:" / "localhost", LINE_ROWS)
+    names = [write_csv(tmp_path, LINE_ROWS, name=n) for n in ("data.GZ", "data.csv.txt")]
+    for path in (quoted, str(crlf), *names, "file://localhost/data.csv"):
         code, out, err = run(capsys, ["fit", path, *argv])
         assert (code, out, err) == (0, plain, ""), path
 
@@ -129,6 +189,61 @@ def test_fit_accepts_quotes_crlf_and_header_only(tmp_path, capsys):
     code, out, err = run(capsys, ["fit", str(header_only), *argv])
     assert code == 0 and err == ""
     assert json.loads(out)["fallback"] is True
+
+
+def _parse_corpus():
+    """CSV texts, each given with its exact line ends, that every reader takes."""
+    rng = np.random.default_rng(20261018)
+    wide = rng.standard_normal(10**5) * 10.0 ** rng.integers(-300, 300, 10**5)
+    unit = rng.random(10**5)
+    seeded = "x,y\n" + "".join(f"{a!r},{b!r}\n" for a, b in zip(wide.tolist(), unit.tolist()))
+    digits17 = "x,y\n" + "".join(
+        f"{a:.17g},{b:.17g}\n" for a, b in zip(wide[:1000].tolist(), unit[:1000].tolist()))
+    rows = "0.5,0.25\r\n" * ((_BLOCK_BYTES - 100) // 10)
+    head = "x,y\r\n" + rows + "0.5,"
+    pad = " " * (_BLOCK_BYTES - 1 - len(head) - len("0.25"))
+    crlf_split = head + pad + "0.25\r\n0.75,0.5\r\n"  # \r ends the first read block
+    cr_split = head + pad + "0.25\r0.75,0.5\n"
+    assert crlf_split[_BLOCK_BYTES - 1:_BLOCK_BYTES + 1] == "\r\n"
+    assert cr_split[_BLOCK_BYTES - 1:_BLOCK_BYTES + 1] == "\r0"
+    return {
+        "exponents": "x,y\n1e-3,2.5E+2\n-1.5e-300,4e300\n5E-324,1.7976931348623157e308\n",
+        "plus_and_spaces": "x,y\n+0.5, 0.25\n 0.125 ,+1e0\n\t-2.5\t,  +.5  \n",
+        "quoted": 'x,y\n"0.5","0.25"\n0.1,"-0.0"\n"+1e-2",3\n',
+        "negative_zero": "x,y\n-0.0,0.0\n-0,+0\n-0e5,0\n",
+        "repr": "x,y\n0.1,0.30000000000000004\n0.7071067811865476,2.220446049250313e-16\n",
+        "digits17": digits17,
+        "crlf": "x,y\r\n0.1,0.2\r\n0.3,0.4\r\n",
+        "lone_cr": "x,y\r0.1,0.2\r0.3,0.4\r",
+        "mixed": "x,y\r\n0.1,0.2\r0.3,0.4\n0.5,0.6\r\n0.7,0.8\r",
+        "no_trailing_newline": "x,y\n0.1,0.2\n0.3,0.4",
+        "header_only": "x,y\n",
+        "header_only_no_newline": "x,y",
+        "seeded_1e5": seeded,
+        "crlf_split_across_blocks": crlf_split,
+        "cr_at_block_end": cr_split,
+    }
+
+
+PARSE_CORPUS = _parse_corpus()
+
+
+def reference_pairs(text: str) -> np.ndarray:
+    """The records of ``text`` by csv.reader and float(), as an (n, 2) array."""
+    rows = list(csv.reader(text.splitlines()))[1:]
+    assert all(len(row) == 2 for row in rows)
+    return np.array([[float(a), float(b)] for a, b in rows], dtype=np.float64).reshape(-1, 2)
+
+
+@pytest.mark.parametrize("case", sorted(PARSE_CORPUS))
+def test_read_xy_csv_matches_csv_reader_bitwise(tmp_path, case):
+    text = PARSE_CORPUS[case]
+    path = tmp_path / "data.csv"
+    path.write_bytes(text.encode())
+    got, want = _read_xy_csv(str(path)), reference_pairs(text)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()  # bitwise, so -0.0 and NaN payloads count
+    assert _count_lines(str(path)) == len(text.splitlines())
 
 
 def golden_csv(tmp_path, name, x_scale=1.0, y_scale=1.0, y_shift=0.0):
