@@ -259,7 +259,8 @@ def simulate_baseline_stats(data, epsilon: float, trials: int, stream: RandomStr
     """Baseline noisy statistics over ``trials`` releases, as a dict of arrays."""
     ds = as_dataset(data)
     sums = _ss_sums(ds)
-    noisy = sums + stream.laplace(4.0 / epsilon, size=(trials, 8))
+    noisy = stream.laplace(4.0 / epsilon, size=(trials, 8))
+    noisy += sums
     return {
         "n": noisy.sum(axis=1) / 4.0,
         "s_x": noisy[:, 0],

@@ -62,14 +62,28 @@ class RandomStream:
         scales. An array draws the uniforms of ``size`` once and scales that
         one draw by each entry, giving shape ``(len(scale),) + size``; row j
         equals, bit for bit, ``laplace(scale[j], size)`` on the same stream.
+
+        A draw of more than ``_BLOCK`` values is transformed in place, one
+        block at a time. It allocates the array of uniforms, which a scalar
+        scale overwrites with its result, and two scratch blocks of
+        ``_BLOCK`` floats; an array scale adds its ``(len(scale),) + size``
+        result. Every value equals the unblocked expression's bit for bit
+        (DECISIONS.md, D5).
         """
         b = _scale_value(scale)
         u = self._gen.random(size)
+        if size is not None and u.size > _BLOCK:
+            if isinstance(b, np.ndarray):
+                return np.multiply.outer(-b, _unit_laplace_in_place(u))
+            return _unit_laplace_in_place(u, -b)
         # F^{-1}(u) = -b * sign(u - 1/2) * ln(1 - 2|u - 1/2|), computed with
-        # log1p so values of u near 1/2 lose no precision. sign(.) * ln(.) is
+        # log1p so values of u near 1/2 lose no precision. u = 0 is raised to
+        # 2^-53, the smallest positive uniform, so no draw is infinite and
+        # the two extreme draws stay exact negatives. sign(.) * ln(.) is
         # exact, so -b enters after the single rounding and every scale
         # rounds the same real product it would round on its own.
-        unit = np.sign(u - 0.5) * np.log1p(-2.0 * np.abs(u - 0.5))
+        t = np.maximum(u, _U_MIN) - 0.5
+        unit = np.sign(t) * np.log1p(-2.0 * np.abs(t))
         if isinstance(b, np.ndarray):
             return np.multiply.outer(-b, unit)
         unit *= -b
@@ -102,6 +116,42 @@ class ZeroNoiseStream(RandomStream):
         b = _scale_value(scale)
         draw = 0.0 if size is None else np.zeros(size)
         return np.zeros(b.shape + np.shape(draw)) if isinstance(b, np.ndarray) else draw
+
+
+# Draws of more than this many values are transformed block by block, in
+# place; smaller ones (every fit's) keep the one-line expression, which is
+# faster below a block.
+_BLOCK = 1 << 14
+# The smallest positive value Generator.random returns; u = 0 is raised to it.
+_U_MIN = 2.0**-53
+
+
+def _unit_laplace_in_place(u, neg_b=None):
+    """Overwrite ``u`` with ``sign(t) * log1p(-2|t|)``, t = max(u, 2^-53) - 1/2.
+
+    Each block runs the unblocked expression's operations in the same order
+    into two scratch blocks, so every value is bit-identical to it. A
+    ``neg_b`` (-scale) multiplies each block as its last step.
+    """
+    flat = u.reshape(-1)
+    t_buf = np.empty(_BLOCK)
+    a_buf = np.empty(_BLOCK)
+    for start in range(0, flat.size, _BLOCK):
+        out = flat[start:start + _BLOCK]
+        t = t_buf[:out.size]
+        a = a_buf[:out.size]
+        np.maximum(out, _U_MIN, out=t)
+        np.subtract(t, 0.5, out=t)
+        np.abs(t, out=a)
+        np.multiply(a, -2.0, out=a)
+        np.log1p(a, out=a)
+        # sign(t) goes to the output block: numpy 2.4 runs sign in place
+        # over its input about 4x slower than into another array.
+        np.sign(t, out=out)
+        np.multiply(out, a, out=out)
+        if neg_b is not None:
+            np.multiply(out, neg_b, out=out)
+    return u
 
 
 def _scale_value(scale):

@@ -289,6 +289,30 @@ def test_fit_golden_outputs(tmp_path, capsys, flags, expected):
     assert out == expected
 
 
+# Exact stdout of a seeded variance check. It runs the bulk Laplace path
+# (more than one block of draws), whose values must not move.
+GOLDEN_VERIFY = (
+    'statistic,method,empirical_var,theoretical_var,relative_error,improvement_ratio\n'
+    'n,dp_rss,12.0221418906,12,0.00184515754705,1.3322776723\n'
+    'n,dp_ss,16.016831214,16,0.00105195087633,1.3322776723\n'
+    's_x,dp_rss,10.5950270792,10.6666666667,0.00671621132143,3.03747282536\n'
+    's_x,dp_ss,32.1821068371,32,0.0056908386596,3.03747282536\n'
+    's_y,dp_rss,10.7196728422,10.6666666667,0.00496932895219,2.97846200634\n'
+    's_y,dp_ss,31.9281382807,32,0.00224567872656,2.97846200634\n'
+    's_x2,dp_rss,6.65709270104,6.66666666667,0.00143609484363,4.78806932248\n'
+    's_x2,dp_ss,31.8746213388,32,0.00391808316275,4.78806932248\n'
+    's_xy,dp_rss,6.78259095357,6.66666666667,0.0173886430358,4.70922135679\n'
+    's_xy,dp_ss,31.9407221729,32,0.00185243209684,4.70922135679\n'
+)
+
+
+def test_verify_golden_output(capsys):
+    code, out, err = run(capsys, ["verify", "--epsilon", "1.0", "--trials", "100000",
+                                  "--seed", "5"])
+    assert (code, err) == (0, "")
+    assert out == GOLDEN_VERIFY
+
+
 def test_fit_flag_misuse(tmp_path, capsys):
     path = write_csv(tmp_path, LINE_ROWS)
     cases = [

@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from dpreg import NoiseEvent, NoiseLedger, RandomStream, ZeroNoiseStream
+from dpreg.noise import _BLOCK
 
 
 def test_laplace_scale_must_be_positive():
@@ -60,6 +62,93 @@ def test_scale_array_scales_one_draw_bitwise():
             assert np.array_equal(row, want)
             assert np.array_equal(np.signbit(row), np.signbit(want))
             assert alone.uniform() == after
+
+
+class FixedUniforms:
+    """Stand-in for a stream's generator that returns the given uniforms."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size=None):
+        assert np.shape(self.u) == (() if size is None else np.empty(size).shape)
+        return self.u if size is None else self.u.copy()
+
+
+def stream_with_uniforms(u):
+    s = RandomStream(0, 0)
+    s._gen = FixedUniforms(u)
+    return s
+
+
+def reference_laplace(u, b):
+    """The unblocked transform, as one expression over the whole draw."""
+    unit = np.sign(u - 0.5) * np.log1p(-2.0 * np.abs(u - 0.5))
+    if isinstance(b, np.ndarray):
+        return np.multiply.outer(-b, unit)
+    unit *= -b
+    return unit
+
+
+HAND_PLACED = (0.5, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0), 2.0**-53, 1.0 - 2.0**-53)
+ORACLE_SIZES = (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7,
+                (2, 3000, 3), (2, 5, 3), (2100, 8), (7, 8))
+ORACLE_SCALES = (1.7, 3e-5, np.array([4.0, 0.5, 1e-3]))
+
+
+@pytest.mark.parametrize("size", ORACLE_SIZES)
+def test_laplace_equals_unblocked_expression_bitwise(size):
+    # Blocked or not, every value is the one-line expression's, bit for bit,
+    # and the stream ends where a plain draw of the uniforms ends.
+    for scale in ORACLE_SCALES:
+        s = RandomStream(13, 2)
+        got = s.laplace(scale, size)
+        plain = RandomStream(13, 2)
+        want = reference_laplace(plain.uniform(size), scale)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert s.uniform() == plain.uniform()
+
+        # Uniforms at and next to 1/2 and at both ends of the range, placed
+        # at the first and the last values of every block.
+        u = RandomStream(14, 2).uniform(size)
+        flat = u.reshape(-1)
+        for k in range(0, flat.size, _BLOCK):
+            block = flat[k:k + _BLOCK]
+            n = min(len(HAND_PLACED), block.size)
+            block[:n] = HAND_PLACED[:n]
+            block[-n:] = HAND_PLACED[::-1][:n]
+        got = stream_with_uniforms(u).laplace(scale, size)
+        assert got.tobytes() == reference_laplace(u, scale).tobytes()
+
+
+def test_scalar_laplace_equals_unblocked_expression_bitwise():
+    for u in HAND_PLACED + (0.3, 0.9):
+        for scale in ORACLE_SCALES:
+            got = stream_with_uniforms(u).laplace(scale)
+            assert np.asarray(got).tobytes() == reference_laplace(np.float64(u), scale).tobytes()
+
+
+@pytest.mark.parametrize("size", [None, 5, 3 * _BLOCK + 7, (2, 3000, 3)])
+def test_zero_uniform_gives_finite_symmetric_draw(size):
+    # u = 0 is drawn as the smallest positive uniform: a finite draw that
+    # mirrors the largest one, at u = 1 - 2^-53, with no divide-by-zero.
+    ends = [0, -1]
+    for scale in (2.0, np.array([2.0, 0.25])):
+        if size is None:
+            zero, top = 0.0, 1.0 - 2.0**-53
+        else:
+            zero, top = np.full(size, 0.5), np.full(size, 0.5)
+            zero.reshape(-1)[ends] = 0.0
+            top.reshape(-1)[ends] = 1.0 - 2.0**-53
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            low = stream_with_uniforms(zero).laplace(scale, size)
+            high = stream_with_uniforms(top).laplace(scale, size)
+        assert np.all(np.isfinite(low))
+        assert np.array_equal(low, -high)
+        # |draw| = 52·ln 2 ≈ 36.04 scales there, the largest a draw can have.
+        assert np.all(np.reshape(low, (np.size(scale), -1))[:, ends] < -36.0 * np.min(scale))
 
 
 @pytest.mark.parametrize("b", [0.5, 1.0, 3.0])
