@@ -2,8 +2,8 @@
 
 The package releases regression fits under pure epsilon-DP in the add/remove
 model. Its core mechanism privatizes two simplex-transformed query groups
-whose per-record contributions each sum to exactly 1, then recombines the
-noisy sums into lower-variance refined sufficient statistics; baseline
+whose per-record contributions each sum to 1 up to rounding, then recombines
+the noisy sums into lower-variance refined sufficient statistics; baseline
 mechanisms (noisy sufficient statistics, private Theil-Sen) and a Monte
 Carlo evaluation harness round it out.
 """
@@ -41,18 +41,8 @@ from .mechanisms import (
 )
 from .median import DegenerateInputWarning, dp_median, median_interval_probs
 from .noise import NoiseEvent, NoiseLedger, PrivacyBudget, RandomStream, ZeroNoiseStream
-from .polynomial import (
-    PolyFitResult,
-    dp_rss_poly_fit,
-    poly_group1_contribution,
-    poly_group2_contribution,
-)
-from .simplex import (
-    exact_group_stats,
-    sensitivity_oracle,
-    simplex_transform_x,
-    simplex_transform_xy,
-)
+from .polynomial import PolyFitResult, dp_rss_poly_fit
+from .simplex import exact_group_stats, group_contributions, sensitivity_oracle
 
 __version__ = "0.1.0"
 
@@ -89,18 +79,15 @@ __all__ = [
     "dp_theil_sen_fit",
     "exact_group_stats",
     "generate_setup",
+    "group_contributions",
     "l1_error",
     "l2_error",
     "line_errors",
     "median_interval_probs",
     "normalize",
-    "poly_group1_contribution",
-    "poly_group2_contribution",
     "reference_setup",
     "run_experiment",
     "sensitivity_oracle",
-    "simplex_transform_x",
-    "simplex_transform_xy",
     "simulate_baseline_stats",
     "simulate_refined_stats",
     "verify_variances",

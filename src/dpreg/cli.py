@@ -29,7 +29,7 @@ from .evaluate import (
     verify_variances,
 )
 from .mechanisms import FITTERS, denormalize_fit
-from .noise import RandomStream
+from .noise import RandomStream, _as_epsilon
 from .polynomial import dp_rss_poly_fit
 
 RESULTS_HEADER = "method,epsilon,mean_l1,std_l1,mean_l2,std_l2,median_l1,median_l2"
@@ -220,9 +220,15 @@ def _bounds_from_args(args) -> Bounds | None:
         raise _CliError(str(exc)) from exc
 
 
+def _check_epsilon_flag(args) -> None:
+    try:
+        _as_epsilon(args.epsilon)
+    except ValueError as exc:
+        raise _CliError(f"--epsilon: {exc}") from exc
+
+
 def cmd_fit(args) -> int:
-    if not (args.epsilon > 0):
-        raise _CliError(f"--epsilon must be positive, got {args.epsilon}")
+    _check_epsilon_flag(args)
     bounds = _bounds_from_args(args)
     if args.mechanism == "dp_rss_poly":
         if args.degree is None:
@@ -363,8 +369,7 @@ def _verify_csv_lines(rows):
 
 
 def cmd_verify(args) -> int:
-    if not (args.epsilon > 0):
-        raise _CliError(f"--epsilon must be positive, got {args.epsilon}")
+    _check_epsilon_flag(args)
     if args.trials < 100_000:
         raise _CliError(f"--trials must be at least 100000, got {args.trials}")
     rows = verify_variances(args.epsilon, args.trials, RandomStream(args.seed, 0))

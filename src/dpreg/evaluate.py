@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import Dataset, as_dataset
 from .mechanisms import _FIT_CORES, FITTERS, FitResult, _ss_sums
-from .noise import RandomStream
+from .noise import RandomStream, _as_epsilon
 from .simplex import LINEAR_COLUMNS, _group_sums, transfer_matrix
 
 
@@ -51,9 +51,9 @@ class ExperimentGrid:
     methods: tuple
 
     def __post_init__(self):
-        eps = tuple(float(e) for e in self.epsilons)
-        if len(eps) == 0 or any(e <= 0 for e in eps):
-            raise ValueError(f"epsilons must be positive, got {self.epsilons!r}")
+        eps = tuple(_as_epsilon(e) for e in self.epsilons)
+        if len(eps) == 0:
+            raise ValueError("epsilons must not be empty")
         if any(b <= a for a, b in zip(eps, eps[1:])):
             raise ValueError(f"epsilons must be strictly increasing, got {self.epsilons!r}")
         object.__setattr__(self, "epsilons", eps)
@@ -289,8 +289,7 @@ def verify_variances(epsilon: float, trials: int, stream: RandomStream) -> list[
     statistic against its closed-form variance. The dataset itself only
     shifts the statistics, so any fixed one verifies the noise law.
     """
-    if not (epsilon > 0):
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    epsilon = _as_epsilon(epsilon)
     if trials < 100_000:
         raise ValueError(f"trials must be at least 100000 for a stable estimate, got {trials}")
     ds = Dataset(np.array([0.0, 0.5, 1.0]), np.array([0.2, 0.45, 0.7]))

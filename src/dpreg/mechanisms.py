@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Bounds, as_dataset, exact_sum
-from .median import _dp_medians
+from .median import _check_clip, _dp_medians
 from .noise import NoiseLedger, RandomStream, _as_epsilon
 from .simplex import _refined_fits, refined_fit
 
@@ -58,9 +58,9 @@ class TheilSenHyper:
     """Tuning knobs of the private Theil-Sen fitter.
 
     ``k`` is the number of random matchings whose pair projections are
-    pooled; ``r_lo``/``r_hi`` clip the projected values before the private
-    median (the default [-2, 2] covers every line reachable from data in
-    the unit square).
+    pooled; ``r_lo``/``r_hi``, which must be finite, clip the projected
+    values before the private median (the default [-2, 2] covers every line
+    reachable from data in the unit square).
     """
 
     k: int = 1
@@ -70,8 +70,7 @@ class TheilSenHyper:
     def __post_init__(self):
         if not isinstance(self.k, int) or self.k < 1:
             raise ValueError(f"k must be a positive integer, got {self.k!r}")
-        if not (self.r_lo < self.r_hi):
-            raise ValueError(f"clip range must satisfy r_lo < r_hi, got [{self.r_lo}, {self.r_hi}]")
+        _check_clip(self.r_lo, self.r_hi)
 
 
 _FALLBACK_FIT = FitResult(FALLBACK_ALPHA, FALLBACK_BETA, fallback=True)

@@ -10,22 +10,21 @@ The rank utility has add/remove sensitivity 1, so the release is epsilon-DP.
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
 
-from .noise import RandomStream
+from .noise import RandomStream, _as_epsilon
 
 
 class DegenerateInputWarning(UserWarning):
     """Emitted when a mechanism answers degenerate input with a fallback."""
 
 
-def _check_args(epsilon: float, clip_lo: float, clip_hi: float) -> None:
-    if not (epsilon > 0):
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    if not (clip_lo < clip_hi):
-        raise ValueError(f"clip range must satisfy clip_lo < clip_hi, got [{clip_lo}, {clip_hi}]")
+def _check_clip(clip_lo: float, clip_hi: float) -> None:
+    if not (math.isfinite(clip_lo) and math.isfinite(clip_hi) and clip_lo < clip_hi):
+        raise ValueError(f"clip range must be finite with lower < upper, got [{clip_lo}, {clip_hi}]")
 
 
 def _prepare(values, clip_lo: float, clip_hi: float):
@@ -58,7 +57,8 @@ def median_interval_probs(values, epsilon: float, clip_lo: float, clip_hi: float
     Weights are normalized in log space with max-subtraction, so large
     ``epsilon * m`` products cannot overflow.
     """
-    _check_args(epsilon, clip_lo, clip_hi)
+    epsilon = _as_epsilon(epsilon)
+    _check_clip(clip_lo, clip_hi)
     edges, log_lengths, utilities = _prepare(values, clip_lo, clip_hi)
     return edges, _interval_probs(log_lengths, utilities, epsilon)
 
@@ -69,13 +69,13 @@ def _dp_medians(values, epsilons, clip_lo: float, clip_hi: float, uniforms) -> l
     Sorts once and reweights per budget. ``uniforms`` are the two uniforms
     a single ``dp_median`` call draws, interval pick first, so entry j
     equals ``dp_median(values, epsilons[j], ...)`` on a stream that yields
-    them. Together the outputs are not epsilon-DP at any one budget.
+    them. Together the outputs are not epsilon-DP at any one budget. The
+    caller has checked every budget and the clip range.
     """
     edges, log_lengths, utilities = _prepare(values, clip_lo, clip_hi)
     u_interval, u_point = uniforms
     out = []
     for epsilon in epsilons:
-        _check_args(epsilon, clip_lo, clip_hi)
         cdf = np.cumsum(_interval_probs(log_lengths, utilities, epsilon))
         idx = int(np.searchsorted(cdf, u_interval, side="right"))
         idx = min(idx, cdf.size - 1)  # guard the u ~= 1 rounding edge
@@ -98,7 +98,8 @@ def dp_median(
     a stream replays the output. Empty input returns the midpoint of the
     clip range, emits a :class:`DegenerateInputWarning`, and draws nothing.
     """
-    _check_args(epsilon, clip_lo, clip_hi)
+    epsilon = _as_epsilon(epsilon)
+    _check_clip(clip_lo, clip_hi)
     values = np.asarray(values, dtype=np.float64)
     if values.size == 0:
         warnings.warn(

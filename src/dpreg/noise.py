@@ -22,14 +22,29 @@ class PrivacyBudget:
     epsilon: float
 
     def __post_init__(self):
-        if not (self.epsilon > 0) or not math.isfinite(self.epsilon):
-            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
+        object.__setattr__(self, "epsilon", _as_epsilon(self.epsilon))
+
+
+# dp_ss draws at scale 4/epsilon, the largest Laplace scale per budget of
+# any release, so an epsilon is refused when that scale is not finite.
+_LARGEST_SCALE = 4.0
 
 
 def _as_epsilon(budget) -> float:
+    """The epsilon of a ``PrivacyBudget`` or a number; every budget's one check.
+
+    Raises ValueError for NaN, infinity, values at or below 0, and values
+    so small that the Laplace scale 4/epsilon overflows.
+    """
     if isinstance(budget, PrivacyBudget):
         return budget.epsilon
-    return PrivacyBudget(float(budget)).epsilon
+    eps = float(budget)
+    if not (eps > 0 and math.isfinite(eps) and math.isfinite(_LARGEST_SCALE / eps)):
+        raise ValueError(
+            f"epsilon must be positive and finite, with a finite Laplace scale "
+            f"{_LARGEST_SCALE:g}/epsilon, got {eps}"
+        )
+    return eps
 
 
 class RandomStream:

@@ -1,10 +1,12 @@
 """Simplex query groups and the refined release, for every degree d.
 
-Each record contributes a non-negative vector summing to exactly 1 to each of
-two query groups, so adding or removing one record moves each group's sum
-vector by l1-distance exactly 1. A group privatized with per-component
-Laplace noise at scale 1/eps is therefore eps-DP, and the total of a noisy
-group doubles as a free estimate of the dataset size.
+Each record contributes a non-negative vector summing to 1 to each of two
+query groups, so adding or removing one record moves each group's sum
+vector by l1-distance 1. A group privatized with per-component Laplace
+noise at scale 1/eps is therefore eps-DP, and the total of a noisy group
+doubles as a free estimate of the dataset size. In doubles the sum is 1 up
+to rounding: ``sensitivity_oracle`` measures the exact excess, which is
+below an ulp of 1.
 
 For degree d the x-group has the 2d + 1 telescoping entries
 
@@ -29,6 +31,9 @@ refines a leading axis of trials as readily as a single release.
 falls back (returns None) under one rule for every degree: when the refined
 size n is not positive, when the x-spread n S_{x^2} - S_x^2 is not
 positive, or when partial-pivoting elimination finds the system singular.
+
+``_component_rows`` is the one definition of the per-record vectors; the
+release sums its rows, and ``group_contributions`` returns them per record.
 """
 
 from __future__ import annotations
@@ -37,14 +42,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .data import as_dataset, exact_sum
+from .data import _check_unit_interval, as_dataset, exact_sum
 from .noise import NoiseLedger, RandomStream, _as_epsilon
-
-
-def _check_unit(value, name: str) -> None:
-    v = np.asarray(value)
-    if ((v < 0.0) | (v > 1.0) | ~np.isfinite(v)).any():
-        raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
 
 
 def _check_degree(degree: int) -> int:
@@ -53,35 +52,17 @@ def _check_degree(degree: int) -> int:
     return int(degree)
 
 
-def simplex_transform_x(x):
-    """Map x in [0, 1] to (x^2, x - x^2, 1 - x); accepts arrays.
-
-    The three components are non-negative and sum to 1 exactly, which is
-    what caps the per-record l1 contribution at 1.
-    """
-    _check_unit(x, "x")
-    x = np.asarray(x, dtype=np.float64) if not np.isscalar(x) else x
-    xx = x * x
-    return (xx, x - xx, 1.0 - x)
-
-
-def simplex_transform_xy(x, y):
-    """Map (x, y) in [0, 1]^2 to (xy, (1 - x)y, 1 - y); accepts arrays."""
-    _check_unit(x, "x")
-    _check_unit(y, "y")
-    return (x * y, (1.0 - x) * y, 1.0 - y)
-
-
 def _component_rows(x: np.ndarray, y: np.ndarray, d: int):
     """Yield ``(group, entry, row)`` for every component of both groups.
 
     ``group`` is 0 for the x-group and 1 for the xy-group. Each row is one
-    contiguous array over the records, equal bit for bit to column ``entry``
-    of ``poly_group1_contribution`` or ``poly_group2_contribution``, so the
-    ``(n, 2d+1)`` and ``(n, d+2)`` stacks are never built. The powers use
-    the same ``np.power`` loop with an array exponent as those functions; a
-    scalar or stride-0 exponent can take a different, not bit-identical,
-    path. x^1 and x^0 are exact in that loop, so they are not computed.
+    contiguous array over the records, holding column ``entry`` of every
+    record's group vector, so the ``(n, 2d+1)`` and ``(n, d+2)`` stacks are
+    never built. The powers use the ``np.power`` loop with an array
+    exponent; a scalar or stride-0 exponent can take a different, not
+    bit-identical, path, and ``x * x`` differs from it in the last bit for
+    about 5% of x. x^1 and x^0 are exact in that loop, so they are not
+    computed.
     """
     exponent = np.empty_like(x)
 
@@ -285,27 +266,50 @@ def _refined_fits(data, degree: int, budgets, stream: RandomStream) -> list:
     return [_coefficients(stats.tolist(), d) for stats in releases]
 
 
-def sensitivity_oracle(group: str, grid_step: float) -> float:
-    """Brute-force max l1 norm of one record's contribution over a unit grid.
+def group_contributions(x, y, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each record's x-group and xy-group vectors, as the release sums them.
 
-    Adding a record shifts a group's sums by exactly that record's
-    transform, so this is the group's l1 sensitivity. Evaluates the
-    transform at every (x, y) on a grid with the given step (endpoints
-    included) and returns the largest l1 norm found. For these transforms
-    the norm is 1 up to rounding: summed exactly, a record's double-valued
-    components can exceed 1 by less than an ulp of 1 (8.3e-17 at worst
-    where measured). The oracle checks rather than assumes that.
+    ``x`` and ``y`` broadcast to a common shape S; the result has shapes
+    S + (2d+1,) and S + (d+2,), in the entry order of the module docstring.
+    The columns are the rows of ``_component_rows`` over the flattened
+    records, so each value is bit for bit one that ``exact_group_stats``
+    adds. Raises ValueError, as ``Dataset`` does, when a coordinate lies
+    outside [0, 1] or is NaN.
     """
+    d = _check_degree(degree)
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64))
+    shape = x.shape
+    x, y = np.ravel(x), np.ravel(y)  # contiguous, as a Dataset's arrays are
+    _check_unit_interval(x, "x")
+    _check_unit_interval(y, "y")
+    groups = (np.empty((x.size, 2 * d + 1)), np.empty((x.size, d + 2)))
+    for group, entry, row in _component_rows(x, y, d):
+        groups[group][:, entry] = row
+    return tuple(g.reshape(shape + g.shape[1:]) for g in groups)
+
+
+def sensitivity_oracle(degree: int, grid_step: float) -> tuple:
+    """Exact worst l1 norm of one record's group vectors over a unit grid.
+
+    Adding a record shifts each group's sums by exactly that record's
+    vector from ``group_contributions``, so its largest l1 norm is the
+    group's sensitivity. Evaluates every (x, y) on a grid with the given
+    step (endpoints included), sums each record's components as Fractions,
+    with no rounding, and returns the worst norm of the x-group and of the
+    xy-group as two ``Fraction``s. The norms are 1 up to rounding: the
+    double-valued components can exceed 1 by less than an ulp of 1, which a
+    float sum rounds away.
+    """
+    from fractions import Fraction  # 4 ms to import; only the oracle needs it
+
+    d = _check_degree(degree)
     if not (0 < grid_step <= 0.1):
         raise ValueError(f"grid_step must lie in (0, 0.1], got {grid_step}")
-    steps = round(1.0 / grid_step)
-    pts = np.linspace(0.0, 1.0, steps + 1)
+    pts = np.linspace(0.0, 1.0, round(1.0 / grid_step) + 1)
     xg, yg = np.meshgrid(pts, pts, indexing="ij")
-    if group == "group1":
-        comps = simplex_transform_x(xg)
-    elif group == "group2":
-        comps = simplex_transform_xy(xg, yg)
-    else:
-        raise ValueError(f"group must be 'group1' or 'group2', got {group!r}")
-    l1 = np.abs(comps[0]) + np.abs(comps[1]) + np.abs(comps[2])
-    return float(l1.max())
+    worst = []
+    for group in group_contributions(xg, yg, d):
+        # Equal vectors have equal norms; the x-group repeats along y.
+        rows = np.unique(np.abs(group).reshape(-1, group.shape[-1]), axis=0)
+        worst.append(max(sum(map(Fraction, row)) for row in rows.tolist()))
+    return tuple(worst)

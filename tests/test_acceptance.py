@@ -10,6 +10,7 @@ the predictions and explains why 5c keeps its older name.
 """
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -34,16 +35,14 @@ from dpreg import (
     dp_theil_sen_fit,
     exact_group_stats,
     generate_setup,
+    group_contributions,
     l1_error,
     l2_error,
     median_interval_probs,
     normalize,
-    poly_group1_contribution,
-    poly_group2_contribution,
     reference_setup,
     run_experiment,
-    simplex_transform_x,
-    simplex_transform_xy,
+    sensitivity_oracle,
     simulate_baseline_stats,
     simulate_refined_stats,
     verify_variances,
@@ -79,20 +78,19 @@ def test_criterion_1_variance_table():
 def test_criterion_2_unit_sensitivity_everywhere():
     pts = np.linspace(0.0, 1.0, 101)
     xg, yg = np.meshgrid(pts, pts, indexing="ij")
-    gaps = []
-    for comps in (simplex_transform_x(xg), simplex_transform_xy(xg, yg)):
-        l1 = sum(np.abs(c) for c in comps)
-        gaps.append(float(np.abs(l1 - 1.0).max()))
-    for contribution in (poly_group1_contribution(xg, 2),
-                         poly_group2_contribution(xg, yg, 2)):
-        l1 = np.abs(contribution).sum(axis=-1)
-        gaps.append(float(np.abs(l1 - 1.0).max()))
+    gaps, excess = [], []
+    for degree in (1, 2, 3):
+        for contribution in group_contributions(xg, yg, degree):
+            l1 = np.abs(contribution).sum(axis=-1)
+            gaps.append(float(np.abs(l1 - 1.0).max()))
+        # Summed exactly, the worst norm may exceed 1, by less than an ulp.
+        excess += [abs(norm - 1) for norm in sensitivity_oracle(degree, 0.01)]
     report(
         2,
-        "per-record l1 contribution is exactly 1 on a 101x101 grid "
-        "(both linear groups and both degree-2 groups)",
-        max(gaps) <= 1e-12,
-        f"max |l1 - 1| = {max(gaps):.2e}",
+        "per-record l1 contribution is 1 on a 101x101 grid, both groups at "
+        "degrees 1-3: within 1e-12 in floats, and the exact worst norm within 2^-52",
+        max(gaps) <= 1e-12 and max(excess) <= Fraction(1, 2**52),
+        f"max |l1 - 1| = {max(gaps):.2e}, worst exact |l1 - 1| = {float(max(excess)):.3g}",
     )
 
 

@@ -33,6 +33,12 @@ class RawFile(NamedTuple):
     data: bytes
 
 
+class Flags(NamedTuple):
+    """A well-formed three-record input fitted with these flags instead."""
+
+    argv: tuple
+
+
 def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
@@ -133,15 +139,27 @@ def test_fit_stdout_is_deterministic(tmp_path, capsys):
     (RawFile("data.csv.gz", gzip.compress(b"x,y\n0.1,0.2\n")), None, "compressed input"),
     (RawFile("data.csv", b'"x\n",y\n0.1,0.2\n'), None, "line 1: expected header 'x,y'"),
     (RawFile("data.csv", b"x," + b"y" * 200_000 + b"\n"), None, "line 1: field larger"),
+    # Every epsilon passes the one budget check; 4/1e-320 overflows.
+    (Flags(("--epsilon", "inf")), "x,y", "--epsilon: epsilon must be positive and finite"),
+    (Flags(("--epsilon=-inf",)), "x,y", "--epsilon: epsilon must be positive"),
+    (Flags(("--epsilon", "nan")), "x,y", "--epsilon: epsilon must be positive"),
+    (Flags(("--epsilon", "0")), "x,y", "--epsilon: epsilon must be positive"),
+    (Flags(("--epsilon", "1e-320")), "x,y", "finite Laplace scale 4/epsilon, got 1e-320"),
+    (Flags(("--mechanism", "dp_theil_sen", "--epsilon", "inf")), "x,y", "got inf"),
+    (Flags(("--mechanism", "dp_rss_poly", "--degree", "2", "--epsilon", "1e-320")), "x,y",
+     "got 1e-320"),
 ])
 def test_fit_input_errors(tmp_path, capsys, rows, header, fragment):
+    flags = ("--epsilon", "1.0")
     if isinstance(rows, RawFile):
         path = tmp_path / rows.name
         path.write_bytes(rows.data)
         path = str(path)
+    elif isinstance(rows, Flags):
+        path, flags = write_csv(tmp_path, LINE_ROWS, header=header), rows.argv
     else:
         path = write_csv(tmp_path, rows, header=header)
-    code, out, err = run(capsys, ["fit", path, "--epsilon", "1.0"])
+    code, out, err = run(capsys, ["fit", path, *flags])
     assert code == 2
     assert err.startswith("dpreg: error: ") and "Traceback" not in err
     assert fragment in err
@@ -395,12 +413,18 @@ def test_experiment_single_iteration_writes_na(tmp_path, capsys):
     ({"epsilons": [1.0, 0.5]}, "increasing"),
     ({"n": 10.5}, "positive integer"),
     ({"fresh_data_per_iteration": "yes"}, "true or false"),
+    ({"epsilons": [0.5, float("inf")]}, "epsilon must be positive and finite"),
+    ({"epsilons": [float("nan")]}, "epsilon must be positive"),
+    ({"epsilons": [0.0, 1.0]}, "epsilon must be positive"),
+    ({"epsilons": [1e-320, 1.0]}, "finite Laplace scale"),
+    ({"epsilons": []}, "must not be empty"),
 ])
 def test_experiment_config_errors(tmp_path, capsys, overrides, fragment):
     config = experiment_config(tmp_path, **overrides)
     code, _, err = run(capsys, ["experiment", config, "--output",
                                 str(tmp_path / "x.csv")])
     assert code == 2
+    assert err.startswith("dpreg: error: ") and "Traceback" not in err
     assert fragment in err
 
 
@@ -448,6 +472,13 @@ def test_verify_rejects_small_trial_counts(capsys):
     code, _, err = run(capsys, ["verify", "--epsilon", "1.0", "--trials", "999"])
     assert code == 2
     assert "at least 100000" in err
+
+
+@pytest.mark.parametrize("epsilon", ["inf", "nan", "0", "-1", "1e-320"])
+def test_verify_rejects_bad_epsilon(capsys, epsilon):
+    code, out, err = run(capsys, ["verify", "--epsilon", epsilon, "--trials", "100000"])
+    assert (code, out) == (2, "")
+    assert err.startswith("dpreg: error: --epsilon: epsilon must be positive")
 
 
 def test_verify_output_file_with_manifest(tmp_path, capsys, monkeypatch):

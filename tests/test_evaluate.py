@@ -116,6 +116,9 @@ def test_experiment_grid_validation():
         ExperimentGrid((1.0, 0.5), 3, ("dp_rss",))
     with pytest.raises(ValueError):
         ExperimentGrid((-1.0,), 3, ("dp_rss",))
+    for bad in (float("inf"), float("nan"), 1e-320):
+        with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+            ExperimentGrid((0.5, bad), 3, ("dp_rss",))
     with pytest.raises(ValueError):
         ExperimentGrid((1.0,), 0, ("dp_rss",))
     with pytest.raises(ValueError):
@@ -237,8 +240,9 @@ def test_theoretical_variance_constants():
 def test_verify_variances_scaling_and_floor():
     with pytest.raises(ValueError):
         verify_variances(1.0, 50_000, RandomStream(0, 0))
-    with pytest.raises(ValueError):
-        verify_variances(0.0, 100_000, RandomStream(0, 0))
+    for bad in (0.0, float("inf"), float("nan"), 1e-320):
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            verify_variances(bad, 100_000, RandomStream(0, 0))
     rows = verify_variances(2.0, 100_000, RandomStream(1, 0))
     assert len(rows) == 10
     assert [r.statistic for r in rows[::2]] == list(STATISTIC_ORDER)

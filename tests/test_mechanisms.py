@@ -39,10 +39,18 @@ def test_budget_validation():
     with pytest.raises(ValueError):
         PrivacyBudget(float("inf"))
     assert PrivacyBudget(0.5).epsilon == 0.5
+    # The smallest epsilon whose largest Laplace scale, dp_ss's 4/epsilon,
+    # is finite; below it the scale overflows.
+    tiny = 4.0 / np.finfo(np.float64).max
+    assert PrivacyBudget(tiny).epsilon == tiny
+    for bad in (float("nan"), -float("inf"), 1e-320, np.nextafter(tiny, 0.0)):
+        with pytest.raises(ValueError):
+            PrivacyBudget(bad)
     ds = Dataset(np.array([0.5]), np.array([0.5]))
     for fit in (dp_rss_fit, dp_ss_fit, dp_theil_sen_fit):
-        with pytest.raises(ValueError):
-            fit(ds, 0.0, RandomStream(0, 0))
+        for bad in (0.0, float("inf"), 1e-320):
+            with pytest.raises(ValueError):
+                fit(ds, bad, RandomStream(0, 0))
 
 
 def test_zero_noise_recovers_ols_on_exact_line(three_point_line):
@@ -189,6 +197,10 @@ def test_theil_sen_hyper_validation():
         TheilSenHyper(k=2.5)
     with pytest.raises(ValueError):
         TheilSenHyper(r_lo=1.0, r_hi=-1.0)
+    # An infinite clip bound once gave FitResult(nan, nan) with no fallback.
+    for lo, hi in ((-math.inf, 2.0), (-2.0, math.inf), (math.nan, 2.0)):
+        with pytest.raises(ValueError, match="clip range must be finite"):
+            TheilSenHyper(r_lo=lo, r_hi=hi)
     assert TheilSenHyper().k == 1
 
 

@@ -131,6 +131,22 @@ def test_rejects_bad_parameters():
         dp_median([0.1], 1.0, 2.0, -2.0, s)
     with pytest.raises(ValueError):
         median_interval_probs([0.1], 1.0, 1.0, 1.0)
+    inf, nan = float("inf"), float("nan")
+    values = [0.1, 0.2, 0.3, 0.4]
+    for eps in (inf, nan, 1e-320):  # inf once returned 0.0316, and all-NaN probabilities
+        with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+            dp_median(values, eps, 0.0, 1.0, s)
+        with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+            median_interval_probs(values, eps, 0.0, 1.0)
+    for lo, hi in ((-inf, 1.0), (0.0, inf), (-inf, inf), (nan, 1.0), (0.0, nan)):
+        with pytest.raises(ValueError, match="clip range must be finite"):
+            dp_median(values, 1.0, lo, hi, s)
+        with pytest.raises(ValueError, match="clip range must be finite"):
+            median_interval_probs(values, 1.0, lo, hi)
+        with pytest.raises(ValueError, match="clip range must be finite"):
+            dp_median([], 1.0, lo, hi, s)
+    # Nothing was drawn by the rejected calls.
+    assert s.uniform() == RandomStream(0, 0).uniform()
 
 
 def test_multi_budget_median_equals_dp_median_bitwise():

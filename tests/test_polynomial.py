@@ -12,8 +12,7 @@ from dpreg import (
     dp_rss_fit,
     dp_rss_poly_fit,
     exact_group_stats,
-    poly_group1_contribution,
-    poly_group2_contribution,
+    group_contributions,
 )
 from dpreg.simplex import (
     _component_rows,
@@ -23,26 +22,45 @@ from dpreg.simplex import (
 )
 
 
+def stacked_power_groups(x, y, degree):
+    """Reference group vectors, built apart from ``_component_rows``.
+
+    Every power of x comes from one broadcast ``x ** arange(2d + 1)``; the
+    x-group is (x^{2d}, x^{2d-1} - x^{2d}, ..., 1 - x) and the xy-group
+    (x^d y, (x^{d-1} - x^d) y, ..., (1 - x) y, 1 - y).
+    """
+    d = degree
+    powers = x[..., None] ** np.arange(2 * d + 1)  # powers[..., k] = x^k
+    g1 = [powers[..., 2 * d]]
+    g1 += [powers[..., j - 1] - powers[..., j] for j in range(2 * d, 0, -1)]
+    g2 = [powers[..., d] * y]
+    g2 += [(powers[..., j - 1] - powers[..., j]) * y for j in range(d, 0, -1)]
+    g2.append(1.0 - y)
+    return np.stack(g1, axis=-1), np.stack(g2, axis=-1)
+
+
 def test_contribution_dimensions():
-    g1 = poly_group1_contribution(0.5, 2)
-    g2 = poly_group2_contribution(0.5, 0.5, 2)
+    g1, g2 = group_contributions(0.5, 0.5, 2)
     assert g1.shape == (5,)
     assert g2.shape == (4,)
+    g1, g2 = group_contributions(np.full((2, 3), 0.5), 0.25, 3)
+    assert g1.shape == (2, 3, 7)
+    assert g2.shape == (2, 3, 5)
 
 
 def test_degree_one_matches_linear_transforms():
     x, y = 0.3, 0.8
-    assert poly_group1_contribution(x, 1) == pytest.approx((0.09, 0.21, 0.7), abs=1e-15)
-    assert poly_group2_contribution(x, y, 1) == pytest.approx(
-        (x * y, (1 - x) * y, 1 - y), abs=1e-15)
+    g1, g2 = group_contributions(x, y, 1)
+    assert g1 == pytest.approx((0.09, 0.21, 0.7), abs=1e-15)
+    assert g2 == pytest.approx((x * y, (1 - x) * y, 1 - y), abs=1e-15)
 
 
 def test_boundary_contributions():
     d = 3
-    at0 = poly_group1_contribution(0.0, d)
+    at0 = group_contributions(0.0, 0.5, d)[0]
     assert at0[:-1] == pytest.approx(np.zeros(2 * d), abs=0)
     assert at0[-1] == 1.0
-    at1 = poly_group1_contribution(1.0, d)
+    at1 = group_contributions(1.0, 0.5, d)[0]
     assert at1[0] == 1.0
     assert at1[1:] == pytest.approx(np.zeros(2 * d), abs=0)
 
@@ -53,8 +71,7 @@ def test_contributions_nonnegative_and_sum_to_one(degree):
     x = g.uniform(500)
     y = g.uniform(500)
     tol = 4.0 * np.finfo(np.float64).eps
-    c1 = poly_group1_contribution(x, degree)
-    c2 = poly_group2_contribution(x, y, degree)
+    c1, c2 = group_contributions(x, y, degree)
     assert c1.shape == (500, 2 * degree + 1)
     assert c2.shape == (500, degree + 2)
     for c in (c1, c2):
@@ -65,7 +82,7 @@ def test_contributions_nonnegative_and_sum_to_one(degree):
 def test_degree_validation():
     for bad in (0, -1, 1.5):
         with pytest.raises(ValueError):
-            poly_group1_contribution(0.5, bad)
+            group_contributions(0.5, 0.5, bad)
         with pytest.raises(ValueError):
             dp_rss_poly_fit(Dataset(np.array([0.5]), np.array([0.5])), bad,
                             1.0, RandomStream(0, 0))
@@ -89,12 +106,17 @@ def test_noise_free_estimates_recover_power_sums(degree, random_dataset):
 
 @pytest.mark.parametrize("degree", [1, 2, 3, 4])
 def test_component_rows_equal_contribution_columns(degree):
-    # The summed rows must be the contribution functions' columns bit for
-    # bit, so the group sums stay fsum of the same components.
+    # The summed rows must be the reference vectors' columns bit for bit,
+    # so the group sums stay fsum of the same components; and
+    # group_contributions must return those same columns.
     rng = np.random.default_rng(degree)
     x = np.concatenate([[0.0, 1.0, 2.0 ** -1074, 0.5, 1.0 - 2.0 ** -53], rng.random(3000)])
     y = np.concatenate([[1.0, 0.0, 0.5, 2.0 ** -1074, 1.0], rng.random(3000)])
-    columns = (poly_group1_contribution(x, degree), poly_group2_contribution(x, y, degree))
+    columns = stacked_power_groups(x, y, degree)
+    shaped = group_contributions(x.reshape(5, 601), y.reshape(5, 601), degree)
+    for got, got_2d, want in zip(group_contributions(x, y, degree), shaped, columns):
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert np.array_equal(got_2d.reshape(want.shape).view(np.int64), want.view(np.int64))
     seen = {0: [], 1: []}
     for group, entry, row in _component_rows(x, y, degree):
         want = np.ascontiguousarray(columns[group][:, entry])
@@ -186,7 +208,6 @@ def test_poly_budget_ledger(random_dataset):
 def test_poly_sensitivity_on_grid():
     pts = np.linspace(0.0, 1.0, 21)
     xg, yg = np.meshgrid(pts, pts, indexing="ij")
-    c1 = poly_group1_contribution(xg, 2)
-    c2 = poly_group2_contribution(xg, yg, 2)
+    c1, c2 = group_contributions(xg, yg, 2)
     assert np.abs(np.abs(c1).sum(axis=-1) - 1.0).max() <= 1e-12
     assert np.abs(np.abs(c2).sum(axis=-1) - 1.0).max() <= 1e-12

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,11 +11,8 @@ from dpreg import (
     RandomStream,
     ZeroNoiseStream,
     exact_group_stats,
-    poly_group1_contribution,
-    poly_group2_contribution,
+    group_contributions,
     sensitivity_oracle,
-    simplex_transform_x,
-    simplex_transform_xy,
 )
 import dpreg.simplex
 from dpreg.simplex import (
@@ -24,6 +22,8 @@ from dpreg.simplex import (
     refined_release,
     transfer_matrix,
 )
+
+
 @pytest.mark.parametrize("x, expected", [
     (0.0, (0.0, 0.0, 1.0)),
     (1.0, (1.0, 0.0, 0.0)),
@@ -31,7 +31,8 @@ from dpreg.simplex import (
     (0.3, (0.09, 0.21, 0.7)),
 ])
 def test_x_transform_values(x, expected):
-    got = simplex_transform_x(x)
+    got = group_contributions(x, 0.5, 1)[0]
+    assert got.shape == (3,)
     assert got == pytest.approx(expected, abs=1e-15)
 
 
@@ -42,18 +43,23 @@ def test_x_transform_values(x, expected):
     (1.0, 1.0, (1.0, 0.0, 0.0)),
 ])
 def test_xy_transform_values(x, y, expected):
-    got = simplex_transform_xy(x, y)
+    got = group_contributions(x, y, 1)[1]
     assert got == pytest.approx(expected, abs=1e-15)
 
 
 def test_transforms_reject_out_of_range_inputs():
-    for bad in (-0.1, 1.1, float("nan")):
-        with pytest.raises(ValueError):
-            simplex_transform_x(bad)
-        with pytest.raises(ValueError):
-            simplex_transform_xy(bad, 0.5)
-        with pytest.raises(ValueError):
-            simplex_transform_xy(0.5, bad)
+    # The same check, and message, as Dataset's.
+    for bad in (-0.1, 1.1, float("nan"), float("inf"), -float("inf")):
+        for degree in (1, 3):
+            with pytest.raises(ValueError, match=r"record 0: x=.* outside \[0, 1\]"):
+                group_contributions(bad, 0.5, degree)
+            with pytest.raises(ValueError, match=r"record 2: y=.* outside \[0, 1\]"):
+                group_contributions(0.5, [0.1, 0.2, bad], degree)
+    # Arrays are checked in full, not only their first record.
+    grid = np.full((4, 5), 0.5)
+    grid[3, 2] = 1.0 + 2.0 ** -52
+    with pytest.raises(ValueError, match="record 17: x="):
+        group_contributions(grid, 0.5, 1)
 
 
 def test_components_nonnegative_and_sum_to_one():
@@ -61,10 +67,11 @@ def test_components_nonnegative_and_sum_to_one():
     x = g.uniform(2000)
     y = g.uniform(2000)
     tol = 4.0 * np.finfo(np.float64).eps
-    for comps in (simplex_transform_x(x), simplex_transform_xy(x, y)):
-        stacked = np.stack(comps)
+    x_group, xy_group = group_contributions(x, y, 1)
+    assert x_group.shape == (2000, 3) and xy_group.shape == (2000, 3)
+    for stacked in (x_group, xy_group):
         assert (stacked >= 0.0).all()
-        assert np.abs(stacked.sum(axis=0) - 1.0).max() <= tol
+        assert np.abs(stacked.sum(axis=-1) - 1.0).max() <= tol
 
 
 def test_exact_group_stats_worked_example():
@@ -243,24 +250,34 @@ def test_added_record_delta_matches_transform(random_dataset):
     ds = random_dataset(8, n=50)
     for x, y in ((0.3, 0.9), (0.0, 1.0), (1.0, 0.0)):
         grown = Dataset(np.append(ds.x, x), np.append(ds.y, y))
-        for degree, contributions in (
-            (1, (simplex_transform_x(x), simplex_transform_xy(x, y))),
-            (2, (poly_group1_contribution(x, 2), poly_group2_contribution(x, y, 2))),
-        ):
+        for degree in (1, 2):
+            contributions = group_contributions(x, y, degree)
             for before, after, delta in zip(exact_group_stats(ds, degree),
                                             exact_group_stats(grown, degree), contributions):
                 assert after - before == pytest.approx(delta, abs=1e-12)
 
 
-def test_sensitivity_is_exactly_one():
-    assert sensitivity_oracle("group1", 0.01) == pytest.approx(1.0, abs=1e-12)
-    assert sensitivity_oracle("group2", 0.01) == pytest.approx(1.0, abs=1e-12)
+def test_sensitivity_exceeds_one_by_less_than_an_ulp():
+    # Summed exactly, a record's components can exceed 1, but by less than
+    # an ulp of 1 (2^-52); the x-group's worst excess is below half an ulp.
+    for degree in (1, 2):
+        worst = sensitivity_oracle(degree, 0.01)
+        assert len(worst) == 2
+        for norm in worst:
+            assert isinstance(norm, Fraction)
+            assert 1 < norm < 1 + Fraction(1, 2**52)
+        assert float(worst[0]) == 1.0
+    # The oracle sees an excess that a float sum rounds away: at x = 0.1
+    # the x-group components sum to 1 in doubles, but to 1 + 3.3e-17 exactly.
+    parts = group_contributions(0.1, 0.5, 1)[0].tolist()
+    assert math.fsum(parts) == sum(parts) == 1.0
+    assert 1 < sum(map(Fraction, parts)) < 1 + Fraction(1, 2**54)
     # the l1 norm never dips below 1 either: check on an independent grid
     lo = min(
-        float(np.abs(transform).sum())
+        float(np.abs(vector).sum())
         for x in np.linspace(0.0, 1.0, 21)
         for y in np.linspace(0.0, 1.0, 21)
-        for transform in (simplex_transform_x(x), simplex_transform_xy(x, y))
+        for vector in group_contributions(x, y, 1)
     )
     assert lo == pytest.approx(1.0, abs=1e-12)
 
@@ -268,4 +285,7 @@ def test_sensitivity_is_exactly_one():
 def test_sensitivity_oracle_validates_step():
     for bad in (0.0, -0.01, 0.2):
         with pytest.raises(ValueError):
-            sensitivity_oracle("group1", bad)
+            sensitivity_oracle(1, bad)
+    for bad in (0, 1.5, "group1"):
+        with pytest.raises(ValueError):
+            sensitivity_oracle(bad, 0.01)
