@@ -39,7 +39,7 @@ from .mechanisms import (
     dp_ss_fit,
     dp_theil_sen_fit,
 )
-from .median import DegenerateInputWarning, dp_median, median_interval_probs
+from .median import dp_median, median_interval_probs
 from .noise import NoiseEvent, NoiseLedger, PrivacyBudget, RandomStream, ZeroNoiseStream
 from .polynomial import PolyFitResult, dp_rss_poly_fit
 from .simplex import exact_group_stats, group_contributions, sensitivity_oracle
@@ -49,7 +49,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Bounds",
     "Dataset",
-    "DegenerateInputWarning",
     "ExperimentGrid",
     "ExperimentRow",
     "FALLBACK_ALPHA",

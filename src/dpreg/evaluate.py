@@ -3,8 +3,9 @@
 ``generate_setup`` draws a clipped linear-Gaussian dataset; ``l1_error`` and
 ``l2_error`` measure the distance between a true and an estimated line over
 the unit interval; ``run_experiment`` sweeps mechanisms over an epsilon grid
-with paired substreams; ``verify_variances`` compares the empirical variance
-of every released statistic against its closed form.
+with paired substreams and one batched solve per method; ``verify_variances``
+compares the empirical variance of every released statistic against its
+closed form.
 """
 
 from __future__ import annotations
@@ -155,18 +156,28 @@ class ExperimentRow:
     median_l2: float
 
 
-def _errors_of_fits(true_fit, fits, n_points: int = 1000) -> tuple[np.ndarray, np.ndarray]:
-    """``l1_error`` and ``l2_error`` of each fit, bit for bit, in one array pass.
+_GRID_ROWS = 64  # rows of the (N, 1000) gap grid filled at a time: 512 KB
 
-    Row j of the (len(fits), n_points) gap grid holds the values that
-    ``l1_error`` averages for fit j, and a row mean sums them in the same
-    pairwise order as the mean of a single row.
+
+def _line_errors(true_fit, coeffs: np.ndarray, n_points: int = 1000):
+    """``l1_error`` and ``l2_error`` of each line of an (N, 2) stack, bit for bit.
+
+    The gap grid |da x + db| is filled in place, ``_GRID_ROWS`` rows at a
+    time. Row j holds the values that ``l1_error`` averages for line j, and
+    a row mean sums them in the same pairwise order as the mean of one row.
     """
     a_true, b_true = _line_params(true_fit)
-    da = a_true - np.array([fit.alpha_hat for fit in fits])
-    db = b_true - np.array([fit.beta_hat for fit in fits])
+    da, db = a_true - coeffs[:, 0], b_true - coeffs[:, 1]
     xs = np.arange(1, n_points + 1, dtype=np.float64) / n_points
-    l1 = np.mean(np.abs(da[:, None] * xs + db[:, None]), axis=1)
+    l1 = np.empty(len(coeffs))
+    grid = np.empty((min(_GRID_ROWS, len(coeffs)), n_points))
+    for start in range(0, len(l1), _GRID_ROWS):
+        stop = min(start + _GRID_ROWS, len(l1))
+        gaps = grid[: stop - start]
+        np.multiply(da[start:stop, None], xs, out=gaps)
+        gaps += db[start:stop, None]
+        np.abs(gaps, out=gaps)
+        np.mean(gaps, axis=1, out=l1[start:stop])
     return l1, da * da / 3.0 + da * db + db * db
 
 
@@ -184,22 +195,24 @@ def run_experiment(
     its own dataset from its substream before fitting.
 
     No mechanism's draws depend on epsilon, so one draw per iteration and
-    method serves every epsilon cell: each method's multi-budget core fits
-    all of the grid's budgets from it (DECISIONS.md, D3). The rows equal,
-    bit for bit, a loop that calls ``FITTERS[method](data, eps,
+    method serves every epsilon cell, and the releases of all iterations
+    are solved and scored in one batched pass (DECISIONS.md, D3). The rows
+    equal, bit for bit, a loop that calls ``FITTERS[method](data, eps,
     RandomStream(seed, i + 1))`` and ``l1_error``/``l2_error`` per cell.
     """
     fixed = None if fresh_data_per_iteration else generate_setup(setup)
     truth = (setup.alpha, setup.beta)
     rows = []
     for method in sorted(grid.methods):
-        fits_at = _FIT_CORES[method]
-        l1s = np.empty((len(grid.epsilons), grid.iterations))
-        l2s = np.empty_like(l1s)
+        draw, solve = _FIT_CORES[method]
+        releases = []
         for i in range(grid.iterations):
             stream = RandomStream(setup.seed, i + 1)
             data = _generate_on(stream, setup) if fresh_data_per_iteration else fixed
-            l1s[:, i], l2s[:, i] = _errors_of_fits(truth, fits_at(data, grid.epsilons, stream))
+            releases.append(draw(data, grid.epsilons, stream))
+        coeffs, _ = solve(np.concatenate(releases))
+        # Line i * len(epsilons) + j is iteration i at epsilons[j].
+        l1s, l2s = (e.reshape(grid.iterations, -1).T.copy() for e in _line_errors(truth, coeffs))
         ddof_ok = grid.iterations > 1
         for eps, l1, l2 in zip(grid.epsilons, l1s, l2s):
             rows.append(

@@ -6,13 +6,14 @@ return the fixed fallback fit (0, 0.5) with the flag set instead of
 raising, so Monte Carlo loops never die mid-run. ``FITTERS`` maps each
 mechanism name to its fitter; the CLI dispatches through it.
 
-Each fitter runs its mechanism's private multi-budget core on a
-one-element budget tuple. A core ``(data, budgets, stream) -> fits`` draws
-the mechanism's uniforms once and runs only the epsilon-dependent
-arithmetic per budget, so fit j equals, bit for bit, the fitter at
-``budgets[j]`` on the same stream. The experiment harness sweeps budgets
-through ``_FIT_CORES``; the cores keep no ledger, because their fits
-together are not epsilon-DP at any one budget (DECISIONS.md, D3).
+Each mechanism is a ``(draw, solve)`` pair in ``_FIT_CORES``. The draw
+``(data, budgets, stream)`` draws the uniforms once and returns one row of
+released numbers per budget; row j equals, bit for bit, the release at
+``budgets[j]`` alone. The solve, post-processing that costs no budget,
+maps any (N, k) stack of releases to (N, 2) coefficients and an (N,)
+fallback mask. A fitter runs both at one budget; the sweep solves all its
+draws at once. The draws keep no ledger: their rows together are not
+epsilon-DP at any one budget (DECISIONS.md, D3).
 
 * ``dp_rss_fit`` is degree 1 of the refined release in :mod:`dpreg.simplex`:
   two privatized simplex query groups, refined sufficient statistics, and
@@ -21,7 +22,8 @@ together are not epsilon-DP at any one budget (DECISIONS.md, D3).
 * ``dp_ss_fit`` privatizes eight clamped sums directly (the baseline the
   refined mechanism improves on).
 * ``dp_theil_sen_fit`` privatizes the 25th/75th percentiles of pairwise
-  line projections with the exponential-mechanism median.
+  line projections with the exponential-mechanism median. It never falls
+  back: with no projections each median picks a point of the clip range.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import numpy as np
 from .data import Bounds, as_dataset, exact_sum
 from .median import _check_clip, _dp_medians
 from .noise import NoiseLedger, RandomStream, _as_epsilon
-from .simplex import _refined_fits, refined_fit
+from .simplex import _refined_releases, _solve_refined, refined_release
 
 FALLBACK_ALPHA = 0.0
 FALLBACK_BETA = 0.5
@@ -73,27 +75,21 @@ class TheilSenHyper:
         _check_clip(self.r_lo, self.r_hi)
 
 
-_FALLBACK_FIT = FitResult(FALLBACK_ALPHA, FALLBACK_BETA, fallback=True)
+def _fit_results(coeffs: np.ndarray, fallback: np.ndarray) -> list[FitResult]:
+    """One ``FitResult`` per row of a solve's coefficients and fallback mask."""
+    return [FitResult(a, b, f) for (a, b), f in zip(coeffs.tolist(), fallback.tolist())]
 
 
 def dp_rss_fit(data, budget, stream: RandomStream, ledger: NoiseLedger | None = None) -> FitResult:
     """Fit a line from the refined release of the two simplex groups.
 
-    Degree 1 of :func:`dpreg.simplex.refined_fit`: Laplace noise at scale
+    Degree 1 of the release in :mod:`dpreg.simplex`: Laplace noise at scale
     2/epsilon on each group sum, refined estimates of n, S_x, S_y, S_{x^2},
     S_{xy}, and the 2x2 normal equations. Falls back when the refined size
     or x-spread is not positive or the equations are numerically singular.
     """
-    return _line_fit(refined_fit(data, 1, budget, stream, ledger))
-
-
-def _line_fit(coeffs) -> FitResult:
-    return _FALLBACK_FIT if coeffs is None else FitResult(*coeffs)
-
-
-def _rss_fits(data, budgets, stream: RandomStream) -> list[FitResult]:
-    """``dp_rss_fit`` at each budget from one draw of the noise; simulation only."""
-    return [_line_fit(coeffs) for coeffs in _refined_fits(data, 1, budgets, stream)]
+    stats = refined_release(data, 1, budget, stream, ledger)
+    return _fit_results(*_solve_refined(stats[None]))[0]
 
 
 # Clamped sums released by dp_ss_fit, in draw order. Each of the four
@@ -125,30 +121,39 @@ def _ss_sums(ds) -> np.ndarray:
     return cached
 
 
-def _ss_solve(noisy: np.ndarray) -> FitResult:
-    s_x, _, s_y, _, s_xy, _, s_x2, _ = noisy
-    n_tilde = math.fsum(noisy) / 4.0
-    if n_tilde <= 0:
-        return _FALLBACK_FIT
-    n_var = s_x2 - s_x * s_x / n_tilde
-    if n_var <= 0:
-        return _FALLBACK_FIT
-    n_cov = s_xy - s_x * s_y / n_tilde
-    alpha = n_cov / n_var
-    beta = (s_y - alpha * s_x) / n_tilde
-    return FitResult(float(alpha), float(beta))
-
-
-def _ss_fits(data, budgets, stream: RandomStream) -> list[FitResult]:
-    """``dp_ss_fit`` at each budget from one draw of the noise; simulation only.
+def _ss_draw(data, budgets, stream: RandomStream) -> np.ndarray:
+    """The eight noisy sums of ``dp_ss_fit`` at each budget, from one draw.
 
     Every budget is checked before any uniform is drawn.
     """
     ds = as_dataset(data)
     epsilons = [_as_epsilon(b) for b in budgets]
-    sums = _ss_sums(ds)
-    noise = stream.laplace(np.array([4.0 / eps for eps in epsilons]), size=8)
-    return [_ss_solve(sums + z) for z in noise]
+    noisy = stream.laplace(np.array([4.0 / eps for eps in epsilons]), size=8)
+    noisy += _ss_sums(ds)
+    return noisy
+
+
+def _ss_solve(noisy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Line coefficients and fallback mask of a stack of ``_ss_draw`` rows.
+
+    A row falls back when its size estimate, a quarter of the correctly
+    rounded total of its sums, or its x-variance estimate is not positive
+    (a NaN is neither). A row leaves the arithmetic at the test it fails,
+    so no later step can overflow or divide by zero on it.
+    """
+    n_tilde = np.array([math.fsum(row) for row in noisy.tolist()]) / 4.0
+    live = np.flatnonzero(~(n_tilde <= 0))
+    s_x, _, s_y, _, s_xy, _, s_x2, _ = noisy[live].T
+    n_tilde = n_tilde[live]
+    n_var = s_x2 - s_x * s_x / n_tilde
+    ok = ~(n_var <= 0)
+    live, s_x, s_y, s_xy, n_tilde, n_var = (v[ok] for v in (live, s_x, s_y, s_xy, n_tilde, n_var))
+    alpha = (s_xy - s_x * s_y / n_tilde) / n_var
+    coeffs = np.tile([FALLBACK_ALPHA, FALLBACK_BETA], (len(noisy), 1))
+    coeffs[live] = np.column_stack([alpha, (s_y - alpha * s_x) / n_tilde])
+    fallback = np.ones(len(noisy), dtype=bool)
+    fallback[live] = False
+    return coeffs, fallback
 
 
 def dp_ss_fit(data, budget, stream: RandomStream, ledger: NoiseLedger | None = None) -> FitResult:
@@ -159,9 +164,8 @@ def dp_ss_fit(data, budget, stream: RandomStream, ledger: NoiseLedger | None = N
     size as a quarter of their total, and plugs the noisy sums into the
     covariance form of the least-squares solution.
     """
-    ds = as_dataset(data)
     eps = _as_epsilon(budget)
-    (fit,) = _ss_fits(ds, (eps,), stream)
+    fit = _fit_results(*_ss_solve(_ss_draw(data, (eps,), stream)))[0]
     if ledger is not None:
         for i in range(0, 8, 2):
             ledger.record(f"pair {_SS_LABELS[i]}/{_SS_LABELS[i + 1]}", eps / 4.0, scale=4.0 / eps)
@@ -189,45 +193,36 @@ def _pair_projections(x: np.ndarray, y: np.ndarray, perm: np.ndarray):
     return z25, z75
 
 
-def _theil_sen_fits(
-    data,
-    budgets,
-    stream: RandomStream,
-    hyper: TheilSenHyper | None = None,
-) -> list[FitResult]:
-    """``dp_theil_sen_fit`` at each budget from one draw; simulation only.
+def _theil_sen_draw(data, budgets, stream: RandomStream, hyper: TheilSenHyper | None = None):
+    """The private percentiles (p25, p75) of ``dp_theil_sen_fit`` at each budget.
 
     The size uniform, the matchings, the projections and their sort are
     shared by every budget; only the median weights are recomputed per
-    budget. Every budget is checked before any uniform is drawn.
+    budget. The draws never depend on the data: with fewer than two records
+    or no pair of distinct x, each median runs on an empty list and picks a
+    point of the clip range. Every budget is checked before any uniform is
+    drawn.
     """
     ds = as_dataset(data)
     epsilons = [_as_epsilon(b) for b in budgets]
     hyper = hyper or TheilSenHyper()
-    n = len(ds)
-    if n < 2:
-        return [_FALLBACK_FIT] * len(epsilons)
     # The size estimate n + Laplace(3/eps) is drawn to keep the stream
     # layout, but the median's rank utility does not read it.
     stream.laplace(np.array([3.0 / eps for eps in epsilons]))
-    z25_parts, z75_parts = [], []
-    for _ in range(hyper.k):
-        z25, z75 = _pair_projections(ds.x, ds.y, stream.permutation(n))
-        z25_parts.append(z25)
-        z75_parts.append(z75)
-    z25_all = np.concatenate(z25_parts)
-    z75_all = np.concatenate(z75_parts)
-    if z25_all.size == 0:
-        return [_FALLBACK_FIT] * len(epsilons)
+    z25s, z75s = zip(*[_pair_projections(ds.x, ds.y, stream.permutation(len(ds)))
+                       for _ in range(hyper.k)])
     parts = [eps / 3.0 for eps in epsilons]
     u = stream.uniform(4)
-    p25s = _dp_medians(z25_all, parts, hyper.r_lo, hyper.r_hi, u[:2])
-    p75s = _dp_medians(z75_all, parts, hyper.r_lo, hyper.r_hi, u[2:])
-    fits = []
-    for p25, p75 in zip(p25s, p75s):
-        alpha = (p75 - p25) / 0.5
-        fits.append(FitResult(alpha, p25 - alpha * 0.25))
-    return fits
+    return np.column_stack([
+        _dp_medians(np.concatenate(z25s), parts, hyper.r_lo, hyper.r_hi, u[:2]),
+        _dp_medians(np.concatenate(z75s), parts, hyper.r_lo, hyper.r_hi, u[2:]),
+    ])
+
+
+def _theil_sen_solve(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The line through (0.25, p25) and (0.75, p75) of each row; none falls back."""
+    alpha = (p[:, 1] - p[:, 0]) / 0.5
+    return np.column_stack([alpha, p[:, 0] - alpha * 0.25]), np.zeros(len(p), dtype=bool)
 
 
 def dp_theil_sen_fit(
@@ -242,18 +237,16 @@ def dp_theil_sen_fit(
     The budget splits three ways: a Laplace size estimate, then one private
     median for each of the 25th- and 75th-percentile projection lists,
     pooled over ``hyper.k`` random matchings. The line through the two
-    private percentile points gives the fit. Fewer than two records, or no
-    pair with distinct x values, falls back.
+    private percentile points gives the fit. Every input spends the whole
+    budget the same way; with fewer than two records, or no matched pair
+    with distinct x values, the medians pick points of the clip range.
     """
-    ds = as_dataset(data)
     eps = _as_epsilon(budget)
-    (fit,) = _theil_sen_fits(ds, (eps,), stream, hyper)
-    if ledger is not None and len(ds) >= 2:
-        part = eps / 3.0
-        ledger.record("size estimate", part, scale=3.0 / eps)
-        if not fit.fallback:  # the medians ran
-            ledger.record("25th-percentile median", part)
-            ledger.record("75th-percentile median", part)
+    fit = _fit_results(*_theil_sen_solve(_theil_sen_draw(data, (eps,), stream, hyper)))[0]
+    if ledger is not None:
+        ledger.record("size estimate", eps / 3.0, scale=3.0 / eps)
+        ledger.record("25th-percentile median", eps / 3.0)
+        ledger.record("75th-percentile median", eps / 3.0)
     return fit
 
 
@@ -277,11 +270,11 @@ FITTERS = {
     "dp_theil_sen": dp_theil_sen_fit,
 }
 
-# Multi-budget core of each fitter, ``(data, budgets, stream) -> fits``.
-# Simulation only: the fits together are not epsilon-DP at any one budget
-# (DECISIONS.md, D3), so the cores stay private and keep no ledger.
+# The (draw, solve) pair of each fitter. Simulation only: the rows of one
+# draw together are not epsilon-DP at any one budget (DECISIONS.md, D3), so
+# the pairs stay private and keep no ledger.
 _FIT_CORES = {
-    "dp_rss": _rss_fits,
-    "dp_ss": _ss_fits,
-    "dp_theil_sen": _theil_sen_fits,
+    "dp_rss": (_refined_releases, _solve_refined),
+    "dp_ss": (_ss_draw, _ss_solve),
+    "dp_theil_sen": (_theil_sen_draw, _theil_sen_solve),
 }

@@ -11,15 +11,10 @@ The rank utility has add/remove sensitivity 1, so the release is epsilon-DP.
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 
 from .noise import RandomStream, _as_epsilon
-
-
-class DegenerateInputWarning(UserWarning):
-    """Emitted when a mechanism answers degenerate input with a fallback."""
 
 
 def _check_clip(clip_lo: float, clip_hi: float) -> None:
@@ -64,7 +59,7 @@ def median_interval_probs(values, epsilon: float, clip_lo: float, clip_hi: float
 
 
 def _dp_medians(values, epsilons, clip_lo: float, clip_hi: float, uniforms) -> list[float]:
-    """``dp_median`` of non-empty ``values`` at each budget, from one uniform pair.
+    """``dp_median`` of ``values`` at each budget, from one uniform pair.
 
     Sorts once and reweights per budget. ``uniforms`` are the two uniforms
     a single ``dp_median`` call draws, interval pick first, so entry j
@@ -95,17 +90,10 @@ def dp_median(
 
     Consumes exactly two uniforms per call: one to pick an interval from
     :func:`median_interval_probs`, one for the point inside it, so replaying
-    a stream replays the output. Empty input returns the midpoint of the
-    clip range, emits a :class:`DegenerateInputWarning`, and draws nothing.
+    a stream replays the output. Empty input is one interval, the clip
+    range, so it returns a uniform point of that range; it draws the same
+    two uniforms, and a single value gives the same law.
     """
     epsilon = _as_epsilon(epsilon)
     _check_clip(clip_lo, clip_hi)
-    values = np.asarray(values, dtype=np.float64)
-    if values.size == 0:
-        warnings.warn(
-            "dp_median called with no values; returning the clip-range midpoint",
-            DegenerateInputWarning,
-            stacklevel=2,
-        )
-        return 0.5 * (clip_lo + clip_hi)
     return _dp_medians(values, (epsilon,), clip_lo, clip_hi, stream.uniform(2))[0]

@@ -26,23 +26,28 @@ class PrivacyBudget:
 
 
 # dp_ss draws at scale 4/epsilon, the largest Laplace scale per budget of
-# any release, so an epsilon is refused when that scale is not finite.
+# any release. A draw is at most 52 ln 2 (about 36.0) scales, since u is
+# raised to 2^-53; the floor allows 53 ln 2 (about 36.7), which leaves 2% of
+# sqrt(max double) for the exact sum, so at or above it every noisy sum, and
+# the product of any two, is finite. It is about 1.1e-152.
 _LARGEST_SCALE = 4.0
+_EPSILON_FLOOR = _LARGEST_SCALE * 53 * math.log(2) / math.sqrt(np.finfo(np.float64).max)
 
 
 def _as_epsilon(budget) -> float:
     """The epsilon of a ``PrivacyBudget`` or a number; every budget's one check.
 
-    Raises ValueError for NaN, infinity, values at or below 0, and values
-    so small that the Laplace scale 4/epsilon overflows.
+    Raises ValueError for NaN, infinity, and values below
+    ``_EPSILON_FLOOR``, where the largest draws and their products overflow.
     """
     if isinstance(budget, PrivacyBudget):
         return budget.epsilon
     eps = float(budget)
-    if not (eps > 0 and math.isfinite(eps) and math.isfinite(_LARGEST_SCALE / eps)):
+    if not (eps >= _EPSILON_FLOOR and math.isfinite(eps)):
         raise ValueError(
             f"epsilon must be positive and finite, with a finite Laplace scale "
-            f"{_LARGEST_SCALE:g}/epsilon, got {eps}"
+            f"{_LARGEST_SCALE:g}/epsilon, got {eps}; the smallest epsilon at which every "
+            f"noisy sum, and the product of two, stays finite is {_EPSILON_FLOOR:.4g}"
         )
     return eps
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .noise import NoiseLedger, RandomStream
-from .simplex import _check_degree, refined_fit
+from .simplex import _solve_refined, refined_release
 
 
 @dataclass(frozen=True)
@@ -40,13 +40,10 @@ def dp_rss_poly_fit(
     """Fit a degree-``degree`` polynomial with refined private statistics.
 
     Spends half the budget on each group, refines every power sum, and
-    solves the normal equations (:func:`dpreg.simplex.refined_fit`). Degree
+    solves the normal equations (``dpreg.simplex._solve_refined``). Degree
     1 is ``dp_rss_fit``: same noise, statistics, fallbacks and coefficients.
     Falls back to the constant fit y = 0.5 when the refined size or x-spread
     is not positive or the normal equations are numerically singular.
     """
-    d = _check_degree(degree)
-    coeffs = refined_fit(data, d, budget, stream, ledger)
-    if coeffs is None:
-        return PolyFitResult((0.0,) * d + (0.5,), fallback=True)
-    return PolyFitResult(tuple(coeffs))
+    coeffs, fallback = _solve_refined(refined_release(data, degree, budget, stream, ledger)[None])
+    return PolyFitResult(tuple(coeffs[0].tolist()), bool(fallback[0]))

@@ -27,8 +27,12 @@ are proportional to how many Laplace terms each reading sums. That map is
 linear, so it is one (3d+3) x (3d+2) matrix, ``transfer_matrix(d)``, and it
 refines a leading axis of trials as readily as a single release.
 
-``refined_fit`` solves the normal equations on the refined statistics. It
-falls back (returns None) under one rule for every degree: when the refined
+``_refined_releases`` draws one release per budget from one stream; the
+post-processing after it costs no budget and runs on any (N, 3d + 2) stack
+of releases at once. ``_solve_refined`` solves each row's normal equations
+by ``_solve_systems``, a batched elimination that repeats the operations of
+a scalar one row by row, so a row's coefficients do not depend on the
+stack. A row falls back under one rule for every degree: when the refined
 size n is not positive, when the x-spread n S_{x^2} - S_x^2 is not
 positive, or when partial-pivoting elimination finds the system singular.
 
@@ -145,17 +149,23 @@ def transfer_matrix(degree: int) -> np.ndarray:
 LINEAR_COLUMNS = {"n": 0, "s_x": 1, "s_x2": 2, "s_y": 3, "s_xy": 4}
 
 
-def _refined_releases(ds, d: int, epsilons, stream: RandomStream) -> list[np.ndarray]:
+def _refined_releases(data, budgets, stream: RandomStream, degree: int = 1) -> np.ndarray:
     """Refined statistics at each budget, all from one draw of the noise.
 
-    Draws the 3d + 3 uniforms of one release once and scales them by 2/eps
-    per budget, so entry j equals, bit for bit, the release at
-    ``epsilons[j]`` alone on the same stream. Together the entries are not
-    eps-DP at any one budget; only a single entry is a private release.
+    Checks every budget, then draws the 3d + 3 uniforms of one release once
+    and scales them by 2/eps per budget, so row j of the (len(budgets),
+    3d + 2) result equals, bit for bit, the release at ``budgets[j]`` alone
+    on the same stream. Together the rows are not eps-DP at any one budget;
+    only a single row is a private release. Each row is its own
+    ``(3d+3,) @ matrix`` product: a stacked product can sum in another order.
     """
+    d = _check_degree(degree)
+    epsilons = [_as_epsilon(b) for b in budgets]
+    ds = as_dataset(data)
     noise = stream.laplace(np.array([1.0 / (eps / 2.0) for eps in epsilons]), size=3 * d + 3)
-    sums, matrix = _group_sums(ds, d), transfer_matrix(d)
-    return [(sums + z) @ matrix for z in noise]
+    noise += _group_sums(ds, d)
+    matrix = transfer_matrix(d)
+    return np.array([z @ matrix for z in noise])
 
 
 def refined_release(
@@ -171,99 +181,91 @@ def refined_release(
     for all 3d + 3 group sums, x-group first, so a replayed stream replays
     the noise.
     """
-    d = _check_degree(degree)
     eps = _as_epsilon(budget)
     half = eps / 2.0
-    (stats,) = _refined_releases(as_dataset(data), d, (eps,), stream)
+    (stats,) = _refined_releases(data, (eps,), stream, degree)
     if ledger is not None:
         ledger.record("x-group sums", half, scale=1.0 / half)
         ledger.record("xy-group sums", half, scale=1.0 / half)
     return stats
 
 
-def _solve_normal_equations(a, b):
-    """Solve the small dense system by Gaussian elimination, or None.
+def _solve_systems(aug: np.ndarray, fallback: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gaussian elimination of a stack of augmented systems [a | b], (N, m, m + 1).
 
-    Partial pivoting on Python floats, which for systems this small is
-    several times faster than NumPy scalars. Declares the system singular
-    when any pivot magnitude falls below 1e-12 times the largest entry of
-    ``a``, or when the ratio of the largest to smallest pivot (a cheap
-    condition proxy) exceeds 1e12.
+    Overwrites ``aug`` and the (N,) mask ``fallback`` of rows given up on,
+    and returns the (N, m) solutions and the mask widened by every row with
+    a pivot of at most 1e-12 times its largest entry of a, or a largest to
+    smallest pivot ratio above 1e12. A row runs the operations, in order,
+    of partial pivoting on one system in Python floats: a later row takes
+    the pivot only if strictly larger, and the largest entry and pivot
+    extremes skip NaN, as ``max`` and ``min`` do after their first item (a
+    NaN first item makes every pivot NaN, which passes any floor). A row
+    that falls back becomes the identity system before it can divide by
+    zero, so no warning is raised on it or hidden on others.
     """
-    a = [list(row) for row in a]
-    b = list(b)
-    m = len(a)
-    floor = 1e-12 * max([abs(v) for row in a for v in row])
-    pivots = []
+    n, m = aug.shape[:2]
+    identity = np.eye(m, m + 1)
+    if fallback.any():
+        aug[fallback] = identity
+    floor = 1e-12 * np.fmax.reduce(np.abs(aug[:, :, :m]), axis=(1, 2))
     for col in range(m):
-        p = col
-        for row in range(col + 1, m):
-            if abs(a[row][col]) > abs(a[p][col]):
-                p = row
-        if p != col:
-            a[col], a[p] = a[p], a[col]
-            b[col], b[p] = b[p], b[col]
-        top = a[col]
-        pivot = top[col]
-        if abs(pivot) <= floor:
-            return None
-        pivots.append(abs(pivot))
-        for row in range(col + 1, m):
-            cur = a[row]
-            factor = cur[col] / pivot
-            for k in range(col, m):
-                cur[k] -= factor * top[k]
-            b[row] -= factor * b[col]
-    if max(pivots) / min(pivots) > 1e12:
-        return None
-    x = [0.0] * m
+        if col + 1 < m:
+            p, best = col, np.abs(aug[:, col, col])
+            for row in range(col + 1, m):
+                cand = np.abs(aug[:, row, col])
+                take = cand > best
+                p, best = np.where(take, row, p), np.where(take, cand, best)
+            if (p != col).any():
+                lanes = np.arange(n)
+                aug[lanes, col], aug[lanes, p] = aug[lanes, p], aug[:, col].copy()
+        pivot = aug[:, col, col]
+        singular = np.abs(pivot) <= floor
+        if singular.any():
+            fallback |= singular
+            aug[singular] = identity
+        size = np.abs(pivot)
+        largest = size if col == 0 else np.fmax(largest, size)
+        smallest = size if col == 0 else np.fmin(smallest, size)
+        if col + 1 < m:
+            factor = aug[:, col + 1 :, col] / pivot[:, None]
+            aug[:, col + 1 :, col + 1 :] -= factor[:, :, None] * aug[:, col, None, col + 1 :]
+    fallback |= largest / smallest > 1e12
+    x = np.empty((n, m))
     for row in range(m - 1, -1, -1):
-        cur = a[row]
         acc = 0.0
         for k in range(row + 1, m):
-            acc += cur[k] * x[k]
-        x[row] = (b[row] - acc) / cur[row]
-    return x
+            acc = acc + aug[:, row, k] * x[:, k]
+        x[:, row] = (aug[:, row, m] - acc) / aug[:, row, row]
+    return x, fallback
 
 
-def _coefficients(stats: list, d: int) -> list | None:
-    """Solve the normal equations on refined statistics, or None to fall back."""
-    n_hat, s_x, s_x2 = stats[0], stats[1], stats[2]
-    if n_hat <= 0 or s_x2 * n_hat - s_x * s_x <= 0:
-        return None
-    # Entry (i, j) is S_{x^{2d-i-j}}, at stats[2d-i-j]; right-hand side
-    # entry i is S_{x^{d-i} y}, at stats[3d+1-i].
-    design = [[stats[2 * d - i - j] for j in range(d + 1)] for i in range(d + 1)]
-    return _solve_normal_equations(design, [stats[3 * d + 1 - i] for i in range(d + 1)])
+@lru_cache(maxsize=None)
+def _augmented_columns(d: int) -> np.ndarray:
+    """Columns of the refined statistics that fill the degree-d system [a | b].
 
-
-def refined_fit(
-    data,
-    degree: int,
-    budget,
-    stream: RandomStream,
-    ledger: NoiseLedger | None = None,
-) -> list | None:
-    """Least-squares coefficients, highest power first, from one release.
-
-    Fills the (d+1) x (d+1) normal equations over the monomials x^d..x^0
-    with the refined statistics and solves them. Returns None, the fallback,
-    when the refined size or x-spread is not positive or the system is
-    numerically singular.
+    a[i, j] is S_{x^{2d-i-j}}, column 2d-i-j; b[i] is S_{x^{d-i} y}, 3d+1-i.
     """
-    d = _check_degree(degree)
-    return _coefficients(refined_release(data, d, budget, stream, ledger).tolist(), d)
+    i = np.arange(d + 1)
+    return np.column_stack([2 * d - np.add.outer(i, i), 3 * d + 1 - i])
 
 
-def _refined_fits(data, degree: int, budgets, stream: RandomStream) -> list:
-    """``refined_fit`` at each budget from one draw of the noise; simulation only.
+def _solve_refined(stats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares coefficients of a stack of refined releases, and fallbacks.
 
-    Every budget is checked before any uniform is drawn.
+    ``stats`` is (N, 3d + 2), one release per row. Returns the (N, d + 1)
+    coefficients, highest power first, and an (N,) fallback mask; a
+    fallback row holds the constant fit y = 0.5. A row falls back when its
+    refined size or x-spread is not positive (a NaN is neither), or when
+    ``_solve_systems`` finds its normal equations singular (DECISIONS.md,
+    D2).
     """
-    d = _check_degree(degree)
-    epsilons = [_as_epsilon(b) for b in budgets]
-    releases = _refined_releases(as_dataset(data), d, epsilons, stream)
-    return [_coefficients(stats.tolist(), d) for stats in releases]
+    d = (stats.shape[1] - 2) // 3
+    n_hat, s_x, s_x2 = stats[:, 0], stats[:, 1], stats[:, 2]
+    fallback = (n_hat <= 0) | (s_x2 * n_hat - s_x * s_x <= 0)
+    x, fallback = _solve_systems(stats[:, _augmented_columns(d)], fallback)
+    x[fallback] = (0.0,) * d + (0.5,)
+    return x, fallback
 
 
 def group_contributions(x, y, degree: int) -> tuple[np.ndarray, np.ndarray]:

@@ -148,6 +148,12 @@ def test_fit_stdout_is_deterministic(tmp_path, capsys):
     (Flags(("--mechanism", "dp_theil_sen", "--epsilon", "inf")), "x,y", "got inf"),
     (Flags(("--mechanism", "dp_rss_poly", "--degree", "2", "--epsilon", "1e-320")), "x,y",
      "got 1e-320"),
+    # Above 4/max_double the scale is finite, but below about 1.1e-152 the
+    # largest draws, or products of two noisy sums, overflow: dp_ss at
+    # 2.3e-308 once ended in a traceback from math.fsum.
+    (Flags(("--mechanism", "dp_ss", "--epsilon", "2.3e-308")), "x,y",
+     "got 2.3e-308; the smallest epsilon at which every noisy sum, and the product of two, "
+     "stays finite is 1.096e-152"),
 ])
 def test_fit_input_errors(tmp_path, capsys, rows, header, fragment):
     flags = ("--epsilon", "1.0")

@@ -210,6 +210,25 @@ def test_run_experiment_equals_per_cell_loop_bitwise(n, fresh):
         per_cell_rows(setup, grid, fresh))
 
 
+@pytest.mark.parametrize("fresh", [False, True])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_run_experiment_equals_per_cell_loop_in_fallback_heavy_cells(n, fresh):
+    # At n = 2..5 and epsilon = 0.05 most dp_rss and dp_ss fits fall back,
+    # so every batched solve mixes fallback rows with kept ones.
+    setup = SetupConfig(n=n, alpha=0.5, beta=0.2, sigma=0.3, seed=20 + n)
+    grid = ExperimentGrid((0.05,), 100, ("dp_rss", "dp_ss"))
+    assert row_bits(run_experiment(setup, grid, fresh)) == row_bits(
+        per_cell_rows(setup, grid, fresh))
+    fixed = generate_setup(setup)
+    for method in grid.methods:
+        fallbacks = 0
+        for i in range(grid.iterations):
+            stream = RandomStream(setup.seed, i + 1)
+            data = _generate_on(stream, setup) if fresh else fixed
+            fallbacks += FITTERS[method](data, 0.05, stream).fallback
+        assert 50 <= fallbacks < grid.iterations, (method, fallbacks)
+
+
 def test_run_experiment_equals_per_cell_loop_on_reference_setups():
     grid = ExperimentGrid((0.1, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0), 4, METHOD_NAMES)
     for index, seed in ((1, 101), (2, 202)):

@@ -22,7 +22,8 @@ from dpreg import (
     l2_error,
 )
 from dpreg.mechanisms import FALLBACK_ALPHA, FALLBACK_BETA, FITTERS, _pair_projections
-from dpreg.simplex import _refined_fits
+from dpreg.noise import _EPSILON_FLOOR
+from dpreg.simplex import _refined_releases, _solve_refined
 
 
 def ols_oracle(ds):
@@ -39,11 +40,13 @@ def test_budget_validation():
     with pytest.raises(ValueError):
         PrivacyBudget(float("inf"))
     assert PrivacyBudget(0.5).epsilon == 0.5
-    # The smallest epsilon whose largest Laplace scale, dp_ss's 4/epsilon,
-    # is finite; below it the scale overflows.
-    tiny = 4.0 / np.finfo(np.float64).max
-    assert PrivacyBudget(tiny).epsilon == tiny
-    for bad in (float("nan"), -float("inf"), 1e-320, np.nextafter(tiny, 0.0)):
+    # The smallest epsilon at which every noisy sum, and the product of any
+    # two, stays finite; 4/max_double, where dp_ss's scale 4/epsilon itself
+    # overflows, is far below it.
+    assert 1e-153 < _EPSILON_FLOOR < 1e-151
+    assert PrivacyBudget(_EPSILON_FLOOR).epsilon == _EPSILON_FLOOR
+    for bad in (float("nan"), -float("inf"), 1e-320, 4.0 / np.finfo(np.float64).max,
+                2.3e-308, np.nextafter(_EPSILON_FLOOR, 0.0)):
         with pytest.raises(ValueError):
             PrivacyBudget(bad)
     ds = Dataset(np.array([0.5]), np.array([0.5]))
@@ -181,13 +184,34 @@ def test_theil_sen_combines_medians_into_line(monkeypatch):
         assert n_uniforms == 2       # each median draws its own pair
 
 
-def test_theil_sen_small_or_degenerate_inputs_fall_back():
+def test_theil_sen_small_or_degenerate_inputs_release_points_of_the_clip_range():
+    # The fitter's draws and its ledger never depend on the data. With no
+    # pair of distinct x each median runs on an empty list, which is one
+    # interval, the clip range, so p25 and p75 are uniform points of it; the
+    # size uniform and the matchings are drawn all the same. Falling back on
+    # these inputs, as the fitter once did, made the fallback line certain
+    # on one record and impossible on two.
     empty = Dataset(np.array([]), np.array([]))
     single = Dataset(np.array([0.4]), np.array([0.6]))
     flat_x = Dataset(np.full(6, 0.3), np.linspace(0.0, 1.0, 6))
     for ds in (empty, single, flat_x):
-        res = dp_theil_sen_fit(ds, 1.0, RandomStream(0, 0))
-        assert res == FitResult(0.0, 0.5, fallback=True)
+        for seed in range(5):
+            led = NoiseLedger()
+            res = dp_theil_sen_fit(ds, 1.0, RandomStream(seed, 0), ledger=led)
+            replay = RandomStream(seed, 0)
+            replay.laplace(3.0)
+            replay.permutation(len(ds))
+            u = replay.uniform(4)
+            p25, p75 = -2.0 + 4.0 * u[1], -2.0 + 4.0 * u[3]
+            alpha = (p75 - p25) / 0.5
+            assert (res.alpha_hat.hex(), res.beta_hat.hex(), res.fallback) == (
+                alpha.hex(), (p25 - alpha * 0.25).hex(), False)
+            assert [e.label for e in led.events] == [
+                "size estimate", "25th-percentile median", "75th-percentile median"]
+            assert led.total_epsilon() == pytest.approx(1.0, abs=1e-12)
+    # Zero records and one record give the same output on the same stream.
+    assert dp_theil_sen_fit(empty, 0.5, RandomStream(3, 1)) == dp_theil_sen_fit(
+        single, 0.5, RandomStream(3, 1))
 
 
 def test_theil_sen_hyper_validation():
@@ -275,14 +299,26 @@ def fit_bits(fit):
 
 
 def core_cases():
-    """(name, multi-budget core, public fitter) for every mechanism."""
-    cases = [(name, mech._FIT_CORES[name], FITTERS[name]) for name in FITTERS]
+    """(name, multi-budget core, public fitter) for every mechanism.
+
+    A core draws every budget's release from one stream and solves the
+    stack of releases in one batched call.
+    """
+    def core(draw, solve, results=mech._fit_results):
+        return lambda d, b, s: results(*solve(draw(d, b, s)))
+
+    def poly_results(coeffs, fallback):
+        return [PolyFitResult(tuple(c), f) for c, f in zip(coeffs.tolist(), fallback.tolist())]
+
+    cases = [(name, core(*mech._FIT_CORES[name]), FITTERS[name]) for name in FITTERS]
     k3 = TheilSenHyper(k=3)
     cases.append(("dp_theil_sen k=3",
-                  lambda d, b, s: mech._theil_sen_fits(d, b, s, hyper=k3),
+                  core(lambda d, b, s: mech._theil_sen_draw(d, b, s, hyper=k3),
+                       mech._theil_sen_solve),
                   lambda d, e, s: dp_theil_sen_fit(d, e, s, hyper=k3)))
     cases.append(("dp_rss_poly d=3",
-                  lambda d, b, s: _refined_fits(d, 3, b, s),
+                  core(lambda d, b, s: _refined_releases(d, b, s, degree=3), _solve_refined,
+                       poly_results),
                   lambda d, e, s: dp_rss_poly_fit(d, 3, e, s)))
     return cases
 
@@ -304,8 +340,6 @@ def test_multi_budget_cores_equal_public_fitters_bitwise(random_dataset):
                     for eps, got in zip(CORE_BUDGETS, fits):
                         alone = make(seed, 2)
                         want = fitter(ds, eps, alone)
-                        if isinstance(want, PolyFitResult):
-                            want = None if want.fallback else want.coeffs
                         assert fit_bits(got) == fit_bits(want), (name, len(ds), seed, eps)
                         # one draw serves all budgets: the stream ends where one fit ends
                         assert alone.uniform() == after, (name, len(ds), seed, eps)
@@ -320,3 +354,24 @@ def test_multi_budget_cores_check_every_budget_before_drawing(random_dataset):
                 with pytest.raises(ValueError):
                     core(ds, budgets, stream)
                 assert stream.uniform() == RandomStream(8, 1).uniform(), (name, budgets)
+
+
+def test_every_mechanism_at_the_epsilon_floor_is_finite_or_falls_back(random_dataset):
+    # At the smallest accepted epsilon the noise is about 1e152 per sum.
+    # Every fit must still be finite or the fallback, and no step may
+    # overflow: RuntimeWarnings are errors in this suite, so this also
+    # shows that the batched solvers raise none on the rows they keep.
+    fitters = [dp_rss_fit, dp_ss_fit, dp_theil_sen_fit]
+    fitters += [lambda d, e, s, k=k: dp_rss_poly_fit(d, k, e, s) for k in (1, 2, 3)]
+    datasets = [random_dataset(6, n=40), Dataset(np.array([0.2, 0.9]), np.array([0.8, 0.1])),
+                Dataset(np.array([0.5]), np.array([0.5]))]
+    kept = 0
+    for fit in fitters:
+        for ds in datasets:
+            for seed in range(40):
+                res = fit(ds, _EPSILON_FLOOR, RandomStream(seed, 4))
+                values = res.coeffs if isinstance(res, PolyFitResult) else (
+                    res.alpha_hat, res.beta_hat)
+                assert all(math.isfinite(v) for v in values)
+                kept += not res.fallback
+    assert kept > 0

@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from dpreg import DegenerateInputWarning, RandomStream, dp_median, median_interval_probs
+from dpreg import RandomStream, dp_median, median_interval_probs
 from dpreg.median import _dp_medians
 
 
@@ -97,12 +97,23 @@ def test_symmetric_values_give_centred_output():
     assert abs(total / n) <= 0.02
 
 
-def test_empty_input_returns_midpoint_with_warning():
-    s = RandomStream(0, 0)
-    with pytest.warns(DegenerateInputWarning):
-        assert dp_median([], 1.0, -2.0, 2.0, s) == 0.0
-    with pytest.warns(DegenerateInputWarning):
-        assert dp_median([], 1.0, 0.0, 1.0, s) == 0.5
+def test_empty_input_returns_uniform_point_of_clip_range():
+    # An empty list is one interval, the clip range, so the mechanism runs
+    # as on any other input: it draws its two uniforms and returns the
+    # point the second one picks. It used to return the midpoint without
+    # drawing, a data-dependent branch with no privacy guarantee.
+    for seed, (lo, hi) in enumerate(((-2.0, 2.0), (0.0, 1.0))):
+        s = RandomStream(seed, 0)
+        got = dp_median([], 1.0, lo, hi, s)
+        u = RandomStream(seed, 0).uniform(3)
+        assert got.hex() == (lo + (hi - lo) * u[1]).hex()
+        assert s.uniform() == u[2]
+        assert median_interval_probs([], 1.0, lo, hi)[1].tolist() == [1.0]
+    # Uniform on the range, the law a single value gives too.
+    s = RandomStream(5, 0)
+    draws = np.array([dp_median([], 0.3, -2.0, 2.0, s) for _ in range(20_000)])
+    counts = np.histogram(draws, bins=8, range=(-2.0, 2.0))[0]
+    assert abs(counts / 20_000 - 0.125).max() <= 5.0 * math.sqrt(0.125 * 0.875 / 20_000)
 
 
 def test_consumes_exactly_two_uniform_draws():

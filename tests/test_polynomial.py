@@ -16,7 +16,7 @@ from dpreg import (
 )
 from dpreg.simplex import (
     _component_rows,
-    _solve_normal_equations,
+    _solve_systems,
     refined_release,
     transfer_matrix,
 )
@@ -191,11 +191,15 @@ def test_poly_fallback_paths():
 
 
 def test_normal_equation_solver_flags_singularity():
-    assert _solve_normal_equations(np.eye(3), np.array([1.0, 2.0, 3.0])) == pytest.approx(
-        [1.0, 2.0, 3.0])
-    assert _solve_normal_equations(np.ones((2, 2)), np.ones(2)) is None
+    def solve(a, b):
+        aug = np.column_stack([a, b])[None].astype(np.float64)
+        x, fallback = _solve_systems(aug, np.zeros(1, bool))
+        return None if fallback[0] else x[0]
+
+    assert solve(np.eye(3), np.array([1.0, 2.0, 3.0])) == pytest.approx([1.0, 2.0, 3.0])
+    assert solve(np.ones((2, 2)), np.ones(2)) is None
     nearly = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]])
-    assert _solve_normal_equations(nearly, np.ones(2)) is None
+    assert solve(nearly, np.ones(2)) is None
 
 
 def test_poly_budget_ledger(random_dataset):
