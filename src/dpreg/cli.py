@@ -256,6 +256,7 @@ def cmd_fit(args) -> int:
             raise _CliError(
                 f"{exc}; pass --x-min/--x-max/--y-min/--y-max to rescale raw data"
             ) from exc
+    del pairs  # the Dataset holds its own columns; the fit needs no parse
 
     stream = RandomStream(args.seed, 0)
     out = {"mechanism": args.mechanism, "epsilon": args.epsilon, "seed": args.seed}

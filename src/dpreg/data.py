@@ -137,14 +137,20 @@ def normalize(data, bounds: Bounds) -> Dataset:
             raise ValueError(
                 f"record {i}: {name}={v[i]!r} outside declared bounds [{lo}, {hi}]"
             )
-    return Dataset((x - bounds.x_min) / bounds.x_span, (y - bounds.y_min) / bounds.y_span)
+    # Rescaled in place: one new array per coordinate, the values unchanged.
+    nx = x - bounds.x_min
+    nx /= bounds.x_span
+    ny = y - bounds.y_min
+    ny /= bounds.y_span
+    return Dataset(nx, ny)
 
 
 # Each double splits exactly into a high part, its top 27 significand bits,
 # and a low part, the remaining 26. Within one exponent bin every high part
 # is an integer below 2^27 times one unit, and every low part an integer
 # below 2^26 times a smaller one, so each bin sums exactly while it holds at
-# most 2^26 terms. Chunks of 2^16 stay far inside that bound and in cache.
+# most 2^26 terms. Chunks of 2^16 stay far inside that bound and in cache;
+# the group sums build their per-record rows one chunk of records at a time.
 _HIGH_MASK = -(1 << 26)
 _CHUNK = 1 << 16
 
@@ -159,14 +165,42 @@ def exact_sum(values) -> float:
     exact total once, as ``math.fsum`` of the values would (Demmel and
     Hida, "Accurate and Efficient Floating Point Summation", 2003).
     """
-    v = np.ascontiguousarray(values, dtype=np.float64)
+    bins = _exact_bins(np.ascontiguousarray(values, dtype=np.float64))
+    return math.fsum(np.concatenate(bins)) if bins else 0.0
+
+
+def _exact_bins(values: np.ndarray) -> list:
+    """Arrays of the non-zero exponent-bin sums of ``values``, ``_CHUNK`` at a time.
+
+    Each bin sum is exact, so the bins of any split of a vector, gathered
+    into one ``math.fsum``, give its correctly rounded sum. ``values`` must
+    be a contiguous float64 array.
+    """
     bins = []
-    for start in range(0, v.size, _CHUNK):
-        chunk = v[start : start + _CHUNK]
+    for start in range(0, values.size, _CHUNK):
+        chunk = values[start : start + _CHUNK]
         bits = chunk.view(np.int64)
         exponent = (bits >> 52) & 0x7FF
         high = (bits & _HIGH_MASK).view(np.float64)
         for part in (high, chunk - high):
             sums = np.bincount(exponent, weights=part)
             bins.append(sums[sums != 0.0])
-    return math.fsum(np.concatenate(bins)) if bins else 0.0
+    return bins
+
+
+def _chunked_exact_sums(ds: Dataset, count: int, rows) -> np.ndarray:
+    """``count`` exact sums over the records of ``ds``, ``_CHUNK`` records at a time.
+
+    ``rows(x, y)`` yields ``(i, row)`` for the records of one chunk: the
+    values that sum i adds, computed elementwise from the chunk's
+    coordinates. Only one chunk's rows and the exact bins of each sum are
+    alive at once, and one ``math.fsum`` per sum rounds the exact total of
+    its bins, so sum i equals ``math.fsum`` of row i over all records, bit
+    for bit.
+    """
+    bins = [[] for _ in range(count)]
+    for start in range(0, len(ds), _CHUNK):
+        stop = start + _CHUNK
+        for i, row in rows(ds.x[start:stop], ds.y[start:stop]):
+            bins[i] += _exact_bins(row)
+    return np.array([math.fsum(np.concatenate(b)) if b else 0.0 for b in bins])

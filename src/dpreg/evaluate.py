@@ -17,7 +17,7 @@ import numpy as np
 
 from .data import Dataset, as_dataset
 from .mechanisms import _FIT_CORES, FITTERS, FitResult, _ss_sums
-from .noise import RandomStream, _as_epsilon
+from .noise import RandomStream, ZeroNoiseStream, _as_epsilon
 from .simplex import LINEAR_COLUMNS, _group_sums, transfer_matrix
 
 
@@ -257,12 +257,11 @@ STATISTIC_ORDER = ("n", "s_x", "s_y", "s_x2", "s_xy")
 def simulate_refined_stats(data, epsilon: float, trials: int, stream: RandomStream):
     """Refined statistics over ``trials`` releases, as a dict of arrays.
 
-    Each release is the one ``dp_rss_fit`` makes. The noise is drawn as one
-    (trials, 3) block per group, x-group first, and refined by the same
-    transfer matrix as a single fit.
+    The noise is one (trials, 6) draw, so its row t is, bit for bit, the
+    noise of the t-th consecutive ``dp_rss_fit`` release on ``stream``
+    (x-group first), refined by the same transfer matrix as a single fit.
     """
-    noise = stream.laplace(2.0 / epsilon, size=(2, trials, 3))
-    noisy = np.concatenate(noise, axis=1)
+    noisy = stream.laplace(2.0 / epsilon, size=(trials, 6))
     noisy += _group_sums(as_dataset(data), 1)
     columns = transfer_matrix(1)[:, [LINEAR_COLUMNS[stat] for stat in STATISTIC_ORDER]]
     return dict(zip(STATISTIC_ORDER, columns.T @ noisy.T))
@@ -294,6 +293,11 @@ class VarianceRow:
     relative_error: float
 
 
+# Trials that ``verify_variances`` draws, refines and reduces at a time;
+# their arrays take about 3 MB, whatever the trial count (DECISIONS.md, D7).
+_TRIAL_CHUNK = 1 << 14
+
+
 def verify_variances(epsilon: float, trials: int, stream: RandomStream) -> list[VarianceRow]:
     """Empirical noise variances of both mechanisms on a fixed dataset.
 
@@ -301,20 +305,39 @@ def verify_variances(epsilon: float, trials: int, stream: RandomStream) -> list[
     relative standard error about sqrt(2/trials)) and reports each released
     statistic against its closed-form variance. The dataset itself only
     shifts the statistics, so any fixed one verifies the noise law.
+
+    Trials run ``_TRIAL_CHUNK`` at a time, refined releases then baseline
+    ones on ``stream``, so memory does not grow with ``trials``. Each
+    statistic is shifted by its noise-free value, and the chunks' sums of
+    the shifted values and of their squares merge by ``math.fsum`` into the
+    sample (ddof = 1) variance (DECISIONS.md, D7).
     """
     epsilon = _as_epsilon(epsilon)
     if trials < 100_000:
         raise ValueError(f"trials must be at least 100000 for a stable estimate, got {trials}")
     ds = Dataset(np.array([0.0, 0.5, 1.0]), np.array([0.2, 0.45, 0.7]))
-    ref = simulate_refined_stats(ds, epsilon, trials, stream)
-    base = simulate_baseline_stats(ds, epsilon, trials, stream)
+    simulations = (
+        ("dp_rss", simulate_refined_stats, RSS_VARIANCES),
+        ("dp_ss", simulate_baseline_stats, SS_VARIANCES),
+    )
+    # Noise-free values: the first release of a stream that draws zeros.
+    shifts = {method: simulate(ds, epsilon, 1, ZeroNoiseStream())
+              for method, simulate, _ in simulations}
+    sums = {(method, stat): ([], []) for method, _, _ in simulations for stat in STATISTIC_ORDER}
+    for start in range(0, trials, _TRIAL_CHUNK):
+        size = min(_TRIAL_CHUNK, trials - start)
+        for method, simulate, _ in simulations:
+            for stat, values in simulate(ds, epsilon, size, stream).items():
+                d = values - shifts[method][stat]
+                linear, square = sums[method, stat]
+                linear.append(float(d.sum()))
+                square.append(float(np.square(d, out=d).sum()))
     rows = []
     for stat in STATISTIC_ORDER:
-        for method, values, theory in (
-            ("dp_rss", ref[stat], RSS_VARIANCES[stat] / epsilon**2),
-            ("dp_ss", base[stat], SS_VARIANCES[stat] / epsilon**2),
-        ):
-            emp = float(np.var(values, ddof=1))
+        for method, _, variances in simulations:
+            linear, square = (math.fsum(part) for part in sums[method, stat])
+            emp = (square - linear * linear / trials) / (trials - 1)
+            theory = variances[stat] / epsilon**2
             rows.append(
                 VarianceRow(
                     statistic=stat,

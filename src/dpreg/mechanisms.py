@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Bounds, as_dataset, exact_sum
+from .data import Bounds, _chunked_exact_sums, as_dataset
 from .median import _check_clip, _dp_medians
 from .noise import NoiseLedger, RandomStream, _as_epsilon
 from .simplex import _refined_releases, _solve_refined, refined_release
@@ -60,9 +60,11 @@ class TheilSenHyper:
     """Tuning knobs of the private Theil-Sen fitter.
 
     ``k`` is the number of random matchings whose pair projections are
-    pooled; ``r_lo``/``r_hi``, which must be finite, clip the projected
-    values before the private median (the default [-2, 2] covers every line
-    reachable from data in the unit square).
+    pooled; each median then runs at a k-th of its budget share, since a
+    record moves up to k of its projections. ``r_lo``/``r_hi``, which must
+    be finite, clip the projected values before the private median (the
+    default [-2, 2] covers every line reachable from data in the unit
+    square).
     """
 
     k: int = 1
@@ -100,25 +102,19 @@ _SS_LABELS = ("s_x", "s_1mx", "s_y", "s_1my", "s_xy", "s_1mxy", "s_x2", "s_1mx2"
 
 
 def _ss_sums(ds) -> np.ndarray:
+    """The eight exact clamped sums, in ``_SS_LABELS`` order; cached."""
     cached = ds.cache.get("ss_sums")
     if cached is None:
-        x, y = ds.x, ds.y
-        xy = x * y
-        xx = x * x
-        cached = np.array(
-            [
-                exact_sum(x),
-                exact_sum(1.0 - x),
-                exact_sum(y),
-                exact_sum(1.0 - y),
-                exact_sum(xy),
-                exact_sum(1.0 - xy),
-                exact_sum(xx),
-                exact_sum(1.0 - xx),
-            ]
-        )
+        cached = _chunked_exact_sums(ds, 8, _ss_rows)
         ds.cache["ss_sums"] = cached
     return cached
+
+
+def _ss_rows(x: np.ndarray, y: np.ndarray):
+    """``(i, row)`` for each of the eight clamped sums over one chunk of records."""
+    xy = x * y
+    xx = x * x
+    return enumerate((x, 1.0 - x, y, 1.0 - y, xy, 1.0 - xy, xx, 1.0 - xx))
 
 
 def _ss_draw(data, budgets, stream: RandomStream) -> np.ndarray:
@@ -182,14 +178,23 @@ def _pair_projections(x: np.ndarray, y: np.ndarray, perm: np.ndarray):
         perm = perm[:-1]
     i, j = perm[0::2], perm[1::2]
     xi, xj = x[i], x[j]
-    yi, yj = y[i], y[j]
     keep = xj != xi
-    xi, xj, yi, yj = xi[keep], xj[keep], yi[keep], yj[keep]
-    slope = (yj - yi) / (xj - xi)
-    mid_x = 0.5 * (xi + xj)
-    mid_y = 0.5 * (yi + yj)
-    z25 = slope * (0.25 - mid_x) + mid_y
-    z75 = slope * (0.75 - mid_x) + mid_y
+    # x is filtered before y is gathered, and the arithmetic runs in place,
+    # so no gather is held twice; each value is the plain expression's.
+    xi, xj = xi[keep], xj[keep]
+    yi, yj = y[i[keep]], y[j[keep]]
+    slope = yj - yi
+    slope /= xj - xi
+    mid_x = np.add(xi, xj, out=xi)
+    mid_x *= 0.5
+    mid_y = np.add(yi, yj, out=yi)
+    mid_y *= 0.5
+    z25 = 0.25 - mid_x
+    z25 *= slope
+    z25 += mid_y
+    z75 = 0.75 - mid_x
+    z75 *= slope
+    z75 += mid_y
     return z25, z75
 
 
@@ -211,7 +216,9 @@ def _theil_sen_draw(data, budgets, stream: RandomStream, hyper: TheilSenHyper | 
     stream.laplace(np.array([3.0 / eps for eps in epsilons]))
     z25s, z75s = zip(*[_pair_projections(ds.x, ds.y, stream.permutation(len(ds)))
                        for _ in range(hyper.k)])
-    parts = [eps / 3.0 for eps in epsilons]
+    # A record lands in k pairs, so it moves up to k projections of each
+    # list; each median runs at eps/(3k) to spend its eps/3 share.
+    parts = [eps / (3.0 * hyper.k) for eps in epsilons]
     u = stream.uniform(4)
     return np.column_stack([
         _dp_medians(np.concatenate(z25s), parts, hyper.r_lo, hyper.r_hi, u[:2]),
@@ -236,7 +243,9 @@ def dp_theil_sen_fit(
 
     The budget splits three ways: a Laplace size estimate, then one private
     median for each of the 25th- and 75th-percentile projection lists,
-    pooled over ``hyper.k`` random matchings. The line through the two
+    pooled over ``hyper.k`` random matchings. A record lands in ``k`` pairs
+    and so moves up to ``k`` values of each list, so each median runs at
+    epsilon/(3k), which is epsilon/3 for the record. The line through the two
     private percentile points gives the fit. Every input spends the whole
     budget the same way; with fewer than two records, or no matched pair
     with distinct x values, the medians pick points of the clip range.

@@ -46,7 +46,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .data import _check_unit_interval, as_dataset, exact_sum
+from .data import _check_unit_interval, _chunked_exact_sums, as_dataset
 from .noise import NoiseLedger, RandomStream, _as_epsilon
 
 
@@ -94,13 +94,17 @@ def _group_sums(ds, d: int) -> np.ndarray:
     """The 3d + 3 exact group sums of a ``Dataset``, x-group first; cached.
 
     Reads the arrays ``Dataset`` already validated, so no range check runs.
+    The component rows are built one chunk of records at a time
+    (``data._chunked_exact_sums``), so no full-length row is held.
     """
     key = ("simplex_groups", d)
     sums = ds.cache.get(key)
     if sums is None:
-        sums = np.empty(3 * d + 3)
-        for group, entry, row in _component_rows(ds.x, ds.y, d):
-            sums[group * (2 * d + 1) + entry] = exact_sum(row)
+        def rows(x, y):
+            for group, entry, row in _component_rows(x, y, d):
+                yield group * (2 * d + 1) + entry, row
+
+        sums = _chunked_exact_sums(ds, 3 * d + 3, rows)
         sums.setflags(write=False)
         ds.cache[key] = sums
     return sums

@@ -314,19 +314,20 @@ def test_fit_golden_outputs(tmp_path, capsys, flags, expected):
 
 
 # Exact stdout of a seeded variance check. It runs the bulk Laplace path
-# (more than one block of draws), whose values must not move.
+# (more than one block of draws per chunk) and the chunked variance merge
+# over six full chunks of trials and a partial one; its values must not move.
 GOLDEN_VERIFY = (
     'statistic,method,empirical_var,theoretical_var,relative_error,improvement_ratio\n'
-    'n,dp_rss,12.0221418906,12,0.00184515754705,1.3322776723\n'
-    'n,dp_ss,16.016831214,16,0.00105195087633,1.3322776723\n'
-    's_x,dp_rss,10.5950270792,10.6666666667,0.00671621132143,3.03747282536\n'
-    's_x,dp_ss,32.1821068371,32,0.0056908386596,3.03747282536\n'
-    's_y,dp_rss,10.7196728422,10.6666666667,0.00496932895219,2.97846200634\n'
-    's_y,dp_ss,31.9281382807,32,0.00224567872656,2.97846200634\n'
-    's_x2,dp_rss,6.65709270104,6.66666666667,0.00143609484363,4.78806932248\n'
-    's_x2,dp_ss,31.8746213388,32,0.00391808316275,4.78806932248\n'
-    's_xy,dp_rss,6.78259095357,6.66666666667,0.0173886430358,4.70922135679\n'
-    's_xy,dp_ss,31.9407221729,32,0.00185243209684,4.70922135679\n'
+    'n,dp_rss,12.0078343989,12,0.000652866572166,1.33299580662\n'
+    'n,dp_ss,16.0063929003,16,0.000399556267888,1.33299580662\n'
+    's_x,dp_rss,10.6441740185,10.6666666667,0.00210868576729,3.01220710892\n'
+    's_x,dp_ss,32.0624566471,32,0.0019517702206,3.01220710892\n'
+    's_y,dp_rss,10.6551956338,10.6666666667,0.00107540933227,2.99240315074\n'
+    's_y,dp_ss,31.8846409863,32,0.00360496917962,2.99240315074\n'
+    's_x2,dp_rss,6.61457002764,6.66666666667,0.00781449585398,4.80316769914\n'
+    's_x2,dp_ss,31.7708891004,32,0.00715971561112,4.80316769914\n'
+    's_xy,dp_rss,6.65817436934,6.66666666667,0.00127384459968,4.77101365358\n'
+    's_xy,dp_ss,31.766240824,32,0.00730497424854,4.77101365358\n'
 )
 
 

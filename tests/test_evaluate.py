@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from scipy.integrate import simpson
 
 from dpreg import (
     METHOD_NAMES,
+    Dataset,
     ExperimentGrid,
     ExperimentRow,
     FitResult,
@@ -27,8 +29,9 @@ from dpreg import (
     verify_variances,
 )
 from dpreg.cli import MECHANISM_NAMES
-from dpreg.evaluate import _generate_on
-from dpreg.mechanisms import _FIT_CORES, FITTERS
+from dpreg.evaluate import _TRIAL_CHUNK, _generate_on
+from dpreg.mechanisms import _FIT_CORES, FITTERS, dp_rss_fit
+from dpreg.simplex import LINEAR_COLUMNS, refined_release
 
 
 def test_setup_config_validation():
@@ -273,3 +276,81 @@ def test_verify_variances_scaling_and_floor():
         assert r.relative_error <= 0.05
         assert r.relative_error == pytest.approx(
             abs(r.empirical_var - r.theoretical_var) / r.theoretical_var)
+
+
+class RecordingStream(RandomStream):
+    """A stream that keeps a copy of every Laplace draw it returns."""
+
+    def __init__(self, seed, stream_index=0):
+        super().__init__(seed, stream_index)
+        self.draws = []
+
+    def laplace(self, scale, size=None):
+        draw = super().laplace(scale, size)
+        self.draws.append(np.array(draw, copy=True))
+        return draw
+
+
+@pytest.mark.parametrize("trials", [1, 7, 3000])
+def test_refined_trial_rows_are_consecutive_dp_rss_releases(three_point_line, trials):
+    # Row t of the trial-major draw is the noise of the t-th dp_rss_fit
+    # release on the same stream, bit for bit; 3000 trials take the blocked
+    # Laplace path (18000 values), the smaller draws the one-line one.
+    eps = 0.7
+    bulk = RecordingStream(11, 2)
+    stats = simulate_refined_stats(three_point_line, eps, trials, bulk)
+    (noise,) = bulk.draws
+    assert noise.shape == (trials, 6)
+    single = RecordingStream(11, 2)
+    releases = [refined_release(three_point_line, 1, eps, single) for _ in range(trials)]
+    assert np.concatenate(single.draws).tobytes() == noise.tobytes()
+    fit_stream = RecordingStream(11, 2)
+    dp_rss_fit(three_point_line, eps, fit_stream)
+    assert fit_stream.draws[0].tobytes() == noise[:1].tobytes()
+    # The refinement is one matrix product over all rows, so it may sum in
+    # another order than a single release's; it agrees to rounding.
+    for stat in STATISTIC_ORDER:
+        want = np.array([r[LINEAR_COLUMNS[stat]] for r in releases])
+        np.testing.assert_allclose(stats[stat], want, rtol=1e-13, atol=1e-12)
+
+
+def chunk_values(epsilon, trials, stream):
+    """Every released statistic of ``verify_variances``'s trials, concatenated.
+
+    Replays its draw order: refined then baseline releases, one chunk of
+    trials at a time.
+    """
+    ds = Dataset(np.array([0.0, 0.5, 1.0]), np.array([0.2, 0.45, 0.7]))
+    parts = {}
+    for start in range(0, trials, _TRIAL_CHUNK):
+        size = min(_TRIAL_CHUNK, trials - start)
+        for method, simulate in (("dp_rss", simulate_refined_stats),
+                                 ("dp_ss", simulate_baseline_stats)):
+            for stat, values in simulate(ds, epsilon, size, stream).items():
+                parts.setdefault((method, stat), []).append(values)
+    return {key: np.concatenate(v) for key, v in parts.items()}
+
+
+def test_merged_variance_equals_np_var_of_all_trials():
+    # 100000 trials are six full chunks and a partial one of 1696.
+    trials = 100_000
+    assert trials % _TRIAL_CHUNK != 0 and trials > _TRIAL_CHUNK
+    for eps in (0.3, 1.0, 5.0):
+        rows = verify_variances(eps, trials, RandomStream(21, 3))
+        values = chunk_values(eps, trials, RandomStream(21, 3))
+        assert all(v.size == trials for v in values.values())
+        for r in rows:
+            want = float(np.var(values[r.method, r.statistic], ddof=1))
+            assert r.empirical_var == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_verify_variances_memory_does_not_grow_with_trials():
+    peaks = []
+    for trials in (200_000, 2_000_000):
+        tracemalloc.start()
+        try:
+            verify_variances(1.0, trials, RandomStream(2, 0))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 1e6, peaks

@@ -1,17 +1,21 @@
-"""exact_sum against math.fsum: the same double, bit for bit.
+"""exact_sum and the group sums against math.fsum: the same double, bit for bit.
 
-Every group sum in the package goes through ``exact_sum``, and seeded
-outputs depend on those sums being exactly ``math.fsum``'s. The corpus
+Every group sum in the package goes through the exact bins of
+``exact_sum``, one chunk of records at a time, and seeded outputs depend on
+those sums being exactly ``math.fsum``'s. The corpus
 covers the cases where a plain float sum goes wrong: subnormals, values
 spread over many exponents, and heavy cancellation between signs.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from dpreg.data import _CHUNK, exact_sum
+from dpreg.data import _CHUNK, Dataset, exact_sum
+from dpreg.mechanisms import _ss_sums
+from dpreg.simplex import _group_sums, group_contributions
 
 TINY = 2.0 ** -1074
 
@@ -90,3 +94,34 @@ def test_accepts_strided_views_and_lists():
 def test_zero_total_is_positive_zero(n):
     v = np.concatenate([np.full(n, 0.25), np.full(n, -0.25), [-0.0]])
     assert same_double(exact_sum(v), 0.0)
+
+
+def fsum_hex(rows):
+    return [math.fsum(row.tolist()).hex() for row in rows]
+
+
+@pytest.mark.parametrize("n", [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5])
+def test_chunked_group_sums_equal_fsum_of_full_rows(n):
+    rng = np.random.default_rng(n)
+    x, y = rng.random(n), rng.random(n)
+    x[:: 7] = np.round(x[:: 7] * 4) / 4  # exact quarters, 0 and 1 included
+    ds = Dataset(x, y)
+    for d in (1, 2, 3, 4):
+        g1, g2 = group_contributions(x, y, d)  # full-length columns
+        want = fsum_hex(np.concatenate([g1, g2], axis=1).T)
+        assert [v.hex() for v in _group_sums(ds, d).tolist()] == want, d
+    xy, xx = x * y, x * x
+    want = fsum_hex([x, 1.0 - x, y, 1.0 - y, xy, 1.0 - xy, xx, 1.0 - xx])
+    assert [v.hex() for v in _ss_sums(ds).tolist()] == want
+
+
+def test_group_sums_hold_one_chunk_of_rows():
+    rng = np.random.default_rng(5)
+    ds = Dataset(rng.random(1 << 20), rng.random(1 << 20))  # 8 MB per coordinate
+    tracemalloc.start()
+    try:
+        _group_sums(ds, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6, peak

@@ -159,6 +159,33 @@ def test_pair_projections_drops_leftover_and_ties():
     assert len(z25) == 0 and len(z75) == 0
 
 
+def plain_pair_projections(x, y, perm):
+    """Reference: every gather first, one filter, the plain expressions."""
+    if perm.size % 2 == 1:
+        perm = perm[:-1]
+    i, j = perm[0::2], perm[1::2]
+    xi, xj, yi, yj = x[i], x[j], y[i], y[j]
+    keep = xj != xi
+    xi, xj, yi, yj = xi[keep], xj[keep], yi[keep], yj[keep]
+    slope = (yj - yi) / (xj - xi)
+    mid_x = 0.5 * (xi + xj)
+    mid_y = 0.5 * (yi + yj)
+    return slope * (0.25 - mid_x) + mid_y, slope * (0.75 - mid_x) + mid_y
+
+
+def test_pair_projections_equal_plain_expressions_bitwise():
+    rng = np.random.default_rng(17)
+    for case in range(200):
+        n = int(rng.integers(0, 2000))
+        x, y = rng.random(n), rng.random(n)
+        if case % 2:  # many equal-x pairs
+            x = np.round(x * rng.integers(1, 12)) / 12
+        perm = rng.permutation(n)
+        got = _pair_projections(x, y, perm)
+        want = plain_pair_projections(x, y, perm)
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want], case
+
+
 def test_theil_sen_combines_medians_into_line(monkeypatch):
     # With the two percentile medians pinned to 0.35 and 0.85 the fitted
     # line must pass through (0.25, 0.35) and (0.75, 0.85).
@@ -179,7 +206,7 @@ def test_theil_sen_combines_medians_into_line(monkeypatch):
     assert len(calls) == 2
     for n_values, epsilons, lo, hi, n_uniforms in calls:
         assert n_values == 15        # three rounds of five pairs accumulate
-        assert epsilons == [pytest.approx(0.3)]
+        assert epsilons == [pytest.approx(0.1)]  # eps/3 per median, over k = 3
         assert (lo, hi) == (-2.0, 2.0)
         assert n_uniforms == 2       # each median draws its own pair
 

@@ -92,7 +92,7 @@ def reference_laplace(u, b):
 
 HAND_PLACED = (0.5, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0), 2.0**-53, 1.0 - 2.0**-53)
 ORACLE_SIZES = (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7,
-                (2, 3000, 3), (2, 5, 3), (2100, 8), (7, 8))
+                (2, 3000, 3), (2, 5, 3), (2100, 8), (7, 8), (3000, 6))
 ORACLE_SCALES = (1.7, 3e-5, np.array([4.0, 0.5, 1e-3]))
 
 
