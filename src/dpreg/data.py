@@ -32,14 +32,11 @@ class Bounds:
     y_max: float
 
     def __post_init__(self):
-        if not (self.x_min < self.x_max):
-            raise ValueError(
-                f"x bounds must satisfy x_min < x_max, got [{self.x_min}, {self.x_max}]"
-            )
-        if not (self.y_min < self.y_max):
-            raise ValueError(
-                f"y bounds must satisfy y_min < y_max, got [{self.y_min}, {self.y_max}]"
-            )
+        # An infinite span would map every value to 0 or NaN: a silent wrong fit.
+        for axis, lo, hi in (("x", self.x_min, self.x_max), ("y", self.y_min, self.y_max)):
+            if not (lo < hi and math.isfinite(lo) and math.isfinite(hi - lo)):
+                raise ValueError(f"{axis} bounds must be finite and satisfy {axis}_min < "
+                                 f"{axis}_max with a finite span, got [{lo}, {hi}]")
 
     @property
     def x_span(self) -> float:

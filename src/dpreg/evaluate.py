@@ -17,7 +17,7 @@ import numpy as np
 
 from .data import Dataset, as_dataset
 from .mechanisms import _FIT_CORES, FITTERS, FitResult, _ss_sums
-from .noise import RandomStream, ZeroNoiseStream, _as_epsilon
+from .noise import _SHARES, RandomStream, ZeroNoiseStream, _as_epsilon
 from .simplex import LINEAR_COLUMNS, _group_sums, transfer_matrix
 
 
@@ -34,6 +34,9 @@ class SetupConfig:
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 1:
             raise ValueError(f"n must be a positive integer, got {self.n!r}")
+        for name in ("alpha", "beta", "sigma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.sigma < 0:
             raise ValueError(f"sigma must be non-negative, got {self.sigma}")
         if not isinstance(self.seed, int) or self.seed < 0:
@@ -261,7 +264,7 @@ def simulate_refined_stats(data, epsilon: float, trials: int, stream: RandomStre
     noise of the t-th consecutive ``dp_rss_fit`` release on ``stream``
     (x-group first), refined by the same transfer matrix as a single fit.
     """
-    noisy = stream.laplace(2.0 / epsilon, size=(trials, 6))
+    noisy = stream.laplace(_SHARES["dp_rss"] / epsilon, size=(trials, 6))
     noisy += _group_sums(as_dataset(data), 1)
     columns = transfer_matrix(1)[:, [LINEAR_COLUMNS[stat] for stat in STATISTIC_ORDER]]
     return dict(zip(STATISTIC_ORDER, columns.T @ noisy.T))
@@ -269,12 +272,10 @@ def simulate_refined_stats(data, epsilon: float, trials: int, stream: RandomStre
 
 def simulate_baseline_stats(data, epsilon: float, trials: int, stream: RandomStream):
     """Baseline noisy statistics over ``trials`` releases, as a dict of arrays."""
-    ds = as_dataset(data)
-    sums = _ss_sums(ds)
-    noisy = stream.laplace(4.0 / epsilon, size=(trials, 8))
-    noisy += sums
+    noisy = stream.laplace(_SHARES["dp_ss"] / epsilon, size=(trials, 8))
+    noisy += _ss_sums(as_dataset(data))
     return {
-        "n": noisy.sum(axis=1) / 4.0,
+        "n": noisy.sum(axis=1) / _SHARES["dp_ss"],
         "s_x": noisy[:, 0],
         "s_y": noisy[:, 2],
         "s_x2": noisy[:, 6],

@@ -11,9 +11,10 @@ Each mechanism is a ``(draw, solve)`` pair in ``_FIT_CORES``. The draw
 released numbers per budget; row j equals, bit for bit, the release at
 ``budgets[j]`` alone. The solve, post-processing that costs no budget,
 maps any (N, k) stack of releases to (N, 2) coefficients and an (N,)
-fallback mask. A fitter runs both at one budget; the sweep solves all its
-draws at once. The draws keep no ledger: their rows together are not
-epsilon-DP at any one budget (DECISIONS.md, D3).
+fallback mask. The draws keep no ledger: their rows together are not
+epsilon-DP at any one budget (DECISIONS.md, D3). Each fitter is one
+``_fit`` call: it writes the ledger from ``noise._RELEASE_PARTS`` and runs
+the pair at one budget (D8); the sweep solves all its draws at once.
 
 * ``dp_rss_fit`` is degree 1 of the refined release in :mod:`dpreg.simplex`:
   two privatized simplex query groups, refined sufficient statistics, and
@@ -35,8 +36,8 @@ import numpy as np
 
 from .data import Bounds, _chunked_exact_sums, as_dataset
 from .median import _check_clip, _dp_medians
-from .noise import NoiseLedger, RandomStream, _as_epsilon
-from .simplex import _refined_releases, _solve_refined, refined_release
+from .noise import _RELEASE_PARTS, _SHARES, NoiseLedger, RandomStream, _as_epsilon
+from .simplex import _refined_releases, _solve_refined
 
 FALLBACK_ALPHA = 0.0
 FALLBACK_BETA = 0.5
@@ -77,11 +78,6 @@ class TheilSenHyper:
         _check_clip(self.r_lo, self.r_hi)
 
 
-def _fit_results(coeffs: np.ndarray, fallback: np.ndarray) -> list[FitResult]:
-    """One ``FitResult`` per row of a solve's coefficients and fallback mask."""
-    return [FitResult(a, b, f) for (a, b), f in zip(coeffs.tolist(), fallback.tolist())]
-
-
 def dp_rss_fit(data, budget, stream: RandomStream, ledger: NoiseLedger | None = None) -> FitResult:
     """Fit a line from the refined release of the two simplex groups.
 
@@ -90,19 +86,11 @@ def dp_rss_fit(data, budget, stream: RandomStream, ledger: NoiseLedger | None = 
     S_{xy}, and the 2x2 normal equations. Falls back when the refined size
     or x-spread is not positive or the equations are numerically singular.
     """
-    stats = refined_release(data, 1, budget, stream, ledger)
-    return _fit_results(*_solve_refined(stats[None]))[0]
-
-
-# Clamped sums released by dp_ss_fit, in draw order. Each of the four
-# complementary pairs (s, s') has per-record contribution s + s' = 1, so the
-# pair costs epsilon/4 at Laplace scale 4/epsilon and the eight noisy sums
-# total 4n in expectation.
-_SS_LABELS = ("s_x", "s_1mx", "s_y", "s_1my", "s_xy", "s_1mxy", "s_x2", "s_1mx2")
+    return FitResult(*_fit("dp_rss", data, budget, stream, ledger))
 
 
 def _ss_sums(ds) -> np.ndarray:
-    """The eight exact clamped sums, in ``_SS_LABELS`` order; cached."""
+    """The eight exact clamped sums, in ``_ss_rows`` order; cached."""
     cached = ds.cache.get("ss_sums")
     if cached is None:
         cached = _chunked_exact_sums(ds, 8, _ss_rows)
@@ -111,7 +99,11 @@ def _ss_sums(ds) -> np.ndarray:
 
 
 def _ss_rows(x: np.ndarray, y: np.ndarray):
-    """``(i, row)`` for each of the eight clamped sums over one chunk of records."""
+    """``(i, row)`` for each of the eight clamped sums over one chunk of records.
+
+    Sums 2j and 2j + 1 are part j of dp_ss: a pair (s, s') with s + s' = 1
+    per record, so the eight noisy sums total 4n in expectation.
+    """
     xy = x * y
     xx = x * x
     return enumerate((x, 1.0 - x, y, 1.0 - y, xy, 1.0 - xy, xx, 1.0 - xx))
@@ -124,7 +116,7 @@ def _ss_draw(data, budgets, stream: RandomStream) -> np.ndarray:
     """
     ds = as_dataset(data)
     epsilons = [_as_epsilon(b) for b in budgets]
-    noisy = stream.laplace(np.array([4.0 / eps for eps in epsilons]), size=8)
+    noisy = stream.laplace(np.array([_SHARES["dp_ss"] / eps for eps in epsilons]), size=8)
     noisy += _ss_sums(ds)
     return noisy
 
@@ -132,12 +124,12 @@ def _ss_draw(data, budgets, stream: RandomStream) -> np.ndarray:
 def _ss_solve(noisy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Line coefficients and fallback mask of a stack of ``_ss_draw`` rows.
 
-    A row falls back when its size estimate, a quarter of the correctly
-    rounded total of its sums, or its x-variance estimate is not positive
-    (a NaN is neither). A row leaves the arithmetic at the test it fails,
-    so no later step can overflow or divide by zero on it.
+    A row falls back when its size estimate, the correctly rounded total of
+    its sums over the number of pairs, or its x-variance estimate is not
+    positive (a NaN is neither). A row leaves the arithmetic at the test it
+    fails, so no later step can overflow or divide by zero on it.
     """
-    n_tilde = np.array([math.fsum(row) for row in noisy.tolist()]) / 4.0
+    n_tilde = np.array([math.fsum(row) for row in noisy.tolist()]) / _SHARES["dp_ss"]
     live = np.flatnonzero(~(n_tilde <= 0))
     s_x, _, s_y, _, s_xy, _, s_x2, _ = noisy[live].T
     n_tilde = n_tilde[live]
@@ -160,12 +152,7 @@ def dp_ss_fit(data, budget, stream: RandomStream, ledger: NoiseLedger | None = N
     size as a quarter of their total, and plugs the noisy sums into the
     covariance form of the least-squares solution.
     """
-    eps = _as_epsilon(budget)
-    fit = _fit_results(*_ss_solve(_ss_draw(data, (eps,), stream)))[0]
-    if ledger is not None:
-        for i in range(0, 8, 2):
-            ledger.record(f"pair {_SS_LABELS[i]}/{_SS_LABELS[i + 1]}", eps / 4.0, scale=4.0 / eps)
-    return fit
+    return FitResult(*_fit("dp_ss", data, budget, stream, ledger))
 
 
 def _pair_projections(x: np.ndarray, y: np.ndarray, perm: np.ndarray):
@@ -213,12 +200,12 @@ def _theil_sen_draw(data, budgets, stream: RandomStream, hyper: TheilSenHyper | 
     hyper = hyper or TheilSenHyper()
     # The size estimate n + Laplace(3/eps) is drawn to keep the stream
     # layout, but the median's rank utility does not read it.
-    stream.laplace(np.array([3.0 / eps for eps in epsilons]))
+    stream.laplace(np.array([_SHARES["dp_theil_sen"] / eps for eps in epsilons]))
     z25s, z75s = zip(*[_pair_projections(ds.x, ds.y, stream.permutation(len(ds)))
                        for _ in range(hyper.k)])
     # A record lands in k pairs, so it moves up to k projections of each
     # list; each median runs at eps/(3k) to spend its eps/3 share.
-    parts = [eps / (3.0 * hyper.k) for eps in epsilons]
+    parts = [eps / (_SHARES["dp_theil_sen"] * hyper.k) for eps in epsilons]
     u = stream.uniform(4)
     return np.column_stack([
         _dp_medians(np.concatenate(z25s), parts, hyper.r_lo, hyper.r_hi, u[:2]),
@@ -250,13 +237,7 @@ def dp_theil_sen_fit(
     budget the same way; with fewer than two records, or no matched pair
     with distinct x values, the medians pick points of the clip range.
     """
-    eps = _as_epsilon(budget)
-    fit = _fit_results(*_theil_sen_solve(_theil_sen_draw(data, (eps,), stream, hyper)))[0]
-    if ledger is not None:
-        ledger.record("size estimate", eps / 3.0, scale=3.0 / eps)
-        ledger.record("25th-percentile median", eps / 3.0)
-        ledger.record("75th-percentile median", eps / 3.0)
-    return fit
+    return FitResult(*_fit("dp_theil_sen", data, budget, stream, ledger, hyper))
 
 
 def denormalize_fit(fit: FitResult, bounds: Bounds) -> FitResult:
@@ -279,11 +260,30 @@ FITTERS = {
     "dp_theil_sen": dp_theil_sen_fit,
 }
 
-# The (draw, solve) pair of each fitter. Simulation only: the rows of one
-# draw together are not epsilon-DP at any one budget (DECISIONS.md, D3), so
-# the pairs stay private and keep no ledger.
+# The (draw, solve) pair of each fitter. The rows of one multi-budget draw
+# together are not epsilon-DP at any one budget (DECISIONS.md, D3), so the
+# pairs stay private and keep no ledger; ``_fit`` runs them at one budget.
 _FIT_CORES = {
     "dp_rss": (_refined_releases, _solve_refined),
     "dp_ss": (_ss_draw, _ss_solve),
     "dp_theil_sen": (_theil_sen_draw, _theil_sen_solve),
 }
+
+
+def _fit(name: str, data, budget, stream: RandomStream, ledger: NoiseLedger | None, *extra):
+    """One private fit: ``_FIT_CORES[name]`` at ``(eps,)``, ``extra`` after the budgets.
+
+    Checks the budget and the records, then writes the ledger from
+    ``noise._RELEASE_PARTS[name]`` before the first uniform is drawn, so it
+    never depends on the data or the draws. Returns the coefficients,
+    highest power first, then the fallback flag.
+    """
+    eps = _as_epsilon(budget)
+    ds = as_dataset(data)
+    shares = _SHARES[name]
+    if ledger is not None:
+        for label, laplace in _RELEASE_PARTS[name]:
+            ledger.record(label, eps / shares, scale=shares / eps if laplace else None)
+    draw, solve = _FIT_CORES[name]
+    coeffs, fallback = solve(draw(ds, (eps,), stream, *extra))
+    return (*coeffs[0].tolist(), bool(fallback[0]))

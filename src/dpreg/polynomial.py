@@ -2,16 +2,17 @@
 
 The per-record group vectors, their release, refinement and solve live in
 :mod:`dpreg.simplex` (``group_contributions`` returns the vectors); this
-module wraps the degree-d fit in a result type. Degree 1 is the linear
-fitter.
+module wraps the degree-d fit in a result type. The fit runs through the
+one fitter path, ``mechanisms._fit``, with the release and budget split of
+``dp_rss`` at the given degree. Degree 1 is the linear fitter.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .mechanisms import _fit
 from .noise import NoiseLedger, RandomStream
-from .simplex import _solve_refined, refined_release
 
 
 @dataclass(frozen=True)
@@ -39,11 +40,13 @@ def dp_rss_poly_fit(
 ) -> PolyFitResult:
     """Fit a degree-``degree`` polynomial with refined private statistics.
 
-    Spends half the budget on each group, refines every power sum, and
-    solves the normal equations (``dpreg.simplex._solve_refined``). Degree
-    1 is ``dp_rss_fit``: same noise, statistics, fallbacks and coefficients.
+    Spends half the budget on each group, as the ``dp_rss`` entry of
+    ``noise._RELEASE_PARTS`` declares and the ledger records, refines every
+    power sum, and solves the normal equations
+    (``dpreg.simplex._solve_refined``). Degree 1 is ``dp_rss_fit``: same
+    noise, ledger, statistics, fallbacks and coefficients.
     Falls back to the constant fit y = 0.5 when the refined size or x-spread
     is not positive or the normal equations are numerically singular.
     """
-    coeffs, fallback = _solve_refined(refined_release(data, degree, budget, stream, ledger)[None])
-    return PolyFitResult(tuple(coeffs[0].tolist()), bool(fallback[0]))
+    *coeffs, fallback = _fit("dp_rss", data, budget, stream, ledger, degree)
+    return PolyFitResult(tuple(coeffs), fallback)

@@ -17,24 +17,27 @@ and the xy-group the d + 2 entries
     (x^d y, (x^{d-1} - x^d) y, ..., (1 - x) y, 1 - y).
 
 Degree 1 is the linear release: (x^2, x - x^2, 1 - x) and
-(xy, (1 - x)y, 1 - y). One release adds Laplace noise at scale 2/eps to all
-3d + 3 group sums, x-group first. Prefix sums of either noisy group read
-every power sum S_{x^l} (l = 0..2d, where S_{x^0} = n) and S_{x^l y}
-(l = 0..d) in two independent ways: directly from its own group, and as the
-other group's total minus the complementary components. The refined
-statistic averages the two readings with inverse-variance weights, which
-are proportional to how many Laplace terms each reading sums. That map is
+(xy, (1 - x)y, 1 - y). One release spends half the budget on each group
+(``noise._RELEASE_PARTS``): Laplace noise at scale 2/eps on all 3d + 3
+group sums, x-group first. Prefix sums of either noisy group read every
+power sum S_{x^l} (l = 0..2d, where S_{x^0} = n) and S_{x^l y} (l = 0..d)
+in two independent ways: directly from its own group, and as the other
+group's total minus the complementary components. The refined statistic
+averages the two readings with inverse-variance weights, which are
+proportional to how many Laplace terms each reading sums. That map is
 linear, so it is one (3d+3) x (3d+2) matrix, ``transfer_matrix(d)``, and it
 refines a leading axis of trials as readily as a single release.
 
-``_refined_releases`` draws one release per budget from one stream; the
-post-processing after it costs no budget and runs on any (N, 3d + 2) stack
-of releases at once. ``_solve_refined`` solves each row's normal equations
-by ``_solve_systems``, a batched elimination that repeats the operations of
-a scalar one row by row, so a row's coefficients do not depend on the
-stack. A row falls back under one rule for every degree: when the refined
-size n is not positive, when the x-spread n S_{x^2} - S_x^2 is not
-positive, or when partial-pivoting elimination finds the system singular.
+``_refined_releases`` draws one release per budget from one stream and
+keeps no ledger; the fitters run it at one budget through
+``mechanisms._fit``. The post-processing after it costs no budget and runs
+on any (N, 3d + 2) stack of releases at once. ``_solve_refined`` solves
+each row's normal equations by ``_solve_systems``, a batched elimination
+that repeats the operations of a scalar one row by row, so a row's
+coefficients do not depend on the stack. A row falls back under one rule
+for every degree: when the refined size n is not positive, when the
+x-spread n S_{x^2} - S_x^2 is not positive, or when partial-pivoting
+elimination finds the system singular.
 
 ``_component_rows`` is the one definition of the per-record vectors; the
 release sums its rows, and ``group_contributions`` returns them per record.
@@ -47,7 +50,7 @@ from functools import lru_cache
 import numpy as np
 
 from .data import _check_unit_interval, _chunked_exact_sums, as_dataset
-from .noise import NoiseLedger, RandomStream, _as_epsilon
+from .noise import _SHARES, RandomStream, _as_epsilon
 
 
 def _check_degree(degree: int) -> int:
@@ -166,32 +169,10 @@ def _refined_releases(data, budgets, stream: RandomStream, degree: int = 1) -> n
     d = _check_degree(degree)
     epsilons = [_as_epsilon(b) for b in budgets]
     ds = as_dataset(data)
-    noise = stream.laplace(np.array([1.0 / (eps / 2.0) for eps in epsilons]), size=3 * d + 3)
+    noise = stream.laplace(np.array([_SHARES["dp_rss"] / eps for eps in epsilons]), size=3 * d + 3)
     noise += _group_sums(ds, d)
     matrix = transfer_matrix(d)
     return np.array([z @ matrix for z in noise])
-
-
-def refined_release(
-    data,
-    degree: int,
-    budget,
-    stream: RandomStream,
-    ledger: NoiseLedger | None = None,
-) -> np.ndarray:
-    """One private release of the refined statistics of ``transfer_matrix``.
-
-    Spends half the budget on each group: one Laplace draw at scale 2/eps
-    for all 3d + 3 group sums, x-group first, so a replayed stream replays
-    the noise.
-    """
-    eps = _as_epsilon(budget)
-    half = eps / 2.0
-    (stats,) = _refined_releases(data, (eps,), stream, degree)
-    if ledger is not None:
-        ledger.record("x-group sums", half, scale=1.0 / half)
-        ledger.record("xy-group sums", half, scale=1.0 / half)
-    return stats
 
 
 def _solve_systems(aug: np.ndarray, fallback: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

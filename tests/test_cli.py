@@ -154,6 +154,17 @@ def test_fit_stdout_is_deterministic(tmp_path, capsys):
     (Flags(("--mechanism", "dp_ss", "--epsilon", "2.3e-308")), "x,y",
      "got 2.3e-308; the smallest epsilon at which every noisy sum, and the product of two, "
      "stays finite is 1.096e-152"),
+    # Bounds must be finite, with a finite span: an infinite span maps every
+    # x to 0, which once gave a silent fit with alpha_hat -0.
+    (Flags(("--epsilon", "1", "--x-min=0", "--x-max", "inf", "--y-min", "0", "--y-max", "5")),
+     "x,y",
+     "x bounds must be finite and satisfy x_min < x_max with a finite span, got [0.0, inf]"),
+    (Flags(("--epsilon", "1", "--x-min=-1e308", "--x-max", "1e308", "--y-min", "0",
+            "--y-max", "5")), "x,y", "with a finite span, got [-1e+308, 1e+308]"),
+    (Flags(("--epsilon", "1", "--x-min=-inf", "--x-max", "5", "--y-min", "0", "--y-max", "5")),
+     "x,y", "x bounds must be finite"),
+    (Flags(("--epsilon", "1", "--x-min=0", "--x-max", "5", "--y-min", "nan", "--y-max", "5")),
+     "x,y", "y bounds must be finite"),
 ])
 def test_fit_input_errors(tmp_path, capsys, rows, header, fragment):
     flags = ("--epsilon", "1.0")
@@ -425,6 +436,11 @@ def test_experiment_single_iteration_writes_na(tmp_path, capsys):
     ({"epsilons": [0.0, 1.0]}, "epsilon must be positive"),
     ({"epsilons": [1e-320, 1.0]}, "finite Laplace scale"),
     ({"epsilons": []}, "must not be empty"),
+    # A non-finite setup value once ended in a traceback from Dataset.
+    ({"alpha": float("nan")}, "alpha must be finite, got nan"),
+    ({"beta": float("inf")}, "beta must be finite, got inf"),
+    ({"sigma": float("nan")}, "sigma must be finite, got nan"),
+    ({"sigma": float("inf")}, "sigma must be finite, got inf"),
 ])
 def test_experiment_config_errors(tmp_path, capsys, overrides, fragment):
     config = experiment_config(tmp_path, **overrides)

@@ -43,6 +43,15 @@ def test_bounds_validation():
         Bounds(1.0, 1.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         Bounds(0.0, 1.0, 2.0, -2.0)
+    # Every bound is finite, and so is every span: with an infinite span
+    # each normalized value would be 0 or NaN.
+    inf, nan = float("inf"), float("nan")
+    for bad in ((0.0, inf, 0.0, 1.0), (-inf, 0.0, 0.0, 1.0), (-1e308, 1e308, 0.0, 1.0),
+                (nan, 1.0, 0.0, 1.0), (0.0, 1.0, 0.0, nan), (0.0, 1.0, -inf, inf),
+                (0.0, 1.0, -1.5e308, 1.5e308)):
+        with pytest.raises(ValueError, match="bounds must be finite"):
+            Bounds(*bad)
+    assert Bounds(-1e308, 0.0, 0.0, 1e308).x_span == 1e308
 
 
 def test_normalize_maps_bounds_to_unit_square():

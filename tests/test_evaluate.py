@@ -31,7 +31,7 @@ from dpreg import (
 from dpreg.cli import MECHANISM_NAMES
 from dpreg.evaluate import _TRIAL_CHUNK, _generate_on
 from dpreg.mechanisms import _FIT_CORES, FITTERS, dp_rss_fit
-from dpreg.simplex import LINEAR_COLUMNS, refined_release
+from dpreg.simplex import LINEAR_COLUMNS, _refined_releases
 
 
 def test_setup_config_validation():
@@ -41,6 +41,12 @@ def test_setup_config_validation():
         SetupConfig(n=10, alpha=0.0, beta=0.5, sigma=-0.1, seed=0)
     with pytest.raises(ValueError):
         SetupConfig(n=10, alpha=0.0, beta=0.5, sigma=0.1, seed=-1)
+    for name in ("alpha", "beta", "sigma"):
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            values = dict(alpha=0.0, beta=0.5, sigma=0.1)
+            values[name] = bad
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                SetupConfig(n=10, seed=0, **values)
 
 
 def test_reference_setups():
@@ -302,7 +308,7 @@ def test_refined_trial_rows_are_consecutive_dp_rss_releases(three_point_line, tr
     (noise,) = bulk.draws
     assert noise.shape == (trials, 6)
     single = RecordingStream(11, 2)
-    releases = [refined_release(three_point_line, 1, eps, single) for _ in range(trials)]
+    releases = [_refined_releases(three_point_line, (eps,), single)[0] for _ in range(trials)]
     assert np.concatenate(single.draws).tobytes() == noise.tobytes()
     fit_stream = RecordingStream(11, 2)
     dp_rss_fit(three_point_line, eps, fit_stream)

@@ -130,6 +130,58 @@ def test_budget_ledgers_account_for_whole_epsilon(three_point_line):
     assert [e.scale for e in led.events[1:]] == [None, None]
 
 
+class ScaleRecordingStream(RandomStream):
+    """A stream that records the scale of every Laplace draw it makes."""
+
+    def __init__(self, seed, stream_index=0):
+        super().__init__(seed, stream_index)
+        self.scales = []
+
+    def laplace(self, scale, size=None):
+        self.scales += np.atleast_1d(scale).tolist()
+        return super().laplace(scale, size)
+
+
+def ledger_cases():
+    """(name, fit(data, eps, stream, ledger)) for every fitter, k = 3 and d = 3."""
+    cases = [(name, lambda d, e, s, led, fit=fit: fit(d, e, s, ledger=led))
+             for name, fit in FITTERS.items()]
+    cases.append(("dp_theil_sen k=3",
+                  lambda d, e, s, led: dp_theil_sen_fit(d, e, s, TheilSenHyper(k=3), led)))
+    cases.append(("dp_rss_poly d=3", lambda d, e, s, led: dp_rss_poly_fit(d, 3, e, s, led)))
+    return cases
+
+
+LEDGER_BUDGETS = (_EPSILON_FLOOR, 0.1, 0.3, 0.7, 1.0, 2.5, 1e6)
+
+
+def test_drawn_laplace_scales_equal_the_ledger_scales(random_dataset):
+    # Every Laplace draw uses, bit for bit, a scale that the ledger
+    # declares, and every declared Laplace part is drawn.
+    ds = random_dataset(2, n=60)
+    for name, fit in ledger_cases():
+        for eps in LEDGER_BUDGETS:
+            stream, led = ScaleRecordingStream(5, 1), NoiseLedger()
+            fit(ds, eps, stream, led)
+            declared = {e.scale for e in led.events if e.scale is not None}
+            assert stream.scales and set(stream.scales) == declared, (name, eps)
+            assert led.total_epsilon() == pytest.approx(eps, rel=1e-12), (name, eps)
+
+
+def test_every_ledger_is_the_same_on_every_input(random_dataset):
+    # A ledger that read the data, as Theil-Sen's fallback once made it,
+    # would leak through the budget it reports.
+    empty = Dataset(np.array([]), np.array([]))
+    for name, fit in ledger_cases():
+        for eps in LEDGER_BUDGETS:
+            ledgers = []
+            for ds in (empty, random_dataset(3, n=60)):
+                led = NoiseLedger()
+                fit(ds, eps, RandomStream(0, 0), led)
+                ledgers.append(led.events)
+            assert ledgers[0] == ledgers[1], (name, eps)
+
+
 def test_reproducible_and_stream_sensitive(random_dataset):
     ds = random_dataset(7, n=100)
     for fit in (dp_rss_fit, dp_ss_fit, dp_theil_sen_fit):
@@ -331,7 +383,10 @@ def core_cases():
     A core draws every budget's release from one stream and solves the
     stack of releases in one batched call.
     """
-    def core(draw, solve, results=mech._fit_results):
+    def fit_results(coeffs, fallback):
+        return [FitResult(a, b, f) for (a, b), f in zip(coeffs.tolist(), fallback.tolist())]
+
+    def core(draw, solve, results=fit_results):
         return lambda d, b, s: results(*solve(draw(d, b, s)))
 
     def poly_results(coeffs, fallback):

@@ -53,12 +53,15 @@ PUBLIC_NAMES = [
 # is now the only definition, and group_contributions returns its rows.
 # The median no longer answers empty input with a warning and a fixed
 # value, and the scalar solvers gave way to the batched post-processing.
+# Every fitter, and so every ledger, now runs through mechanisms._fit.
 REMOVED = {
     dpreg.simplex: ["simplex_transform_x", "simplex_transform_xy", "_check_unit",
-                    "_solve_normal_equations", "_coefficients", "refined_fit", "_refined_fits"],
+                    "_solve_normal_equations", "_coefficients", "refined_fit", "_refined_fits",
+                    "refined_release"],
     dpreg.polynomial: ["poly_group1_contribution", "poly_group2_contribution"],
     dpreg.median: ["DegenerateInputWarning"],
-    dpreg.mechanisms: ["_line_fit", "_rss_fits", "_ss_fits", "_theil_sen_fits"],
+    dpreg.mechanisms: ["_line_fit", "_rss_fits", "_ss_fits", "_theil_sen_fits", "_SS_LABELS",
+                       "_fit_results"],
     dpreg.evaluate: ["_errors_of_fits"],
 }
 

@@ -17,9 +17,9 @@ from dpreg import (
 )
 from dpreg.simplex import (
     LINEAR_COLUMNS,
+    _refined_releases,
     _solve_refined,
     _solve_systems,
-    refined_release,
     transfer_matrix,
 )
 
@@ -114,7 +114,7 @@ def test_privatize_draw_order_and_scales(random_dataset):
     # x-group first, before the transfer matrix refines it.
     ds = random_dataset(6, n=40)
     for degree in (1, 2):
-        got = refined_release(ds, degree, 0.5, RandomStream(6, 0))
+        got = _refined_releases(ds, (0.5,), RandomStream(6, 0), degree)[0]
         ref = RandomStream(6, 0)
         z1 = ref.laplace(4.0, 2 * degree + 1)
         z2 = ref.laplace(4.0, degree + 2)
@@ -125,7 +125,7 @@ def test_privatize_draw_order_and_scales(random_dataset):
 
 def test_privatize_zero_noise_is_identity(random_dataset):
     ds = random_dataset(2)
-    got = refined_release(ds, 1, 0.5, ZeroNoiseStream(0, 0))
+    got = _refined_releases(ds, (0.5,), ZeroNoiseStream(0, 0))[0]
     assert np.array_equal(got, np.concatenate(exact_group_stats(ds)) @ transfer_matrix(1))
 
 
@@ -133,14 +133,14 @@ def test_privatize_rejects_nonpositive_budget(random_dataset):
     ds = random_dataset(0, n=10)
     for bad in (0.0, -0.5, float("inf"), float("nan")):
         with pytest.raises(ValueError):
-            refined_release(ds, 1, bad, RandomStream(0, 0))
+            _refined_releases(ds, (bad,), RandomStream(0, 0))
         with pytest.raises(ValueError):
             dp_rss_poly_fit(ds, 2, bad, RandomStream(0, 0))
 
 
 def test_refine_zero_noise_recovers_exact_sums(random_dataset):
     ds = random_dataset(4, n=200)
-    n_hat, s_x, s_x2, s_y, s_xy = refined_release(ds, 1, 0.5, ZeroNoiseStream(0, 0))
+    n_hat, s_x, s_x2, s_y, s_xy = _refined_releases(ds, (0.5,), ZeroNoiseStream(0, 0))[0]
     assert n_hat == pytest.approx(200.0, rel=1e-12)
     assert s_x == pytest.approx(math.fsum(ds.x), rel=1e-12)
     assert s_y == pytest.approx(math.fsum(ds.y), rel=1e-12)
@@ -153,7 +153,7 @@ def test_refine_requires_even_budget_split(random_dataset):
     # spends half the budget on each group at the same scale.
     for degree in (1, 3):
         ledger = NoiseLedger()
-        refined_release(random_dataset(1, n=30), degree, 0.8, RandomStream(0, 0), ledger)
+        dp_rss_poly_fit(random_dataset(1, n=30), degree, 0.8, RandomStream(0, 0), ledger)
         assert [(e.label, e.epsilon, e.scale) for e in ledger.events] == [
             ("x-group sums", 0.4, 2.5), ("xy-group sums", 0.4, 2.5)]
 
@@ -239,7 +239,7 @@ def test_one_fallback_rule_for_every_degree():
     # Equal x: the x-spread rounds to +4.4e-16, so only the pivot guard
     # stops a garbage line.
     ds = Dataset(np.full(5, 0.3), np.linspace(0.1, 0.9, 5))
-    n, s_x, s_x2 = refined_release(ds, 1, 1.0, ZeroNoiseStream(0, 0))[:3]
+    n, s_x, s_x2 = _refined_releases(ds, (1.0,), ZeroNoiseStream(0, 0))[0, :3]
     assert s_x2 * n - s_x * s_x > 0
     for d in (1, 3):
         assert dp_rss_poly_fit(ds, d, 1.0, ZeroNoiseStream(0, 0)).fallback
