@@ -220,15 +220,18 @@ def _bounds_from_args(args) -> Bounds | None:
         raise _CliError(str(exc)) from exc
 
 
-def _check_epsilon_flag(args) -> None:
+def _check_budget_flags(args) -> None:
+    """Check ``--epsilon`` and ``--seed`` before anything is read or drawn."""
     try:
         _as_epsilon(args.epsilon)
     except ValueError as exc:
         raise _CliError(f"--epsilon: {exc}") from exc
+    if args.seed < 0:
+        raise _CliError(f"--seed must be a non-negative integer, got {args.seed}")
 
 
 def cmd_fit(args) -> int:
-    _check_epsilon_flag(args)
+    _check_budget_flags(args)
     bounds = _bounds_from_args(args)
     if args.mechanism == "dp_rss_poly":
         if args.degree is None:
@@ -301,6 +304,10 @@ def _load_experiment_config(path: str):
     fresh = raw.get("fresh_data_per_iteration", False)
     if not isinstance(fresh, bool):
         raise _CliError(f"{path}: fresh_data_per_iteration must be true or false")
+    # JSON true and false load as bools, which float() takes for 1 and 0.
+    for key in ("alpha", "beta", "sigma"):
+        if isinstance(raw[key], bool):
+            raise _CliError(f"{path}: {key} must be a number, got {json.dumps(raw[key])}")
     try:
         setup = SetupConfig(
             n=raw["n"], alpha=float(raw["alpha"]), beta=float(raw["beta"]),
@@ -370,7 +377,7 @@ def _verify_csv_lines(rows):
 
 
 def cmd_verify(args) -> int:
-    _check_epsilon_flag(args)
+    _check_budget_flags(args)
     if args.trials < 100_000:
         raise _CliError(f"--trials must be at least 100000, got {args.trials}")
     rows = verify_variances(args.epsilon, args.trials, RandomStream(args.seed, 0))

@@ -21,6 +21,11 @@ from .noise import _SHARES, RandomStream, ZeroNoiseStream, _as_epsilon
 from .simplex import LINEAR_COLUMNS, _group_sums, transfer_matrix
 
 
+def _is_int(value) -> bool:
+    """True for an int that is not a bool (``True`` is an ``int`` too)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SetupConfig:
     """Linear-Gaussian synthetic data: y = alpha x + beta + N(0, sigma^2), clipped."""
@@ -32,14 +37,14 @@ class SetupConfig:
     seed: int
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
+        if not _is_int(self.n) or self.n < 1:
             raise ValueError(f"n must be a positive integer, got {self.n!r}")
         for name in ("alpha", "beta", "sigma"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.sigma < 0:
             raise ValueError(f"sigma must be non-negative, got {self.sigma}")
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if not _is_int(self.seed) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
@@ -61,7 +66,7 @@ class ExperimentGrid:
         if any(b <= a for a, b in zip(eps, eps[1:])):
             raise ValueError(f"epsilons must be strictly increasing, got {self.epsilons!r}")
         object.__setattr__(self, "epsilons", eps)
-        if not isinstance(self.iterations, int) or self.iterations < 1:
+        if not _is_int(self.iterations) or self.iterations < 1:
             raise ValueError(f"iterations must be a positive integer, got {self.iterations!r}")
         methods = tuple(self.methods)
         if len(methods) == 0:

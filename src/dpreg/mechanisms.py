@@ -189,10 +189,10 @@ def _theil_sen_draw(data, budgets, stream: RandomStream, hyper: TheilSenHyper | 
     """The private percentiles (p25, p75) of ``dp_theil_sen_fit`` at each budget.
 
     The size uniform, the matchings, the projections and their sort are
-    shared by every budget; only the median weights are recomputed per
-    budget. The draws never depend on the data: with fewer than two records
-    or no pair of distinct x, each median runs on an empty list and picks a
-    point of the clip range. Every budget is checked before any uniform is
+    shared by every budget, and both medians run through one weight pass.
+    The draws never depend on the data: with fewer than two records or no
+    pair of distinct x, each median runs on an empty list and picks a point
+    of the clip range. Every budget is checked before any uniform is
     drawn.
     """
     ds = as_dataset(data)
@@ -206,11 +206,7 @@ def _theil_sen_draw(data, budgets, stream: RandomStream, hyper: TheilSenHyper | 
     # A record lands in k pairs, so it moves up to k projections of each
     # list; each median runs at eps/(3k) to spend its eps/3 share.
     parts = [eps / (_SHARES["dp_theil_sen"] * hyper.k) for eps in epsilons]
-    u = stream.uniform(4)
-    return np.column_stack([
-        _dp_medians(np.concatenate(z25s), parts, hyper.r_lo, hyper.r_hi, u[:2]),
-        _dp_medians(np.concatenate(z75s), parts, hyper.r_lo, hyper.r_hi, u[2:]),
-    ])
+    return _dp_medians((z25s, z75s), parts, hyper.r_lo, hyper.r_hi, stream.uniform(4))
 
 
 def _theil_sen_solve(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -6,6 +6,10 @@ sentinels), scores each interval by how balanced the counts on either side of
 it are, and samples an interval with probability proportional to
 ``length * exp(epsilon * utility / 2)``, then a uniform point inside it.
 The rank utility has add/remove sensitivity 1, so the release is epsilon-DP.
+
+One weight pass serves every budget and every list of a call, and one
+sampler reads it (DECISIONS.md, D9). A weight below ``exp(_DEAD_BELOW)``
+times the largest is set to 0, so ``exp`` never leaves its fast path.
 """
 
 from __future__ import annotations
@@ -16,29 +20,93 @@ import numpy as np
 
 from .noise import RandomStream, _as_epsilon
 
+# Width of the blocks whose sums locate the picked interval.
+_BLOCK = 64
+# Log weights, less their row's maximum, at or below this get weight 0.
+# numpy's SIMD exp leaves its fast path near -707.7; the mass dropped is
+# below m * 1e-306 of the total, far under the 2^-53 grid of the uniforms.
+_DEAD_BELOW = -705.0
+# What numpy's exp gives there: subtracting it zeroes a clamped weight.
+_DEAD_WEIGHT = float(np.exp(np.array([_DEAD_BELOW]))[0])
+
 
 def _check_clip(clip_lo: float, clip_hi: float) -> None:
     if not (math.isfinite(clip_lo) and math.isfinite(clip_hi) and clip_lo < clip_hi):
         raise ValueError(f"clip range must be finite with lower < upper, got [{clip_lo}, {clip_hi}]")
 
 
-def _prepare(values, clip_lo: float, clip_hi: float):
-    """The budget-free part of the mechanism: edges, log lengths, utilities."""
-    v = np.sort(np.clip(np.asarray(values, dtype=np.float64), clip_lo, clip_hi))
-    m = v.size
-    edges = np.concatenate(([clip_lo], v, [clip_hi]))
-    with np.errstate(divide="ignore"):  # log(0) -> -inf marks zero-length intervals
-        log_lengths = np.log(np.diff(edges))
-    utilities = -np.abs(np.arange(m + 1, dtype=np.float64) - m / 2.0)
-    return edges, log_lengths, utilities
+def _prepare(pools, clip_lo: float, clip_hi: float) -> np.ndarray:
+    """Interval edges of each pool, ``(L, m + 2)``: clip_lo, the sorted clipped values, clip_hi.
+
+    A pool is a sequence of array-likes whose concatenation, as float64, is
+    one median's values; every pool holds m values in all.
+    """
+    pools = [[np.asarray(part, dtype=np.float64) for part in pool] for pool in pools]
+    m = sum(part.size for part in pools[0])
+    edges = np.empty((len(pools), m + 2))
+    edges[:, 0], edges[:, -1] = clip_lo, clip_hi
+    values = edges[:, 1:-1]
+    for row, pool in zip(values, pools):
+        np.concatenate(pool, out=row)
+    values.clip(clip_lo, clip_hi, out=values)
+    values.sort(axis=1)
+    return edges
 
 
-def _interval_probs(log_lengths, utilities, epsilon: float) -> np.ndarray:
-    """Selection probabilities at one budget, normalized in log space."""
-    log_w = log_lengths + 0.5 * epsilon * utilities
-    log_w -= log_w.max()
-    w = np.exp(log_w)
-    return w / w.sum()
+def _weights(edges: np.ndarray, halves: np.ndarray) -> np.ndarray:
+    """Unnormalized interval weights, ``(B, L, width)``, at each half-budget ``halves[j]``.
+
+    With ``a = log(length) - halves[j] * |i - m/2|``, the log weight the
+    mechanism defines, less its row's maximum, entry (j, l, i) is
+    ``exp(max(a, _DEAD_BELOW)) - exp(_DEAD_BELOW)``: ``exp(a)`` where ``a``
+    is above -667, and exactly 0 where ``a <= _DEAD_BELOW`` and on the
+    columns past m that pad the width to whole blocks.
+    """
+    m = edges.shape[1] - 2
+    width = -(-(m + 1) // _BLOCK) * _BLOCK
+    w = np.empty((halves.size, edges.shape[0], width))
+    with np.errstate(divide="ignore", over="ignore"):
+        # Each row starts as minus its rank penalty, which overflows to
+        # -inf, weight 0, at a huge epsilon, as it should.
+        np.multiply(-halves[:, None, None], np.abs(np.arange(width) - m / 2.0), out=w)
+        # Then it adds its pool's log lengths, one pool at a time so that
+        # only one row of them is alive. log(0) = -inf marks a zero-length
+        # interval, and the padding past m gets weight 0 too.
+        for l, row in enumerate(edges):
+            log_len = row[1:] - row[:-1]
+            w[:, l, : m + 1] += np.log(log_len, out=log_len)
+        w[:, :, m + 1 :] = -np.inf
+        w -= w.max(axis=2, keepdims=True)
+        np.maximum(w, _DEAD_BELOW, out=w)
+        np.exp(w, out=w)
+        w -= _DEAD_WEIGHT
+    return w
+
+
+def _locate(w: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Index of the interval each row (j, l) of ``w`` picks at ``u[l]``, ``(B, L)``.
+
+    The pick is the first interval whose prefix sum exceeds u * total.
+    Block sums find the block, and one sequential prefix inside it the
+    interval: a prefix passes only where it grows, so a pick has positive
+    weight. Where the prefix inside the block never passes, as when
+    u * total rounds to the total, the row takes the last interval of
+    positive weight up to that block.
+    """
+    blocks = w.reshape(-1, w.shape[2] // _BLOCK, _BLOCK)
+    rows = np.arange(blocks.shape[0])
+    ends = np.zeros((rows.size, blocks.shape[1] + 1))  # weight before each block, then the total
+    np.einsum("rbk->rb", blocks, out=ends[:, 1:])
+    np.add.accumulate(ends, axis=1, out=ends)
+    target = (u * ends[:, -1].reshape(w.shape[:2])).ravel()
+    # Counting only the inner block ends keeps a target at the total in the last block.
+    block = (ends[:, 1:-1] <= target[:, None]).sum(axis=1)
+    inner = np.add.accumulate(blocks[rows, block], axis=1)
+    pos = (inner <= (target - ends[rows, block])[:, None]).sum(axis=1)
+    idx = block * _BLOCK + pos
+    for r in (pos == _BLOCK).nonzero()[0]:
+        idx[r] = (blocks[r, : block[r] + 1].ravel() > 0.0).nonzero()[0][-1]
+    return idx.reshape(w.shape[:2])
 
 
 def median_interval_probs(values, epsilon: float, clip_lo: float, clip_hi: float):
@@ -50,33 +118,34 @@ def median_interval_probs(values, epsilon: float, clip_lo: float, clip_hi: float
     values below it and m - i at or above, giving rank utility
     ``-|i - m/2|``; zero-length intervals (tied values) get zero mass.
     Weights are normalized in log space with max-subtraction, so large
-    ``epsilon * m`` products cannot overflow.
+    ``epsilon * m`` products cannot overflow. These are the weights
+    :func:`dp_median` samples, those below ``exp(-705)`` of the largest
+    set to 0.
     """
     epsilon = _as_epsilon(epsilon)
     _check_clip(clip_lo, clip_hi)
-    edges, log_lengths, utilities = _prepare(values, clip_lo, clip_hi)
-    return edges, _interval_probs(log_lengths, utilities, epsilon)
+    edges = _prepare([[values]], clip_lo, clip_hi)
+    w = _weights(edges, np.array([0.5 * epsilon]))[0, 0, : edges.shape[1] - 1]
+    return edges[0], w / w.sum()
 
 
-def _dp_medians(values, epsilons, clip_lo: float, clip_hi: float, uniforms) -> list[float]:
-    """``dp_median`` of ``values`` at each budget, from one uniform pair.
+def _dp_medians(pools, epsilons, clip_lo: float, clip_hi: float, uniforms) -> np.ndarray:
+    """``dp_median`` of each pool at each budget, ``(B, L)``, from one uniform pair per pool.
 
-    Sorts once and reweights per budget. ``uniforms`` are the two uniforms
-    a single ``dp_median`` call draws, interval pick first, so entry j
-    equals ``dp_median(values, epsilons[j], ...)`` on a stream that yields
-    them. Together the outputs are not epsilon-DP at any one budget. The
-    caller has checked every budget and the clip range.
+    ``pools`` holds L pools of equal size, each a sequence of arrays whose
+    concatenation is one median's values. ``uniforms`` holds, for each pool
+    in turn, the two uniforms a single ``dp_median`` call draws, interval
+    pick first, so entry (j, l) equals ``dp_median(pool l, epsilons[j], ...)``
+    on a stream that yields them. Together the outputs are not epsilon-DP
+    at any one budget. The caller has checked every budget and the clip
+    range.
     """
-    edges, log_lengths, utilities = _prepare(values, clip_lo, clip_hi)
-    u_interval, u_point = uniforms
-    out = []
-    for epsilon in epsilons:
-        cdf = np.cumsum(_interval_probs(log_lengths, utilities, epsilon))
-        idx = int(np.searchsorted(cdf, u_interval, side="right"))
-        idx = min(idx, cdf.size - 1)  # guard the u ~= 1 rounding edge
-        lo, hi = edges[idx], edges[idx + 1]
-        out.append(float(lo + (hi - lo) * u_point))
-    return out
+    edges = _prepare(pools, clip_lo, clip_hi)
+    u_pick, u_point = np.asarray(uniforms, dtype=np.float64).reshape(len(pools), 2).T
+    idx = _locate(_weights(edges, 0.5 * np.asarray(epsilons, dtype=np.float64)), u_pick)
+    row = np.arange(len(pools))
+    lo, hi = edges[row, idx], edges[row, idx + 1]
+    return lo + (hi - lo) * u_point
 
 
 def dp_median(
@@ -96,4 +165,4 @@ def dp_median(
     """
     epsilon = _as_epsilon(epsilon)
     _check_clip(clip_lo, clip_hi)
-    return _dp_medians(values, (epsilon,), clip_lo, clip_hi, stream.uniform(2))[0]
+    return float(_dp_medians([[values]], (epsilon,), clip_lo, clip_hi, stream.uniform(2))[0, 0])

@@ -53,11 +53,13 @@ _EPSILON_FLOOR = _LARGEST_SCALE * 53 * math.log(2) / math.sqrt(np.finfo(np.float
 def _as_epsilon(budget) -> float:
     """The epsilon of a ``PrivacyBudget`` or a number; every budget's one check.
 
-    Raises ValueError for NaN, infinity, and values below
+    Raises ValueError for a bool, NaN, infinity, and values below
     ``_EPSILON_FLOOR``, where the largest draws and their products overflow.
     """
     if isinstance(budget, PrivacyBudget):
         return budget.epsilon
+    if isinstance(budget, bool):  # float(True) would pass as 1.0
+        raise ValueError(f"epsilon must be a number, got {budget}")
     eps = float(budget)
     if not (eps >= _EPSILON_FLOOR and math.isfinite(eps)):
         raise ValueError(

@@ -165,6 +165,11 @@ def test_fit_stdout_is_deterministic(tmp_path, capsys):
      "x,y", "x bounds must be finite"),
     (Flags(("--epsilon", "1", "--x-min=0", "--x-max", "5", "--y-min", "nan", "--y-max", "5")),
      "x,y", "y bounds must be finite"),
+    # A negative seed once ended in a traceback from RandomStream.
+    (Flags(("--epsilon", "1", "--seed", "-3")), "x,y",
+     "--seed must be a non-negative integer, got -3"),
+    (Flags(("--mechanism", "dp_theil_sen", "--epsilon", "1", "--seed=-1")), "x,y",
+     "--seed must be a non-negative integer, got -1"),
 ])
 def test_fit_input_errors(tmp_path, capsys, rows, header, fragment):
     flags = ("--epsilon", "1.0")
@@ -441,6 +446,16 @@ def test_experiment_single_iteration_writes_na(tmp_path, capsys):
     ({"beta": float("inf")}, "beta must be finite, got inf"),
     ({"sigma": float("nan")}, "sigma must be finite, got nan"),
     ({"sigma": float("inf")}, "sigma must be finite, got inf"),
+    # JSON booleans are Python ints: these once ended in a numpy traceback,
+    # and a true epsilon ran silently at epsilon 1.
+    ({"n": True, "seed": False, "iterations": True}, "n must be a positive integer, got True"),
+    ({"seed": False}, "seed must be a non-negative integer, got False"),
+    ({"iterations": True}, "iterations must be a positive integer, got True"),
+    ({"epsilons": [True]}, "epsilon must be a number, got True"),
+    ({"epsilons": [0.5, False]}, "epsilon must be a number, got False"),
+    ({"alpha": True}, "alpha must be a number, got true"),
+    ({"sigma": False}, "sigma must be a number, got false"),
+    ({"seed": -1}, "seed must be a non-negative integer, got -1"),
 ])
 def test_experiment_config_errors(tmp_path, capsys, overrides, fragment):
     config = experiment_config(tmp_path, **overrides)
@@ -502,6 +517,14 @@ def test_verify_rejects_bad_epsilon(capsys, epsilon):
     code, out, err = run(capsys, ["verify", "--epsilon", epsilon, "--trials", "100000"])
     assert (code, out) == (2, "")
     assert err.startswith("dpreg: error: --epsilon: epsilon must be positive")
+
+
+def test_verify_rejects_negative_seed(capsys):
+    # A negative seed once ended in a traceback from RandomStream.
+    code, out, err = run(capsys, ["verify", "--epsilon", "1.0", "--trials", "100000",
+                                  "--seed", "-3"])
+    assert (code, out) == (2, "")
+    assert err == "dpreg: error: --seed must be a non-negative integer, got -3\n"
 
 
 def test_verify_output_file_with_manifest(tmp_path, capsys, monkeypatch):

@@ -241,12 +241,12 @@ def test_pair_projections_equal_plain_expressions_bitwise():
 def test_theil_sen_combines_medians_into_line(monkeypatch):
     # With the two percentile medians pinned to 0.35 and 0.85 the fitted
     # line must pass through (0.25, 0.35) and (0.75, 0.85).
-    outputs = iter([0.35, 0.85])
     calls = []
 
-    def fake_medians(values, epsilons, lo, hi, uniforms):
-        calls.append((len(values), list(epsilons), lo, hi, len(uniforms)))
-        return [next(outputs)]
+    def fake_medians(pools, epsilons, lo, hi, uniforms):
+        calls.append(([sum(len(part) for part in pool) for pool in pools], list(epsilons),
+                      lo, hi, len(uniforms)))
+        return np.array([[0.35, 0.85]])
 
     monkeypatch.setattr(mech, "_dp_medians", fake_medians)
     x = np.linspace(0.05, 0.95, 10)
@@ -255,12 +255,13 @@ def test_theil_sen_combines_medians_into_line(monkeypatch):
                            hyper=TheilSenHyper(k=3))
     assert res.alpha_hat == pytest.approx(1.0, abs=1e-12)
     assert res.beta_hat == pytest.approx(0.1, abs=1e-12)
-    assert len(calls) == 2
-    for n_values, epsilons, lo, hi, n_uniforms in calls:
-        assert n_values == 15        # three rounds of five pairs accumulate
-        assert epsilons == [pytest.approx(0.1)]  # eps/3 per median, over k = 3
-        assert (lo, hi) == (-2.0, 2.0)
-        assert n_uniforms == 2       # each median draws its own pair
+    # Both medians run through one call.
+    assert len(calls) == 1
+    n_values, epsilons, lo, hi, n_uniforms = calls[0]
+    assert n_values == [15, 15]      # three rounds of five pairs accumulate
+    assert epsilons == [pytest.approx(0.1)]  # eps/3 per median, over k = 3
+    assert (lo, hi) == (-2.0, 2.0)
+    assert n_uniforms == 4           # each median draws its own pair
 
 
 def test_theil_sen_small_or_degenerate_inputs_release_points_of_the_clip_range():

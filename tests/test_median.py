@@ -5,12 +5,16 @@ The reference probabilities are recomputed here by direct enumeration
 is checked against an independent route.
 """
 import math
+import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from dpreg import RandomStream, dp_median, median_interval_probs
-from dpreg.median import _dp_medians
+from dpreg.median import _dp_medians, _locate, _prepare, _weights
+from dpreg.noise import _EPSILON_FLOOR
 
 
 def oracle_probs(values, eps, lo, hi):
@@ -33,6 +37,8 @@ CASES = [
     [0.2, 0.2, 0.7, 1.4],          # tie inside the range
     [-5.0, -0.1, 0.4, 0.4, 3.0],   # values beyond the clipping range
     [0.9, -1.2, 0.3, 1.7, -0.6, 0.05],
+    # Objects numpy converts with float(), an int past int64 among them.
+    np.array([Fraction(1, 3), Decimal("-0.25"), 2**70, 0.5], dtype=object),
 ]
 
 
@@ -160,15 +166,126 @@ def test_rejects_bad_parameters():
     assert s.uniform() == RandomStream(0, 0).uniform()
 
 
+def test_huge_budgets_overflow_the_rank_penalty_without_warning():
+    # Near the largest double, (eps/2)|i - m/2| overflows to inf, which is
+    # weight 0: only the two middle intervals of these 41 values remain.
+    # The overflow once warned, and so raised under RuntimeWarning errors.
+    values = np.linspace(-1.0, 1.0, 41)
+    for eps in (1e300, 1e308, np.finfo(np.float64).max):
+        probs = median_interval_probs(values, eps, -2.0, 2.0)[1]
+        assert probs[20] == probs[21] == 0.5
+        for seed in range(5):
+            assert -0.05 <= dp_median(values, eps, -2.0, 2.0, RandomStream(seed, 0)) <= 0.05
+
+
 def test_multi_budget_median_equals_dp_median_bitwise():
-    # Sort once, reweight per budget: each output is dp_median at that
-    # budget on a stream that yields the same two uniforms.
+    # One weight pass for every budget and pool: each output is dp_median
+    # at that budget on a stream that yields the same two uniforms.
     g = RandomStream(30, 0)
     cases = [g.normal(size=400) * 0.3, np.round(g.uniform(300), 1) * 5.0 - 2.5,
              np.array([0.7]), np.full(9, 2.5)]
     budgets = (0.01, 0.3, 1.0, 30.0)
     for values in cases:
         for seed in range(20):
-            got = _dp_medians(values, budgets, -2.0, 2.0, RandomStream(seed, 3).uniform(2))
-            for eps, value in zip(budgets, got):
+            got = _dp_medians([[values]], budgets, -2.0, 2.0, RandomStream(seed, 3).uniform(2))
+            assert got.shape == (len(budgets), 1)
+            for eps, value in zip(budgets, got[:, 0]):
                 assert value.hex() == dp_median(values, eps, -2.0, 2.0, RandomStream(seed, 3)).hex()
+    # Two pools in one call equal each pool alone, and a pool split into
+    # parts equals its concatenation.
+    a, b = cases[0][:300], cases[1]
+    u = RandomStream(31, 0).uniform(4)
+    both = _dp_medians([[a[:100], a[100:]], [b]], budgets, -2.0, 2.0, u)
+    assert both.tolist() == np.column_stack([
+        _dp_medians([[a]], budgets, -2.0, 2.0, u[:2])[:, 0],
+        _dp_medians([[b]], budgets, -2.0, 2.0, u[2:])[:, 0]]).tolist()
+
+
+def sequential_cdf_picks(values, epsilon, lo, hi, u):
+    """The interval the sampler this module replaced picks at each uniform in ``u``.
+
+    Per budget it normalized the weights, took their sequential cumsum and
+    searched it, clamping a search past the end to the last interval.
+    """
+    v = np.sort(np.clip(np.asarray(values, dtype=np.float64), lo, hi))
+    m = v.size
+    with np.errstate(divide="ignore"):
+        log_lengths = np.log(np.diff(np.concatenate(([lo], v, [hi]))))
+    utilities = -np.abs(np.arange(m + 1, dtype=np.float64) - m / 2.0)
+    log_w = log_lengths + 0.5 * epsilon * utilities
+    log_w -= log_w.max()
+    w = np.exp(log_w)
+    cdf = np.cumsum(w / w.sum())
+    return np.minimum(np.searchsorted(cdf, u, side="right"), cdf.size - 1)
+
+
+def oracle_value_sets():
+    g = RandomStream(41, 0)
+    for m in (0, 1, 2, 3, 17, 500, 2500, 5000, 20000):
+        piled = g.normal(size=m)
+        piled[: (7 * m) // 10] = -2.0 - g.uniform((7 * m) // 10)  # at or past clip_lo
+        yield m, "normal", g.normal(size=m) * 0.5
+        yield m, "rounded", np.round(g.uniform(m) * 4.0 - 2.0, 1)
+        yield m, "all tied", np.full(m, 0.3)
+        yield m, "piled at a clip bound", piled
+        yield m, "1e-9 spread", 0.2 + 1e-9 * g.normal(size=m)
+        yield m, "1e-12 spread", 0.2 + 1e-12 * g.normal(size=m)
+
+
+ORACLE_BUDGETS = (_EPSILON_FLOOR, 1e-6, 0.01, 0.1, 1.0, 10.0, 1e3, 1e6)
+
+
+def test_sampler_picks_the_interval_of_the_sequential_cdf_sampler():
+    # The block locate compares unnormalized prefix sums with u * total;
+    # the old sampler compared a cumsum of normalized weights with u. They
+    # can differ only where u lies within rounding of an interval boundary,
+    # which a random interior u never meets (DECISIONS.md, D9).
+    g = RandomStream(42, 0)
+    cases = 0
+    halves = 0.5 * np.array(ORACLE_BUDGETS)
+    for m, kind, values in oracle_value_sets():
+        w = _weights(_prepare([[values]], -2.0, 2.0), halves)
+        us = g.uniform(70)
+        got = np.column_stack([_locate(w, np.array([u]))[:, 0] for u in us])
+        want = [sequential_cdf_picks(values, eps, -2.0, 2.0, us) for eps in ORACLE_BUDGETS]
+        assert got.tolist() == np.array(want).tolist(), (m, kind)
+        cases += got.size
+    assert cases >= 30_000
+
+
+@pytest.mark.parametrize("u", [0.0, 1.0 - 2.0**-53])
+def test_extreme_uniforms_pick_intervals_of_positive_weight(u):
+    # At u = 1 - 2^-53 the old sampler could run past a cdf whose rounded
+    # total fell short of u, and took the last interval even where it had
+    # probability 0 (a tied pair, or a mass of 1e-300). At u = 0 the pick is
+    # the first interval of positive weight.
+    halves = 0.5 * np.array(ORACLE_BUDGETS)
+    old_misses = 0
+    for m, kind, values in oracle_value_sets():
+        edges = _prepare([[values]], -2.0, 2.0)
+        picks = _locate(_weights(edges, halves), np.array([u]))[:, 0]
+        for eps, pick in zip(ORACLE_BUDGETS, picks):
+            probs = median_interval_probs(values, eps, -2.0, 2.0)[1]
+            assert probs[pick] > 0.0, (m, kind, eps)
+            if u == 0.0:
+                assert pick == np.flatnonzero(probs)[0]
+            old_misses += probs[sequential_cdf_picks(values, eps, -2.0, 2.0, u)] == 0.0
+    if u > 0.0:
+        assert old_misses > 0  # the old clamp did pick intervals of probability 0 here
+
+
+def test_median_weights_stay_within_four_arrays_of_the_input_size():
+    # Edges, weights and at most two temporaries (the rank distances, then
+    # the log lengths): four arrays of about m floats at one budget, 15.33
+    # MiB here. The old sampler held six, 22.89 MiB.
+    m = 500_000
+    values = RandomStream(44, 0).uniform(m) * 4.0 - 2.0
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        _dp_medians([[values]], (1.0 / 3.0,), -2.0, 2.0, (0.3, 0.6))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.2 * 8 * m
