@@ -16,13 +16,11 @@ from .evaluate import (
     RSS_VARIANCES,
     SS_VARIANCES,
     STATISTIC_ORDER,
-    MetricResult,
     SetupConfig,
     VarianceRow,
     generate_setup,
     l1_error,
     l2_error,
-    line_errors,
     reference_setup,
     run_experiment,
     simulate_baseline_stats,
@@ -41,7 +39,8 @@ from .mechanisms import (
 )
 from .median import dp_median, median_interval_probs
 from .noise import NoiseEvent, NoiseLedger, PrivacyBudget, RandomStream, ZeroNoiseStream
-from .polynomial import PolyFitResult, dp_rss_poly_fit
+# Through the re-export, so that ``import dpreg`` binds ``dpreg.polynomial``.
+from .polynomial import dp_rss_poly_fit
 from .simplex import exact_group_stats, group_contributions, sensitivity_oracle
 
 __version__ = "0.1.0"
@@ -55,10 +54,8 @@ __all__ = [
     "FALLBACK_BETA",
     "FitResult",
     "METHOD_NAMES",
-    "MetricResult",
     "NoiseEvent",
     "NoiseLedger",
-    "PolyFitResult",
     "PrivacyBudget",
     "RSS_VARIANCES",
     "RandomStream",
@@ -81,7 +78,6 @@ __all__ = [
     "group_contributions",
     "l1_error",
     "l2_error",
-    "line_errors",
     "median_interval_probs",
     "normalize",
     "reference_setup",

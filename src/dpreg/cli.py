@@ -28,9 +28,8 @@ from .evaluate import (
     run_experiment,
     verify_variances,
 )
-from .mechanisms import FITTERS, denormalize_fit
+from .mechanisms import FITTERS, denormalize_fit, dp_rss_poly_fit
 from .noise import RandomStream, _as_epsilon
-from .polynomial import dp_rss_poly_fit
 
 RESULTS_HEADER = "method,epsilon,mean_l1,std_l1,mean_l2,std_l2,median_l1,median_l2"
 VERIFY_HEADER = "statistic,method,empirical_var,theoretical_var,relative_error,improvement_ratio"
@@ -243,8 +242,13 @@ def cmd_fit(args) -> int:
                 "bounds rescaling applies to the linear mechanisms only; "
                 "dp_rss_poly expects data already in the unit square"
             )
+
+        def fitter(data, budget, stream):
+            return dp_rss_poly_fit(data, args.degree, budget, stream)
     elif args.degree is not None:
         raise _CliError(f"--degree is only valid with dp_rss_poly, not {args.mechanism}")
+    else:
+        fitter = FITTERS[args.mechanism]
 
     pairs = _read_xy_csv(args.data)
     if bounds is not None:
@@ -261,20 +265,16 @@ def cmd_fit(args) -> int:
             ) from exc
     del pairs  # the Dataset holds its own columns; the fit needs no parse
 
-    stream = RandomStream(args.seed, 0)
+    fit = fitter(ds, args.epsilon, RandomStream(args.seed, 0))
+    if bounds is not None:
+        fit = denormalize_fit(fit, bounds)
     out = {"mechanism": args.mechanism, "epsilon": args.epsilon, "seed": args.seed}
     if args.mechanism == "dp_rss_poly":
-        fit = dp_rss_poly_fit(ds, args.degree, args.epsilon, stream)
-        out["degree"] = args.degree
-        out["coeffs"] = [float(c) for c in fit.coeffs]
-        out["fallback"] = fit.fallback
+        out["degree"] = fit.degree
+        out["coeffs"] = list(fit.coeffs)
     else:
-        fit = FITTERS[args.mechanism](ds, args.epsilon, stream)
-        if bounds is not None:
-            fit = denormalize_fit(fit, bounds)
-        out["alpha_hat"] = fit.alpha_hat
-        out["beta_hat"] = fit.beta_hat
-        out["fallback"] = fit.fallback
+        out["alpha_hat"], out["beta_hat"] = fit.coeffs
+    out["fallback"] = fit.fallback
     print(_json_dumps(out))
     return 0
 

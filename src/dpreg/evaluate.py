@@ -130,23 +130,6 @@ def l2_error(true_fit, est_fit) -> float:
 
 
 @dataclass(frozen=True)
-class MetricResult:
-    """Both line-error metrics of one fit against the truth."""
-
-    l1: float
-    l2: float
-
-    def __post_init__(self):
-        if self.l1 < 0 or self.l2 < 0:
-            raise ValueError(f"errors cannot be negative, got l1={self.l1}, l2={self.l2}")
-
-
-def line_errors(true_fit, est_fit) -> MetricResult:
-    """Evaluate both metrics at once."""
-    return MetricResult(l1_error(true_fit, est_fit), l2_error(true_fit, est_fit))
-
-
-@dataclass(frozen=True)
 class ExperimentRow:
     """Aggregated errors of one (method, epsilon) cell.
 

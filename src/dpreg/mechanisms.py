@@ -1,10 +1,10 @@
-"""epsilon-DP simple linear regression mechanisms and their registry.
+"""epsilon-DP linear and polynomial regression mechanisms and their registry.
 
-Three fitters share one contract: records in the unit square, an epsilon
-budget, a seeded stream, and a :class:`FitResult` out. Degenerate draws
-return the fixed fallback fit (0, 0.5) with the flag set instead of
-raising, so Monte Carlo loops never die mid-run. ``FITTERS`` maps each
-mechanism name to its fitter; the CLI dispatches through it.
+Every fitter shares one contract: records in the unit square, an epsilon
+budget, a seeded stream, and a :class:`FitResult` out, whatever the
+degree. Degenerate draws return the constant fallback fit y = 0.5 with the
+flag set instead of raising, so Monte Carlo loops never die mid-run.
+``FITTERS`` maps each line mechanism's name to its fitter.
 
 Each mechanism is a ``(draw, solve)`` pair in ``_FIT_CORES``. The draw
 ``(data, budgets, stream)`` draws the uniforms once and returns one row of
@@ -16,10 +16,11 @@ epsilon-DP at any one budget (DECISIONS.md, D3). Each fitter is one
 ``_fit`` call: it writes the ledger from ``noise._RELEASE_PARTS`` and runs
 the pair at one budget (D8); the sweep solves all its draws at once.
 
-* ``dp_rss_fit`` is degree 1 of the refined release in :mod:`dpreg.simplex`:
-  two privatized simplex query groups, refined sufficient statistics, and
-  the normal equations. It falls back when the refined size or x-spread is
-  not positive or the equations are numerically singular.
+* ``dp_rss_poly_fit`` is the refined release in :mod:`dpreg.simplex` at
+  any degree d: two privatized simplex query groups, refined power sums,
+  and the normal equations. It falls back when the refined size or
+  x-spread is not positive or the equations are numerically singular.
+  ``dp_rss_fit`` is its degree 1, bit for bit.
 * ``dp_ss_fit`` privatizes eight clamped sums directly (the baseline the
   refined mechanism improves on).
 * ``dp_theil_sen_fit`` privatizes the 25th/75th percentiles of pairwise
@@ -37,23 +38,41 @@ import numpy as np
 from .data import Bounds, _chunked_exact_sums, as_dataset
 from .median import _check_clip, _dp_medians
 from .noise import _RELEASE_PARTS, _SHARES, NoiseLedger, RandomStream, _as_epsilon
-from .simplex import _refined_releases, _solve_refined
+from .simplex import _fallback_coeffs, _refined_releases, _solve_refined
 
-FALLBACK_ALPHA = 0.0
-FALLBACK_BETA = 0.5
+FALLBACK_ALPHA, FALLBACK_BETA = _fallback_coeffs(1)
 
 
 @dataclass(frozen=True)
 class FitResult:
-    """Fitted line y = alpha_hat * x + beta_hat.
+    """Fitted polynomial y = coeffs[0] x^d + ... + coeffs[d]; a line at d = 1.
 
-    ``fallback`` is True when the mechanism hit a degenerate draw and
-    returned the fixed fallback fit (0, 0.5) instead of an estimate.
+    ``coeffs`` holds the coefficients, highest power first. ``fallback`` is
+    True when the mechanism hit a degenerate draw and returned the constant
+    fit y = 0.5 instead of an estimate. ``alpha_hat`` and ``beta_hat`` read
+    the slope and intercept of a line and raise ``ValueError`` at any other
+    degree.
     """
 
-    alpha_hat: float
-    beta_hat: float
+    coeffs: tuple
     fallback: bool = False
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+    @property
+    def alpha_hat(self) -> float:
+        return self._line()[0]
+
+    @property
+    def beta_hat(self) -> float:
+        return self._line()[1]
+
+    def _line(self) -> tuple:
+        if self.degree != 1:
+            raise ValueError(f"a degree-{self.degree} fit is not a line")
+        return self.coeffs
 
 
 @dataclass(frozen=True)
@@ -86,7 +105,27 @@ def dp_rss_fit(data, budget, stream: RandomStream, ledger: NoiseLedger | None = 
     S_{xy}, and the 2x2 normal equations. Falls back when the refined size
     or x-spread is not positive or the equations are numerically singular.
     """
-    return FitResult(*_fit("dp_rss", data, budget, stream, ledger))
+    return _fit("dp_rss", data, budget, stream, ledger)
+
+
+def dp_rss_poly_fit(
+    data,
+    degree: int,
+    budget,
+    stream: RandomStream,
+    ledger: NoiseLedger | None = None,
+) -> FitResult:
+    """Fit a degree-``degree`` polynomial with refined private statistics.
+
+    Spends half the budget on each group, as the ``dp_rss`` entry of
+    ``noise._RELEASE_PARTS`` declares and the ledger records, refines every
+    power sum, and solves the normal equations
+    (``dpreg.simplex._solve_refined``). Degree 1 is ``dp_rss_fit``: same
+    noise, ledger, statistics, fallbacks and result.
+    Falls back to the constant fit y = 0.5 when the refined size or x-spread
+    is not positive or the normal equations are numerically singular.
+    """
+    return _fit("dp_rss", data, budget, stream, ledger, degree)
 
 
 def _ss_sums(ds) -> np.ndarray:
@@ -152,7 +191,7 @@ def dp_ss_fit(data, budget, stream: RandomStream, ledger: NoiseLedger | None = N
     size as a quarter of their total, and plugs the noisy sums into the
     covariance form of the least-squares solution.
     """
-    return FitResult(*_fit("dp_ss", data, budget, stream, ledger))
+    return _fit("dp_ss", data, budget, stream, ledger)
 
 
 def _pair_projections(x: np.ndarray, y: np.ndarray, perm: np.ndarray):
@@ -233,21 +272,24 @@ def dp_theil_sen_fit(
     budget the same way; with fewer than two records, or no matched pair
     with distinct x values, the medians pick points of the clip range.
     """
-    return FitResult(*_fit("dp_theil_sen", data, budget, stream, ledger, hyper))
+    return _fit("dp_theil_sen", data, budget, stream, ledger, hyper)
 
 
 def denormalize_fit(fit: FitResult, bounds: Bounds) -> FitResult:
-    """Map a unit-square fit back to the original data scale.
+    """Map a unit-square line fit back to the original data scale.
 
     Inverts the affine map of :func:`dpreg.data.normalize`: a line through
     the normalized data corresponds to slope (dy/dx) * alpha' and intercept
     y_min + dy * (beta' - (x_min/dx) * alpha') on the raw scale. Pure
     post-processing, so it costs no budget; the fallback flag is preserved.
+    A fit of any other degree raises ``ValueError``: re-expanding a
+    polynomial about x_min loses too many digits to trust (DECISIONS.md,
+    D10).
     """
     dx, dy = bounds.x_span, bounds.y_span
     alpha = (dy / dx) * fit.alpha_hat
     beta = bounds.y_min + dy * (fit.beta_hat - (bounds.x_min / dx) * fit.alpha_hat)
-    return FitResult(alpha, beta, fit.fallback)
+    return FitResult((alpha, beta), fit.fallback)
 
 
 FITTERS = {
@@ -271,8 +313,7 @@ def _fit(name: str, data, budget, stream: RandomStream, ledger: NoiseLedger | No
 
     Checks the budget and the records, then writes the ledger from
     ``noise._RELEASE_PARTS[name]`` before the first uniform is drawn, so it
-    never depends on the data or the draws. Returns the coefficients,
-    highest power first, then the fallback flag.
+    never depends on the data or the draws.
     """
     eps = _as_epsilon(budget)
     ds = as_dataset(data)
@@ -282,4 +323,4 @@ def _fit(name: str, data, budget, stream: RandomStream, ledger: NoiseLedger | No
             ledger.record(label, eps / shares, scale=shares / eps if laplace else None)
     draw, solve = _FIT_CORES[name]
     coeffs, fallback = solve(draw(ds, (eps,), stream, *extra))
-    return (*coeffs[0].tolist(), bool(fallback[0]))
+    return FitResult(tuple(coeffs[0].tolist()), bool(fallback[0]))

@@ -76,7 +76,17 @@ def _weights(edges: np.ndarray, halves: np.ndarray) -> np.ndarray:
             log_len = row[1:] - row[:-1]
             w[:, l, : m + 1] += np.log(log_len, out=log_len)
         w[:, :, m + 1 :] = -np.inf
-        w -= w.max(axis=2, keepdims=True)
+        top = w.max(axis=2, keepdims=True)
+        # Where every positive-length interval's rank penalty overflowed, the
+        # mechanism's law in doubles (exp(-eps/2) is 0) is the positive-length
+        # intervals of best rank, by length. Only a huge halves * m/2 overflows.
+        if max(halves.tolist()) * (m / 2.0) == math.inf:
+            for j, l in zip(*np.isneginf(top[:, :, 0]).nonzero()):
+                log_len = np.log(np.diff(edges[l]))
+                rank = np.where(log_len > -np.inf, np.abs(np.arange(m + 1) - m / 2.0), np.inf)
+                w[j, l, : m + 1] = np.where(rank == rank.min(), log_len, -np.inf)
+                top[j, l] = w[j, l].max()
+        w -= top
         np.maximum(w, _DEAD_BELOW, out=w)
         np.exp(w, out=w)
         w -= _DEAD_WEIGHT
@@ -120,7 +130,8 @@ def median_interval_probs(values, epsilon: float, clip_lo: float, clip_hi: float
     Weights are normalized in log space with max-subtraction, so large
     ``epsilon * m`` products cannot overflow. These are the weights
     :func:`dp_median` samples, those below ``exp(-705)`` of the largest
-    set to 0.
+    set to 0. Where every positive-length interval's rank penalty overflows,
+    the positive-length intervals of best rank share the mass by length.
     """
     epsilon = _as_epsilon(epsilon)
     _check_clip(clip_lo, clip_hi)

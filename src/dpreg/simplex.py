@@ -225,6 +225,11 @@ def _solve_systems(aug: np.ndarray, fallback: np.ndarray) -> tuple[np.ndarray, n
     return x, fallback
 
 
+def _fallback_coeffs(d: int) -> tuple:
+    """Coefficients of the fallback fit at degree d, the constant y = 0.5."""
+    return (0.0,) * d + (0.5,)
+
+
 @lru_cache(maxsize=None)
 def _augmented_columns(d: int) -> np.ndarray:
     """Columns of the refined statistics that fill the degree-d system [a | b].
@@ -249,7 +254,7 @@ def _solve_refined(stats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n_hat, s_x, s_x2 = stats[:, 0], stats[:, 1], stats[:, 2]
     fallback = (n_hat <= 0) | (s_x2 * n_hat - s_x * s_x <= 0)
     x, fallback = _solve_systems(stats[:, _augmented_columns(d)], fallback)
-    x[fallback] = (0.0,) * d + (0.5,)
+    x[fallback] = _fallback_coeffs(d)
     return x, fallback
 
 

@@ -445,7 +445,7 @@ def test_criterion_8_rescaling_round_trip():
         scale = max(1.0, abs(a), abs(b))
         worst = max(worst, abs(fit.alpha_hat - a) / scale,
                     abs(fit.beta_hat - b) / scale)
-    example = denormalize_fit(FitResult(0.5, 0.2), Bounds(0.0, 10.0, 0.0, 100.0))
+    example = denormalize_fit(FitResult((0.5, 0.2)), Bounds(0.0, 10.0, 0.0, 100.0))
     example_ok = (abs(example.alpha_hat - 5.0) <= 1e-12
                   and abs(example.beta_hat - 20.0) <= 1e-12)
     report(

@@ -12,7 +12,6 @@ from dpreg import (
     ExperimentGrid,
     ExperimentRow,
     FitResult,
-    MetricResult,
     RandomStream,
     RSS_VARIANCES,
     SS_VARIANCES,
@@ -21,7 +20,6 @@ from dpreg import (
     generate_setup,
     l1_error,
     l2_error,
-    line_errors,
     reference_setup,
     run_experiment,
     simulate_baseline_stats,
@@ -82,7 +80,14 @@ def test_l1_error_worked_examples():
     # mean of |x_i| over x_i = i/1000 is 1001/2000
     assert l1_error((0.0, 0.0), (1.0, 0.0)) == pytest.approx(0.5005, abs=1e-12)
     assert l1_error((0.0, 0.0), (0.0, 0.1)) == pytest.approx(0.1, abs=1e-12)
-    assert l1_error(FitResult(0.0, 0.0), FitResult(1.0, 0.0)) == pytest.approx(0.5005)
+    assert l1_error(FitResult((0.0, 0.0)), FitResult((1.0, 0.0))) == pytest.approx(0.5005)
+
+
+def test_line_errors_refuse_a_curve():
+    cubic = FitResult((0.1, 0.2, 0.3, 0.4))
+    for metric in (l1_error, l2_error):
+        with pytest.raises(ValueError, match="degree-3 fit is not a line"):
+            metric((0.0, 0.0), cubic)
 
 
 def test_l1_error_close_to_exact_integral():
@@ -107,14 +112,6 @@ def test_l2_error_matches_quadrature():
         a, b = 4.0 * g.uniform(2) - 2.0
         oracle = simpson((a * xs + b) ** 2, x=xs)
         assert l2_error((0.0, 0.0), (a, b)) == pytest.approx(oracle, abs=1e-9)
-
-
-def test_metric_result():
-    m = line_errors((0.0, 0.0), (1.0, 0.0))
-    assert m.l1 == pytest.approx(0.5005, abs=1e-12)
-    assert m.l2 == pytest.approx(1.0 / 3.0, rel=1e-12)
-    with pytest.raises(ValueError):
-        MetricResult(-0.1, 0.0)
 
 
 def test_experiment_grid_validation():

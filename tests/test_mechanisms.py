@@ -9,7 +9,6 @@ from dpreg import (
     Dataset,
     FitResult,
     NoiseLedger,
-    PolyFitResult,
     PrivacyBudget,
     RandomStream,
     TheilSenHyper,
@@ -88,7 +87,7 @@ def test_fallback_fit_is_fixed_line():
     # trip the guard deterministically
     for fit in (dp_rss_fit, dp_ss_fit):
         res = fit(empty, 1.0, ZeroNoiseStream(0, 0))
-        assert res == FitResult(0.0, 0.5, fallback=True)
+        assert res == FitResult((0.0, 0.5), fallback=True)
     # and specific noisy streams land there too
     assert dp_rss_fit(empty, 1.0, RandomStream(1, 0)).fallback
     assert dp_ss_fit(empty, 1.0, RandomStream(0, 0)).fallback
@@ -336,18 +335,30 @@ def test_refined_fit_beats_plain_sums_at_moderate_budget(random_dataset):
 
 def test_denormalize_worked_examples():
     bounds = Bounds(0.0, 10.0, 0.0, 100.0)
-    res = denormalize_fit(FitResult(0.5, 0.2), bounds)
+    res = denormalize_fit(FitResult((0.5, 0.2)), bounds)
     assert res.alpha_hat == pytest.approx(5.0, abs=1e-12)
     assert res.beta_hat == pytest.approx(20.0, abs=1e-12)
 
-    shifted = denormalize_fit(FitResult(1.0, 0.0), Bounds(2.0, 4.0, 0.0, 1.0))
+    shifted = denormalize_fit(FitResult((1.0, 0.0)), Bounds(2.0, 4.0, 0.0, 1.0))
     assert shifted.alpha_hat == pytest.approx(0.5, abs=1e-12)
     assert shifted.beta_hat == pytest.approx(-1.0, abs=1e-12)
 
-    identity = denormalize_fit(FitResult(0.3, 0.4), Bounds(0.0, 1.0, 0.0, 1.0))
+    identity = denormalize_fit(FitResult((0.3, 0.4)), Bounds(0.0, 1.0, 0.0, 1.0))
     assert (identity.alpha_hat, identity.beta_hat) == (0.3, 0.4)
 
-    assert denormalize_fit(FitResult(0.0, 0.5, fallback=True), bounds).fallback
+    assert denormalize_fit(FitResult((0.0, 0.5), fallback=True), bounds).fallback
+
+
+def test_line_accessors_and_denormalize_refuse_a_curve():
+    line = FitResult((0.5, 0.2))
+    assert line.degree == 1
+    assert (line.alpha_hat, line.beta_hat) == (0.5, 0.2)
+    cubic = FitResult((0.1, 0.2, 0.3, 0.4))
+    assert cubic.degree == 3
+    for read in (lambda f: f.alpha_hat, lambda f: f.beta_hat,
+                 lambda f: denormalize_fit(f, Bounds(0.0, 10.0, 0.0, 100.0))):
+        with pytest.raises(ValueError, match="degree-3 fit is not a line"):
+            read(cubic)
 
 
 def test_denormalized_line_tracks_normalized_line():
@@ -355,7 +366,7 @@ def test_denormalized_line_tracks_normalized_line():
     for _ in range(10):
         u = g.uniform(4)
         bounds = Bounds(u[0], u[0] + 1.0 + u[1], -u[2], u[2] + 0.5)
-        fit = FitResult(float(2.0 * u[3] - 1.0), float(u[0]))
+        fit = FitResult((float(2.0 * u[3] - 1.0), float(u[0])))
         raw = denormalize_fit(fit, bounds)
         for x_raw in (bounds.x_min, bounds.x_max, 0.5 * (bounds.x_min + bounds.x_max)):
             x_unit = (x_raw - bounds.x_min) / bounds.x_span
@@ -369,13 +380,7 @@ CORE_BUDGETS = (0.05, 0.3, 1.0, 10.0)
 
 def fit_bits(fit):
     """Hex of every number in a fit, so 0.0 and -0.0 differ too."""
-    if fit is None:
-        return None
-    if isinstance(fit, PolyFitResult):
-        return (tuple(c.hex() for c in fit.coeffs), fit.fallback)
-    if isinstance(fit, FitResult):
-        return (fit.alpha_hat.hex(), fit.beta_hat.hex(), fit.fallback)
-    return tuple(c.hex() for c in fit)
+    return (tuple(c.hex() for c in fit.coeffs), fit.fallback)
 
 
 def core_cases():
@@ -384,14 +389,10 @@ def core_cases():
     A core draws every budget's release from one stream and solves the
     stack of releases in one batched call.
     """
-    def fit_results(coeffs, fallback):
-        return [FitResult(a, b, f) for (a, b), f in zip(coeffs.tolist(), fallback.tolist())]
-
-    def core(draw, solve, results=fit_results):
+    def core(draw, solve):
+        def results(coeffs, fallback):
+            return [FitResult(tuple(c), f) for c, f in zip(coeffs.tolist(), fallback.tolist())]
         return lambda d, b, s: results(*solve(draw(d, b, s)))
-
-    def poly_results(coeffs, fallback):
-        return [PolyFitResult(tuple(c), f) for c, f in zip(coeffs.tolist(), fallback.tolist())]
 
     cases = [(name, core(*mech._FIT_CORES[name]), FITTERS[name]) for name in FITTERS]
     k3 = TheilSenHyper(k=3)
@@ -400,8 +401,7 @@ def core_cases():
                        mech._theil_sen_solve),
                   lambda d, e, s: dp_theil_sen_fit(d, e, s, hyper=k3)))
     cases.append(("dp_rss_poly d=3",
-                  core(lambda d, b, s: _refined_releases(d, b, s, degree=3), _solve_refined,
-                       poly_results),
+                  core(lambda d, b, s: _refined_releases(d, b, s, degree=3), _solve_refined),
                   lambda d, e, s: dp_rss_poly_fit(d, 3, e, s)))
     return cases
 
@@ -453,8 +453,6 @@ def test_every_mechanism_at_the_epsilon_floor_is_finite_or_falls_back(random_dat
         for ds in datasets:
             for seed in range(40):
                 res = fit(ds, _EPSILON_FLOOR, RandomStream(seed, 4))
-                values = res.coeffs if isinstance(res, PolyFitResult) else (
-                    res.alpha_hat, res.beta_hat)
-                assert all(math.isfinite(v) for v in values)
+                assert all(math.isfinite(v) for v in res.coeffs)
                 kept += not res.fallback
     assert kept > 0

@@ -176,6 +176,17 @@ def test_huge_budgets_overflow_the_rank_penalty_without_warning():
         assert probs[20] == probs[21] == 0.5
         for seed in range(5):
             assert -0.05 <= dp_median(values, eps, -2.0, 2.0, RandomStream(seed, 0)) <= 0.05
+    # With every value tied, each positive-length interval's penalty
+    # overflows; the limit of the mechanism's law picks the outer two, by
+    # length. The row's maximum was -inf and every weight NaN.
+    for eps in (1.7e308, np.finfo(np.float64).max):
+        probs = median_interval_probs([0.5] * 6, eps, -2.0, 2.0)[1]
+        assert probs.tolist() == pytest.approx([0.625, 0, 0, 0, 0, 0, 0.375], abs=1e-15)
+        picks = [dp_median([0.5] * 6, eps, -2.0, 2.0, RandomStream(seed, 0)) for seed in range(40)]
+        assert min(picks) < 0.5 < max(picks)
+    # Ties on one side only: the best-ranked positive-length interval alone.
+    probs = median_interval_probs([0.5] * 5 + [1.0], 1.7e308, -2.0, 2.0)[1]
+    assert probs.tolist() == [0, 0, 0, 0, 0, 1, 0]
 
 
 def test_multi_budget_median_equals_dp_median_bitwise():

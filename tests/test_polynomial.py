@@ -5,8 +5,8 @@ import pytest
 
 from dpreg import (
     Dataset,
+    FitResult,
     NoiseLedger,
-    PolyFitResult,
     RandomStream,
     ZeroNoiseStream,
     dp_rss_fit,
@@ -155,16 +155,14 @@ def test_degree_one_estimates_match_linear_refinement(random_dataset):
 def test_degree_one_fit_matches_linear_fit(random_dataset):
     # Beside n = 90 at epsilon 0.7, small n and extreme budgets, where
     # fallbacks are common: degree 1 must fall back, and fit, exactly when
-    # dp_rss does.
+    # dp_rss does. The two results are equal, whole.
     cases = [(seed, 90, 0.7) for seed in range(30)]
     cases += [(seed, 50 + seed, eps) for seed in range(300) for eps in (0.05, 1.0, 10.0)]
     fallbacks = 0
     for seed, n, eps in cases:
         ds = random_dataset(seed, n=n)
         lin = dp_rss_fit(ds, eps, RandomStream(seed, 2))
-        poly = dp_rss_poly_fit(ds, 1, eps, RandomStream(seed, 2))
-        assert poly.fallback == lin.fallback, (seed, n, eps)
-        assert poly.coeffs == (lin.alpha_hat, lin.beta_hat), (seed, n, eps)
+        assert dp_rss_poly_fit(ds, 1, eps, RandomStream(seed, 2)) == lin, (seed, n, eps)
         fallbacks += lin.fallback
     assert fallbacks >= 50
 
@@ -181,7 +179,7 @@ def test_quadratic_zero_noise_recovery():
 def test_poly_fallback_paths():
     empty = Dataset(np.array([]), np.array([]))
     res = dp_rss_poly_fit(empty, 2, 1.0, ZeroNoiseStream(0, 0))
-    assert res == PolyFitResult((0.0, 0.0, 0.5), fallback=True)
+    assert res == FitResult((0.0, 0.0, 0.5), fallback=True)
     assert res.degree == 2
     assert dp_rss_poly_fit(empty, 2, 1.0, RandomStream(0, 0)).fallback
 

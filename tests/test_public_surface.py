@@ -12,10 +12,8 @@ PUBLIC_NAMES = [
     "FALLBACK_BETA",
     "FitResult",
     "METHOD_NAMES",
-    "MetricResult",
     "NoiseEvent",
     "NoiseLedger",
-    "PolyFitResult",
     "PrivacyBudget",
     "RSS_VARIANCES",
     "RandomStream",
@@ -38,7 +36,6 @@ PUBLIC_NAMES = [
     "group_contributions",
     "l1_error",
     "l2_error",
-    "line_errors",
     "median_interval_probs",
     "normalize",
     "reference_setup",
@@ -53,21 +50,23 @@ PUBLIC_NAMES = [
 # is now the only definition, and group_contributions returns its rows.
 # The median no longer answers empty input with a warning and a fixed
 # value, and the scalar solvers gave way to the batched post-processing.
-# Every fitter, and so every ledger, now runs through mechanisms._fit.
+# Every fitter, and so every ledger, now runs through mechanisms._fit,
+# which builds the one FitResult of every degree. The line metrics are
+# called one at a time.
 REMOVED = {
     dpreg.simplex: ["simplex_transform_x", "simplex_transform_xy", "_check_unit",
                     "_solve_normal_equations", "_coefficients", "refined_fit", "_refined_fits",
                     "refined_release"],
-    dpreg.polynomial: ["poly_group1_contribution", "poly_group2_contribution"],
+    dpreg.polynomial: ["poly_group1_contribution", "poly_group2_contribution", "PolyFitResult"],
     dpreg.median: ["DegenerateInputWarning"],
     dpreg.mechanisms: ["_line_fit", "_rss_fits", "_ss_fits", "_theil_sen_fits", "_SS_LABELS",
                        "_fit_results"],
-    dpreg.evaluate: ["_errors_of_fits"],
+    dpreg.evaluate: ["_errors_of_fits", "line_errors", "MetricResult"],
 }
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC_NAMES) == 43
+    assert len(PUBLIC_NAMES) == 40
     assert sorted(dpreg.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(dpreg, name) is not None, name
