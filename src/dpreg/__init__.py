@@ -23,8 +23,7 @@ from .evaluate import (
     l2_error,
     reference_setup,
     run_experiment,
-    simulate_baseline_stats,
-    simulate_refined_stats,
+    simulate_stats,
     verify_variances,
 )
 from .mechanisms import (
@@ -83,7 +82,6 @@ __all__ = [
     "reference_setup",
     "run_experiment",
     "sensitivity_oracle",
-    "simulate_baseline_stats",
-    "simulate_refined_stats",
+    "simulate_stats",
     "verify_variances",
 ]

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, as_dataset
-from .mechanisms import _FIT_CORES, FITTERS, FitResult, _ss_sums
+from .mechanisms import _FIT_CORES, FITTERS, FitResult
 from .noise import _SHARES, RandomStream, ZeroNoiseStream, _as_epsilon
-from .simplex import LINEAR_COLUMNS, _group_sums, transfer_matrix
+from .simplex import _LAPLACE_RELEASES, LINEAR_COLUMNS, _cell_sums
 
 
 def _is_int(value) -> bool:
@@ -245,30 +245,20 @@ SS_VARIANCES = {
 STATISTIC_ORDER = ("n", "s_x", "s_y", "s_x2", "s_xy")
 
 
-def simulate_refined_stats(data, epsilon: float, trials: int, stream: RandomStream):
-    """Refined statistics over ``trials`` releases, as a dict of arrays.
+def simulate_stats(method: str, data, epsilon: float, trials: int, stream: RandomStream):
+    """Statistics of ``trials`` releases of ``dp_rss`` or ``dp_ss``, as a dict of arrays.
 
-    The noise is one (trials, 6) draw, so its row t is, bit for bit, the
-    noise of the t-th consecutive ``dp_rss_fit`` release on ``stream``
-    (x-group first), refined by the same transfer matrix as a single fit.
+    The noise is one (trials, cells) draw, so its row t is, bit for bit,
+    the noise of the t-th consecutive fit of ``method`` on ``stream``, read
+    by the same matrix as a single fit.
     """
-    noisy = stream.laplace(_SHARES["dp_rss"] / epsilon, size=(trials, 6))
-    noisy += _group_sums(as_dataset(data), 1)
-    columns = transfer_matrix(1)[:, [LINEAR_COLUMNS[stat] for stat in STATISTIC_ORDER]]
+    if method not in _LAPLACE_RELEASES:
+        raise ValueError(f"method must be one of {sorted(_LAPLACE_RELEASES)}, got {method!r}")
+    matrix = _LAPLACE_RELEASES[method][1](1)
+    noisy = stream.laplace(_SHARES[method] / epsilon, size=(trials, len(matrix)))
+    noisy += _cell_sums(as_dataset(data), method, 1)
+    columns = matrix[:, [LINEAR_COLUMNS[stat] for stat in STATISTIC_ORDER]]
     return dict(zip(STATISTIC_ORDER, columns.T @ noisy.T))
-
-
-def simulate_baseline_stats(data, epsilon: float, trials: int, stream: RandomStream):
-    """Baseline noisy statistics over ``trials`` releases, as a dict of arrays."""
-    noisy = stream.laplace(_SHARES["dp_ss"] / epsilon, size=(trials, 8))
-    noisy += _ss_sums(as_dataset(data))
-    return {
-        "n": noisy.sum(axis=1) / _SHARES["dp_ss"],
-        "s_x": noisy[:, 0],
-        "s_y": noisy[:, 2],
-        "s_x2": noisy[:, 6],
-        "s_xy": noisy[:, 4],
-    }
 
 
 @dataclass(frozen=True)
@@ -305,25 +295,22 @@ def verify_variances(epsilon: float, trials: int, stream: RandomStream) -> list[
     if trials < 100_000:
         raise ValueError(f"trials must be at least 100000 for a stable estimate, got {trials}")
     ds = Dataset(np.array([0.0, 0.5, 1.0]), np.array([0.2, 0.45, 0.7]))
-    simulations = (
-        ("dp_rss", simulate_refined_stats, RSS_VARIANCES),
-        ("dp_ss", simulate_baseline_stats, SS_VARIANCES),
-    )
+    methods = (("dp_rss", RSS_VARIANCES), ("dp_ss", SS_VARIANCES))
     # Noise-free values: the first release of a stream that draws zeros.
-    shifts = {method: simulate(ds, epsilon, 1, ZeroNoiseStream())
-              for method, simulate, _ in simulations}
-    sums = {(method, stat): ([], []) for method, _, _ in simulations for stat in STATISTIC_ORDER}
+    shifts = {method: simulate_stats(method, ds, epsilon, 1, ZeroNoiseStream())
+              for method, _ in methods}
+    sums = {(method, stat): ([], []) for method, _ in methods for stat in STATISTIC_ORDER}
     for start in range(0, trials, _TRIAL_CHUNK):
         size = min(_TRIAL_CHUNK, trials - start)
-        for method, simulate, _ in simulations:
-            for stat, values in simulate(ds, epsilon, size, stream).items():
+        for method, _ in methods:
+            for stat, values in simulate_stats(method, ds, epsilon, size, stream).items():
                 d = values - shifts[method][stat]
                 linear, square = sums[method, stat]
                 linear.append(float(d.sum()))
                 square.append(float(np.square(d, out=d).sum()))
     rows = []
     for stat in STATISTIC_ORDER:
-        for method, _, variances in simulations:
+        for method, variances in methods:
             linear, square = (math.fsum(part) for part in sums[method, stat])
             emp = (square - linear * linear / trials) / (trials - 1)
             theory = variances[stat] / epsilon**2

@@ -22,7 +22,10 @@ the pair at one budget (D8); the sweep solves all its draws at once.
   x-spread is not positive or the equations are numerically singular.
   ``dp_rss_fit`` is its degree 1, bit for bit.
 * ``dp_ss_fit`` privatizes eight clamped sums directly (the baseline the
-  refined mechanism improves on).
+  refined mechanism improves on) and reads the statistics off them plainly.
+  It is the other entry of the Laplace release table in
+  :mod:`dpreg.simplex`, so it shares the draw, the solve and the fallback
+  rule of ``dp_rss_fit``.
 * ``dp_theil_sen_fit`` privatizes the 25th/75th percentiles of pairwise
   line projections with the exponential-mechanism median. It never falls
   back: with no projections each median picks a point of the clip range.
@@ -30,15 +33,15 @@ the pair at one budget (D8); the sweep solves all its draws at once.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .data import Bounds, _chunked_exact_sums, as_dataset
+from .data import Bounds, as_dataset
 from .median import _check_clip, _dp_medians
 from .noise import _RELEASE_PARTS, _SHARES, NoiseLedger, RandomStream, _as_epsilon
-from .simplex import _fallback_coeffs, _refined_releases, _solve_refined
+from .simplex import _fallback_coeffs, _laplace_draw, _solve_refined
 
 FALLBACK_ALPHA, FALLBACK_BETA = _fallback_coeffs(1)
 
@@ -128,68 +131,14 @@ def dp_rss_poly_fit(
     return _fit("dp_rss", data, budget, stream, ledger, degree)
 
 
-def _ss_sums(ds) -> np.ndarray:
-    """The eight exact clamped sums, in ``_ss_rows`` order; cached."""
-    cached = ds.cache.get("ss_sums")
-    if cached is None:
-        cached = _chunked_exact_sums(ds, 8, _ss_rows)
-        ds.cache["ss_sums"] = cached
-    return cached
-
-
-def _ss_rows(x: np.ndarray, y: np.ndarray):
-    """``(i, row)`` for each of the eight clamped sums over one chunk of records.
-
-    Sums 2j and 2j + 1 are part j of dp_ss: a pair (s, s') with s + s' = 1
-    per record, so the eight noisy sums total 4n in expectation.
-    """
-    xy = x * y
-    xx = x * x
-    return enumerate((x, 1.0 - x, y, 1.0 - y, xy, 1.0 - xy, xx, 1.0 - xx))
-
-
-def _ss_draw(data, budgets, stream: RandomStream) -> np.ndarray:
-    """The eight noisy sums of ``dp_ss_fit`` at each budget, from one draw.
-
-    Every budget is checked before any uniform is drawn.
-    """
-    ds = as_dataset(data)
-    epsilons = [_as_epsilon(b) for b in budgets]
-    noisy = stream.laplace(np.array([_SHARES["dp_ss"] / eps for eps in epsilons]), size=8)
-    noisy += _ss_sums(ds)
-    return noisy
-
-
-def _ss_solve(noisy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Line coefficients and fallback mask of a stack of ``_ss_draw`` rows.
-
-    A row falls back when its size estimate, the correctly rounded total of
-    its sums over the number of pairs, or its x-variance estimate is not
-    positive (a NaN is neither). A row leaves the arithmetic at the test it
-    fails, so no later step can overflow or divide by zero on it.
-    """
-    n_tilde = np.array([math.fsum(row) for row in noisy.tolist()]) / _SHARES["dp_ss"]
-    live = np.flatnonzero(~(n_tilde <= 0))
-    s_x, _, s_y, _, s_xy, _, s_x2, _ = noisy[live].T
-    n_tilde = n_tilde[live]
-    n_var = s_x2 - s_x * s_x / n_tilde
-    ok = ~(n_var <= 0)
-    live, s_x, s_y, s_xy, n_tilde, n_var = (v[ok] for v in (live, s_x, s_y, s_xy, n_tilde, n_var))
-    alpha = (s_xy - s_x * s_y / n_tilde) / n_var
-    coeffs = np.tile([FALLBACK_ALPHA, FALLBACK_BETA], (len(noisy), 1))
-    coeffs[live] = np.column_stack([alpha, (s_y - alpha * s_x) / n_tilde])
-    fallback = np.ones(len(noisy), dtype=bool)
-    fallback[live] = False
-    return coeffs, fallback
-
-
 def dp_ss_fit(data, budget, stream: RandomStream, ledger: NoiseLedger | None = None) -> FitResult:
-    """Baseline fitter: privatize eight clamped sums, then solve.
+    """Baseline fitter (NoisyStats): privatize eight clamped sums, then solve.
 
     Releases S_x, S_{1-x}, S_y, S_{1-y}, S_{xy}, S_{1-xy}, S_{x^2},
     S_{1-x^2}, each with Laplace noise at scale 4/epsilon, estimates the
-    size as a quarter of their total, and plugs the noisy sums into the
-    covariance form of the least-squares solution.
+    size as a quarter of their total, and solves the least-squares normal
+    equations of the noisy statistics under the fallback rule of
+    ``dp_rss_fit``.
     """
     return _fit("dp_ss", data, budget, stream, ledger)
 
@@ -302,8 +251,8 @@ FITTERS = {
 # together are not epsilon-DP at any one budget (DECISIONS.md, D3), so the
 # pairs stay private and keep no ledger; ``_fit`` runs them at one budget.
 _FIT_CORES = {
-    "dp_rss": (_refined_releases, _solve_refined),
-    "dp_ss": (_ss_draw, _ss_solve),
+    "dp_rss": (partial(_laplace_draw, "dp_rss"), _solve_refined),
+    "dp_ss": (partial(_laplace_draw, "dp_ss"), _solve_refined),
     "dp_theil_sen": (_theil_sen_draw, _theil_sen_solve),
 }
 

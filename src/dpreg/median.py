@@ -31,7 +31,8 @@ _DEAD_WEIGHT = float(np.exp(np.array([_DEAD_BELOW]))[0])
 
 
 def _check_clip(clip_lo: float, clip_hi: float) -> None:
-    if not (math.isfinite(clip_lo) and math.isfinite(clip_hi) and clip_lo < clip_hi):
+    # A finite span implies finite bounds; the interval lengths need it.
+    if not (clip_lo < clip_hi and math.isfinite(clip_hi - clip_lo)):
         raise ValueError(f"clip range must be finite with lower < upper, got [{clip_lo}, {clip_hi}]")
 
 

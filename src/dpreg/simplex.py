@@ -28,19 +28,22 @@ proportional to how many Laplace terms each reading sums. That map is
 linear, so it is one (3d+3) x (3d+2) matrix, ``transfer_matrix(d)``, and it
 refines a leading axis of trials as readily as a single release.
 
-``_refined_releases`` draws one release per budget from one stream and
-keeps no ledger; the fitters run it at one budget through
-``mechanisms._fit``. The post-processing after it costs no budget and runs
-on any (N, 3d + 2) stack of releases at once. ``_solve_refined`` solves
-each row's normal equations by ``_solve_systems``, a batched elimination
-that repeats the operations of a scalar one row by row, so a row's
-coefficients do not depend on the stack. A row falls back under one rule
-for every degree: when the refined size n is not positive, when the
-x-spread n S_{x^2} - S_x^2 is not positive, or when partial-pivoting
-elimination finds the system singular.
+``_LAPLACE_RELEASES`` holds this release, ``dp_rss``, beside the NoisyStats
+baseline ``dp_ss``, whose eight cells are read plainly. ``_cell_sums``
+caches a release's exact cell sums, and ``_laplace_draw`` draws one release
+per budget from one stream and keeps no ledger; the fitters run it at one
+budget through ``mechanisms._fit``. The post-processing after it costs no
+budget and runs on any (N, 3d + 2) stack of statistics at once.
+``_solve_refined`` solves each row's normal equations by
+``_solve_systems``, a batched elimination that repeats the operations of a
+scalar one row by row, so a row's coefficients do not depend on the stack.
+A row falls back under one rule for every degree and both releases: when
+the size n is not positive, when the x-spread n S_{x^2} - S_x^2 is not
+positive, or when partial-pivoting elimination finds the system singular.
 
-``_component_rows`` is the one definition of the per-record vectors; the
-release sums its rows, and ``group_contributions`` returns them per record.
+``_component_rows`` is the one definition of the paper's per-record
+vectors; the release sums its rows, and ``group_contributions`` returns
+them per record.
 """
 
 from __future__ import annotations
@@ -60,11 +63,11 @@ def _check_degree(degree: int) -> int:
 
 
 def _component_rows(x: np.ndarray, y: np.ndarray, d: int):
-    """Yield ``(group, entry, row)`` for every component of both groups.
+    """Yield ``(cell, row)`` for every component of both groups.
 
-    ``group`` is 0 for the x-group and 1 for the xy-group. Each row is one
-    contiguous array over the records, holding column ``entry`` of every
-    record's group vector, so the ``(n, 2d+1)`` and ``(n, d+2)`` stacks are
+    Cells 0 to 2d are the x-group's entries, and cells 2d + 1 to 3d + 2 the
+    xy-group's. Each row is one contiguous array over the records, holding
+    one entry of every record's group vector, so the ``(n, 3d+3)`` stack is
     never built. The powers use the ``np.power`` loop with an array
     exponent; a scalar or stride-0 exponent can take a different, not
     bit-identical, path, and ``x * x`` differs from it in the last bit for
@@ -80,37 +83,28 @@ def _component_rows(x: np.ndarray, y: np.ndarray, d: int):
         return np.power(x, exponent)
 
     upper = power(2 * d)  # x^j, walking j down from 2d
-    yield 0, 0, upper
+    yield 0, upper
     for j in range(2 * d, 0, -1):
         if j == d:
-            yield 1, 0, upper * y
+            yield 2 * d + 1, upper * y
         lower = power(j - 1)
         diff = lower - upper
-        yield 0, 2 * d - j + 1, diff
+        yield 2 * d - j + 1, diff
         if j <= d:
-            yield 1, d - j + 1, diff * y
+            yield 3 * d + 2 - j, diff * y
         upper = lower
-    yield 1, d + 1, 1.0 - y
+    yield 3 * d + 2, 1.0 - y
 
 
-def _group_sums(ds, d: int) -> np.ndarray:
-    """The 3d + 3 exact group sums of a ``Dataset``, x-group first; cached.
+def _ss_rows(x: np.ndarray, y: np.ndarray, d: int):
+    """``(cell, row)`` for each of the eight clamped cells of ``dp_ss``.
 
-    Reads the arrays ``Dataset`` already validated, so no range check runs.
-    The component rows are built one chunk of records at a time
-    (``data._chunked_exact_sums``), so no full-length row is held.
+    Cells 2j and 2j + 1 are part j: a pair (s, 1 - s) per record, so the
+    eight noisy sums total 4n in expectation. ``d`` is always 1.
     """
-    key = ("simplex_groups", d)
-    sums = ds.cache.get(key)
-    if sums is None:
-        def rows(x, y):
-            for group, entry, row in _component_rows(x, y, d):
-                yield group * (2 * d + 1) + entry, row
-
-        sums = _chunked_exact_sums(ds, 3 * d + 3, rows)
-        sums.setflags(write=False)
-        ds.cache[key] = sums
-    return sums
+    xy = x * y
+    xx = x * x
+    return enumerate((x, 1.0 - x, y, 1.0 - y, xy, 1.0 - xy, xx, 1.0 - xx))
 
 
 def exact_group_stats(data, degree: int = 1) -> tuple[np.ndarray, np.ndarray]:
@@ -121,7 +115,7 @@ def exact_group_stats(data, degree: int = 1) -> tuple[np.ndarray, np.ndarray]:
     bit-identical to ``math.fsum`` of the components.
     """
     d = _check_degree(degree)
-    sums = _group_sums(as_dataset(data), d)
+    sums = _cell_sums(as_dataset(data), "dp_rss", d)
     return sums[: 2 * d + 1], sums[2 * d + 1 :]
 
 
@@ -156,22 +150,66 @@ def transfer_matrix(degree: int) -> np.ndarray:
 LINEAR_COLUMNS = {"n": 0, "s_x": 1, "s_x2": 2, "s_y": 3, "s_xy": 4}
 
 
-def _refined_releases(data, budgets, stream: RandomStream, degree: int = 1) -> np.ndarray:
-    """Refined statistics at each budget, all from one draw of the noise.
+@lru_cache(maxsize=None)
+def _ss_reading(degree: int) -> np.ndarray:
+    """NoisyStats' plain readings of the eight ``dp_ss`` cells, (8, 5); read-only.
 
-    Checks every budget, then draws the 3d + 3 uniforms of one release once
-    and scales them by 2/eps per budget, so row j of the (len(budgets),
-    3d + 2) result equals, bit for bit, the release at ``budgets[j]`` alone
-    on the same stream. Together the rows are not eps-DP at any one budget;
-    only a single row is a private release. Each row is its own
-    ``(3d+3,) @ matrix`` product: a stacked product can sum in another order.
+    n is a quarter of every cell, and S_x, S_y, S_{xy}, S_{x^2} are cells
+    0, 2, 4 and 6 alone. A line is all that ``dp_ss`` releases.
+    """
+    if degree != 1:
+        raise ValueError(f"dp_ss releases a line only, got degree {degree}")
+    matrix = np.zeros((8, 5))
+    matrix[:, LINEAR_COLUMNS["n"]] = 0.25
+    for stat, cell in (("s_x", 0), ("s_y", 2), ("s_xy", 4), ("s_x2", 6)):
+        matrix[cell, LINEAR_COLUMNS[stat]] = 1.0
+    matrix.setflags(write=False)
+    return matrix
+
+
+# The Laplace releases: name -> (rows, reading). ``rows(x, y, d)`` yields
+# ``(cell, row)`` for one chunk of records, each record's cells non-negative
+# and summing to 1 within a part; ``reading(d)`` maps the noisy cell sums,
+# one row per cell, to the statistics. Every cell draws at scale
+# ``noise._SHARES[name] / eps``.
+_LAPLACE_RELEASES = {
+    "dp_rss": (_component_rows, transfer_matrix),
+    "dp_ss": (_ss_rows, _ss_reading),
+}
+
+
+def _cell_sums(ds, name: str, d: int) -> np.ndarray:
+    """The exact cell sums of release ``name`` at degree d on a ``Dataset``; cached.
+
+    Reads the arrays ``Dataset`` already validated, so no range check runs.
+    The cell rows are built one chunk of records at a time
+    (``data._chunked_exact_sums``), so no full-length row is held.
+    """
+    sums = ds.cache.get((name, d))
+    if sums is None:
+        rows, reading = _LAPLACE_RELEASES[name]
+        sums = _chunked_exact_sums(ds, len(reading(d)), lambda x, y: rows(x, y, d))
+        sums.setflags(write=False)
+        ds.cache[name, d] = sums
+    return sums
+
+
+def _laplace_draw(name: str, data, budgets, stream: RandomStream, degree: int = 1) -> np.ndarray:
+    """Statistics of release ``name`` at each budget, all from one draw of the noise.
+
+    Checks the degree and every budget, then draws the uniforms of one
+    release once and scales them by ``_SHARES[name]``/eps per budget, so
+    row j of the (len(budgets), 3d + 2) result equals, bit for bit, the
+    release at ``budgets[j]`` alone on the same stream. Together the rows
+    are not eps-DP at any one budget; only a single row is a private
+    release. Each row is its own ``z @ matrix`` product: a stacked product
+    can sum in another order.
     """
     d = _check_degree(degree)
+    matrix = _LAPLACE_RELEASES[name][1](d)
     epsilons = [_as_epsilon(b) for b in budgets]
-    ds = as_dataset(data)
-    noise = stream.laplace(np.array([_SHARES["dp_rss"] / eps for eps in epsilons]), size=3 * d + 3)
-    noise += _group_sums(ds, d)
-    matrix = transfer_matrix(d)
+    noise = stream.laplace(np.array([_SHARES[name] / eps for eps in epsilons]), size=len(matrix))
+    noise += _cell_sums(as_dataset(data), name, d)
     return np.array([z @ matrix for z in noise])
 
 
@@ -241,12 +279,12 @@ def _augmented_columns(d: int) -> np.ndarray:
 
 
 def _solve_refined(stats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Least-squares coefficients of a stack of refined releases, and fallbacks.
+    """Least-squares coefficients of a stack of Laplace releases, and fallbacks.
 
-    ``stats`` is (N, 3d + 2), one release per row. Returns the (N, d + 1)
+    ``stats`` is (N, 3d + 2), the statistics of one release per row. Returns the (N, d + 1)
     coefficients, highest power first, and an (N,) fallback mask; a
     fallback row holds the constant fit y = 0.5. A row falls back when its
-    refined size or x-spread is not positive (a NaN is neither), or when
+    size or x-spread is not positive (a NaN is neither), or when
     ``_solve_systems`` finds its normal equations singular (DECISIONS.md,
     D2).
     """
@@ -274,10 +312,10 @@ def group_contributions(x, y, degree: int) -> tuple[np.ndarray, np.ndarray]:
     x, y = np.ravel(x), np.ravel(y)  # contiguous, as a Dataset's arrays are
     _check_unit_interval(x, "x")
     _check_unit_interval(y, "y")
-    groups = (np.empty((x.size, 2 * d + 1)), np.empty((x.size, d + 2)))
-    for group, entry, row in _component_rows(x, y, d):
-        groups[group][:, entry] = row
-    return tuple(g.reshape(shape + g.shape[1:]) for g in groups)
+    cells = np.empty((x.size, 3 * d + 3))
+    for cell, row in _component_rows(x, y, d):
+        cells[:, cell] = row
+    return tuple(g.reshape(shape + g.shape[1:]) for g in np.split(cells, [2 * d + 1], axis=1))
 
 
 def sensitivity_oracle(degree: int, grid_step: float) -> tuple:

@@ -43,8 +43,7 @@ from dpreg import (
     reference_setup,
     run_experiment,
     sensitivity_oracle,
-    simulate_baseline_stats,
-    simulate_refined_stats,
+    simulate_stats,
     verify_variances,
 )
 from dpreg.cli import main as cli_main
@@ -130,13 +129,11 @@ def test_criterion_4_released_statistics_are_unbiased():
     }
     eps = 0.5
     trials = 100_000
-    refined = simulate_refined_stats(ds, eps, trials, RandomStream(4, 0))
-    refined_values = {"n": refined["n"], "s_x": refined["s_x"], "s_y": refined["s_y"],
-                      "s_x2": refined["s_x2"], "s_xy": refined["s_xy"]}
-    baseline = simulate_baseline_stats(ds, eps, trials, RandomStream(4, 1))
+    refined = simulate_stats("dp_rss", ds, eps, trials, RandomStream(4, 0))
+    baseline = simulate_stats("dp_ss", ds, eps, trials, RandomStream(4, 1))
     worst_sigmas = 0.0
     for stat in STATISTIC_ORDER:
-        for values, theory in ((refined_values[stat], RSS_VARIANCES[stat]),
+        for values, theory in ((refined[stat], RSS_VARIANCES[stat]),
                                (baseline[stat], SS_VARIANCES[stat])):
             se = math.sqrt(theory / eps**2 / trials)
             worst_sigmas = max(worst_sigmas, abs(float(values.mean()) - exact[stat]) / se)

@@ -85,6 +85,19 @@ def test_fit_empty_dataset_reports_fallback(tmp_path, capsys):
     assert res["beta_hat"] == 0.5
 
 
+@pytest.mark.parametrize("mechanism", ["dp_rss", "dp_ss"])
+def test_fit_constant_x_falls_back_at_huge_budget(tmp_path, capsys, mechanism):
+    # Three records at x = 0.01: the x-spread rounds to a positive value,
+    # so only the pivot guard stops a line with a huge slope. dp_ss used to
+    # print alpha_hat 32, beta_hat 0.18 and no fallback here.
+    path = write_csv(tmp_path, [(0.01, 0.1), (0.01, 0.5), (0.01, 0.9)])
+    code, out, err = run(capsys, ["fit", path, "--mechanism", mechanism,
+                                  "--epsilon", "1e300", "--seed", "1"])
+    assert (code, err) == (0, "")
+    res = json.loads(out)
+    assert (res["alpha_hat"], res["beta_hat"], res["fallback"]) == (0, 0.5, True)
+
+
 def test_fit_rescales_raw_data_with_bounds(tmp_path, capsys):
     path = write_csv(tmp_path, [(0.0, 20.0), (5.0, 45.0), (10.0, 70.0)])
     code, out, _ = run(capsys, [

@@ -22,14 +22,13 @@ from dpreg import (
     l2_error,
     reference_setup,
     run_experiment,
-    simulate_baseline_stats,
-    simulate_refined_stats,
+    simulate_stats,
     verify_variances,
 )
 from dpreg.cli import MECHANISM_NAMES
 from dpreg.evaluate import _TRIAL_CHUNK, _generate_on
-from dpreg.mechanisms import _FIT_CORES, FITTERS, dp_rss_fit
-from dpreg.simplex import LINEAR_COLUMNS, _refined_releases
+from dpreg.mechanisms import _FIT_CORES, FITTERS
+from dpreg.simplex import LINEAR_COLUMNS, _laplace_draw
 
 
 def test_setup_config_validation():
@@ -247,12 +246,12 @@ def test_run_experiment_equals_per_cell_loop_on_reference_setups():
 
 
 def test_simulated_stat_arrays_have_trial_shape(three_point_line):
-    ref = simulate_refined_stats(three_point_line, 1.0, 64, RandomStream(0, 0))
-    assert list(ref) == list(STATISTIC_ORDER)
-    assert ref["n"].shape == (64,)
-    base = simulate_baseline_stats(three_point_line, 1.0, 64, RandomStream(0, 0))
-    assert set(base) == set(STATISTIC_ORDER)
-    assert base["n"].shape == (64,)
+    for method in ("dp_rss", "dp_ss"):
+        stats = simulate_stats(method, three_point_line, 1.0, 64, RandomStream(0, 0))
+        assert list(stats) == list(STATISTIC_ORDER)
+        assert all(v.shape == (64,) for v in stats.values())
+    with pytest.raises(ValueError, match="method must be one of"):
+        simulate_stats("dp_theil_sen", three_point_line, 1.0, 64, RandomStream(0, 0))
 
 
 def test_theoretical_variance_constants():
@@ -296,25 +295,28 @@ class RecordingStream(RandomStream):
 
 @pytest.mark.parametrize("trials", [1, 7, 3000])
 def test_refined_trial_rows_are_consecutive_dp_rss_releases(three_point_line, trials):
-    # Row t of the trial-major draw is the noise of the t-th dp_rss_fit
-    # release on the same stream, bit for bit; 3000 trials take the blocked
-    # Laplace path (18000 values), the smaller draws the one-line one.
+    # Row t of the trial-major draw is the noise of the t-th fit on the
+    # same stream, bit for bit, for both Laplace releases; 3000 trials take
+    # the blocked Laplace path (18000 and 24000 values), the smaller draws
+    # the one-line one.
     eps = 0.7
-    bulk = RecordingStream(11, 2)
-    stats = simulate_refined_stats(three_point_line, eps, trials, bulk)
-    (noise,) = bulk.draws
-    assert noise.shape == (trials, 6)
-    single = RecordingStream(11, 2)
-    releases = [_refined_releases(three_point_line, (eps,), single)[0] for _ in range(trials)]
-    assert np.concatenate(single.draws).tobytes() == noise.tobytes()
-    fit_stream = RecordingStream(11, 2)
-    dp_rss_fit(three_point_line, eps, fit_stream)
-    assert fit_stream.draws[0].tobytes() == noise[:1].tobytes()
-    # The refinement is one matrix product over all rows, so it may sum in
-    # another order than a single release's; it agrees to rounding.
-    for stat in STATISTIC_ORDER:
-        want = np.array([r[LINEAR_COLUMNS[stat]] for r in releases])
-        np.testing.assert_allclose(stats[stat], want, rtol=1e-13, atol=1e-12)
+    for method, cells in (("dp_rss", 6), ("dp_ss", 8)):
+        bulk = RecordingStream(11, 2)
+        stats = simulate_stats(method, three_point_line, eps, trials, bulk)
+        (noise,) = bulk.draws
+        assert noise.shape == (trials, cells)
+        single = RecordingStream(11, 2)
+        releases = [_laplace_draw(method, three_point_line, (eps,), single)[0]
+                    for _ in range(trials)]
+        assert np.concatenate(single.draws).tobytes() == noise.tobytes()
+        fit_stream = RecordingStream(11, 2)
+        FITTERS[method](three_point_line, eps, fit_stream)
+        assert fit_stream.draws[0].tobytes() == noise[:1].tobytes()
+        # The reading is one matrix product over all rows, so it may sum in
+        # another order than a single release's; it agrees to rounding.
+        for stat in STATISTIC_ORDER:
+            want = np.array([r[LINEAR_COLUMNS[stat]] for r in releases])
+            np.testing.assert_allclose(stats[stat], want, rtol=1e-13, atol=1e-12)
 
 
 def chunk_values(epsilon, trials, stream):
@@ -327,9 +329,8 @@ def chunk_values(epsilon, trials, stream):
     parts = {}
     for start in range(0, trials, _TRIAL_CHUNK):
         size = min(_TRIAL_CHUNK, trials - start)
-        for method, simulate in (("dp_rss", simulate_refined_stats),
-                                 ("dp_ss", simulate_baseline_stats)):
-            for stat, values in simulate(ds, epsilon, size, stream).items():
+        for method in ("dp_rss", "dp_ss"):
+            for stat, values in simulate_stats(method, ds, epsilon, size, stream).items():
                 parts.setdefault((method, stat), []).append(values)
     return {key: np.concatenate(v) for key, v in parts.items()}
 

@@ -22,7 +22,7 @@ from dpreg import (
 )
 from dpreg.mechanisms import FALLBACK_ALPHA, FALLBACK_BETA, FITTERS, _pair_projections
 from dpreg.noise import _EPSILON_FLOOR
-from dpreg.simplex import _refined_releases, _solve_refined
+from dpreg.simplex import _laplace_draw, _solve_refined
 
 
 def ols_oracle(ds):
@@ -304,6 +304,10 @@ def test_theil_sen_hyper_validation():
     for lo, hi in ((-math.inf, 2.0), (-2.0, math.inf), (math.nan, 2.0)):
         with pytest.raises(ValueError, match="clip range must be finite"):
             TheilSenHyper(r_lo=lo, r_hi=hi)
+    # Finite bounds whose span overflows once gave a slope of order 1e308
+    # with no fallback.
+    with pytest.raises(ValueError, match="clip range must be finite"):
+        TheilSenHyper(r_lo=-1.5e308, r_hi=1.5e308)
     assert TheilSenHyper().k == 1
 
 
@@ -401,7 +405,7 @@ def core_cases():
                        mech._theil_sen_solve),
                   lambda d, e, s: dp_theil_sen_fit(d, e, s, hyper=k3)))
     cases.append(("dp_rss_poly d=3",
-                  core(lambda d, b, s: _refined_releases(d, b, s, degree=3), _solve_refined),
+                  core(lambda d, b, s: _laplace_draw("dp_rss", d, b, s, degree=3), _solve_refined),
                   lambda d, e, s: dp_rss_poly_fit(d, 3, e, s)))
     return cases
 

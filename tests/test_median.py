@@ -80,13 +80,32 @@ def test_sampled_value_stays_in_range():
             assert -2.0 <= v <= 2.0
 
 
+def bulk_medians(values, eps, lo, hi, seed, n):
+    """n successive ``dp_median`` draws on ``RandomStream(seed, 0)``, in bulk.
+
+    ``_dp_medians`` runs up to 10,000 pools of ``values`` at a time, each on
+    its own uniform pair in the order ``dp_median`` draws them, so the
+    draws are the loop's bit for bit; the first 1,000 are checked against
+    the public loop.
+    """
+    s = RandomStream(seed, 0)
+    parts = []
+    for start in range(0, n, 10_000):
+        size = min(10_000, n - start)
+        parts.append(_dp_medians([[values]] * size, (eps,), lo, hi, s.uniform(2 * size))[0])
+    draws = np.concatenate(parts)
+    loop = RandomStream(seed, 0)
+    want = [dp_median(values, eps, lo, hi, loop).hex() for _ in range(1000)]
+    assert [v.hex() for v in draws[:1000].tolist()] == want
+    return draws
+
+
 def test_sampling_frequencies_match_probabilities():
     values = [0.1, 0.4, 0.6, 0.9]
     eps = 2.0
     edges, probs = median_interval_probs(values, eps, -2.0, 2.0)
     n = 50_000
-    s = RandomStream(77, 0)
-    draws = np.array([dp_median(values, eps, -2.0, 2.0, s) for _ in range(n)])
+    draws = bulk_medians(values, eps, -2.0, 2.0, 77, n)
     counts = np.histogram(draws, bins=edges)[0]
     for count, p in zip(counts, probs):
         sigma = math.sqrt(p * (1.0 - p) / n)
@@ -94,13 +113,9 @@ def test_sampling_frequencies_match_probabilities():
 
 
 def test_symmetric_values_give_centred_output():
-    values = [-1.0, -0.5, 0.5, 1.0]
-    s = RandomStream(8, 0)
-    total = 0.0
     n = 100_000
-    for _ in range(n):
-        total += dp_median(values, 1.0, -2.0, 2.0, s)
-    assert abs(total / n) <= 0.02
+    draws = bulk_medians([-1.0, -0.5, 0.5, 1.0], 1.0, -2.0, 2.0, 8, n)
+    assert abs(sum(draws.tolist()) / n) <= 0.02
 
 
 def test_empty_input_returns_uniform_point_of_clip_range():
@@ -116,8 +131,7 @@ def test_empty_input_returns_uniform_point_of_clip_range():
         assert s.uniform() == u[2]
         assert median_interval_probs([], 1.0, lo, hi)[1].tolist() == [1.0]
     # Uniform on the range, the law a single value gives too.
-    s = RandomStream(5, 0)
-    draws = np.array([dp_median([], 0.3, -2.0, 2.0, s) for _ in range(20_000)])
+    draws = bulk_medians([], 0.3, -2.0, 2.0, 5, 20_000)
     counts = np.histogram(draws, bins=8, range=(-2.0, 2.0))[0]
     assert abs(counts / 20_000 - 0.125).max() <= 5.0 * math.sqrt(0.125 * 0.875 / 20_000)
 
@@ -155,7 +169,10 @@ def test_rejects_bad_parameters():
             dp_median(values, eps, 0.0, 1.0, s)
         with pytest.raises(ValueError, match="epsilon must be positive and finite"):
             median_interval_probs(values, eps, 0.0, 1.0)
-    for lo, hi in ((-inf, 1.0), (0.0, inf), (-inf, inf), (nan, 1.0), (0.0, nan)):
+    # A span that overflows (-1.5e308 to 1.5e308) once gave NaN weights and
+    # an infinite median.
+    for lo, hi in ((-inf, 1.0), (0.0, inf), (-inf, inf), (nan, 1.0), (0.0, nan),
+                   (-1.5e308, 1.5e308)):
         with pytest.raises(ValueError, match="clip range must be finite"):
             dp_median(values, 1.0, lo, hi, s)
         with pytest.raises(ValueError, match="clip range must be finite"):

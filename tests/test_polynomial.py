@@ -16,7 +16,7 @@ from dpreg import (
 )
 from dpreg.simplex import (
     _component_rows,
-    _refined_releases,
+    _laplace_draw,
     _solve_systems,
     transfer_matrix,
 )
@@ -93,7 +93,7 @@ def test_noise_free_estimates_recover_power_sums(degree, random_dataset):
     # Oracle: plain fsum of the monomials, computed without the telescoped
     # group representation.
     ds = random_dataset(degree, n=150)
-    stats = _refined_releases(ds, (1.0,), ZeroNoiseStream(0, 0), degree)[0]
+    stats = _laplace_draw("dp_rss", ds, (1.0,), ZeroNoiseStream(0, 0), degree)[0]
     n_hat, s_x, s_xy = stats[0], stats[1 : 2 * degree + 1], stats[2 * degree + 1 :]
     assert n_hat == pytest.approx(150.0, rel=1e-12)
     for ell in range(1, 2 * degree + 1):
@@ -117,14 +117,14 @@ def test_component_rows_equal_contribution_columns(degree):
     for got, got_2d, want in zip(group_contributions(x, y, degree), shaped, columns):
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
         assert np.array_equal(got_2d.reshape(want.shape).view(np.int64), want.view(np.int64))
-    seen = {0: [], 1: []}
-    for group, entry, row in _component_rows(x, y, degree):
-        want = np.ascontiguousarray(columns[group][:, entry])
+    seen = []
+    cells = np.concatenate(columns, axis=1)  # x-group entries, then xy-group ones
+    for cell, row in _component_rows(x, y, degree):
+        want = np.ascontiguousarray(cells[:, cell])
         assert row.flags.c_contiguous
-        assert np.array_equal(row.view(np.int64), want.view(np.int64)), (group, entry)
-        seen[group].append(entry)
-    assert sorted(seen[0]) == list(range(2 * degree + 1))
-    assert sorted(seen[1]) == list(range(degree + 2))
+        assert np.array_equal(row.view(np.int64), want.view(np.int64)), cell
+        seen.append(cell)
+    assert sorted(seen) == list(range(3 * degree + 3))
     ds = Dataset(x, y)
     g1, g2 = exact_group_stats(ds, degree)
     assert [v.hex() for v in g1.tolist()] == [

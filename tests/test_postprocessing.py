@@ -1,18 +1,20 @@
 """The batched post-processing against the scalar code it replaced.
 
-Every fit's coefficients come from stacks of releases: ``_solve_systems``
-and ``_solve_refined`` for the refined release, ``_ss_solve`` for dp_ss.
-The scalar solvers they replaced are kept here as oracles, operation for
+Every Laplace release's coefficients come from stacks of releases,
+``_solve_refined`` on ``_solve_systems``, for dp_rss and dp_ss alike. The
+scalar solvers they replaced are kept here as oracles, operation for
 operation, and every row of a batch must equal them bit for bit (compared
-by ``float.hex``), fallbacks included.
+by ``float.hex``), fallbacks included. dp_ss's own covariance-form solve,
+which ``_solve_refined`` replaced, is kept as a reference to rounding.
 """
 import math
 
 import numpy as np
+import pytest
 
 from dpreg import Dataset, RandomStream
-from dpreg.mechanisms import FALLBACK_ALPHA, FALLBACK_BETA, _ss_draw, _ss_solve
-from dpreg.simplex import _refined_releases, _solve_refined, _solve_systems
+from dpreg.mechanisms import FALLBACK_ALPHA, FALLBACK_BETA
+from dpreg.simplex import _LAPLACE_RELEASES, _cell_sums, _laplace_draw, _solve_refined, _solve_systems
 
 
 def solve_stack(a, b, fallback=None):
@@ -179,17 +181,23 @@ def test_solve_systems_edges_bitwise():
     assert fallback.tolist() == [True, False] and hexes(x[1]) == hexes([0.4, 0.2])
 
 
+BUDGETS = (0.01, 0.05, 0.5, 5.0, 50.0)
+
+
 def refined_stacks(d):
-    """Refined releases of small and random datasets at budgets from 0.01 to 50."""
+    """Releases of small and random datasets at budgets from 0.01 to 50.
+
+    The refined releases at degree d, and at d = 1 the dp_ss releases too.
+    """
     g = RandomStream(40 + d, 0)
     datasets = [Dataset(np.array([]), np.array([])), Dataset(np.array([0.4]), np.array([0.6])),
                 Dataset(np.full(5, 0.3), np.linspace(0.1, 0.9, 5))]
     for n in (2, 3, 5, 40, 400):
         x = g.uniform(n)
         datasets.append(Dataset(x, np.clip(0.6 * x + 0.2 + 0.1 * g.normal(n), 0.0, 1.0)))
-    return np.concatenate([_refined_releases(ds, (0.01, 0.05, 0.5, 5.0, 50.0),
-                                             RandomStream(seed, 1), degree=d)
-                           for ds in datasets for seed in range(15)])
+    names = ("dp_rss", "dp_ss") if d == 1 else ("dp_rss",)
+    return np.concatenate([_laplace_draw(name, ds, BUDGETS, RandomStream(seed, 1), degree=d)
+                           for name in names for ds in datasets for seed in range(15)])
 
 
 def test_solve_refined_equals_scalar_coefficients_bitwise():
@@ -211,20 +219,49 @@ def test_solve_refined_equals_scalar_coefficients_bitwise():
 
 
 def test_ss_solve_equals_scalar_bitwise():
+    # dp_ss reads its eight noisy sums with a matrix and solves them by
+    # _solve_refined; its old covariance-form solve, scalar_ss, is the
+    # reference. On drawn releases the two make the same fallbacks and
+    # agree on the coefficients to 1e-10 relative: the elimination and the
+    # reading of n by a matrix product move only the last bits.
+    reading = _LAPLACE_RELEASES["dp_ss"][1](1)
     g = RandomStream(50, 0)
     rows = []
     for n in (0, 1, 2, 3, 5, 40):
         x = g.uniform(n)
         ds = Dataset(x, np.clip(0.5 * x + 0.2 + 0.1 * g.normal(n), 0.0, 1.0))
         for seed in range(30):
-            rows.append(_ss_draw(ds, (0.01, 0.05, 0.5, 5.0, 50.0), RandomStream(seed, 1)))
-    noisy = np.concatenate(rows + [np.array([
-        [1.0, -1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],  # size estimate exactly 0
-        [2.0, 0.0, 1.0, 0.0, 1.0, 0.0, 2.0, 2.0],   # x-variance exactly 0
-        [2.0, 0.0, math.nan, 0.0, 1.0, 0.0, 2.0, 2.0],
-        [1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0, -math.nan],
-    ])])
-    coeffs, fallback = _ss_solve(noisy)
-    want = [scalar_ss(row) for row in noisy]
-    outcomes = assert_rows_match(coeffs, fallback, want, [FALLBACK_ALPHA, FALLBACK_BETA])
-    assert outcomes == {True, False}
+            scales = np.array([4.0 / eps for eps in BUDGETS])
+            noisy = RandomStream(seed, 1).laplace(scales, size=8) + _cell_sums(ds, "dp_ss", 1)
+            drawn = _laplace_draw("dp_ss", ds, BUDGETS, RandomStream(seed, 1))
+            assert drawn.tobytes() == np.array([z @ reading for z in noisy]).tobytes()
+            rows.append(noisy)
+    noisy = np.concatenate(rows)
+    coeffs, fallback = _solve_refined(np.array([z @ reading for z in noisy]))
+    want = [scalar_ss(row) for row in noisy.tolist()]
+    assert fallback.tolist() == [w is None for w in want]
+    assert set(fallback.tolist()) == {True, False}
+    for got, w in zip(coeffs.tolist(), want):
+        fallback_line = [FALLBACK_ALPHA, FALLBACK_BETA]
+        assert got == (fallback_line if w is None else pytest.approx(w, rel=1e-10, abs=0.0))
+    # Crafted rows of eight sums, and their outcomes now:
+    nan = math.nan
+    crafted = np.array([
+        [1.0, -1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],  # size exactly 0: falls back, as before
+        [2.0, 0.0, 1.0, 0.0, 1.0, 0.0, 2.0, 2.0],   # x-spread exactly 0: falls back, as before
+        # A NaN sum: the matrix reads it into every statistic (NaN times 0
+        # is NaN), where it used to reach n and s_y alone. The coefficients
+        # are NaN with no fallback, as before.
+        [2.0, 0.0, nan, 0.0, 1.0, 0.0, 2.0, 2.0],
+        [1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0, -nan],
+        # The noise-free sums of three records at x = 0.01: the x-spread
+        # rounds to a positive value, so the covariance form returned the
+        # line 32 x + 0.18; the pivot guard now falls back.
+        _cell_sums(Dataset(np.full(3, 0.01), np.array([0.1, 0.5, 0.9])), "dp_ss", 1),
+    ])
+    coeffs, fallback = _solve_refined(np.array([z @ reading for z in crafted]))
+    assert fallback.tolist() == [True, True, False, False, True]
+    assert all(math.isnan(v) for v in coeffs[2:4].ravel())
+    assert coeffs[[0, 1, 4]].tolist() == [[FALLBACK_ALPHA, FALLBACK_BETA]] * 3
+    assert [scalar_ss(row) is None for row in crafted[[0, 1, 4]].tolist()] == [True, True, False]
+    assert scalar_ss(crafted[4].tolist()) == pytest.approx([32.0, 0.18])

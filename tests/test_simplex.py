@@ -6,18 +6,24 @@ import pytest
 
 from dpreg import (
     RSS_VARIANCES,
+    SS_VARIANCES,
     Dataset,
     NoiseLedger,
     RandomStream,
     ZeroNoiseStream,
+    dp_rss_fit,
     dp_rss_poly_fit,
+    dp_ss_fit,
     exact_group_stats,
     group_contributions,
     sensitivity_oracle,
 )
+from dpreg.noise import _SHARES
 from dpreg.simplex import (
+    _LAPLACE_RELEASES,
     LINEAR_COLUMNS,
-    _refined_releases,
+    _cell_sums,
+    _laplace_draw,
     _solve_refined,
     _solve_systems,
     transfer_matrix,
@@ -114,18 +120,25 @@ def test_privatize_draw_order_and_scales(random_dataset):
     # x-group first, before the transfer matrix refines it.
     ds = random_dataset(6, n=40)
     for degree in (1, 2):
-        got = _refined_releases(ds, (0.5,), RandomStream(6, 0), degree)[0]
+        got = _laplace_draw("dp_rss", ds, (0.5,), RandomStream(6, 0), degree)[0]
         ref = RandomStream(6, 0)
         z1 = ref.laplace(4.0, 2 * degree + 1)
         z2 = ref.laplace(4.0, degree + 2)
         g1, g2 = exact_group_stats(ds, degree)
         want = np.concatenate([g1 + z1, g2 + z2]) @ transfer_matrix(degree)
         assert np.array_equal(got, want)
+    # dp_ss draws its eight cells at scale 4/eps and exists at degree 1 only.
+    got = _laplace_draw("dp_ss", ds, (0.5,), RandomStream(6, 0))[0]
+    sums = _cell_sums(ds, "dp_ss", 1) + RandomStream(6, 0).laplace(8.0, 8)
+    assert np.array_equal(got, sums @ _LAPLACE_RELEASES["dp_ss"][1](1))
+    for degree in (2, 3):
+        with pytest.raises(ValueError, match="dp_ss releases a line only"):
+            _laplace_draw("dp_ss", ds, (0.5,), RandomStream(6, 0), degree)
 
 
 def test_privatize_zero_noise_is_identity(random_dataset):
     ds = random_dataset(2)
-    got = _refined_releases(ds, (0.5,), ZeroNoiseStream(0, 0))[0]
+    got = _laplace_draw("dp_rss", ds, (0.5,), ZeroNoiseStream(0, 0))[0]
     assert np.array_equal(got, np.concatenate(exact_group_stats(ds)) @ transfer_matrix(1))
 
 
@@ -133,14 +146,14 @@ def test_privatize_rejects_nonpositive_budget(random_dataset):
     ds = random_dataset(0, n=10)
     for bad in (0.0, -0.5, float("inf"), float("nan")):
         with pytest.raises(ValueError):
-            _refined_releases(ds, (bad,), RandomStream(0, 0))
+            _laplace_draw("dp_rss", ds, (bad,), RandomStream(0, 0))
         with pytest.raises(ValueError):
             dp_rss_poly_fit(ds, 2, bad, RandomStream(0, 0))
 
 
 def test_refine_zero_noise_recovers_exact_sums(random_dataset):
     ds = random_dataset(4, n=200)
-    n_hat, s_x, s_x2, s_y, s_xy = _refined_releases(ds, (0.5,), ZeroNoiseStream(0, 0))[0]
+    n_hat, s_x, s_x2, s_y, s_xy = _laplace_draw("dp_rss", ds, (0.5,), ZeroNoiseStream(0, 0))[0]
     assert n_hat == pytest.approx(200.0, rel=1e-12)
     assert s_x == pytest.approx(math.fsum(ds.x), rel=1e-12)
     assert s_y == pytest.approx(math.fsum(ds.y), rel=1e-12)
@@ -196,11 +209,16 @@ def test_refine_broadcasts_and_is_unbiased(random_dataset):
 
 
 def test_transfer_matrix_gives_closed_form_variances():
-    # Each group sum carries Laplace(2) noise at epsilon = 1, variance 8,
-    # so the refined variances are the diagonal of T^T (8 I) T: no sampling.
-    got = np.diag(transfer_matrix(1).T @ (8.0 * np.eye(6)) @ transfer_matrix(1))
-    for stat, k in LINEAR_COLUMNS.items():
-        assert got[k] == pytest.approx(RSS_VARIANCES[stat], rel=1e-15)
+    # At epsilon = 1 each cell of a Laplace release with share s carries
+    # Laplace(s) noise, variance 2 s^2 (8 for dp_rss, 32 for dp_ss), so the
+    # variances of its statistics are the diagonal of R^T (2 s^2 I) R for
+    # its reading matrix R: no sampling.
+    variances = {"dp_rss": RSS_VARIANCES, "dp_ss": SS_VARIANCES}
+    for name, (_, reading) in _LAPLACE_RELEASES.items():
+        r = reading(1)
+        got = np.diag(r.T @ (2.0 * _SHARES[name] ** 2 * np.eye(len(r))) @ r)
+        for stat, k in LINEAR_COLUMNS.items():
+            assert got[k] == pytest.approx(variances[name][stat], rel=1e-15), (name, stat)
     # At every degree a statistic's two readings split the 3d + 3 noisy
     # sums between them, m terms and 3d + 3 - m, and inverse-variance
     # weights give the harmonic combination 8 m (3d + 3 - m) / (3d + 3).
@@ -239,10 +257,18 @@ def test_one_fallback_rule_for_every_degree():
     # Equal x: the x-spread rounds to +4.4e-16, so only the pivot guard
     # stops a garbage line.
     ds = Dataset(np.full(5, 0.3), np.linspace(0.1, 0.9, 5))
-    n, s_x, s_x2 = _refined_releases(ds, (1.0,), ZeroNoiseStream(0, 0))[0, :3]
+    n, s_x, s_x2 = _laplace_draw("dp_rss", ds, (1.0,), ZeroNoiseStream(0, 0))[0, :3]
     assert s_x2 * n - s_x * s_x > 0
     for d in (1, 3):
         assert dp_rss_poly_fit(ds, d, 1.0, ZeroNoiseStream(0, 0)).fallback
+    # dp_ss runs the same rule. Three records at x = 0.01 leave it a
+    # positive x-spread too; its old covariance-form solve, which had no
+    # pivot guard, returned the line 32 x + 0.18 here.
+    ds = Dataset(np.full(3, 0.01), np.array([0.1, 0.5, 0.9]))
+    n, s_x, s_x2 = _laplace_draw("dp_ss", ds, (1.0,), ZeroNoiseStream(0, 0))[0, :3]
+    assert s_x2 * n - s_x * s_x > 0
+    for fitter in (dp_ss_fit, dp_rss_fit):
+        assert fitter(ds, 1.0, ZeroNoiseStream(0, 0)).fallback
 
 
 def test_added_record_delta_matches_transform(random_dataset):
