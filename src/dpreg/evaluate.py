@@ -186,38 +186,35 @@ def run_experiment(
     its own dataset from its substream before fitting.
 
     No mechanism's draws depend on epsilon, so one draw per iteration and
-    method serves every epsilon cell, and the releases of all iterations
-    are solved and scored in one batched pass (DECISIONS.md, D3). The rows
-    equal, bit for bit, a loop that calls ``FITTERS[method](data, eps,
+    method serves every epsilon cell. One draw per method takes every
+    iteration's ``(data, stream)`` pair from a generator, which builds one
+    fresh dataset at a time; its releases are solved and scored in one
+    batched pass, and reduced per cell along axis 1 (DECISIONS.md, D3). The
+    rows equal, bit for bit, a loop that calls ``FITTERS[method](data, eps,
     RandomStream(seed, i + 1))`` and ``l1_error``/``l2_error`` per cell.
     """
     fixed = None if fresh_data_per_iteration else generate_setup(setup)
+
+    def pairs():  # builds each iteration's stream, and fresh data, as it is taken
+        for i in range(grid.iterations):
+            stream = RandomStream(setup.seed, i + 1)
+            yield (_generate_on(stream, setup) if fresh_data_per_iteration else fixed), stream
+
     truth = (setup.alpha, setup.beta)
     rows = []
     for method in sorted(grid.methods):
         draw, solve = _FIT_CORES[method]
-        releases = []
-        for i in range(grid.iterations):
-            stream = RandomStream(setup.seed, i + 1)
-            data = _generate_on(stream, setup) if fresh_data_per_iteration else fixed
-            releases.append(draw(data, grid.epsilons, stream))
-        coeffs, _ = solve(np.concatenate(releases))
-        # Line i * len(epsilons) + j is iteration i at epsilons[j].
+        coeffs, _ = solve(draw(pairs(), grid.epsilons))
+        # Line i * len(epsilons) + j is iteration i at epsilons[j]. On these
+        # contiguous copies an axis-1 reduction sums row j as it sums alone.
         l1s, l2s = (e.reshape(grid.iterations, -1).T.copy() for e in _line_errors(truth, coeffs))
         ddof_ok = grid.iterations > 1
-        for eps, l1, l2 in zip(grid.epsilons, l1s, l2s):
-            rows.append(
-                ExperimentRow(
-                    method=method,
-                    epsilon=eps,
-                    mean_l1=float(np.mean(l1)),
-                    std_l1=float(np.std(l1, ddof=1)) if ddof_ok else float("nan"),
-                    mean_l2=float(np.mean(l2)),
-                    std_l2=float(np.std(l2, ddof=1)) if ddof_ok else float("nan"),
-                    median_l1=float(np.median(l1)),
-                    median_l2=float(np.median(l2)),
-                )
-            )
+        std_l1, std_l2 = (np.std(e, axis=1, ddof=1) if ddof_ok else np.full(len(e), np.nan)
+                          for e in (l1s, l2s))
+        columns = (np.mean(l1s, axis=1), std_l1, np.mean(l2s, axis=1), std_l2,
+                   np.median(l1s, axis=1), np.median(l2s, axis=1))
+        rows += [ExperimentRow(method, eps, *stats)
+                 for eps, *stats in zip(grid.epsilons, *(c.tolist() for c in columns))]
     return rows
 
 

@@ -7,14 +7,16 @@ flag set instead of raising, so Monte Carlo loops never die mid-run.
 ``FITTERS`` maps each line mechanism's name to its fitter.
 
 Each mechanism is a ``(draw, solve)`` pair in ``_FIT_CORES``. The draw
-``(data, budgets, stream)`` draws the uniforms once and returns one row of
-released numbers per budget; row j equals, bit for bit, the release at
-``budgets[j]`` alone. The solve, post-processing that costs no budget,
-maps any (N, k) stack of releases to (N, 2) coefficients and an (N,)
-fallback mask. The draws keep no ledger: their rows together are not
-epsilon-DP at any one budget (DECISIONS.md, D3). Each fitter is one
-``_fit`` call: it writes the ledger from ``noise._RELEASE_PARTS`` and runs
-the pair at one budget (D8); the sweep solves all its draws at once.
+``(pairs, budgets)`` takes an iterable of ``(data, stream)`` pairs, draws
+each pair's uniforms once, and returns one row of released numbers per
+pair and budget, pair-major; row p * len(budgets) + j equals, bit for bit,
+the release of pair p at ``budgets[j]`` alone. The solve, post-processing
+that costs no budget, maps any (N, k) stack of releases to (N, 2)
+coefficients and an (N,) fallback mask. The draws keep no ledger: their
+rows together are not epsilon-DP at any one budget (DECISIONS.md, D3).
+Each fitter is one ``_fit`` call: it writes the ledger from
+``noise._RELEASE_PARTS`` and runs the pair on one ``(data, stream)`` at one
+budget (D8); the sweep draws all its iterations in one call.
 
 * ``dp_rss_poly_fit`` is the refined release in :mod:`dpreg.simplex` at
   any degree d: two privatized simplex query groups, refined power sums,
@@ -84,10 +86,11 @@ class TheilSenHyper:
 
     ``k`` is the number of random matchings whose pair projections are
     pooled; each median then runs at a k-th of its budget share, since a
-    record moves up to k of its projections. ``r_lo``/``r_hi``, which must
-    be finite, clip the projected values before the private median (the
-    default [-2, 2] covers every line reachable from data in the unit
-    square).
+    record moves up to k of its projections. ``r_lo``/``r_hi`` clip the
+    projected values before the private median (the default [-2, 2] covers
+    every line reachable from data in the unit square); the line through
+    any two points of the range, of slope up to 2 (r_hi - r_lo) and
+    intercept up to max(|r_lo|, |r_hi|) + (r_hi - r_lo)/2, must be finite.
     """
 
     k: int = 1
@@ -97,7 +100,10 @@ class TheilSenHyper:
     def __post_init__(self):
         if not isinstance(self.k, int) or self.k < 1:
             raise ValueError(f"k must be a positive integer, got {self.k!r}")
-        _check_clip(self.r_lo, self.r_hi)
+        lo, hi = self.r_lo, self.r_hi
+        _check_clip(lo, hi)
+        if not np.isfinite([2.0 * (hi - lo), max(abs(lo), abs(hi)) + (hi - lo) / 2.0]).all():
+            raise ValueError(f"clip range [{lo}, {hi}] lets a slope or intercept overflow")
 
 
 def dp_rss_fit(data, budget, stream: RandomStream, ledger: NoiseLedger | None = None) -> FitResult:
@@ -173,28 +179,32 @@ def _pair_projections(x: np.ndarray, y: np.ndarray, perm: np.ndarray):
     return z25, z75
 
 
-def _theil_sen_draw(data, budgets, stream: RandomStream, hyper: TheilSenHyper | None = None):
-    """The private percentiles (p25, p75) of ``dp_theil_sen_fit`` at each budget.
+def _theil_sen_draw(pairs, budgets, hyper: TheilSenHyper | None = None):
+    """The private percentiles (p25, p75) of ``dp_theil_sen_fit`` for each pair and budget.
 
-    The size uniform, the matchings, the projections and their sort are
-    shared by every budget, and both medians run through one weight pass.
-    The draws never depend on the data: with fewer than two records or no
-    pair of distinct x, each median runs on an empty list and picks a point
-    of the clip range. Every budget is checked before any uniform is
-    drawn.
+    Row p * len(budgets) + j is ``(data, stream)`` pair p at ``budgets[j]``.
+    A pair's size uniform, matchings, projections and their sort serve every
+    budget, and both medians run through one weight pass. The draws never
+    depend on the data: with fewer than two records or no pair of distinct
+    x, each median picks a point of the clip range. Every budget is checked
+    before the first pair is taken.
     """
-    ds = as_dataset(data)
     epsilons = [_as_epsilon(b) for b in budgets]
     hyper = hyper or TheilSenHyper()
-    # The size estimate n + Laplace(3/eps) is drawn to keep the stream
-    # layout, but the median's rank utility does not read it.
-    stream.laplace(np.array([_SHARES["dp_theil_sen"] / eps for eps in epsilons]))
-    z25s, z75s = zip(*[_pair_projections(ds.x, ds.y, stream.permutation(len(ds)))
-                       for _ in range(hyper.k)])
     # A record lands in k pairs, so it moves up to k projections of each
     # list; each median runs at eps/(3k) to spend its eps/3 share.
     parts = [eps / (_SHARES["dp_theil_sen"] * hyper.k) for eps in epsilons]
-    return _dp_medians((z25s, z75s), parts, hyper.r_lo, hyper.r_hi, stream.uniform(4))
+    # The size estimate n + Laplace(3/eps) is drawn to keep the stream
+    # layout, but the median's rank utility does not read it.
+    size_scales = np.array([_SHARES["dp_theil_sen"] / eps for eps in epsilons])
+    releases = []
+    for data, stream in pairs:
+        ds = as_dataset(data)
+        stream.laplace(size_scales)
+        z25s, z75s = zip(*[_pair_projections(ds.x, ds.y, stream.permutation(len(ds)))
+                           for _ in range(hyper.k)])
+        releases.append(_dp_medians((z25s, z75s), parts, hyper.r_lo, hyper.r_hi, stream.uniform(4)))
+    return np.concatenate(releases)
 
 
 def _theil_sen_solve(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -258,7 +268,7 @@ _FIT_CORES = {
 
 
 def _fit(name: str, data, budget, stream: RandomStream, ledger: NoiseLedger | None, *extra):
-    """One private fit: ``_FIT_CORES[name]`` at ``(eps,)``, ``extra`` after the budgets.
+    """One private fit: ``_FIT_CORES[name]`` on one pair at ``(eps,)``, ``extra`` after.
 
     Checks the budget and the records, then writes the ledger from
     ``noise._RELEASE_PARTS[name]`` before the first uniform is drawn, so it
@@ -271,5 +281,5 @@ def _fit(name: str, data, budget, stream: RandomStream, ledger: NoiseLedger | No
         for label, laplace in _RELEASE_PARTS[name]:
             ledger.record(label, eps / shares, scale=shares / eps if laplace else None)
     draw, solve = _FIT_CORES[name]
-    coeffs, fallback = solve(draw(ds, (eps,), stream, *extra))
+    coeffs, fallback = solve(draw([(ds, stream)], (eps,), *extra))
     return FitResult(tuple(coeffs[0].tolist()), bool(fallback[0]))

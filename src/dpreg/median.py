@@ -57,8 +57,8 @@ def _prepare(pools, clip_lo: float, clip_hi: float) -> np.ndarray:
 def _weights(edges: np.ndarray, halves: np.ndarray) -> np.ndarray:
     """Unnormalized interval weights, ``(B, L, width)``, at each half-budget ``halves[j]``.
 
-    With ``a = log(length) - halves[j] * |i - m/2|``, the log weight the
-    mechanism defines, less its row's maximum, entry (j, l, i) is
+    With ``a = log(length) - halves[j] * (|i - m/2| - (m mod 2)/2)``, the
+    log weight the mechanism defines, less its row's maximum, entry (j, l, i) is
     ``exp(max(a, _DEAD_BELOW)) - exp(_DEAD_BELOW)``: ``exp(a)`` where ``a``
     is above -667, and exactly 0 where ``a <= _DEAD_BELOW`` and on the
     columns past m that pad the width to whole blocks.
@@ -68,8 +68,10 @@ def _weights(edges: np.ndarray, halves: np.ndarray) -> np.ndarray:
     w = np.empty((halves.size, edges.shape[0], width))
     with np.errstate(divide="ignore", over="ignore"):
         # Each row starts as minus its rank penalty, which overflows to
-        # -inf, weight 0, at a huge epsilon, as it should.
-        np.multiply(-halves[:, None, None], np.abs(np.arange(width) - m / 2.0), out=w)
+        # -inf, weight 0, at a huge epsilon, as it should. The best rank's is
+        # 0, so no epsilon rounds its log lengths away (even m shifts by 0.0).
+        np.multiply(-halves[:, None, None],
+                    np.abs(np.arange(width) - m / 2.0) - (m % 2) / 2.0, out=w)
         # Then it adds its pool's log lengths, one pool at a time so that
         # only one row of them is alive. log(0) = -inf marks a zero-length
         # interval, and the padding past m gets weight 0 too.

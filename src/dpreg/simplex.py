@@ -31,9 +31,10 @@ refines a leading axis of trials as readily as a single release.
 ``_LAPLACE_RELEASES`` holds this release, ``dp_rss``, beside the NoisyStats
 baseline ``dp_ss``, whose eight cells are read plainly. ``_cell_sums``
 caches a release's exact cell sums, and ``_laplace_draw`` draws one release
-per budget from one stream and keeps no ledger; the fitters run it at one
-budget through ``mechanisms._fit``. The post-processing after it costs no
-budget and runs on any (N, 3d + 2) stack of statistics at once.
+per budget for each ``(data, stream)`` pair and keeps no ledger; the
+fitters run it on one pair at one budget through ``mechanisms._fit``. The
+post-processing after it costs no budget and runs on any (N, 3d + 2) stack
+of statistics at once.
 ``_solve_refined`` solves each row's normal equations by
 ``_solve_systems``, a batched elimination that repeats the operations of a
 scalar one row by row, so a row's coefficients do not depend on the stack.
@@ -53,7 +54,7 @@ from functools import lru_cache
 import numpy as np
 
 from .data import _check_unit_interval, _chunked_exact_sums, as_dataset
-from .noise import _SHARES, RandomStream, _as_epsilon
+from .noise import _SHARES, _as_epsilon
 
 
 def _check_degree(degree: int) -> int:
@@ -194,23 +195,27 @@ def _cell_sums(ds, name: str, d: int) -> np.ndarray:
     return sums
 
 
-def _laplace_draw(name: str, data, budgets, stream: RandomStream, degree: int = 1) -> np.ndarray:
-    """Statistics of release ``name`` at each budget, all from one draw of the noise.
+def _laplace_draw(name: str, pairs, budgets, degree: int = 1) -> np.ndarray:
+    """Statistics of release ``name`` for each ``(data, stream)`` pair at each budget.
 
-    Checks the degree and every budget, then draws the uniforms of one
-    release once and scales them by ``_SHARES[name]``/eps per budget, so
-    row j of the (len(budgets), 3d + 2) result equals, bit for bit, the
-    release at ``budgets[j]`` alone on the same stream. Together the rows
-    are not eps-DP at any one budget; only a single row is a private
-    release. Each row is its own ``z @ matrix`` product: a stacked product
-    can sum in another order.
+    Checks the degree and every budget before it takes the first pair, and
+    keeps per pair only its cell sums and one unit draw ``laplace(1.0)``.
+    One broadcast scales them by ``_SHARES[name]``/eps per budget, and one
+    stack of one-row products reads them, each the product ``z @ matrix``
+    of one row, so row p * len(budgets) + j equals, bit for bit, the
+    release of pair p at ``budgets[j]`` alone (DECISIONS.md, D3). Together
+    a pair's rows are not eps-DP at any one budget; one row alone is.
     """
     d = _check_degree(degree)
     matrix = _LAPLACE_RELEASES[name][1](d)
-    epsilons = [_as_epsilon(b) for b in budgets]
-    noise = stream.laplace(np.array([_SHARES[name] / eps for eps in epsilons]), size=len(matrix))
-    noise += _cell_sums(as_dataset(data), name, d)
-    return np.array([z @ matrix for z in noise])
+    scales = np.array([_SHARES[name] / _as_epsilon(b) for b in budgets])
+    sums, units = [], []
+    for data, stream in pairs:
+        sums.append(_cell_sums(as_dataset(data), name, d))
+        units.append(stream.laplace(1.0, size=len(matrix)))
+    noise = np.array(units)[:, None, :] * scales[:, None]
+    noise += np.array(sums)[:, None, :]
+    return (noise.reshape(-1, 1, len(matrix)) @ matrix)[:, 0]
 
 
 def _solve_systems(aug: np.ndarray, fallback: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

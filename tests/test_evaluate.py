@@ -28,6 +28,7 @@ from dpreg import (
 from dpreg.cli import MECHANISM_NAMES
 from dpreg.evaluate import _TRIAL_CHUNK, _generate_on
 from dpreg.mechanisms import _FIT_CORES, FITTERS
+from dpreg.noise import _SHARES
 from dpreg.simplex import LINEAR_COLUMNS, _laplace_draw
 
 
@@ -234,6 +235,16 @@ def test_run_experiment_equals_per_cell_loop_in_fallback_heavy_cells(n, fresh):
         assert 50 <= fallbacks < grid.iterations, (method, fallbacks)
 
 
+@pytest.mark.parametrize("fresh", [False, True])
+def test_run_experiment_equals_per_cell_loop_at_one_iteration(fresh):
+    # A (budgets, 1) error array: each cell's std takes the NaN guard of the
+    # axis-1 reductions, and its mean and median are its one error.
+    setup = SetupConfig(n=60, alpha=-0.4, beta=0.7, sigma=0.1, seed=13)
+    grid = ExperimentGrid((0.1, 1.0, 10.0), 1, METHOD_NAMES)
+    assert row_bits(run_experiment(setup, grid, fresh)) == row_bits(
+        per_cell_rows(setup, grid, fresh))
+
+
 def test_run_experiment_equals_per_cell_loop_on_reference_setups():
     grid = ExperimentGrid((0.1, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0), 4, METHOD_NAMES)
     for index, seed in ((1, 101), (2, 202)):
@@ -298,24 +309,25 @@ def test_refined_trial_rows_are_consecutive_dp_rss_releases(three_point_line, tr
     # Row t of the trial-major draw is the noise of the t-th fit on the
     # same stream, bit for bit, for both Laplace releases; 3000 trials take
     # the blocked Laplace path (18000 and 24000 values), the smaller draws
-    # the one-line one.
+    # the one-line one. A fit draws unit noise, laplace(1.0), and scales it
+    # by the release's scale after (DECISIONS.md, D3).
     eps = 0.7
     for method, cells in (("dp_rss", 6), ("dp_ss", 8)):
+        scale = _SHARES[method] / eps
         bulk = RecordingStream(11, 2)
         stats = simulate_stats(method, three_point_line, eps, trials, bulk)
         (noise,) = bulk.draws
         assert noise.shape == (trials, cells)
         single = RecordingStream(11, 2)
-        releases = [_laplace_draw(method, three_point_line, (eps,), single)[0]
-                    for _ in range(trials)]
-        assert np.concatenate(single.draws).tobytes() == noise.tobytes()
+        releases = _laplace_draw(method, [(three_point_line, single)] * trials, (eps,))
+        assert (np.concatenate(single.draws) * scale).tobytes() == noise.ravel().tobytes()
         fit_stream = RecordingStream(11, 2)
         FITTERS[method](three_point_line, eps, fit_stream)
-        assert fit_stream.draws[0].tobytes() == noise[:1].tobytes()
+        assert (fit_stream.draws[0] * scale).tobytes() == noise[:1].tobytes()
         # The reading is one matrix product over all rows, so it may sum in
         # another order than a single release's; it agrees to rounding.
         for stat in STATISTIC_ORDER:
-            want = np.array([r[LINEAR_COLUMNS[stat]] for r in releases])
+            want = releases[:, LINEAR_COLUMNS[stat]]
             np.testing.assert_allclose(stats[stat], want, rtol=1e-13, atol=1e-12)
 
 

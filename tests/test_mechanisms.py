@@ -22,7 +22,7 @@ from dpreg import (
 )
 from dpreg.mechanisms import FALLBACK_ALPHA, FALLBACK_BETA, FITTERS, _pair_projections
 from dpreg.noise import _EPSILON_FLOOR
-from dpreg.simplex import _laplace_draw, _solve_refined
+from dpreg.simplex import _LAPLACE_RELEASES, _cell_sums, _laplace_draw, _solve_refined
 
 
 def ols_oracle(ds):
@@ -130,15 +130,17 @@ def test_budget_ledgers_account_for_whole_epsilon(three_point_line):
 
 
 class ScaleRecordingStream(RandomStream):
-    """A stream that records the scale of every Laplace draw it makes."""
+    """A stream that records the scale and the result of every Laplace draw it makes."""
 
     def __init__(self, seed, stream_index=0):
         super().__init__(seed, stream_index)
         self.scales = []
+        self.draws = []
 
     def laplace(self, scale, size=None):
         self.scales += np.atleast_1d(scale).tolist()
-        return super().laplace(scale, size)
+        self.draws.append(super().laplace(scale, size))
+        return self.draws[-1]
 
 
 def ledger_cases():
@@ -156,15 +158,29 @@ LEDGER_BUDGETS = (_EPSILON_FLOOR, 0.1, 0.3, 0.7, 1.0, 2.5, 1e6)
 
 def test_drawn_laplace_scales_equal_the_ledger_scales(random_dataset):
     # Every Laplace draw uses, bit for bit, a scale that the ledger
-    # declares, and every declared Laplace part is drawn.
+    # declares, and every declared Laplace part is drawn. Theil-Sen's size
+    # estimate draws at its scale. A Laplace release draws one unit draw,
+    # laplace(1.0), over all its cells and scales it after (DECISIONS.md,
+    # D3), so its fit must equal, bit for bit, the fit of that unit draw
+    # times the declared scale.
     ds = random_dataset(2, n=60)
     for name, fit in ledger_cases():
         for eps in LEDGER_BUDGETS:
             stream, led = ScaleRecordingStream(5, 1), NoiseLedger()
-            fit(ds, eps, stream, led)
+            got = fit(ds, eps, stream, led)
             declared = {e.scale for e in led.events if e.scale is not None}
-            assert stream.scales and set(stream.scales) == declared, (name, eps)
             assert led.total_epsilon() == pytest.approx(eps, rel=1e-12), (name, eps)
+            if name.startswith("dp_theil_sen"):
+                assert stream.scales and set(stream.scales) == declared, (name, eps)
+                continue
+            release = "dp_ss" if name == "dp_ss" else "dp_rss"
+            matrix = _LAPLACE_RELEASES[release][1](got.degree)
+            (scale,), (unit,) = declared, stream.draws
+            assert stream.scales == [1.0] and unit.shape == (len(matrix),), (name, eps)
+            stats = (unit * scale + _cell_sums(ds, release, got.degree)) @ matrix
+            coeffs, fallback = _solve_refined(stats[None])
+            want = FitResult(tuple(coeffs[0].tolist()), bool(fallback[0]))
+            assert fit_bits(got) == fit_bits(want), (name, eps)
 
 
 def test_every_ledger_is_the_same_on_every_input(random_dataset):
@@ -308,7 +324,24 @@ def test_theil_sen_hyper_validation():
     # with no fallback.
     with pytest.raises(ValueError, match="clip range must be finite"):
         TheilSenHyper(r_lo=-1.5e308, r_hi=1.5e308)
+    # A finite span whose line can still leave the doubles: the slope
+    # 2 (p75 - p25), or the intercept p25 - (p75 - p25)/2, overflowed.
+    for lo, hi in ((-1.7e308, -1e308), (-5e307, 5e307), (1e308, 1.7e308)):
+        with pytest.raises(ValueError, match="lets a slope or intercept overflow"):
+            TheilSenHyper(r_lo=lo, r_hi=hi)
     assert TheilSenHyper().k == 1
+
+
+def test_theil_sen_at_the_widest_accepted_clip_range_is_finite(random_dataset):
+    # The widest accepted ranges have span max/2; RuntimeWarnings are
+    # errors in this suite, so no step of these fits may overflow either.
+    top = np.finfo(np.float64).max
+    for lo, hi in ((-top / 4, top / 4), (0.0, top / 2), (-top / 2, 0.0)):
+        hyper = TheilSenHyper(r_lo=lo, r_hi=hi)
+        for ds in (random_dataset(8, n=30), Dataset(np.array([]), np.array([]))):
+            for seed in range(20):
+                fit = dp_theil_sen_fit(ds, 0.1, RandomStream(seed, 1), hyper)
+                assert all(math.isfinite(c) for c in fit.coeffs) and not fit.fallback
 
 
 def test_theil_sen_concentrates_on_near_collinear_data():
@@ -396,16 +429,15 @@ def core_cases():
     def core(draw, solve):
         def results(coeffs, fallback):
             return [FitResult(tuple(c), f) for c, f in zip(coeffs.tolist(), fallback.tolist())]
-        return lambda d, b, s: results(*solve(draw(d, b, s)))
+        return lambda d, b, s: results(*solve(draw([(d, s)], b)))
 
     cases = [(name, core(*mech._FIT_CORES[name]), FITTERS[name]) for name in FITTERS]
     k3 = TheilSenHyper(k=3)
     cases.append(("dp_theil_sen k=3",
-                  core(lambda d, b, s: mech._theil_sen_draw(d, b, s, hyper=k3),
-                       mech._theil_sen_solve),
+                  core(lambda p, b: mech._theil_sen_draw(p, b, hyper=k3), mech._theil_sen_solve),
                   lambda d, e, s: dp_theil_sen_fit(d, e, s, hyper=k3)))
     cases.append(("dp_rss_poly d=3",
-                  core(lambda d, b, s: _laplace_draw("dp_rss", d, b, s, degree=3), _solve_refined),
+                  core(lambda p, b: _laplace_draw("dp_rss", p, b, degree=3), _solve_refined),
                   lambda d, e, s: dp_rss_poly_fit(d, 3, e, s)))
     return cases
 
@@ -441,6 +473,26 @@ def test_multi_budget_cores_check_every_budget_before_drawing(random_dataset):
                 with pytest.raises(ValueError):
                     core(ds, budgets, stream)
                 assert stream.uniform() == RandomStream(8, 1).uniform(), (name, budgets)
+
+
+def test_draws_check_the_degree_and_every_budget_before_the_first_pair():
+    # The sweep's pairs are a generator that builds each stream, and in
+    # fresh mode its dataset, as it is taken; none may be taken for a bad call.
+    def untouched():
+        raise AssertionError("a pair was taken before the checks")
+        yield
+
+    draws = [draw for draw, _ in mech._FIT_CORES.values()]
+    draws.append(lambda p, b: _laplace_draw("dp_rss", p, b, degree=3))
+    for draw in draws:
+        for budgets in ((1.0, 0.0), (float("nan"),), (-1.0, 2.0)):
+            with pytest.raises(ValueError):
+                draw(untouched(), budgets)
+    for degree in (0, 1.5):
+        with pytest.raises(ValueError, match="degree"):
+            _laplace_draw("dp_rss", untouched(), (1.0,), degree)
+    with pytest.raises(ValueError, match="dp_ss releases a line only"):
+        _laplace_draw("dp_ss", untouched(), (1.0,), 2)
 
 
 def test_every_mechanism_at_the_epsilon_floor_is_finite_or_falls_back(random_dataset):

@@ -184,13 +184,19 @@ def test_rejects_bad_parameters():
 
 
 def test_huge_budgets_overflow_the_rank_penalty_without_warning():
-    # Near the largest double, (eps/2)|i - m/2| overflows to inf, which is
-    # weight 0: only the two middle intervals of these 41 values remain.
-    # The overflow once warned, and so raised under RuntimeWarning errors.
+    # Near the largest double, the rank penalty of every interval but the
+    # two middle ones of these 41 values overflows to inf, which is weight
+    # 0. The overflow once warned, and so raised under RuntimeWarning
+    # errors. The two middle ones share the mass by length, which differs
+    # in the last bits: their penalty is 0, so the lengths are not rounded
+    # away (they once got 0.5 each).
     values = np.linspace(-1.0, 1.0, 41)
+    lengths = np.diff(values)[19:21]
     for eps in (1e300, 1e308, np.finfo(np.float64).max):
         probs = median_interval_probs(values, eps, -2.0, 2.0)[1]
-        assert probs[20] == probs[21] == 0.5
+        assert probs[20:22].tolist() == pytest.approx((lengths / lengths.sum()).tolist(),
+                                                      rel=1e-12)
+        assert probs[20] < 0.5 < probs[21] and probs.sum() == probs[20] + probs[21]
         for seed in range(5):
             assert -0.05 <= dp_median(values, eps, -2.0, 2.0, RandomStream(seed, 0)) <= 0.05
     # With every value tied, each positive-length interval's penalty
@@ -204,6 +210,19 @@ def test_huge_budgets_overflow_the_rank_penalty_without_warning():
     # Ties on one side only: the best-ranked positive-length interval alone.
     probs = median_interval_probs([0.5] * 5 + [1.0], 1.7e308, -2.0, 2.0)[1]
     assert probs.tolist() == [0, 0, 0, 0, 0, 1, 0]
+
+
+def test_huge_budgets_keep_the_interval_lengths():
+    # The rank penalty is measured from the best rank, whose penalty is 0,
+    # so a huge epsilon leaves the best intervals' log lengths intact. With
+    # the penalty |i - m/2| of odd m, eps/2 * 1/2 once rounded them away:
+    # 0.098/0.902 at 1e15, 0.018/0.982 at 1e17 and 0.5/0.5 at 1e300.
+    for eps in (1e15, 1e17, 1e300):
+        probs = median_interval_probs([0.0, 0.1, 1.0], eps, -2.0, 2.0)[1]
+        assert probs.tolist() == pytest.approx([0.0, 0.1, 0.9, 0.0], abs=1e-12), eps
+    # One value: both intervals have the best rank, at any epsilon.
+    probs = median_interval_probs([0.5], np.finfo(np.float64).max, -2.0, 2.0)[1]
+    assert probs.tolist() == pytest.approx([0.625, 0.375], abs=1e-15)
 
 
 def test_multi_budget_median_equals_dp_median_bitwise():

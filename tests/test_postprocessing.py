@@ -196,7 +196,7 @@ def refined_stacks(d):
         x = g.uniform(n)
         datasets.append(Dataset(x, np.clip(0.6 * x + 0.2 + 0.1 * g.normal(n), 0.0, 1.0)))
     names = ("dp_rss", "dp_ss") if d == 1 else ("dp_rss",)
-    return np.concatenate([_laplace_draw(name, ds, BUDGETS, RandomStream(seed, 1), degree=d)
+    return np.concatenate([_laplace_draw(name, [(ds, RandomStream(seed, 1))], BUDGETS, degree=d)
                            for name in names for ds in datasets for seed in range(15)])
 
 
@@ -233,7 +233,7 @@ def test_ss_solve_equals_scalar_bitwise():
         for seed in range(30):
             scales = np.array([4.0 / eps for eps in BUDGETS])
             noisy = RandomStream(seed, 1).laplace(scales, size=8) + _cell_sums(ds, "dp_ss", 1)
-            drawn = _laplace_draw("dp_ss", ds, BUDGETS, RandomStream(seed, 1))
+            drawn = _laplace_draw("dp_ss", [(ds, RandomStream(seed, 1))], BUDGETS)
             assert drawn.tobytes() == np.array([z @ reading for z in noisy]).tobytes()
             rows.append(noisy)
     noisy = np.concatenate(rows)
