@@ -187,8 +187,9 @@ def run_experiment(
 
     No mechanism's draws depend on epsilon, so one draw per iteration and
     method serves every epsilon cell. One draw per method takes every
-    iteration's ``(data, stream)`` pair from a generator, which builds one
-    fresh dataset at a time; its releases are solved and scored in one
+    iteration's ``(data, stream)`` pair from a generator, which seeds the
+    substreams in blocks (``RandomStream._substreams``) and builds one fresh
+    dataset at a time; its releases are solved and scored in one
     batched pass, and reduced per cell along axis 1 (DECISIONS.md, D3). The
     rows equal, bit for bit, a loop that calls ``FITTERS[method](data, eps,
     RandomStream(seed, i + 1))`` and ``l1_error``/``l2_error`` per cell.
@@ -196,8 +197,7 @@ def run_experiment(
     fixed = None if fresh_data_per_iteration else generate_setup(setup)
 
     def pairs():  # builds each iteration's stream, and fresh data, as it is taken
-        for i in range(grid.iterations):
-            stream = RandomStream(setup.seed, i + 1)
+        for stream in RandomStream._substreams(setup.seed, 1, grid.iterations + 1):
             yield (_generate_on(stream, setup) if fresh_data_per_iteration else fixed), stream
 
     truth = (setup.alpha, setup.beta)

@@ -9,7 +9,9 @@ stream is delegated to PCG64.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,22 +77,49 @@ class RandomStream:
 
     Equal (seed, stream_index) pairs replay the same draw sequence;
     distinct stream indices under one seed give statistically independent
-    substreams, so each Monte Carlo iteration can own its own stream.
+    substreams, so each Monte Carlo iteration can own its own stream. The
+    PCG64 state is numpy's ``SeedSequence(entropy=seed,
+    spawn_key=(stream_index,))``, computed by ``_pcg64_seeds`` (DECISIONS.md,
+    D12). ``seed`` and ``stream_index`` must be non-negative integers; a
+    bool, a float or a negative value raises ValueError.
     """
 
     def __init__(self, seed: int, stream_index: int = 0):
-        if seed < 0 or stream_index < 0:
-            raise ValueError("seed and stream_index must be non-negative integers")
-        self.seed = int(seed)
-        self.stream_index = int(stream_index)
-        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_index,))
-        self._gen = np.random.Generator(np.random.PCG64(ss))
+        seed, stream_index = _as_index(seed, "seed"), _as_index(stream_index, "stream_index")
+        self._start(seed, stream_index, _pcg64_seeds(seed, stream_index))
+
+    def _start(self, seed: int, stream_index: int, words: np.ndarray) -> None:
+        self.seed = seed
+        self.stream_index = stream_index
+        generator, pcg64, seed_words = _seeding()
+        self._gen = generator(pcg64(seed_words(words)))
+
+    @classmethod
+    def _substreams(cls, seed: int, start: int, stop: int):
+        """``cls(seed, i)`` for i in range(start, stop), each built as it is taken.
+
+        Seeds up to ``_SEED_BLOCK`` indices below 2^32 in one array pass;
+        each stream equals ``cls(seed, i)`` draw for draw.
+        """
+        seed, start = _as_index(seed, "seed"), _as_index(start, "stream_index")
+        for lo in range(start, stop, _SEED_BLOCK):
+            hi = min(lo + _SEED_BLOCK, stop)
+            block = (_pcg64_seeds(seed, np.arange(lo, hi, dtype=np.uint64)) if hi <= 1 << 32
+                     else [_pcg64_seeds(seed, i) for i in range(lo, hi)])
+            for i, words in zip(range(lo, hi), block):
+                stream = cls.__new__(cls)
+                stream._start(seed, i, words)
+                yield stream
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(seed={self.seed}, stream_index={self.stream_index})"
 
     def uniform(self, size=None):
         """Uniform draws on [0, 1); scalar float when size is None."""
+        return self._gen.random(size)
+
+    def _laplace_u(self, size):
+        """The uniforms that ``laplace``'s inverse CDF reads; a float when size is None."""
         return self._gen.random(size)
 
     def laplace(self, scale, size=None):
@@ -109,22 +138,10 @@ class RandomStream:
         (DECISIONS.md, D5).
         """
         b = _scale_value(scale)
-        u = self._gen.random(size)
-        if size is not None and u.size > _BLOCK:
-            if isinstance(b, np.ndarray):
-                return np.multiply.outer(-b, _unit_laplace_in_place(u))
-            return _unit_laplace_in_place(u, -b)
-        # F^{-1}(u) = -b * sign(u - 1/2) * ln(1 - 2|u - 1/2|), computed with
-        # log1p so values of u near 1/2 lose no precision. u = 0 is raised to
-        # 2^-53, the smallest positive uniform, so no draw is infinite and
-        # the two extreme draws stay exact negatives. sign(.) * ln(.) is
-        # exact, so -b enters after the single rounding and every scale
-        # rounds the same real product it would round on its own.
-        t = np.maximum(u, _U_MIN) - 0.5
-        unit = np.sign(t) * np.log1p(-2.0 * np.abs(t))
+        u = self._laplace_u(size)
         if isinstance(b, np.ndarray):
-            return np.multiply.outer(-b, unit)
-        unit *= -b
+            return np.multiply.outer(-b, _unit_laplace(u))
+        unit = _unit_laplace(u, -b)
         return float(unit) if size is None else unit
 
     def normal(self, size=None):
@@ -143,17 +160,138 @@ class ZeroNoiseStream(RandomStream):
     """Stream whose Laplace draws are exactly zero.
 
     Used to check that mechanisms reduce to their non-private estimators
-    when the noise is switched off; scale validation is kept so misuse
-    still surfaces.
+    when the noise is switched off. Its Laplace uniforms are all 1/2, the
+    centre of the inverse CDF, so every draw is +0.0 and no uniform is
+    consumed; scale validation is kept so misuse still surfaces.
     """
 
     def __init__(self, seed: int = 0, stream_index: int = 0):
         super().__init__(seed, stream_index)
 
-    def laplace(self, scale, size=None):
-        b = _scale_value(scale)
-        draw = 0.0 if size is None else np.zeros(size)
-        return np.zeros(b.shape + np.shape(draw)) if isinstance(b, np.ndarray) else draw
+    def _laplace_u(self, size):
+        return 0.5 if size is None else np.full(size, 0.5)
+
+
+def _as_index(value, name: str) -> int:
+    """``value`` as a non-negative int; numpy integers pass, bools and floats raise."""
+    try:
+        if isinstance(value, (bool, np.bool_)):
+            raise TypeError
+        index = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be a non-negative integer, got {value!r}") from None
+    if index < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+    return index
+
+
+# -- Seeding: numpy's SeedSequence, transcribed (DECISIONS.md, D12) -----------
+#
+# numpy's SeedSequence(entropy=seed, spawn_key=(i,)).generate_state(4,
+# np.uint64), whose algorithm numpy's seeding policy (NEP 19) keeps fixed;
+# a test compares the two byte for byte. Every value is a 32-bit word
+# held in a Python int or a uint64 array: a product of two words fits in 64
+# bits, so the one code runs on one index or on an array of them.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+# Indices seeded in one array pass by RandomStream._substreams.
+_SEED_BLOCK = 1024
+
+
+def _hashmix(value, const: int, mult: int):
+    """One hash step: the hashed ``value`` and the next hash constant."""
+    value = value ^ const
+    const = const * mult & _MASK32
+    value = value * const & _MASK32
+    return value ^ value >> 16, const
+
+
+def _pcg64_seeds(seed: int, index) -> np.ndarray:
+    """The PCG64 seed words of stream ``index`` of ``seed``, as numpy computes them.
+
+    ``index`` is an int, giving a (4,) uint64 array, or a uint64 array of
+    indices below 2^32, giving one C-contiguous row of four per index.
+    """
+    pool, const = _seed_pool(seed)
+    words = (index,) if isinstance(index, np.ndarray) else _uint32_words(index)
+    pool, _ = _absorb(pool, const, words)
+    state, const = [], _INIT_B
+    for i in range(2 * _POOL_SIZE):
+        value, const = _hashmix(pool[i % _POOL_SIZE], const, _MULT_B)
+        state.append(value)
+    seeds = [state[k] | state[k + 1] << 32 for k in range(0, len(state), 2)]
+    return np.ascontiguousarray(np.array(seeds, dtype=np.uint64).T)
+
+
+@functools.lru_cache(maxsize=64)
+def _seed_pool(seed: int):
+    """The entropy pool and hash constant after the seed's own words; cached.
+
+    With a spawn key, a seed of fewer words than the pool is padded with
+    zeros to the pool size.
+    """
+    words = _uint32_words(seed)
+    words += [0] * (_POOL_SIZE - len(words))
+    const = _INIT_A
+    pool = []
+    for word in words[:_POOL_SIZE]:
+        value, const = _hashmix(word, const, _MULT_A)
+        pool.append(value)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                value, const = _hashmix(pool[src], const, _MULT_A)
+                pool[dst] = _mix(pool[dst], value)
+    return _absorb(tuple(pool), const, words[_POOL_SIZE:])
+
+
+def _absorb(pool, const: int, words):
+    """Mix each word into every pool word, in order; returns pool and constant."""
+    pool = list(pool)
+    for word in words:
+        for dst in range(_POOL_SIZE):
+            value, const = _hashmix(word, const, _MULT_A)
+            pool[dst] = _mix(pool[dst], value)
+    return tuple(pool), const
+
+
+def _mix(x, y):
+    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return result ^ result >> 16
+
+
+def _uint32_words(n: int) -> list:
+    """The 32-bit words of a non-negative int, least significant first; [0] for 0."""
+    words = [n & _MASK32]
+    while n >> 32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+@functools.cache
+def _seeding():
+    """numpy's Generator and PCG64, and a seed sequence of given words.
+
+    Imported at the first stream, so that importing dpreg does not import
+    ``numpy.random``.
+    """
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        """Hands PCG64 the four uint64 words of ``_pcg64_seeds``, all it asks for."""
+
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return Generator, PCG64, SeedWords
 
 
 # Draws of more than this many values are transformed block by block, in
@@ -162,6 +300,29 @@ class ZeroNoiseStream(RandomStream):
 _BLOCK = 1 << 14
 # The smallest positive value Generator.random returns; u = 0 is raised to it.
 _U_MIN = 2.0**-53
+
+
+def _unit_laplace(u, neg_b=None):
+    """The inverse CDF ``sign(t) * log1p(-2|t|)``, t = max(u, 2^-53) - 1/2, times ``neg_b``.
+
+    Laplace(b) draws are this at ``neg_b = -b``; with no ``neg_b`` it is the
+    draw at b = -1, for the caller to scale by -b. ``u`` is a float or an
+    array; an array of more than ``_BLOCK`` values is overwritten and
+    returned (DECISIONS.md, D5).
+    """
+    if np.size(u) > _BLOCK:
+        return _unit_laplace_in_place(u, neg_b)
+    # F^{-1}(u) = -b * sign(u - 1/2) * ln(1 - 2|u - 1/2|), computed with
+    # log1p so values of u near 1/2 lose no precision. u = 0 is raised to
+    # 2^-53, the smallest positive uniform, so no draw is infinite and
+    # the two extreme draws stay exact negatives. sign(.) * ln(.) is
+    # exact, so -b enters after the single rounding and every scale
+    # rounds the same real product it would round on its own.
+    t = np.maximum(u, _U_MIN) - 0.5
+    unit = np.sign(t) * np.log1p(-2.0 * np.abs(t))
+    if neg_b is not None:
+        unit *= neg_b
+    return unit
 
 
 def _unit_laplace_in_place(u, neg_b=None):

@@ -54,7 +54,7 @@ from functools import lru_cache
 import numpy as np
 
 from .data import _check_unit_interval, _chunked_exact_sums, as_dataset
-from .noise import _SHARES, _as_epsilon
+from .noise import _SHARES, _as_epsilon, _unit_laplace
 
 
 def _check_degree(degree: int) -> int:
@@ -199,21 +199,23 @@ def _laplace_draw(name: str, pairs, budgets, degree: int = 1) -> np.ndarray:
     """Statistics of release ``name`` for each ``(data, stream)`` pair at each budget.
 
     Checks the degree and every budget before it takes the first pair, and
-    keeps per pair only its cell sums and one unit draw ``laplace(1.0)``.
-    One broadcast scales them by ``_SHARES[name]``/eps per budget, and one
-    stack of one-row products reads them, each the product ``z @ matrix``
-    of one row, so row p * len(budgets) + j equals, bit for bit, the
-    release of pair p at ``budgets[j]`` alone (DECISIONS.md, D3). Together
-    a pair's rows are not eps-DP at any one budget; one row alone is.
+    keeps per pair only its cell sums and the uniforms of one unit draw,
+    ``stream._laplace_u(k)``. One inverse-CDF pass turns the stacked
+    uniforms into noise, one broadcast scales it by ``_SHARES[name]``/eps
+    per budget, and one stack of one-row products reads them, each the
+    product ``z @ matrix`` of one row, so row p * len(budgets) + j equals,
+    bit for bit, the release of pair p at ``budgets[j]`` alone (DECISIONS.md,
+    D3). Together a pair's rows are not eps-DP at any one budget; one row
+    alone is.
     """
     d = _check_degree(degree)
     matrix = _LAPLACE_RELEASES[name][1](d)
-    scales = np.array([_SHARES[name] / _as_epsilon(b) for b in budgets])
-    sums, units = [], []
+    neg_scales = np.array([-_SHARES[name] / _as_epsilon(b) for b in budgets])
+    sums, uniforms = [], []
     for data, stream in pairs:
         sums.append(_cell_sums(as_dataset(data), name, d))
-        units.append(stream.laplace(1.0, size=len(matrix)))
-    noise = np.array(units)[:, None, :] * scales[:, None]
+        uniforms.append(stream._laplace_u(len(matrix)))
+    noise = _unit_laplace(np.array(uniforms))[:, None, :] * neg_scales[:, None]
     noise += np.array(sums)[:, None, :]
     return (noise.reshape(-1, 1, len(matrix)) @ matrix)[:, 0]
 

@@ -29,7 +29,7 @@ from dpreg.cli import MECHANISM_NAMES
 from dpreg.evaluate import _TRIAL_CHUNK, _generate_on
 from dpreg.mechanisms import _FIT_CORES, FITTERS
 from dpreg.noise import _SHARES
-from dpreg.simplex import LINEAR_COLUMNS, _laplace_draw
+from dpreg.simplex import _LAPLACE_RELEASES, LINEAR_COLUMNS, _cell_sums, _laplace_draw
 
 
 def test_setup_config_validation():
@@ -292,38 +292,43 @@ def test_verify_variances_scaling_and_floor():
 
 
 class RecordingStream(RandomStream):
-    """A stream that keeps a copy of every Laplace draw it returns."""
+    """A stream that keeps a copy of the uniforms of every Laplace draw it makes."""
 
     def __init__(self, seed, stream_index=0):
         super().__init__(seed, stream_index)
-        self.draws = []
+        self.uniforms = []
 
-    def laplace(self, scale, size=None):
-        draw = super().laplace(scale, size)
-        self.draws.append(np.array(draw, copy=True))
-        return draw
+    def _laplace_u(self, size):
+        u = super()._laplace_u(size)
+        self.uniforms.append(np.array(u, copy=True))
+        return u
 
 
 @pytest.mark.parametrize("trials", [1, 7, 3000])
 def test_refined_trial_rows_are_consecutive_dp_rss_releases(three_point_line, trials):
     # Row t of the trial-major draw is the noise of the t-th fit on the
-    # same stream, bit for bit, for both Laplace releases; 3000 trials take
-    # the blocked Laplace path (18000 and 24000 values), the smaller draws
-    # the one-line one. A fit draws unit noise, laplace(1.0), and scales it
-    # by the release's scale after (DECISIONS.md, D3).
+    # same stream, bit for bit, for both Laplace releases: the fits take
+    # the same uniforms in the same order, and their releases are the
+    # one-row products of the trial-major noise rows plus the cell sums.
+    # 3000 trials take the blocked Laplace path (18000 and 24000 values),
+    # the smaller draws the one-line one (DECISIONS.md, D3).
     eps = 0.7
     for method, cells in (("dp_rss", 6), ("dp_ss", 8)):
         scale = _SHARES[method] / eps
         bulk = RecordingStream(11, 2)
         stats = simulate_stats(method, three_point_line, eps, trials, bulk)
-        (noise,) = bulk.draws
-        assert noise.shape == (trials, cells)
+        (u,) = bulk.uniforms
+        assert u.shape == (trials, cells)
         single = RecordingStream(11, 2)
         releases = _laplace_draw(method, [(three_point_line, single)] * trials, (eps,))
-        assert (np.concatenate(single.draws) * scale).tobytes() == noise.ravel().tobytes()
+        assert np.concatenate(single.uniforms).tobytes() == u.tobytes()
+        noise = RandomStream(11, 2).laplace(scale, (trials, cells))
+        noisy = noise + _cell_sums(three_point_line, method, 1)
+        want = (noisy[:, None, :] @ _LAPLACE_RELEASES[method][1](1))[:, 0]
+        assert releases.tobytes() == want.tobytes()
         fit_stream = RecordingStream(11, 2)
         FITTERS[method](three_point_line, eps, fit_stream)
-        assert (fit_stream.draws[0] * scale).tobytes() == noise[:1].tobytes()
+        assert fit_stream.uniforms[0].tobytes() == u[0].tobytes()
         # The reading is one matrix product over all rows, so it may sum in
         # another order than a single release's; it agrees to rounding.
         for stat in STATISTIC_ORDER:

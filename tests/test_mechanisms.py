@@ -130,17 +130,21 @@ def test_budget_ledgers_account_for_whole_epsilon(three_point_line):
 
 
 class ScaleRecordingStream(RandomStream):
-    """A stream that records the scale and the result of every Laplace draw it makes."""
+    """A stream that records the scale of every Laplace draw and the uniforms it reads."""
 
     def __init__(self, seed, stream_index=0):
         super().__init__(seed, stream_index)
         self.scales = []
-        self.draws = []
+        self.uniforms = []
 
     def laplace(self, scale, size=None):
         self.scales += np.atleast_1d(scale).tolist()
-        self.draws.append(super().laplace(scale, size))
-        return self.draws[-1]
+        return super().laplace(scale, size)
+
+    def _laplace_u(self, size):
+        u = super()._laplace_u(size)
+        self.uniforms.append(np.array(u, copy=True))
+        return u
 
 
 def ledger_cases():
@@ -159,10 +163,10 @@ LEDGER_BUDGETS = (_EPSILON_FLOOR, 0.1, 0.3, 0.7, 1.0, 2.5, 1e6)
 def test_drawn_laplace_scales_equal_the_ledger_scales(random_dataset):
     # Every Laplace draw uses, bit for bit, a scale that the ledger
     # declares, and every declared Laplace part is drawn. Theil-Sen's size
-    # estimate draws at its scale. A Laplace release draws one unit draw,
-    # laplace(1.0), over all its cells and scales it after (DECISIONS.md,
-    # D3), so its fit must equal, bit for bit, the fit of that unit draw
-    # times the declared scale.
+    # estimate draws at its scale. A Laplace release reads one uniform per
+    # cell and scales the unit draw they give after (DECISIONS.md, D3), so
+    # its fit must equal, bit for bit, the fit of that unit draw times the
+    # declared scale.
     ds = random_dataset(2, n=60)
     for name, fit in ledger_cases():
         for eps in LEDGER_BUDGETS:
@@ -175,8 +179,10 @@ def test_drawn_laplace_scales_equal_the_ledger_scales(random_dataset):
                 continue
             release = "dp_ss" if name == "dp_ss" else "dp_rss"
             matrix = _LAPLACE_RELEASES[release][1](got.degree)
-            (scale,), (unit,) = declared, stream.draws
-            assert stream.scales == [1.0] and unit.shape == (len(matrix),), (name, eps)
+            (scale,), (u,) = declared, stream.uniforms
+            assert stream.scales == [] and u.shape == (len(matrix),), (name, eps)
+            t = np.maximum(u, 2.0**-53) - 0.5
+            unit = -(np.sign(t) * np.log1p(-2.0 * np.abs(t)))
             stats = (unit * scale + _cell_sums(ds, release, got.degree)) @ matrix
             coeffs, fallback = _solve_refined(stats[None])
             want = FitResult(tuple(coeffs[0].tolist()), bool(fallback[0]))

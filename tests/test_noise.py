@@ -1,11 +1,17 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
 from dpreg import NoiseEvent, NoiseLedger, RandomStream, ZeroNoiseStream
-from dpreg.noise import _BLOCK
+from dpreg.noise import _BLOCK, _pcg64_seeds
+from dpreg.simplex import _LAPLACE_RELEASES, _cell_sums, _laplace_draw
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def test_laplace_scale_must_be_positive():
@@ -190,17 +196,33 @@ def test_permutation_is_a_permutation():
 
 def test_zero_noise_stream_silences_laplace_only():
     z = ZeroNoiseStream(4, 0)
-    assert z.laplace(2.0) == 0.0
-    assert np.array_equal(z.laplace(2.0, 5), np.zeros(5))
-    assert np.array_equal(z.laplace(np.array([2.0, 3.0])), np.zeros(2))
-    assert np.array_equal(z.laplace(np.array([2.0, 3.0]), (4, 2)), np.zeros((2, 4, 2)))
+    after = RandomStream(4, 0).uniform()
+    # Every draw is +0.0, never -0.0, and consumes no uniform.
+    for scale, size, want in ((2.0, None, np.zeros(())), (2.0, 5, np.zeros(5)),
+                              (2.0, 3 * _BLOCK + 7, np.zeros(3 * _BLOCK + 7)),
+                              (np.array([2.0, 3.0]), None, np.zeros(2)),
+                              (np.array([2.0, 3.0]), (4, 2), np.zeros((2, 4, 2)))):
+        got = z.laplace(scale, size)
+        assert np.asarray(got).tobytes() == want.tobytes(), (scale, size)
+    assert isinstance(z.laplace(2.0), float)
     with pytest.raises(ValueError):
         z.laplace(-1.0)  # scale validation is kept
     with pytest.raises(ValueError):
         z.laplace(np.array([2.0, -1.0]))
     # non-noise channels still behave like the parent stream
+    assert z.uniform() == after
     assert np.array_equal(ZeroNoiseStream(4, 0).permutation(10),
                           RandomStream(4, 0).permutation(10))
+
+
+def test_zero_noise_stream_releases_the_exact_statistics(three_point_line):
+    # The pair-major draw reads ZeroNoiseStream's uniforms through the same
+    # hook, so each release is the exact cell sums read by the matrix.
+    for name, d in (("dp_rss", 1), ("dp_rss", 3), ("dp_ss", 1)):
+        pairs = [(three_point_line, ZeroNoiseStream(0, i)) for i in range(3)]
+        got = _laplace_draw(name, pairs, (0.5, 2.0), d)
+        want = _cell_sums(three_point_line, name, d) @ _LAPLACE_RELEASES[name][1](d)
+        assert got.tobytes() == np.tile(want, (6, 1)).tobytes(), (name, d)
 
 
 def test_negative_seed_rejected():
@@ -208,6 +230,79 @@ def test_negative_seed_rejected():
         RandomStream(-1, 0)
     with pytest.raises(ValueError):
         RandomStream(0, -2)
+
+
+@pytest.mark.parametrize("bad", [True, False, np.True_, 1.7, 1.0, "1", None])
+def test_seed_and_stream_index_must_be_integers(bad):
+    # int(True) and int(1.7) would silently run as seed 1.
+    with pytest.raises(ValueError):
+        RandomStream(bad, 1)
+    with pytest.raises(ValueError):
+        RandomStream(1, bad)
+    with pytest.raises(ValueError):
+        next(RandomStream._substreams(bad, 1, 3))
+
+
+def test_numpy_integer_seeds_are_accepted():
+    for seed, index in ((np.int64(3), np.uint32(2)), (np.uint64(2**63 + 1), np.int8(7))):
+        s = RandomStream(seed, index)
+        assert (type(s.seed), type(s.stream_index)) == (int, int)
+        assert repr(s) == repr(RandomStream(int(seed), int(index)))
+        assert s.uniform(4).tobytes() == RandomStream(int(seed), int(index)).uniform(4).tobytes()
+
+
+# Seeds of 1 to 7 32-bit words: a seed of fewer words than the pool is
+# padded to it, and a longer one mixes its extra words in after.
+TRANSCRIPTION_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 + 9, 2**96 + 5, 2**200)
+
+
+def numpy_seeds(seed, index):
+    return np.random.SeedSequence(entropy=seed, spawn_key=(index,)).generate_state(4, np.uint64)
+
+
+@pytest.mark.parametrize("seed", TRANSCRIPTION_SEEDS)
+def test_pcg64_seeds_equal_numpys_seed_sequence(seed):
+    for index in (0, 1, 2**32 - 1, 2**32, 2**64 + 1):
+        got = _pcg64_seeds(seed, index)
+        assert got.dtype == np.uint64 and got.shape == (4,)
+        assert got.tobytes() == numpy_seeds(seed, index).tobytes(), (seed, index)
+    # The array path, on a block that crosses the 1024 boundary.
+    indices = np.array([0, 1, 2**32 - 1] + list(range(1000, 1100)), dtype=np.uint64)
+    kept = indices.copy()
+    got = _pcg64_seeds(seed, indices)
+    assert indices.tobytes() == kept.tobytes()
+    assert got.dtype == np.uint64 and got.shape == (len(indices), 4) and got.flags.c_contiguous
+    want = np.array([numpy_seeds(seed, i) for i in indices.tolist()])
+    assert got.tobytes() == want.tobytes(), seed
+
+
+@pytest.mark.parametrize("seed, start, stop", [(3, 0, 5), (2**40 + 3, 1000, 2100),
+                                               (7, 2**32 - 3, 2**32 + 2)])
+def test_substreams_equal_single_streams(seed, start, stop):
+    # Blocks of 1024 indices, and a block that crosses 2^32, where the
+    # array path gives way to one index at a time.
+    streams = list(RandomStream._substreams(seed, start, stop))
+    assert [s.stream_index for s in streams] == list(range(start, stop))
+    picks = {0, 1, 2, len(streams) - 2, len(streams) - 1} | set(range(1020, 1030))
+    for bulk in [streams[k] for k in sorted(picks) if k < len(streams)]:
+        one = RandomStream(seed, bulk.stream_index)
+        assert (bulk.seed, bulk.stream_index, repr(bulk)) == (one.seed, one.stream_index, repr(one))
+        assert bulk.uniform(3).tobytes() == one.uniform(3).tobytes()
+        assert bulk.normal(3).tobytes() == one.normal(3).tobytes()
+        assert bulk.permutation(9).tobytes() == one.permutation(9).tobytes()
+        assert bulk.laplace(2.0, 6).tobytes() == one.laplace(2.0, 6).tobytes()
+    assert type(next(ZeroNoiseStream._substreams(seed, start, stop))) is ZeroNoiseStream
+
+
+def test_importing_dpreg_leaves_numpy_random_unimported():
+    # Streams import numpy.random when the first one is built. numpy 1.x
+    # imports it with numpy itself, so only what dpreg adds is checked.
+    code = ("import sys, numpy; before = 'numpy.random' in sys.modules; import dpreg; "
+            "print(before, 'numpy.random' in sys.modules)")
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": path}).stdout.split()
+    assert out[0] == out[1], out
 
 
 def test_ledger_totals_epsilon():
