@@ -91,21 +91,23 @@ class RandomStream:
     def _start(self, seed: int, stream_index: int, words: np.ndarray) -> None:
         self.seed = seed
         self.stream_index = stream_index
-        generator, pcg64, seed_words = _seeding()
-        self._gen = generator(pcg64(seed_words(words)))
+        generator, pcg64 = _seeding()
+        self._gen = generator(pcg64(_SeedWords(words)))
 
     @classmethod
     def _substreams(cls, seed: int, start: int, stop: int):
         """``cls(seed, i)`` for i in range(start, stop), each built as it is taken.
 
-        Seeds up to ``_SEED_BLOCK`` indices below 2^32 in one array pass;
-        each stream equals ``cls(seed, i)`` draw for draw.
+        Seeds up to ``_SEED_BLOCK`` indices in one array pass; each stream
+        equals ``cls(seed, i)`` draw for draw. ``stop`` is at most 2^32, the
+        array path's limit; a larger one raises ValueError at the first draw.
         """
         seed, start = _as_index(seed, "seed"), _as_index(start, "stream_index")
+        if stop > 1 << 32:
+            raise ValueError(f"substreams stop at index 2**32, got stop={stop}")
         for lo in range(start, stop, _SEED_BLOCK):
             hi = min(lo + _SEED_BLOCK, stop)
-            block = (_pcg64_seeds(seed, np.arange(lo, hi, dtype=np.uint64)) if hi <= 1 << 32
-                     else [_pcg64_seeds(seed, i) for i in range(lo, hi)])
+            block = _pcg64_seeds(seed, np.arange(lo, hi, dtype=np.uint64))
             for i, words in zip(range(lo, hi), block):
                 stream = cls.__new__(cls)
                 stream._start(seed, i, words)
@@ -226,9 +228,8 @@ def _pcg64_seeds(seed: int, index) -> np.ndarray:
     return np.ascontiguousarray(np.array(seeds, dtype=np.uint64).T)
 
 
-@functools.lru_cache(maxsize=64)
 def _seed_pool(seed: int):
-    """The entropy pool and hash constant after the seed's own words; cached.
+    """The entropy pool and hash constant after the seed's own words.
 
     With a spawn key, a seed of fewer words than the pool is padded with
     zeros to the pool size.
@@ -272,9 +273,23 @@ def _uint32_words(n: int) -> list:
     return words
 
 
+class _SeedWords:
+    """Hands PCG64 the four uint64 words of ``_pcg64_seeds``, all it asks for.
+
+    ``_seeding`` registers it as numpy's ``ISeedSequence``. PCG64 keeps it
+    as its seed sequence, so it lives at module level, where pickle finds it.
+    """
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
 @functools.cache
 def _seeding():
-    """numpy's Generator and PCG64, and a seed sequence of given words.
+    """numpy's Generator and PCG64, with ``_SeedWords`` registered as a seed sequence.
 
     Imported at the first stream, so that importing dpreg does not import
     ``numpy.random``.
@@ -282,16 +297,8 @@ def _seeding():
     from numpy.random import PCG64, Generator
     from numpy.random.bit_generator import ISeedSequence
 
-    class SeedWords(ISeedSequence):
-        """Hands PCG64 the four uint64 words of ``_pcg64_seeds``, all it asks for."""
-
-        def __init__(self, words):
-            self.words = words
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            return self.words
-
-    return Generator, PCG64, SeedWords
+    ISeedSequence.register(_SeedWords)
+    return Generator, PCG64
 
 
 # Draws of more than this many values are transformed block by block, in

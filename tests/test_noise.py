@@ -1,5 +1,6 @@
 import math
 import os
+import pickle
 import subprocess
 import sys
 import warnings
@@ -277,10 +278,9 @@ def test_pcg64_seeds_equal_numpys_seed_sequence(seed):
 
 
 @pytest.mark.parametrize("seed, start, stop", [(3, 0, 5), (2**40 + 3, 1000, 2100),
-                                               (7, 2**32 - 3, 2**32 + 2)])
+                                               (7, 2**32 - 3, 2**32)])
 def test_substreams_equal_single_streams(seed, start, stop):
-    # Blocks of 1024 indices, and a block that crosses 2^32, where the
-    # array path gives way to one index at a time.
+    # Blocks of 1024 indices, and the last indices below 2^32.
     streams = list(RandomStream._substreams(seed, start, stop))
     assert [s.stream_index for s in streams] == list(range(start, stop))
     picks = {0, 1, 2, len(streams) - 2, len(streams) - 1} | set(range(1020, 1030))
@@ -292,6 +292,34 @@ def test_substreams_equal_single_streams(seed, start, stop):
         assert bulk.permutation(9).tobytes() == one.permutation(9).tobytes()
         assert bulk.laplace(2.0, 6).tobytes() == one.laplace(2.0, 6).tobytes()
     assert type(next(ZeroNoiseStream._substreams(seed, start, stop))) is ZeroNoiseStream
+
+
+def test_substreams_stop_at_two_to_the_32():
+    with pytest.raises(ValueError):
+        next(RandomStream._substreams(7, 2**32 - 3, 2**32 + 1))
+
+
+def replay(streams):
+    return [(repr(s), s.uniform(3).tobytes(), s.normal(2).tobytes(), s.laplace(2.0, 3).tobytes())
+            for s in streams]
+
+
+def test_streams_pickle_and_replay_in_a_fresh_process():
+    # PCG64 keeps its seed sequence, so a pickled stream carries one; a
+    # stream sent to a worker process must rebuild there and go on as here.
+    streams = [RandomStream(1, 2), ZeroNoiseStream(3, 4), *RandomStream._substreams(5, 1, 3)]
+    for s in streams:
+        s.uniform(2)
+    blob = pickle.dumps(streams)
+    want = replay(streams)
+    assert replay(pickle.loads(blob)) == want
+    code = ("import pickle, sys; from test_noise import replay; "
+            "sys.stdout.buffer.write(pickle.dumps(replay(pickle.load(sys.stdin.buffer))))")
+    path = os.pathsep.join(filter(None, [SRC, os.path.dirname(os.path.abspath(__file__)),
+                                         os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], input=blob, capture_output=True,
+                         check=True, env={**os.environ, "PYTHONPATH": path}).stdout
+    assert pickle.loads(out) == want
 
 
 def test_importing_dpreg_leaves_numpy_random_unimported():
