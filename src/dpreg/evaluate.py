@@ -110,12 +110,28 @@ def _line_params(fit) -> tuple[float, float]:
 
 
 def l1_error(true_fit, est_fit, n_points: int = 1000) -> float:
-    """Mean absolute gap between two lines on the grid i/n, i = 1..n."""
+    """Mean absolute gap between two lines on the grid i/n, i = 1..n, in closed form."""
     a_true, b_true = _line_params(true_fit)
     a_est, b_est = _line_params(est_fit)
-    da, db = a_true - a_est, b_true - b_est
-    xs = np.arange(1, n_points + 1, dtype=np.float64) / n_points
-    return float(np.mean(np.abs(da * xs + db)))
+    return float(_gap_means(np.float64(a_true - a_est), np.float64(b_true - b_est), n_points))
+
+
+def _gap_means(da, db, n_points: int):
+    """Mean of |da i/n + db| over i = 1..n, for floats or arrays of them (DECISIONS.md, D13).
+
+    The gap is linear in i, so it keeps one sign on the k grid points
+    before its root, i < -db n / da, and the other on the rest, and each
+    side sums as an arithmetic series. With ``head`` the first k points'
+    share of the mean, ``da k(k+1)/(2n^2) + db k/n``, and ``total`` all n
+    points', the mean is ``|head| + |total - head|``. A root that no grid
+    point separates gives k = 0 or n; equal lines (0/0) give k = n and 0.
+    """
+    n = float(n_points)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        k = np.fmax(np.fmin(np.ceil(-db / da * n) - 1.0, n), 0.0)
+    head = da * (k * (k + 1.0) / (2.0 * n * n)) + db * (k / n)
+    total = da * ((n + 1.0) / (2.0 * n)) + db
+    return np.abs(head) + np.abs(total - head)
 
 
 def l2_error(true_fit, est_fit) -> float:
@@ -147,29 +163,15 @@ class ExperimentRow:
     median_l2: float
 
 
-_GRID_ROWS = 64  # rows of the (N, 1000) gap grid filled at a time: 512 KB
-
-
 def _line_errors(true_fit, coeffs: np.ndarray, n_points: int = 1000):
     """``l1_error`` and ``l2_error`` of each line of an (N, 2) stack, bit for bit.
 
-    The gap grid |da x + db| is filled in place, ``_GRID_ROWS`` rows at a
-    time. Row j holds the values that ``l1_error`` averages for line j, and
-    a row mean sums them in the same pairwise order as the mean of one row.
+    Both are elementwise in the lines' coefficients, so each row is
+    computed as the single line would be.
     """
     a_true, b_true = _line_params(true_fit)
     da, db = a_true - coeffs[:, 0], b_true - coeffs[:, 1]
-    xs = np.arange(1, n_points + 1, dtype=np.float64) / n_points
-    l1 = np.empty(len(coeffs))
-    grid = np.empty((min(_GRID_ROWS, len(coeffs)), n_points))
-    for start in range(0, len(l1), _GRID_ROWS):
-        stop = min(start + _GRID_ROWS, len(l1))
-        gaps = grid[: stop - start]
-        np.multiply(da[start:stop, None], xs, out=gaps)
-        gaps += db[start:stop, None]
-        np.abs(gaps, out=gaps)
-        np.mean(gaps, axis=1, out=l1[start:stop])
-    return l1, da * da / 3.0 + da * db + db * db
+    return _gap_means(da, db, n_points), da * da / 3.0 + da * db + db * db
 
 
 def run_experiment(

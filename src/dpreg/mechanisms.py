@@ -184,7 +184,8 @@ def _theil_sen_draw(pairs, budgets, hyper: TheilSenHyper | None = None):
 
     Row p * len(budgets) + j is ``(data, stream)`` pair p at ``budgets[j]``.
     A pair's size uniform, matchings, projections and their sort serve every
-    budget, and both medians run through one weight pass. The draws never
+    budget, and both medians run through one weight pass, whose rank table
+    serves every pair with as many projections. The draws never
     depend on the data: with fewer than two records or no pair of distinct
     x, each median picks a point of the clip range. Every budget is checked
     before the first pair is taken.
@@ -198,12 +199,14 @@ def _theil_sen_draw(pairs, budgets, hyper: TheilSenHyper | None = None):
     # layout, but the median's rank utility does not read it.
     size_scales = np.array([_SHARES["dp_theil_sen"] / eps for eps in epsilons])
     releases = []
+    tables = {}  # the medians' rank table, shared by pairs with as many projections
     for data, stream in pairs:
         ds = as_dataset(data)
         stream.laplace(size_scales)
         z25s, z75s = zip(*[_pair_projections(ds.x, ds.y, stream.permutation(len(ds)))
                            for _ in range(hyper.k)])
-        releases.append(_dp_medians((z25s, z75s), parts, hyper.r_lo, hyper.r_hi, stream.uniform(4)))
+        releases.append(_dp_medians((z25s, z75s), parts, hyper.r_lo, hyper.r_hi, stream.uniform(4),
+                                    tables))
     return np.concatenate(releases)
 
 

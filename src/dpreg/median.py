@@ -8,8 +8,10 @@ it are, and samples an interval with probability proportional to
 The rank utility has add/remove sensitivity 1, so the release is epsilon-DP.
 
 One weight pass serves every budget and every list of a call, and one
-sampler reads it (DECISIONS.md, D9). A weight below ``exp(_DEAD_BELOW)``
-times the largest is set to 0, so ``exp`` never leaves its fast path.
+sampler reads it (DECISIONS.md, D9). A weight is its interval's length
+times a rank factor from one table per list size and budgets (D13), so a
+draw runs no ``exp`` per list; rows that the table cannot hold to
+e^-600 of their largest weight take a log-domain pass instead.
 """
 
 from __future__ import annotations
@@ -22,9 +24,8 @@ from .noise import RandomStream, _as_epsilon
 
 # Width of the blocks whose sums locate the picked interval.
 _BLOCK = 64
-# Log weights, less their row's maximum, at or below this get weight 0.
-# numpy's SIMD exp leaves its fast path near -707.7; the mass dropped is
-# below m * 1e-306 of the total, far under the 2^-53 grid of the uniforms.
+# Exponents at or below this give weight 0, which keeps numpy's SIMD exp
+# on its fast path: it leaves it near -707.7.
 _DEAD_BELOW = -705.0
 # What numpy's exp gives there: subtracting it zeroes a clamped weight.
 _DEAD_WEIGHT = float(np.exp(np.array([_DEAD_BELOW]))[0])
@@ -54,46 +55,109 @@ def _prepare(pools, clip_lo: float, clip_hi: float) -> np.ndarray:
     return edges
 
 
-def _weights(edges: np.ndarray, halves: np.ndarray) -> np.ndarray:
+def _minus_ranks(m: int) -> np.ndarray:
+    """Minus the rank penalty of each of the m + 1 intervals, ``-r_i``.
+
+    r_i = |i - m/2| - (m mod 2)/2: 0 at the best ranks, m // 2 and
+    (m + 1) // 2, and a whole number elsewhere, so every value is exact.
+    """
+    minus_rank = np.arange(m + 1, dtype=np.float64)
+    after = (m + 1) // 2 - minus_rank
+    minus_rank -= m // 2
+    return np.minimum(minus_rank, after, out=minus_rank)
+
+
+def _rank_table(m: int, halves: np.ndarray) -> np.ndarray:
+    """The rank factors of m values, ``(B, width)``: ``exp(-halves[j] * r_i)``.
+
+    Like every weight here, the factor is ``exp(max(a, -705)) -
+    exp(-705)``: exactly 1 at the best ranks, and exactly 0 where ``a <=
+    _DEAD_BELOW`` and on the columns past m that pad the width to whole
+    blocks.
+    """
+    minus_rank = _minus_ranks(m)
+    table = np.zeros((halves.size, -(-(m + 1) // _BLOCK) * _BLOCK))
+    factors = table[:, : m + 1]
+    # From h = 705 on, every factor but the best ranks' is 0, so capping h
+    # there changes none and keeps h r finite at any epsilon.
+    np.multiply(np.minimum(halves, -_DEAD_BELOW)[:, None], minus_rank, out=factors)
+    np.maximum(factors, _DEAD_BELOW, out=factors)
+    np.exp(factors, out=factors)
+    factors -= _DEAD_WEIGHT
+    return table
+
+
+def _trust_floor(span: float) -> float:
+    """The least row maximum at which a table row holds every weight to e^-600 of it.
+
+    A table weight is off by at most ``span * exp(-705)`` (the factor's
+    clamp, on a length of at most the clip span) plus 2^-1074 (a product
+    that underflows) (DECISIONS.md, D13).
+    """
+    return math.exp(600.0) * (span * _DEAD_WEIGHT + 2.0**-1074)
+
+
+def _weights(edges: np.ndarray, halves: np.ndarray, tables: dict | None = None) -> np.ndarray:
     """Unnormalized interval weights, ``(B, L, width)``, at each half-budget ``halves[j]``.
 
-    With ``a = log(length) - halves[j] * (|i - m/2| - (m mod 2)/2)``, the
-    log weight the mechanism defines, less its row's maximum, entry (j, l, i) is
-    ``exp(max(a, _DEAD_BELOW)) - exp(_DEAD_BELOW)``: ``exp(a)`` where ``a``
-    is above -667, and exactly 0 where ``a <= _DEAD_BELOW`` and on the
-    columns past m that pad the width to whole blocks.
+    Entry (j, l, i) is interval i's length in pool l times the factor
+    (j, i) of ``_rank_table``, and 0 on the padding columns. ``tables``, a
+    dict that one draw owns across its calls at the same budgets, keeps
+    the table of the last m. A row whose largest weight is below
+    ``_trust_floor`` of the clip span, as when the best ranks tie or are
+    tiny, gets ``_log_weights`` instead.
     """
     m = edges.shape[1] - 2
-    width = -(-(m + 1) // _BLOCK) * _BLOCK
-    w = np.empty((halves.size, edges.shape[0], width))
-    with np.errstate(divide="ignore", over="ignore"):
-        # Each row starts as minus its rank penalty, which overflows to
-        # -inf, weight 0, at a huge epsilon, as it should. The best rank's is
-        # 0, so no epsilon rounds its log lengths away (even m shifts by 0.0).
-        np.multiply(-halves[:, None, None],
-                    np.abs(np.arange(width) - m / 2.0) - (m % 2) / 2.0, out=w)
-        # Then it adds its pool's log lengths, one pool at a time so that
-        # only one row of them is alive. log(0) = -inf marks a zero-length
-        # interval, and the padding past m gets weight 0 too.
-        for l, row in enumerate(edges):
-            log_len = row[1:] - row[:-1]
-            w[:, l, : m + 1] += np.log(log_len, out=log_len)
-        w[:, :, m + 1 :] = -np.inf
-        top = w.max(axis=2, keepdims=True)
-        # Where every positive-length interval's rank penalty overflowed, the
-        # mechanism's law in doubles (exp(-eps/2) is 0) is the positive-length
-        # intervals of best rank, by length. Only a huge halves * m/2 overflows.
-        if max(halves.tolist()) * (m / 2.0) == math.inf:
-            for j, l in zip(*np.isneginf(top[:, :, 0]).nonzero()):
-                log_len = np.log(np.diff(edges[l]))
-                rank = np.where(log_len > -np.inf, np.abs(np.arange(m + 1) - m / 2.0), np.inf)
-                w[j, l, : m + 1] = np.where(rank == rank.min(), log_len, -np.inf)
-                top[j, l] = w[j, l].max()
-        w -= top
-        np.maximum(w, _DEAD_BELOW, out=w)
-        np.exp(w, out=w)
-        w -= _DEAD_WEIGHT
+    tables = {} if tables is None else tables
+    table = tables.get(m)
+    if table is None:
+        tables.clear()
+        table = tables[m] = _rank_table(m, halves)
+    w = np.empty((halves.size, edges.shape[0], table.shape[1]))
+    # Each pool's lengths go straight into its first weight row, which
+    # every other budget's row reads before it is scaled itself.
+    lengths = w[0, :, : m + 1]
+    np.subtract(edges[:, 1:], edges[:, :-1], out=lengths)
+    w[0, :, m + 1 :] = 0.0
+    floor = _trust_floor(edges[0, -1] - edges[0, 0])
+    # The best ranks' factor is 1, so a pool whose best length reaches the
+    # floor keeps every row; the others are checked row by row.
+    best = np.maximum(lengths[:, m // 2], lengths[:, (m + 1) // 2])
+    short = (best < floor).nonzero()[0]
+    if halves.size > 1:
+        np.multiply(w[:1], table[1:, None, :], out=w[1:])
+    w[0] *= table[0]
+    for l in short:
+        rows = (w[:, l].max(axis=1) < floor).nonzero()[0]
+        w[rows, l, : m + 1] = _log_weights(edges[l], halves[rows])
     return w
+
+
+def _log_weights(edges: np.ndarray, halves: np.ndarray) -> np.ndarray:
+    """The weights of one pool's m + 1 intervals, ``(b, m + 1)``, in the log domain.
+
+    With ``a = log(length) - halves[j] * (r_i - r*)``, where r* is the
+    least rank penalty of a positive-length interval, less its row's
+    maximum, the weight is ``exp(max(a, -705)) - exp(-705)``. The best
+    positive-length intervals thus keep their log lengths at any
+    epsilon, and a penalty that overflows, or a zero length, gives 0.
+    Where r* is 0 the shift subtracts nothing, so the weights are those of
+    the unshifted penalty, bit for bit.
+    """
+    lengths = edges[1:] - edges[:-1]
+    minus_rank = _minus_ranks(lengths.size - 1)
+    # Zero-length intervals nearer the centre than r* keep their -inf log
+    # length, so their shift is clamped at 0.
+    minus_rank -= minus_rank[lengths > 0].max()
+    np.minimum(minus_rank, 0.0, out=minus_rank)
+    with np.errstate(divide="ignore", over="ignore"):
+        a = np.multiply(halves[:, None], minus_rank)
+        a += np.log(lengths, out=lengths)
+    a -= a.max(axis=1, keepdims=True)
+    np.maximum(a, _DEAD_BELOW, out=a)
+    np.exp(a, out=a)
+    a -= _DEAD_WEIGHT
+    return a
 
 
 def _locate(w: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -130,11 +194,11 @@ def median_interval_probs(values, epsilon: float, clip_lo: float, clip_hi: float
     of picking the interval ``[edges[i], edges[i + 1]]``. Interval i has i
     values below it and m - i at or above, giving rank utility
     ``-|i - m/2|``; zero-length intervals (tied values) get zero mass.
-    Weights are normalized in log space with max-subtraction, so large
-    ``epsilon * m`` products cannot overflow. These are the weights
-    :func:`dp_median` samples, those below ``exp(-705)`` of the largest
-    set to 0. Where every positive-length interval's rank penalty overflows,
-    the positive-length intervals of best rank share the mass by length.
+    These are the weights :func:`dp_median` samples: some below e^-600 of
+    the largest are set to 0, and none larger is (DECISIONS.md, D13). No
+    ``epsilon * m`` product can overflow them. At an epsilon so large that
+    every other weight rounds away, the best-ranked intervals of positive
+    length share the mass by length.
     """
     epsilon = _as_epsilon(epsilon)
     _check_clip(clip_lo, clip_hi)
@@ -143,7 +207,8 @@ def median_interval_probs(values, epsilon: float, clip_lo: float, clip_hi: float
     return edges[0], w / w.sum()
 
 
-def _dp_medians(pools, epsilons, clip_lo: float, clip_hi: float, uniforms) -> np.ndarray:
+def _dp_medians(pools, epsilons, clip_lo: float, clip_hi: float, uniforms,
+                tables: dict | None = None) -> np.ndarray:
     """``dp_median`` of each pool at each budget, ``(B, L)``, from one uniform pair per pool.
 
     ``pools`` holds L pools of equal size, each a sequence of arrays whose
@@ -152,11 +217,14 @@ def _dp_medians(pools, epsilons, clip_lo: float, clip_hi: float, uniforms) -> np
     pick first, so entry (j, l) equals ``dp_median(pool l, epsilons[j], ...)``
     on a stream that yields them. Together the outputs are not epsilon-DP
     at any one budget. The caller has checked every budget and the clip
-    range.
+    range. A caller that runs many calls at the same ``epsilons`` passes
+    one ``tables`` dict to them all, so that pools of one size share a
+    rank table (``_weights``).
     """
     edges = _prepare(pools, clip_lo, clip_hi)
     u_pick, u_point = np.asarray(uniforms, dtype=np.float64).reshape(len(pools), 2).T
-    idx = _locate(_weights(edges, 0.5 * np.asarray(epsilons, dtype=np.float64)), u_pick)
+    idx = _locate(_weights(edges, 0.5 * np.asarray(epsilons, dtype=np.float64), tables),
+                  u_pick)
     row = np.arange(len(pools))
     lo, hi = edges[row, idx], edges[row, idx + 1]
     return lo + (hi - lo) * u_point

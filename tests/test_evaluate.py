@@ -26,7 +26,7 @@ from dpreg import (
     verify_variances,
 )
 from dpreg.cli import MECHANISM_NAMES
-from dpreg.evaluate import _TRIAL_CHUNK, _generate_on
+from dpreg.evaluate import _TRIAL_CHUNK, _gap_means, _generate_on, _line_errors
 from dpreg.mechanisms import _FIT_CORES, FITTERS
 from dpreg.noise import _SHARES
 from dpreg.simplex import _LAPLACE_RELEASES, LINEAR_COLUMNS, _cell_sums, _laplace_draw
@@ -97,6 +97,44 @@ def test_l1_error_close_to_exact_integral():
         a, b = 4.0 * g.uniform(2) - 2.0
         dense = float(np.mean(np.abs(a * xs + b)))
         assert abs(l1_error((0.0, 0.0), (a, b)) - dense) <= 1e-3
+
+
+def test_closed_form_l1_matches_the_grid_mean():
+    # The closed form against the mean it replaces, np.mean(np.abs(A x + B))
+    # on x = i/1000, on 1.1e5 lines: A and B at one scale from 1e-6 to
+    # 1e6, and up to 1e304; integer A and quarter-integer B with the root
+    # on a grid point; A = 0. It stays within 4 ulps of |A| + |B|: 2 at
+    # most here, and 1.5 against the same grid values summed in extended
+    # precision, so the grid mean's own rounding is part of it (DECISIONS.md, D13).
+    g = np.random.default_rng(13)
+    scale = 10.0 ** g.uniform(-6.0, 6.0, 60_000)
+    huge = 10.0 ** g.uniform(300.0, 304.0, 5_000)
+    c = g.integers(1, 41, 40_000) * g.choice([-1, 1], 40_000)
+    root = g.integers(0, 1001, 40_000)
+    quarters = g.integers(-4000, 4001, 5_000) / 4.0
+    a = np.concatenate([g.normal(size=60_000) * scale, g.normal(size=5_000) * huge,
+                        250.0 * c, np.zeros(5_000)])
+    b = np.concatenate([g.normal(size=60_000) * scale, g.normal(size=5_000) * huge,
+                        -c * root / 4.0, quarters])
+    assert len(a) >= 100_000
+    xs = np.arange(1, 1001, dtype=np.float64) / 1000
+    l1 = _gap_means(a, b, 1000)
+    for start in range(0, len(a), 2000):
+        part = slice(start, start + 2000)
+        grid = np.mean(np.abs(a[part, None] * xs + b[part, None]), axis=1)
+        assert np.isfinite(grid).all() and np.isfinite(l1[part]).all()
+        ulps = np.abs(l1[part] - grid) / np.spacing(np.abs(a[part]) + np.abs(b[part]))
+        assert ulps.max() <= 4.0, start + int(ulps.argmax())
+    # A = 0 is exactly |B|, where the grid mean's pairwise sum is not.
+    assert (l1[-5_000:] == np.abs(b[-5_000:])).all()
+    flat = 10.0 ** g.uniform(-6.0, 6.0, 1000) * g.normal(size=1000)
+    assert (_line_errors((0.0, 0.0), np.column_stack([np.zeros(1000), flat]))[0]
+            == np.abs(flat)).all()
+    # Equal lines score exactly 0, and one line scores as its row, bit for bit.
+    assert (_line_errors((0.5, 0.2), np.tile([0.5, 0.2], (3, 1)))[0] == 0.0).all()
+    for i in range(0, len(a), 997):
+        assert l1_error((a[i], b[i]), (0.0, 0.0)).hex() == l1[i].hex()
+        assert l1_error((a[i], b[i]), (a[i], b[i])) == 0.0
 
 
 def test_l2_error_worked_examples():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import dpreg.mechanisms as mech
+import dpreg.median as median
 from dpreg import (
     Bounds,
     Dataset,
@@ -264,7 +265,7 @@ def test_theil_sen_combines_medians_into_line(monkeypatch):
     # line must pass through (0.25, 0.35) and (0.75, 0.85).
     calls = []
 
-    def fake_medians(pools, epsilons, lo, hi, uniforms):
+    def fake_medians(pools, epsilons, lo, hi, uniforms, tables=None):
         calls.append(([sum(len(part) for part in pool) for pool in pools], list(epsilons),
                       lo, hi, len(uniforms)))
         return np.array([[0.35, 0.85]])
@@ -468,6 +469,29 @@ def test_multi_budget_cores_equal_public_fitters_bitwise(random_dataset):
                         assert fit_bits(got) == fit_bits(want), (name, len(ds), seed, eps)
                         # one draw serves all budgets: the stream ends where one fit ends
                         assert alone.uniform() == after, (name, len(ds), seed, eps)
+
+
+def test_theil_sen_draw_builds_one_rank_table_per_projection_count(random_dataset, monkeypatch):
+    # The medians' rank table depends on the number of projections and the
+    # budgets alone, so a draw over 100 pairs of one dataset builds it
+    # once; a pair with another count builds its own (DECISIONS.md, D13).
+    built = []
+
+    def counting(m, halves):
+        built.append(m)
+        return rank_table(m, halves)
+
+    rank_table = median._rank_table
+    monkeypatch.setattr(median, "_rank_table", counting)
+    ds = random_dataset(6, n=500)
+    budgets = (0.1, 0.5, 1.0, 2.0, 8.0)
+    draws = mech._theil_sen_draw([(ds, RandomStream(7, i)) for i in range(100)], budgets)
+    assert draws.shape == (100 * len(budgets), 2) and built == [250]
+    tied = Dataset(np.array([0.2, 0.2, 0.4, 0.6]), np.array([0.1, 0.2, 0.3, 0.4]))
+    built.clear()
+    pairs = [(ds, RandomStream(7, 0)), (ds, RandomStream(7, 1)), (tied, RandomStream(7, 2))]
+    mech._theil_sen_draw(pairs, budgets)
+    assert built[0] == 250 and len(built) == 2 and built[1] in (1, 2)
 
 
 def test_multi_budget_cores_check_every_budget_before_drawing(random_dataset):

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from dpreg import RandomStream, dp_median, median_interval_probs
-from dpreg.median import _dp_medians, _locate, _prepare, _weights
+import dpreg.median as median
+from dpreg.median import _dp_medians, _locate, _prepare, _trust_floor, _weights
 from dpreg.noise import _EPSILON_FLOOR
 
 
@@ -212,6 +213,72 @@ def test_huge_budgets_overflow_the_rank_penalty_without_warning():
     assert probs.tolist() == [0, 0, 0, 0, 0, 1, 0]
 
 
+def test_a_tie_at_the_best_rank_keeps_the_neighbours_lengths(log_rows):
+    # The two values tie, so the best interval has length 0 and its two
+    # neighbours, of lengths 2.5 and 1.5, share the mass by length at any
+    # epsilon. Their penalty is measured from the best rank of positive
+    # length, so a huge epsilon no longer rounds their lengths away (this
+    # gave 0.5/0/0.5 at 1e300).
+    for eps in (1e3, 1e300, 1.7e308):
+        probs = median_interval_probs([0.5, 0.5], eps, -2.0, 2.0)[1]
+        assert probs.tolist() == pytest.approx([0.625, 0.0, 0.375], abs=1e-15), eps
+        picks = [dp_median([0.5, 0.5], eps, -2.0, 2.0, RandomStream(seed, 0)) for seed in range(40)]
+        assert min(picks) < 0.5 < max(picks)
+    # The table's largest weight is 2.5 e^-500 at 1e3, far below its floor.
+    assert len(log_rows) == 3 + 3 * 40
+
+
+def test_rows_below_the_trust_floor_take_the_log_pass(log_rows):
+    # Every table weight is within the clip span times e^-705 of the
+    # mechanism's, so a row whose largest weight is at least e^105 times
+    # that keeps every weight to e^-600 of it (DECISIONS.md, D13).
+    assert _trust_floor(4.0) == pytest.approx(4.0 * math.exp(-105.0), rel=1e-12)
+    # A best interval of 1e-50, below the floor of 1.6e-45 for the span 4:
+    # at epsilon 1 its neighbours carry the row, at 1e3 nothing does.
+    values = [0.0, 1e-50]
+    for eps, via_log in ((1.0, 0), (1e3, 1)):
+        log_rows.clear()
+        probs = median_interval_probs(values, eps, -2.0, 2.0)[1]
+        assert probs.tolist() == pytest.approx(oracle_probs(values, eps, -2.0, 2.0), abs=1e-12)
+        assert sum(log_rows) == via_log
+    # Only the rows below the floor are replaced: budgets run in one pass,
+    # and a pool with a best interval above it takes no row to the log pass.
+    log_rows.clear()
+    budgets = (1.0, 1e3, 1e300)
+    got = _dp_medians([[values], [[0.5, 0.5]], [[0.1, 0.9]]], budgets, -2.0, 2.0, [0.3, 0.6] * 3)
+    assert log_rows == [2, 2]
+    for l, pool in enumerate((values, [0.5, 0.5], [0.1, 0.9])):
+        for j, eps in enumerate(budgets):
+            want = _dp_medians([[pool]], (eps,), -2.0, 2.0, [0.3, 0.6])
+            assert got[j, l].hex() == want[0, 0].hex()
+
+
+def test_log_pass_is_the_old_pass_where_the_best_rank_has_length():
+    # Before the rank table every row took this pass with the penalty
+    # measured from the best rank. Measured from the best rank of positive
+    # length, it subtracts 0 wherever the best rank has length, so those
+    # rows keep their weights bit for bit, at every budget up to 1e300.
+    def old_pass(edges, halves):
+        m = edges.size - 2
+        with np.errstate(divide="ignore", over="ignore"):
+            a = np.multiply(-halves[:, None], np.abs(np.arange(m + 1) - m / 2.0) - (m % 2) / 2.0)
+            a += np.log(np.diff(edges))
+        a -= a.max(axis=1, keepdims=True)
+        return np.exp(np.maximum(a, -705.0)) - np.exp(np.array([-705.0]))
+
+    halves = 0.5 * np.array([_EPSILON_FLOOR, 0.01, 1.0, 1e3, 1e6, 1e15, 1e300])
+    g = RandomStream(45, 0)
+    checked = 0
+    for m in (0, 1, 2, 3, 4, 7, 10, 101, 2500):
+        for digits in (1, 2, 4):
+            edges = _prepare([[np.round(g.normal(size=m), digits)]], -2.0, 2.0)[0]
+            if np.diff(edges)[m // 2 : m // 2 + 1 + m % 2].max() > 0.0:
+                got = median._log_weights(edges, halves)
+                assert got.tobytes() == old_pass(edges, halves).tobytes(), (m, digits)
+                checked += 1
+    assert checked >= 20
+
+
 def test_huge_budgets_keep_the_interval_lengths():
     # The rank penalty is measured from the best rank, whose penalty is 0,
     # so a huge epsilon leaves the best intervals' log lengths intact. With
@@ -282,11 +349,27 @@ def oracle_value_sets():
 ORACLE_BUDGETS = (_EPSILON_FLOOR, 1e-6, 0.01, 0.1, 1.0, 10.0, 1e3, 1e6)
 
 
-def test_sampler_picks_the_interval_of_the_sequential_cdf_sampler():
+@pytest.fixture
+def log_rows(monkeypatch):
+    """The rows that ``_weights`` hands to its log-domain pass, counted as they go."""
+    counted = []
+
+    def counting(edges, halves):
+        counted.append(halves.size)
+        return log_weights(edges, halves)
+
+    log_weights = median._log_weights
+    monkeypatch.setattr(median, "_log_weights", counting)
+    return counted
+
+
+def test_sampler_picks_the_interval_of_the_sequential_cdf_sampler(log_rows):
     # The block locate compares unnormalized prefix sums with u * total;
     # the old sampler compared a cumsum of normalized weights with u. They
     # can differ only where u lies within rounding of an interval boundary,
-    # which a random interior u never meets (DECISIONS.md, D9).
+    # which a random interior u never meets (DECISIONS.md, D9). The
+    # weights are the production ones: the rank table's, and the log
+    # pass's on rows whose best ranks tie or are tiny (D13).
     g = RandomStream(42, 0)
     cases = 0
     halves = 0.5 * np.array(ORACLE_BUDGETS)
@@ -298,10 +381,13 @@ def test_sampler_picks_the_interval_of_the_sequential_cdf_sampler():
         assert got.tolist() == np.array(want).tolist(), (m, kind)
         cases += got.size
     assert cases >= 30_000
+    # Both paths ran: of the 432 rows, those whose best ranks tie (rounded,
+    # all-tied and piled values) at large budgets took the log pass.
+    assert 0 < sum(log_rows) < (cases // 70) // 4
 
 
 @pytest.mark.parametrize("u", [0.0, 1.0 - 2.0**-53])
-def test_extreme_uniforms_pick_intervals_of_positive_weight(u):
+def test_extreme_uniforms_pick_intervals_of_positive_weight(u, log_rows):
     # At u = 1 - 2^-53 the old sampler could run past a cdf whose rounded
     # total fell short of u, and took the last interval even where it had
     # probability 0 (a tied pair, or a mass of 1e-300). At u = 0 the pick is
@@ -319,6 +405,7 @@ def test_extreme_uniforms_pick_intervals_of_positive_weight(u):
             old_misses += probs[sequential_cdf_picks(values, eps, -2.0, 2.0, u)] == 0.0
     if u > 0.0:
         assert old_misses > 0  # the old clamp did pick intervals of probability 0 here
+    assert sum(log_rows) > 0  # and the log pass's rows were among them
 
 
 def test_median_weights_stay_within_four_arrays_of_the_input_size():

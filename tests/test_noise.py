@@ -253,8 +253,9 @@ def test_numpy_integer_seeds_are_accepted():
 
 
 # Seeds of 1 to 7 32-bit words: a seed of fewer words than the pool is
-# padded to it, and a longer one mixes its extra words in after.
-TRANSCRIPTION_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 + 9, 2**96 + 5, 2**200)
+# padded to it, and a longer one mixes its extra words in after. One of 16
+# words, with any index, needs more hash steps than are precomputed.
+TRANSCRIPTION_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 + 9, 2**96 + 5, 2**200, 2**500 + 7)
 
 
 def numpy_seeds(seed, index):
