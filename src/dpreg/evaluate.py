@@ -17,13 +17,8 @@ import numpy as np
 
 from .data import Dataset, as_dataset
 from .mechanisms import _FIT_CORES, FITTERS, FitResult
-from .noise import _SHARES, RandomStream, ZeroNoiseStream, _as_epsilon
+from .noise import _SHARES, RandomStream, ZeroNoiseStream, _as_count, _as_epsilon, _as_index
 from .simplex import _LAPLACE_RELEASES, LINEAR_COLUMNS, _cell_sums
-
-
-def _is_int(value) -> bool:
-    """True for an int that is not a bool (``True`` is an ``int`` too)."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -37,15 +32,13 @@ class SetupConfig:
     seed: int
 
     def __post_init__(self):
-        if not _is_int(self.n) or self.n < 1:
-            raise ValueError(f"n must be a positive integer, got {self.n!r}")
+        object.__setattr__(self, "n", _as_count(self.n, "n"))
         for name in ("alpha", "beta", "sigma"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.sigma < 0:
             raise ValueError(f"sigma must be non-negative, got {self.sigma}")
-        if not _is_int(self.seed) or self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        object.__setattr__(self, "seed", _as_index(self.seed, "seed"))
 
 
 METHOD_NAMES = tuple(FITTERS)
@@ -66,8 +59,7 @@ class ExperimentGrid:
         if any(b <= a for a, b in zip(eps, eps[1:])):
             raise ValueError(f"epsilons must be strictly increasing, got {self.epsilons!r}")
         object.__setattr__(self, "epsilons", eps)
-        if not _is_int(self.iterations) or self.iterations < 1:
-            raise ValueError(f"iterations must be a positive integer, got {self.iterations!r}")
+        object.__setattr__(self, "iterations", _as_count(self.iterations, "iterations"))
         methods = tuple(self.methods)
         if len(methods) == 0:
             raise ValueError("methods must not be empty")
@@ -110,10 +102,11 @@ def _line_params(fit) -> tuple[float, float]:
 
 
 def l1_error(true_fit, est_fit, n_points: int = 1000) -> float:
-    """Mean absolute gap between two lines on the grid i/n, i = 1..n, in closed form."""
-    a_true, b_true = _line_params(true_fit)
-    a_est, b_est = _line_params(est_fit)
-    return float(_gap_means(np.float64(a_true - a_est), np.float64(b_true - b_est), n_points))
+    """Mean absolute gap between two lines on the grid i/n, i = 1..n, in closed form.
+
+    ``n_points`` must be a positive integer; anything else raises ValueError.
+    """
+    return float(_line_errors(true_fit, np.array(_line_params(est_fit)), n_points)[0])
 
 
 def _gap_means(da, db, n_points: int):
@@ -139,10 +132,7 @@ def l2_error(true_fit, est_fit) -> float:
 
     With gap A x + B the integral is A^2/3 + A B + B^2.
     """
-    a_true, b_true = _line_params(true_fit)
-    a_est, b_est = _line_params(est_fit)
-    da, db = a_true - a_est, b_true - b_est
-    return da * da / 3.0 + da * db + db * db
+    return float(_line_errors(true_fit, np.array(_line_params(est_fit)))[1])
 
 
 @dataclass(frozen=True)
@@ -164,14 +154,18 @@ class ExperimentRow:
 
 
 def _line_errors(true_fit, coeffs: np.ndarray, n_points: int = 1000):
-    """``l1_error`` and ``l2_error`` of each line of an (N, 2) stack, bit for bit.
+    """``l1_error`` and ``l2_error`` of each line of an (N, 2) stack, or of one (2,) line.
 
-    Both are elementwise in the lines' coefficients, so each row is
-    computed as the single line would be.
+    The one statement of both metrics: ``l1_error`` and ``l2_error`` read
+    it on one line, on numpy scalars. Both are elementwise in the lines'
+    coefficients, so each row of a stack equals that line alone, bit for bit.
     """
+    n_points = _as_count(n_points, "n_points")
     a_true, b_true = _line_params(true_fit)
-    da, db = a_true - coeffs[:, 0], b_true - coeffs[:, 1]
-    return _gap_means(da, db, n_points), da * da / 3.0 + da * db + db * db
+    da, db = a_true - coeffs[..., 0], b_true - coeffs[..., 1]
+    with np.errstate(over="ignore", invalid="ignore"):  # a gap past 1e154 gives inf or NaN
+        l2 = da * da / 3.0 + da * db + db * db
+    return _gap_means(da, db, n_points), l2
 
 
 def run_experiment(

@@ -42,7 +42,7 @@ import numpy as np
 
 from .data import Bounds, as_dataset
 from .median import _check_clip, _dp_medians
-from .noise import _RELEASE_PARTS, _SHARES, NoiseLedger, RandomStream, _as_epsilon
+from .noise import _RELEASE_PARTS, _SHARES, NoiseLedger, RandomStream, _as_count, _as_epsilon
 from .simplex import _fallback_coeffs, _laplace_draw, _solve_refined
 
 FALLBACK_ALPHA, FALLBACK_BETA = _fallback_coeffs(1)
@@ -98,8 +98,7 @@ class TheilSenHyper:
     r_hi: float = 2.0
 
     def __post_init__(self):
-        if not isinstance(self.k, int) or self.k < 1:
-            raise ValueError(f"k must be a positive integer, got {self.k!r}")
+        object.__setattr__(self, "k", _as_count(self.k, "k"))
         lo, hi = self.r_lo, self.r_hi
         _check_clip(lo, hi)
         if not np.isfinite([2.0 * (hi - lo), max(abs(lo), abs(hi)) + (hi - lo) / 2.0]).all():
@@ -183,26 +182,22 @@ def _theil_sen_draw(pairs, budgets, hyper: TheilSenHyper | None = None):
     """The private percentiles (p25, p75) of ``dp_theil_sen_fit`` for each pair and budget.
 
     Row p * len(budgets) + j is ``(data, stream)`` pair p at ``budgets[j]``.
-    A pair's size uniform, matchings, projections and their sort serve every
-    budget, and both medians run through one weight pass, whose rank table
-    serves every pair with as many projections. The draws never
+    A pair draws its ``k`` matchings, then the four uniforms of its two
+    medians, and nothing else. Its matchings, projections and their sort
+    serve every budget, and both medians run through one weight pass, whose
+    rank table serves every pair with as many projections. The draws never
     depend on the data: with fewer than two records or no pair of distinct
     x, each median picks a point of the clip range. Every budget is checked
     before the first pair is taken.
     """
-    epsilons = [_as_epsilon(b) for b in budgets]
     hyper = hyper or TheilSenHyper()
     # A record lands in k pairs, so it moves up to k projections of each
-    # list; each median runs at eps/(3k) to spend its eps/3 share.
-    parts = [eps / (_SHARES["dp_theil_sen"] * hyper.k) for eps in epsilons]
-    # The size estimate n + Laplace(3/eps) is drawn to keep the stream
-    # layout, but the median's rank utility does not read it.
-    size_scales = np.array([_SHARES["dp_theil_sen"] / eps for eps in epsilons])
+    # list; each median runs at eps/(2k) to spend its eps/2 share.
+    parts = [_as_epsilon(b) / (_SHARES["dp_theil_sen"] * hyper.k) for b in budgets]
     releases = []
     tables = {}  # the medians' rank table, shared by pairs with as many projections
     for data, stream in pairs:
         ds = as_dataset(data)
-        stream.laplace(size_scales)
         z25s, z75s = zip(*[_pair_projections(ds.x, ds.y, stream.permutation(len(ds)))
                            for _ in range(hyper.k)])
         releases.append(_dp_medians((z25s, z75s), parts, hyper.r_lo, hyper.r_hi, stream.uniform(4),
@@ -225,11 +220,11 @@ def dp_theil_sen_fit(
 ) -> FitResult:
     """Fit a line from private percentiles of pairwise projections.
 
-    The budget splits three ways: a Laplace size estimate, then one private
-    median for each of the 25th- and 75th-percentile projection lists,
-    pooled over ``hyper.k`` random matchings. A record lands in ``k`` pairs
-    and so moves up to ``k`` values of each list, so each median runs at
-    epsilon/(3k), which is epsilon/3 for the record. The line through the two
+    The budget splits in two halves: one private median for each of the
+    25th- and 75th-percentile projection lists, pooled over ``hyper.k``
+    random matchings. A record lands in ``k`` pairs and so moves up to ``k``
+    values of each list, so each median runs at epsilon/(2k), which is
+    epsilon/2 for the record (DECISIONS.md, D14). The line through the two
     private percentile points gives the fit. Every input spends the whole
     budget the same way; with fewer than two records, or no matched pair
     with distinct x values, the medians pick points of the clip range.

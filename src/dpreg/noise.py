@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 
@@ -37,8 +38,7 @@ _RELEASE_PARTS = {
     "dp_rss": (("x-group sums", True), ("xy-group sums", True)),
     "dp_ss": (("pair s_x/s_1mx", True), ("pair s_y/s_1my", True),
               ("pair s_xy/s_1mxy", True), ("pair s_x2/s_1mx2", True)),
-    "dp_theil_sen": (("size estimate", True), ("25th-percentile median", False),
-                     ("75th-percentile median", False)),
+    "dp_theil_sen": (("25th-percentile median", False), ("75th-percentile median", False)),
 }
 _SHARES = {release: len(parts) for release, parts in _RELEASE_PARTS.items()}
 
@@ -124,26 +124,20 @@ class RandomStream:
         """The uniforms that ``laplace``'s inverse CDF reads; a float when size is None."""
         return self._gen.random(size)
 
-    def laplace(self, scale, size=None):
+    def laplace(self, scale: float, size=None):
         """Centered Laplace draws via the inverse CDF, one uniform each.
 
-        ``scale`` must be positive and finite, or a 1-D array of such
-        scales. An array draws the uniforms of ``size`` once and scales that
-        one draw by each entry, giving shape ``(len(scale),) + size``; row j
-        equals, bit for bit, ``laplace(scale[j], size)`` on the same stream.
-
-        A draw of more than ``_BLOCK`` values is transformed in place, one
-        block at a time. It allocates the array of uniforms, which a scalar
-        scale overwrites with its result, and two scratch blocks of
-        ``_BLOCK`` floats; an array scale adds its ``(len(scale),) + size``
-        result. Every value equals the unblocked expression's bit for bit
-        (DECISIONS.md, D5).
+        ``scale`` must be one positive, finite number; anything else, an
+        array included, raises ValueError before a uniform is drawn. A draw
+        of more than ``_BLOCK`` values is transformed in place, one block at
+        a time: it allocates the array of uniforms, which it overwrites with
+        its result, and two scratch blocks of ``_BLOCK`` floats. Every value
+        equals the unblocked expression's bit for bit (DECISIONS.md, D5).
         """
-        b = _scale_value(scale)
-        u = self._laplace_u(size)
-        if isinstance(b, np.ndarray):
-            return np.multiply.outer(-b, _unit_laplace(u))
-        unit = _unit_laplace(u, -b)
+        b = float(scale) if isinstance(scale, numbers.Real) and not isinstance(scale, bool) else 0.0
+        if not (b > 0 and math.isfinite(b)):
+            raise ValueError(f"Laplace scale must be one positive, finite number, got {scale!r}")
+        unit = _unit_laplace(self._laplace_u(size), -b)
         return float(unit) if size is None else unit
 
     def normal(self, size=None):
@@ -185,6 +179,17 @@ def _as_index(value, name: str) -> int:
     if index < 0:
         raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
     return index
+
+
+def _as_count(value, name: str) -> int:
+    """``value`` as a positive int, by the rules of ``_as_index``."""
+    try:
+        count = _as_index(value, name)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return count
 
 
 # -- Seeding: numpy's SeedSequence, transcribed (DECISIONS.md, D12) -----------
@@ -355,20 +360,6 @@ def _unit_laplace_in_place(u, neg_b=None):
         if neg_b is not None:
             np.multiply(out, neg_b, out=out)
     return u
-
-
-def _scale_value(scale):
-    """``scale`` as a float, or as a 1-D float array; raises if any is bad."""
-    if np.ndim(scale) == 0:
-        b = float(scale)
-        if not (b > 0) or not math.isfinite(b):
-            raise ValueError(f"Laplace scale must be positive and finite, got {scale!r}")
-        return b
-    b = np.asarray(scale, dtype=np.float64)
-    if b.ndim != 1 or not np.all((b > 0) & np.isfinite(b)):
-        raise ValueError(f"Laplace scales must be a 1-D array of positive finite values, "
-                         f"got {scale!r}")
-    return b
 
 
 @dataclass(frozen=True)

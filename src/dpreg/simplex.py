@@ -54,13 +54,7 @@ from functools import lru_cache
 import numpy as np
 
 from .data import _check_unit_interval, _chunked_exact_sums, as_dataset
-from .noise import _SHARES, _as_epsilon, _unit_laplace
-
-
-def _check_degree(degree: int) -> int:
-    if not isinstance(degree, (int, np.integer)) or degree < 1:
-        raise ValueError(f"degree must be an integer >= 1, got {degree!r}")
-    return int(degree)
+from .noise import _SHARES, _as_count, _as_epsilon, _unit_laplace
 
 
 def _component_rows(x: np.ndarray, y: np.ndarray, d: int):
@@ -115,12 +109,12 @@ def exact_group_stats(data, degree: int = 1) -> tuple[np.ndarray, np.ndarray]:
     d + 2 xy-group sums. Each sum is exact and correctly rounded,
     bit-identical to ``math.fsum`` of the components.
     """
-    d = _check_degree(degree)
+    d = _as_count(degree, "degree")
     sums = _cell_sums(as_dataset(data), "dp_rss", d)
     return sums[: 2 * d + 1], sums[2 * d + 1 :]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed, so True is refused, not served 1's entry
 def transfer_matrix(degree: int) -> np.ndarray:
     """Map from the 3d + 3 noisy group sums to the 3d + 2 refined statistics.
 
@@ -129,7 +123,7 @@ def transfer_matrix(degree: int) -> np.ndarray:
     term count over their total; the two readings use disjoint noise terms,
     so every entry is one weight with the reading's sign. Read-only.
     """
-    d = _check_degree(degree)
+    d = _as_count(degree, "degree")
     unit = np.eye(3 * d + 3)
     g1, g2 = unit[: 2 * d + 1], unit[2 * d + 1 :]
     n_x, n_y = g1.sum(axis=0), g2.sum(axis=0)
@@ -208,7 +202,7 @@ def _laplace_draw(name: str, pairs, budgets, degree: int = 1) -> np.ndarray:
     D3). Together a pair's rows are not eps-DP at any one budget; one row
     alone is.
     """
-    d = _check_degree(degree)
+    d = _as_count(degree, "degree")
     matrix = _LAPLACE_RELEASES[name][1](d)
     neg_scales = np.array([-_SHARES[name] / _as_epsilon(b) for b in budgets])
     sums, uniforms = [], []
@@ -313,7 +307,7 @@ def group_contributions(x, y, degree: int) -> tuple[np.ndarray, np.ndarray]:
     adds. Raises ValueError, as ``Dataset`` does, when a coordinate lies
     outside [0, 1] or is NaN.
     """
-    d = _check_degree(degree)
+    d = _as_count(degree, "degree")
     x, y = np.broadcast_arrays(np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64))
     shape = x.shape
     x, y = np.ravel(x), np.ravel(y)  # contiguous, as a Dataset's arrays are
@@ -339,7 +333,7 @@ def sensitivity_oracle(degree: int, grid_step: float) -> tuple:
     """
     from fractions import Fraction  # 4 ms to import; only the oracle needs it
 
-    d = _check_degree(degree)
+    d = _as_count(degree, "degree")
     if not (0 < grid_step <= 0.1):
         raise ValueError(f"grid_step must lie in (0, 0.1], got {grid_step}")
     pts = np.linspace(0.0, 1.0, round(1.0 / grid_step) + 1)

@@ -213,9 +213,9 @@ PREDICTION_STREAM = 1_000_000
 # standard errors. Twelve correlated cells, a right-skewed l2 (a sample that
 # misses the rare large errors has both a low mean and a low standard error)
 # and the refined fit's delta-method remainder (0.6 SE at most) put a correct
-# program past 3 SE in about one seed pair of ten. Over 44 seed pairs other
-# than the committed ones the worst |z| was 3.89; programs whose noise
-# disagrees with their ledger reach 18 to 21. See DECISIONS.md.
+# program past 3 SE in 2 of 44 seed pairs other than the committed ones, with
+# a worst |z| of 3.59 (tests/seed_pair_study.py reruns them); programs whose
+# noise disagrees with their ledger reach 10.9 to 21. See DECISIONS.md (D1).
 Z_BOUND = 4.0
 # l2 of a gap line A x + B is d^T M d with d = (A, B).
 L2_FORM = np.array([[1.0 / 3.0, 0.5], [0.5, 1.0]])

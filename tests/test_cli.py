@@ -319,7 +319,7 @@ GOLDEN_FITS = [
      '  "alpha_hat": 0.406784361714,\n  "beta_hat": 0.289485712563,\n  "fallback": false\n}\n'),
     (["--mechanism", "dp_theil_sen"],
      '{\n  "mechanism": "dp_theil_sen",\n  "epsilon": 0.7,\n  "seed": 5,\n'
-     '  "alpha_hat": 0.39993640681,\n  "beta_hat": 0.300465332559,\n  "fallback": false\n}\n'),
+     '  "alpha_hat": 0.39286447707,\n  "beta_hat": 0.301719651567,\n  "fallback": false\n}\n'),
     (["--mechanism", "dp_rss_poly", "--degree", "3"],
      '{\n  "mechanism": "dp_rss_poly",\n  "epsilon": 0.7,\n  "seed": 5,\n  "degree": 3,\n'
      '  "coeffs": [0.568871029712, -0.444987323568, 0.31163922677, 0.346240284135],\n'

@@ -45,6 +45,14 @@ def test_setup_config_validation():
             values[name] = bad
             with pytest.raises(ValueError, match=f"{name} must be finite"):
                 SetupConfig(n=10, seed=0, **values)
+    # Counts and seeds follow the rules of seeds and stream indices: numpy
+    # integers pass, as plain ints, and bools do not.
+    cfg = SetupConfig(n=np.int64(10), alpha=0.0, beta=0.5, sigma=0.1, seed=np.uint32(3))
+    assert (cfg.n, cfg.seed) == (10, 3) and type(cfg.n) is type(cfg.seed) is int
+    assert ExperimentGrid((1.0,), np.int16(4), ("dp_rss",)).iterations == 4
+    for bad in (True, 10.0):
+        with pytest.raises(ValueError, match="n must be a positive integer"):
+            SetupConfig(n=bad, alpha=0.0, beta=0.5, sigma=0.1, seed=0)
 
 
 def test_reference_setups():
@@ -81,6 +89,16 @@ def test_l1_error_worked_examples():
     assert l1_error((0.0, 0.0), (1.0, 0.0)) == pytest.approx(0.5005, abs=1e-12)
     assert l1_error((0.0, 0.0), (0.0, 0.1)) == pytest.approx(0.1, abs=1e-12)
     assert l1_error(FitResult((0.0, 0.0)), FitResult((1.0, 0.0))) == pytest.approx(0.5005)
+
+
+def test_l1_error_grid_size_must_be_a_positive_integer():
+    # n_points = 0 once gave NaN with a RuntimeWarning, -5 gave 0.6 and 2.5
+    # gave 0.9; numpy integers pass, as they do for seeds.
+    for bad in (0, -5, 2.5, 3.0, True, np.int64(0), "10", None):
+        with pytest.raises(ValueError, match="n_points must be a positive integer"):
+            l1_error((0.0, 0.0), (1.0, 0.2), bad)
+    assert l1_error((0.0, 0.0), (1.0, 0.2), np.int64(3)) == l1_error((0.0, 0.0), (1.0, 0.2), 3)
+    assert l1_error((0.0, 0.0), (1.0, 0.2), 1) == pytest.approx(1.2, abs=1e-15)
 
 
 def test_line_errors_refuse_a_curve():

@@ -126,8 +126,8 @@ def test_budget_ledgers_account_for_whole_epsilon(three_point_line):
     led = NoiseLedger()
     dp_theil_sen_fit(three_point_line, 0.9, RandomStream(0, 0), ledger=led)
     assert led.total_epsilon() == pytest.approx(0.9, abs=1e-12)
-    assert led.events[0].scale == pytest.approx(3.0 / 0.9)
-    assert [e.scale for e in led.events[1:]] == [None, None]
+    assert [(e.label, e.epsilon, e.scale) for e in led.events] == [
+        ("25th-percentile median", 0.45, None), ("75th-percentile median", 0.45, None)]
 
 
 class ScaleRecordingStream(RandomStream):
@@ -139,7 +139,7 @@ class ScaleRecordingStream(RandomStream):
         self.uniforms = []
 
     def laplace(self, scale, size=None):
-        self.scales += np.atleast_1d(scale).tolist()
+        self.scales.append(scale)
         return super().laplace(scale, size)
 
     def _laplace_u(self, size):
@@ -163,11 +163,11 @@ LEDGER_BUDGETS = (_EPSILON_FLOOR, 0.1, 0.3, 0.7, 1.0, 2.5, 1e6)
 
 def test_drawn_laplace_scales_equal_the_ledger_scales(random_dataset):
     # Every Laplace draw uses, bit for bit, a scale that the ledger
-    # declares, and every declared Laplace part is drawn. Theil-Sen's size
-    # estimate draws at its scale. A Laplace release reads one uniform per
-    # cell and scales the unit draw they give after (DECISIONS.md, D3), so
-    # its fit must equal, bit for bit, the fit of that unit draw times the
-    # declared scale.
+    # declares, and every declared Laplace part is drawn. Theil-Sen declares
+    # no Laplace part, and its fit reads no Laplace uniform and draws at no
+    # scale. A Laplace release reads one uniform per cell and scales the
+    # unit draw they give after (DECISIONS.md, D3), so its fit must equal,
+    # bit for bit, the fit of that unit draw times the declared scale.
     ds = random_dataset(2, n=60)
     for name, fit in ledger_cases():
         for eps in LEDGER_BUDGETS:
@@ -176,7 +176,7 @@ def test_drawn_laplace_scales_equal_the_ledger_scales(random_dataset):
             declared = {e.scale for e in led.events if e.scale is not None}
             assert led.total_epsilon() == pytest.approx(eps, rel=1e-12), (name, eps)
             if name.startswith("dp_theil_sen"):
-                assert stream.scales and set(stream.scales) == declared, (name, eps)
+                assert (stream.scales, stream.uniforms, declared) == ([], [], set()), (name, eps)
                 continue
             release = "dp_ss" if name == "dp_ss" else "dp_rss"
             matrix = _LAPLACE_RELEASES[release][1](got.degree)
@@ -281,7 +281,7 @@ def test_theil_sen_combines_medians_into_line(monkeypatch):
     assert len(calls) == 1
     n_values, epsilons, lo, hi, n_uniforms = calls[0]
     assert n_values == [15, 15]      # three rounds of five pairs accumulate
-    assert epsilons == [pytest.approx(0.1)]  # eps/3 per median, over k = 3
+    assert epsilons == [pytest.approx(0.15)]  # eps/2 per median, over k = 3
     assert (lo, hi) == (-2.0, 2.0)
     assert n_uniforms == 4           # each median draws its own pair
 
@@ -290,9 +290,9 @@ def test_theil_sen_small_or_degenerate_inputs_release_points_of_the_clip_range()
     # The fitter's draws and its ledger never depend on the data. With no
     # pair of distinct x each median runs on an empty list, which is one
     # interval, the clip range, so p25 and p75 are uniform points of it; the
-    # size uniform and the matchings are drawn all the same. Falling back on
-    # these inputs, as the fitter once did, made the fallback line certain
-    # on one record and impossible on two.
+    # matching is drawn all the same. Falling back on these inputs, as the
+    # fitter once did, made the fallback line certain on one record and
+    # impossible on two.
     empty = Dataset(np.array([]), np.array([]))
     single = Dataset(np.array([0.4]), np.array([0.6]))
     flat_x = Dataset(np.full(6, 0.3), np.linspace(0.0, 1.0, 6))
@@ -301,7 +301,6 @@ def test_theil_sen_small_or_degenerate_inputs_release_points_of_the_clip_range()
             led = NoiseLedger()
             res = dp_theil_sen_fit(ds, 1.0, RandomStream(seed, 0), ledger=led)
             replay = RandomStream(seed, 0)
-            replay.laplace(3.0)
             replay.permutation(len(ds))
             u = replay.uniform(4)
             p25, p75 = -2.0 + 4.0 * u[1], -2.0 + 4.0 * u[3]
@@ -309,7 +308,7 @@ def test_theil_sen_small_or_degenerate_inputs_release_points_of_the_clip_range()
             assert (res.alpha_hat.hex(), res.beta_hat.hex(), res.fallback) == (
                 alpha.hex(), (p25 - alpha * 0.25).hex(), False)
             assert [e.label for e in led.events] == [
-                "size estimate", "25th-percentile median", "75th-percentile median"]
+                "25th-percentile median", "75th-percentile median"]
             assert led.total_epsilon() == pytest.approx(1.0, abs=1e-12)
     # Zero records and one record give the same output on the same stream.
     assert dp_theil_sen_fit(empty, 0.5, RandomStream(3, 1)) == dp_theil_sen_fit(
@@ -319,8 +318,12 @@ def test_theil_sen_small_or_degenerate_inputs_release_points_of_the_clip_range()
 def test_theil_sen_hyper_validation():
     with pytest.raises(ValueError):
         TheilSenHyper(k=0)
-    with pytest.raises(ValueError):
-        TheilSenHyper(k=2.5)
+    # k counts matchings, as a seed or a stream index counts: numpy
+    # integers pass, bools and floats do not.
+    for bad in (2.5, True, False, np.bool_(True), 2.0, "2", np.int64(0), -1):
+        with pytest.raises(ValueError, match="k must be a positive integer"):
+            TheilSenHyper(k=bad)
+    assert TheilSenHyper(k=np.int64(2)).k == 2 and type(TheilSenHyper(k=np.int64(2)).k) is int
     with pytest.raises(ValueError):
         TheilSenHyper(r_lo=1.0, r_hi=-1.0)
     # An infinite clip bound once gave FitResult(nan, nan) with no fallback.

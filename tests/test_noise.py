@@ -16,9 +16,11 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 
 
 def test_laplace_scale_must_be_positive():
-    # A rejected scale raises before any uniform is consumed.
+    # A rejected scale raises before any uniform is consumed. A scale is one
+    # number: an array of them, even of good ones, is refused.
     s = RandomStream(8, 1)
-    for bad in (0.0, -2.0, np.array([1.0, 0.0]), np.array([2.0, np.inf]), np.ones((2, 2))):
+    for bad in (0.0, -2.0, np.array([1.0, 0.0]), np.array([2.0, np.inf]), np.ones((2, 2)),
+                np.array([2.0, 3.0]), np.array([2.0]), np.array(2.0), [2.0], True):
         with pytest.raises(ValueError):
             s.laplace(bad, 4)
     assert s.uniform() == RandomStream(8, 1).uniform()
@@ -53,24 +55,6 @@ def test_scalar_draws_match_vector_draws():
     assert np.array_equal(vec_l, np.array(scalars_l))
 
 
-def test_scale_array_scales_one_draw_bitwise():
-    # One draw of the uniforms serves every scale: row j is the draw that
-    # scale j alone would make, bit for bit, and the stream ends where that
-    # single draw ends.
-    scales = np.array([20.0, 8.0, 1.0, 0.25, 1e-3])
-    for size, shape in ((None, (5,)), (6, (5, 6)), ((2, 3), (5, 2, 3))):
-        multi = RandomStream(5, 2)
-        got = multi.laplace(scales, size)
-        assert got.shape == shape
-        after = multi.uniform()
-        for row, b in zip(got, scales):
-            alone = RandomStream(5, 2)
-            want = alone.laplace(b, size)
-            assert np.array_equal(row, want)
-            assert np.array_equal(np.signbit(row), np.signbit(want))
-            assert alone.uniform() == after
-
-
 class FixedUniforms:
     """Stand-in for a stream's generator that returns the given uniforms."""
 
@@ -91,8 +75,6 @@ def stream_with_uniforms(u):
 def reference_laplace(u, b):
     """The unblocked transform, as one expression over the whole draw."""
     unit = np.sign(u - 0.5) * np.log1p(-2.0 * np.abs(u - 0.5))
-    if isinstance(b, np.ndarray):
-        return np.multiply.outer(-b, unit)
     unit *= -b
     return unit
 
@@ -100,7 +82,7 @@ def reference_laplace(u, b):
 HAND_PLACED = (0.5, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0), 2.0**-53, 1.0 - 2.0**-53)
 ORACLE_SIZES = (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7,
                 (2, 3000, 3), (2, 5, 3), (2100, 8), (7, 8), (3000, 6))
-ORACLE_SCALES = (1.7, 3e-5, np.array([4.0, 0.5, 1e-3]))
+ORACLE_SCALES = (1.7, 3e-5)
 
 
 @pytest.mark.parametrize("size", ORACLE_SIZES)
@@ -141,7 +123,7 @@ def test_zero_uniform_gives_finite_symmetric_draw(size):
     # u = 0 is drawn as the smallest positive uniform: a finite draw that
     # mirrors the largest one, at u = 1 - 2^-53, with no divide-by-zero.
     ends = [0, -1]
-    for scale in (2.0, np.array([2.0, 0.25])):
+    for scale in (2.0, 0.25):
         if size is None:
             zero, top = 0.0, 1.0 - 2.0**-53
         else:
@@ -155,7 +137,7 @@ def test_zero_uniform_gives_finite_symmetric_draw(size):
         assert np.all(np.isfinite(low))
         assert np.array_equal(low, -high)
         # |draw| = 52·ln 2 ≈ 36.04 scales there, the largest a draw can have.
-        assert np.all(np.reshape(low, (np.size(scale), -1))[:, ends] < -36.0 * np.min(scale))
+        assert np.all(np.reshape(low, -1)[ends] < -36.0 * scale)
 
 
 @pytest.mark.parametrize("b", [0.5, 1.0, 3.0])
@@ -201,15 +183,12 @@ def test_zero_noise_stream_silences_laplace_only():
     # Every draw is +0.0, never -0.0, and consumes no uniform.
     for scale, size, want in ((2.0, None, np.zeros(())), (2.0, 5, np.zeros(5)),
                               (2.0, 3 * _BLOCK + 7, np.zeros(3 * _BLOCK + 7)),
-                              (np.array([2.0, 3.0]), None, np.zeros(2)),
-                              (np.array([2.0, 3.0]), (4, 2), np.zeros((2, 4, 2)))):
+                              (3.0, (4, 2), np.zeros((4, 2)))):
         got = z.laplace(scale, size)
         assert np.asarray(got).tobytes() == want.tobytes(), (scale, size)
     assert isinstance(z.laplace(2.0), float)
     with pytest.raises(ValueError):
         z.laplace(-1.0)  # scale validation is kept
-    with pytest.raises(ValueError):
-        z.laplace(np.array([2.0, -1.0]))
     # non-noise channels still behave like the parent stream
     assert z.uniform() == after
     assert np.array_equal(ZeroNoiseStream(4, 0).permutation(10),

@@ -80,12 +80,20 @@ def test_contributions_nonnegative_and_sum_to_one(degree):
 
 
 def test_degree_validation():
-    for bad in (0, -1, 1.5):
-        with pytest.raises(ValueError):
+    # A degree is a count: numpy integers pass, bools and floats do not,
+    # even where a cached matrix of degree 1 exists.
+    transfer_matrix(1)
+    ds = Dataset(np.array([0.5]), np.array([0.5]))
+    for bad in (0, -1, 1.5, 1.0, True, False, np.bool_(True), np.int64(0)):
+        with pytest.raises(ValueError, match="degree must be a positive integer"):
             group_contributions(0.5, 0.5, bad)
-        with pytest.raises(ValueError):
-            dp_rss_poly_fit(Dataset(np.array([0.5]), np.array([0.5])), bad,
-                            1.0, RandomStream(0, 0))
+        with pytest.raises(ValueError, match="degree must be a positive integer"):
+            dp_rss_poly_fit(ds, bad, 1.0, RandomStream(0, 0))
+        with pytest.raises(ValueError, match="degree must be a positive integer"):
+            transfer_matrix(bad)
+    for degree in (np.int64(2), np.uint8(1)):
+        assert dp_rss_poly_fit(ds, degree, 1.0, RandomStream(0, 0)) == dp_rss_poly_fit(
+            ds, int(degree), 1.0, RandomStream(0, 0))
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3])

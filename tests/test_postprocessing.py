@@ -232,7 +232,8 @@ def test_ss_solve_equals_scalar_bitwise():
         ds = Dataset(x, np.clip(0.5 * x + 0.2 + 0.1 * g.normal(n), 0.0, 1.0))
         for seed in range(30):
             scales = np.array([4.0 / eps for eps in BUDGETS])
-            noisy = RandomStream(seed, 1).laplace(scales, size=8) + _cell_sums(ds, "dp_ss", 1)
+            unit = RandomStream(seed, 1).laplace(1.0, size=8)
+            noisy = np.multiply.outer(scales, unit) + _cell_sums(ds, "dp_ss", 1)
             drawn = _laplace_draw("dp_ss", [(ds, RandomStream(seed, 1))], BUDGETS)
             assert drawn.tobytes() == np.array([z @ reading for z in noisy]).tobytes()
             rows.append(noisy)

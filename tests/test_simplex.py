@@ -158,7 +158,8 @@ def test_pair_major_draw_equals_one_pair_draws_bitwise(random_dataset):
             assert got.tobytes() == np.concatenate(alone).tobytes(), (name, d)
             scales = np.array([_SHARES[name] / eps for eps in budgets])
             rows = [z @ matrix for ds, stream in pairs()
-                    for z in stream.laplace(scales, size=len(matrix)) + _cell_sums(ds, name, d)]
+                    for z in np.multiply.outer(scales, stream.laplace(1.0, len(matrix)))
+                    + _cell_sums(ds, name, d)]
             assert got.tobytes() == np.array(rows).tobytes(), (name, d)
 
 
