@@ -15,26 +15,29 @@ import math
 import os
 import sys
 import warnings
+from dataclasses import astuple
 from datetime import datetime, timezone
 
 import numpy as np
 
 from .data import Bounds, Dataset, normalize
 from .evaluate import (
-    METHOD_NAMES,
+    VARIANCES,
     ExperimentGrid,
     SetupConfig,
     STATISTIC_ORDER,
     run_experiment,
     verify_variances,
 )
-from .mechanisms import FITTERS, denormalize_fit, dp_rss_poly_fit
+from .mechanisms import MECHANISMS, _fit, denormalize_fit
 from .noise import RandomStream, _as_epsilon
 
 RESULTS_HEADER = "method,epsilon,mean_l1,std_l1,mean_l2,std_l2,median_l1,median_l2"
 VERIFY_HEADER = "statistic,method,empirical_var,theoretical_var,relative_error,improvement_ratio"
 
-MECHANISM_NAMES = METHOD_NAMES + ("dp_rss_poly",)
+MECHANISM_NAMES = tuple(MECHANISMS)
+# The mechanisms whose every fit is given its degree, so it is a polynomial.
+_POLYNOMIAL_NAMES = tuple(name for name, m in MECHANISMS.items() if m.hyper is None)
 
 
 class _CliError(Exception):
@@ -48,21 +51,15 @@ def _fmt(value: float) -> str:
     return format(value, ".12g")
 
 
-def _json_dumps(value, indent: int = 0) -> str:
-    """Minimal JSON writer that formats every float via :func:`_fmt`."""
-    pad = "  " * indent
+def _json_dumps(value) -> str:
+    """Minimal JSON writer of a flat object that formats every float via :func:`_fmt`."""
     if isinstance(value, dict):
         if not value:
             return "{}"
-        items = ",\n".join(
-            f'{pad}  "{k}": {_json_dumps(v, indent + 1)}' for k, v in value.items()
-        )
-        return "{\n" + items + "\n" + pad + "}"
+        items = ",\n".join(f'  "{k}": {_json_dumps(v)}' for k, v in value.items())
+        return "{\n" + items + "\n}"
     if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        items = ", ".join(_json_dumps(v, indent) for v in value)
-        return "[" + items + "]"
+        return "[" + ", ".join(_json_dumps(v) for v in value) + "]"
     if isinstance(value, bool):
         return "true" if value else "false"
     if value is None:
@@ -232,23 +229,20 @@ def _check_budget_flags(args) -> None:
 def cmd_fit(args) -> int:
     _check_budget_flags(args)
     bounds = _bounds_from_args(args)
-    if args.mechanism == "dp_rss_poly":
+    polynomial = MECHANISMS[args.mechanism].hyper is None
+    if polynomial:
         if args.degree is None:
-            raise _CliError("dp_rss_poly requires --degree")
+            raise _CliError(f"{args.mechanism} requires --degree")
         if args.degree < 1:
             raise _CliError(f"--degree must be at least 1, got {args.degree}")
         if bounds is not None:
             raise _CliError(
                 "bounds rescaling applies to the linear mechanisms only; "
-                "dp_rss_poly expects data already in the unit square"
+                f"{args.mechanism} expects data already in the unit square"
             )
-
-        def fitter(data, budget, stream):
-            return dp_rss_poly_fit(data, args.degree, budget, stream)
     elif args.degree is not None:
-        raise _CliError(f"--degree is only valid with dp_rss_poly, not {args.mechanism}")
-    else:
-        fitter = FITTERS[args.mechanism]
+        raise _CliError(f"--degree is only valid with {', '.join(_POLYNOMIAL_NAMES)}, "
+                        f"not {args.mechanism}")
 
     pairs = _read_xy_csv(args.data)
     if bounds is not None:
@@ -265,11 +259,11 @@ def cmd_fit(args) -> int:
             ) from exc
     del pairs  # the Dataset holds its own columns; the fit needs no parse
 
-    fit = fitter(ds, args.epsilon, RandomStream(args.seed, 0))
+    fit = _fit(args.mechanism, ds, args.epsilon, RandomStream(args.seed, 0), None, args.degree)
     if bounds is not None:
         fit = denormalize_fit(fit, bounds)
     out = {"mechanism": args.mechanism, "epsilon": args.epsilon, "seed": args.seed}
-    if args.mechanism == "dp_rss_poly":
+    if polynomial:
         out["degree"] = fit.degree
         out["coeffs"] = list(fit.coeffs)
     else:
@@ -323,22 +317,11 @@ def _load_experiment_config(path: str):
 
 
 def _results_csv_lines(rows):
+    # The columns are the fields of ExperimentRow, in order.
     lines = [RESULTS_HEADER]
     for r in rows:
-        lines.append(
-            ",".join(
-                [
-                    r.method,
-                    _fmt(r.epsilon),
-                    _fmt(r.mean_l1),
-                    _fmt(r.std_l1),
-                    _fmt(r.mean_l2),
-                    _fmt(r.std_l2),
-                    _fmt(r.median_l1),
-                    _fmt(r.median_l2),
-                ]
-            )
-        )
+        method, *values = astuple(r)
+        lines.append(",".join([method] + [_fmt(v) for v in values]))
     return lines
 
 
@@ -352,27 +335,15 @@ def cmd_experiment(args) -> int:
 
 
 def _verify_csv_lines(rows):
-    by_stat = {}
-    for r in rows:
-        by_stat.setdefault(r.statistic, {})[r.method] = r
+    # VarianceRow's fields, then the baseline's variance over the refined one's.
+    by_key = {(r.statistic, r.method): r for r in rows}
+    refined, baseline = VARIANCES
     lines = [VERIFY_HEADER]
     for stat in STATISTIC_ORDER:
-        pair = by_stat[stat]
-        ratio = pair["dp_ss"].empirical_var / pair["dp_rss"].empirical_var
-        for method in ("dp_rss", "dp_ss"):
-            r = pair[method]
-            lines.append(
-                ",".join(
-                    [
-                        stat,
-                        method,
-                        _fmt(r.empirical_var),
-                        _fmt(r.theoretical_var),
-                        _fmt(r.relative_error),
-                        _fmt(ratio),
-                    ]
-                )
-            )
+        ratio = by_key[stat, baseline].empirical_var / by_key[stat, refined].empirical_var
+        for method in (refined, baseline):
+            values = astuple(by_key[stat, method])[2:] + (ratio,)
+            lines.append(",".join([stat, method] + [_fmt(v) for v in values]))
     return lines
 
 
@@ -403,7 +374,8 @@ def _build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--mechanism", choices=MECHANISM_NAMES, default="dp_rss")
     fit.add_argument("--epsilon", type=float, required=True, help="total privacy budget")
     fit.add_argument("--seed", type=int, default=0)
-    fit.add_argument("--degree", type=int, default=None, help="polynomial degree (dp_rss_poly)")
+    fit.add_argument("--degree", type=int, default=None,
+                     help=f"polynomial degree ({', '.join(_POLYNOMIAL_NAMES)})")
     fit.add_argument("--x-min", type=float, default=None, help="raw-data bounds for rescaling")
     fit.add_argument("--x-max", type=float, default=None)
     fit.add_argument("--y-min", type=float, default=None)

@@ -2,10 +2,10 @@
 
 ``generate_setup`` draws a clipped linear-Gaussian dataset; ``l1_error`` and
 ``l2_error`` measure the distance between a true and an estimated line over
-the unit interval; ``run_experiment`` sweeps mechanisms over an epsilon grid
-with paired substreams and one batched solve per method; ``verify_variances``
-compares the empirical variance of every released statistic against its
-closed form.
+the unit interval; ``run_experiment`` sweeps the registry's line mechanisms
+(``mechanisms.MECHANISMS``) over an epsilon grid with paired substreams and
+one batched solve per method; ``verify_variances`` compares the empirical
+variance of every released statistic against its closed form.
 """
 
 from __future__ import annotations
@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, as_dataset
-from .mechanisms import _FIT_CORES, FITTERS, FitResult
-from .noise import _SHARES, RandomStream, ZeroNoiseStream, _as_count, _as_epsilon, _as_index
-from .simplex import _LAPLACE_RELEASES, LINEAR_COLUMNS, _cell_sums
+from .mechanisms import FITTERS, MECHANISMS, FitResult, _lines
+from .noise import RandomStream, ZeroNoiseStream, _as_count, _as_epsilon, _as_index
+from .simplex import LINEAR_COLUMNS, _cell_sums
 
 
 @dataclass(frozen=True)
@@ -34,14 +34,17 @@ class SetupConfig:
     def __post_init__(self):
         object.__setattr__(self, "n", _as_count(self.n, "n"))
         for name in ("alpha", "beta", "sigma"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if isinstance(value, (bool, np.bool_)):  # math.isfinite(True) would pass as 1.0
+                raise ValueError(f"{name} must be a number, got {value!r}")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.sigma < 0:
             raise ValueError(f"sigma must be non-negative, got {self.sigma}")
         object.__setattr__(self, "seed", _as_index(self.seed, "seed"))
 
 
-METHOD_NAMES = tuple(FITTERS)
+METHOD_NAMES = tuple(FITTERS)  # the registry's line mechanisms
 
 
 @dataclass(frozen=True)
@@ -63,9 +66,10 @@ class ExperimentGrid:
         methods = tuple(self.methods)
         if len(methods) == 0:
             raise ValueError("methods must not be empty")
+        lines = _lines()
         for m in methods:
-            if m not in FITTERS:
-                raise ValueError(f"unknown method {m!r}; choose from {sorted(FITTERS)}")
+            if m not in lines:
+                raise ValueError(f"unknown method {m!r}; choose from {sorted(lines)}")
         object.__setattr__(self, "methods", methods)
 
 
@@ -127,12 +131,19 @@ def _gap_means(da, db, n_points: int):
     return np.abs(head) + np.abs(total - head)
 
 
+def _squared_gaps(da, db):
+    """The l2 form of ``l2_error``, elementwise in floats or arrays of them."""
+    with np.errstate(over="ignore", invalid="ignore"):  # a gap past 1e154 gives inf or NaN
+        return da * da / 3.0 + da * db + db * db
+
+
 def l2_error(true_fit, est_fit) -> float:
     """Integral of the squared gap between two lines over [0, 1], exactly.
 
     With gap A x + B the integral is A^2/3 + A B + B^2.
     """
-    return float(_line_errors(true_fit, np.array(_line_params(est_fit)))[1])
+    (a_true, b_true), (a, b) = _line_params(true_fit), _line_params(est_fit)
+    return float(_squared_gaps(a_true - a, b_true - b))
 
 
 @dataclass(frozen=True)
@@ -156,16 +167,14 @@ class ExperimentRow:
 def _line_errors(true_fit, coeffs: np.ndarray, n_points: int = 1000):
     """``l1_error`` and ``l2_error`` of each line of an (N, 2) stack, or of one (2,) line.
 
-    The one statement of both metrics: ``l1_error`` and ``l2_error`` read
-    it on one line, on numpy scalars. Both are elementwise in the lines'
+    ``l1_error`` reads it on one line, on numpy scalars; ``l2_error`` reads
+    its l2 form, ``_squared_gaps``, alone. Both are elementwise in the lines'
     coefficients, so each row of a stack equals that line alone, bit for bit.
     """
     n_points = _as_count(n_points, "n_points")
     a_true, b_true = _line_params(true_fit)
     da, db = a_true - coeffs[..., 0], b_true - coeffs[..., 1]
-    with np.errstate(over="ignore", invalid="ignore"):  # a gap past 1e154 gives inf or NaN
-        l2 = da * da / 3.0 + da * db + db * db
-    return _gap_means(da, db, n_points), l2
+    return _gap_means(da, db, n_points), _squared_gaps(da, db)
 
 
 def run_experiment(
@@ -199,8 +208,8 @@ def run_experiment(
     truth = (setup.alpha, setup.beta)
     rows = []
     for method in sorted(grid.methods):
-        draw, solve = _FIT_CORES[method]
-        coeffs, _ = solve(draw(pairs(), grid.epsilons))
+        mech = MECHANISMS[method]
+        coeffs, _ = mech.solve(mech.draw(mech, pairs(), grid.epsilons, mech.hyper))
         # Line i * len(epsilons) + j is iteration i at epsilons[j]. On these
         # contiguous copies an axis-1 reduction sums row j as it sums alone.
         l1s, l2s = (e.reshape(grid.iterations, -1).T.copy() for e in _line_errors(truth, coeffs))
@@ -235,21 +244,25 @@ SS_VARIANCES = {
     "s_x2": 32.0,
     "s_xy": 32.0,
 }
+# The releases that ``verify_variances`` checks, the refined release first.
+VARIANCES = {"dp_rss": RSS_VARIANCES, "dp_ss": SS_VARIANCES}
 STATISTIC_ORDER = ("n", "s_x", "s_y", "s_x2", "s_xy")
 
 
 def simulate_stats(method: str, data, epsilon: float, trials: int, stream: RandomStream):
-    """Statistics of ``trials`` releases of ``dp_rss`` or ``dp_ss``, as a dict of arrays.
+    """Statistics of ``trials`` releases of a Laplace line record, as a dict of arrays.
 
     The noise is one (trials, cells) draw, so its row t is, bit for bit,
     the noise of the t-th consecutive fit of ``method`` on ``stream``, read
     by the same matrix as a single fit.
     """
-    if method not in _LAPLACE_RELEASES:
-        raise ValueError(f"method must be one of {sorted(_LAPLACE_RELEASES)}, got {method!r}")
-    matrix = _LAPLACE_RELEASES[method][1](1)
-    noisy = stream.laplace(_SHARES[method] / epsilon, size=(trials, len(matrix)))
-    noisy += _cell_sums(as_dataset(data), method, 1)
+    laplace = {name: m for name, m in _lines().items() if m.reading is not None}
+    if method not in laplace:
+        raise ValueError(f"method must be one of {sorted(laplace)}, got {method!r}")
+    mech = laplace[method]
+    matrix = mech.reading(1)
+    noisy = stream.laplace(mech.share / epsilon, size=(trials, len(matrix)))
+    noisy += _cell_sums(as_dataset(data), mech.rows, 1, len(matrix))
     columns = matrix[:, [LINEAR_COLUMNS[stat] for stat in STATISTIC_ORDER]]
     return dict(zip(STATISTIC_ORDER, columns.T @ noisy.T))
 
@@ -271,7 +284,7 @@ _TRIAL_CHUNK = 1 << 14
 
 
 def verify_variances(epsilon: float, trials: int, stream: RandomStream) -> list[VarianceRow]:
-    """Empirical noise variances of both mechanisms on a fixed dataset.
+    """Empirical noise variances of the releases in ``VARIANCES`` on a fixed dataset.
 
     Runs ``trials`` privatizations (at least 1e5; variance estimates have
     relative standard error about sqrt(2/trials)) and reports each released
@@ -288,7 +301,7 @@ def verify_variances(epsilon: float, trials: int, stream: RandomStream) -> list[
     if trials < 100_000:
         raise ValueError(f"trials must be at least 100000 for a stable estimate, got {trials}")
     ds = Dataset(np.array([0.0, 0.5, 1.0]), np.array([0.2, 0.45, 0.7]))
-    methods = (("dp_rss", RSS_VARIANCES), ("dp_ss", SS_VARIANCES))
+    methods = [(name, VARIANCES[name]) for name in MECHANISMS if name in VARIANCES]
     # Noise-free values: the first release of a stream that draws zeros.
     shifts = {method: simulate_stats(method, ds, epsilon, 1, ZeroNoiseStream())
               for method, _ in methods}

@@ -4,19 +4,20 @@ Every fitter shares one contract: records in the unit square, an epsilon
 budget, a seeded stream, and a :class:`FitResult` out, whatever the
 degree. Degenerate draws return the constant fallback fit y = 0.5 with the
 flag set instead of raising, so Monte Carlo loops never die mid-run.
-``FITTERS`` maps each line mechanism's name to its fitter.
 
-Each mechanism is a ``(draw, solve)`` pair in ``_FIT_CORES``. The draw
-``(pairs, budgets)`` takes an iterable of ``(data, stream)`` pairs, draws
-each pair's uniforms once, and returns one row of released numbers per
-pair and budget, pair-major; row p * len(budgets) + j equals, bit for bit,
-the release of pair p at ``budgets[j]`` alone. The solve, post-processing
-that costs no budget, maps any (N, k) stack of releases to (N, 2)
-coefficients and an (N,) fallback mask. The draws keep no ledger: their
-rows together are not epsilon-DP at any one budget (DECISIONS.md, D3).
-Each fitter is one ``_fit`` call: it writes the ledger from
-``noise._RELEASE_PARTS`` and runs the pair on one ``(data, stream)`` at one
-budget (D8); the sweep draws all its iterations in one call.
+``MECHANISMS``, the registry, holds one :class:`Mechanism` record per
+name, and every other table is read from it (DECISIONS.md, D15). A
+record's draw ``(record, pairs, budgets, hyper)`` takes an iterable of
+``(data, stream)`` pairs, draws each pair's uniforms once, and returns one
+row of released numbers per pair and budget, pair-major; row
+p * len(budgets) + j equals, bit for bit, the release of pair p at
+``budgets[j]`` alone. Its solve, post-processing that costs no budget,
+maps any (N, k) stack of releases to (N, d + 1) coefficients and an (N,)
+fallback mask. The draws keep no ledger: their rows together are not
+epsilon-DP at any one budget (D3). Each fitter is one ``_fit`` call: it
+writes the ledger from the record's parts and runs the pair on one
+``(data, stream)`` at one budget (D8); the sweep draws all its iterations
+in one call.
 
 * ``dp_rss_poly_fit`` is the refined release in :mod:`dpreg.simplex` at
   any degree d: two privatized simplex query groups, refined power sums,
@@ -25,9 +26,9 @@ budget (D8); the sweep draws all its iterations in one call.
   ``dp_rss_fit`` is its degree 1, bit for bit.
 * ``dp_ss_fit`` privatizes eight clamped sums directly (the baseline the
   refined mechanism improves on) and reads the statistics off them plainly.
-  It is the other entry of the Laplace release table in
-  :mod:`dpreg.simplex`, so it shares the draw, the solve and the fallback
-  rule of ``dp_rss_fit``.
+  Its record differs from ``dp_rss``'s only in its parts, cells and
+  reading, so it shares the draw, the solve and the fallback rule of
+  ``dp_rss_fit``.
 * ``dp_theil_sen_fit`` privatizes the 25th/75th percentiles of pairwise
   line projections with the exponential-mechanism median. It never falls
   back: with no projections each median picks a point of the clip range.
@@ -35,14 +36,15 @@ budget (D8); the sweep draws all its iterations in one call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import partial
+from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
+from . import simplex
 from .data import Bounds, as_dataset
 from .median import _check_clip, _dp_medians
-from .noise import _RELEASE_PARTS, _SHARES, NoiseLedger, RandomStream, _as_count, _as_epsilon
+from .noise import NoiseLedger, RandomStream, _as_count, _as_epsilon
 from .simplex import _fallback_coeffs, _laplace_draw, _solve_refined
 
 FALLBACK_ALPHA, FALLBACK_BETA = _fallback_coeffs(1)
@@ -125,15 +127,15 @@ def dp_rss_poly_fit(
 ) -> FitResult:
     """Fit a degree-``degree`` polynomial with refined private statistics.
 
-    Spends half the budget on each group, as the ``dp_rss`` entry of
-    ``noise._RELEASE_PARTS`` declares and the ledger records, refines every
+    Spends half the budget on each group, as the parts of the ``dp_rss``
+    record in ``MECHANISMS`` declare and the ledger records, refines every
     power sum, and solves the normal equations
     (``dpreg.simplex._solve_refined``). Degree 1 is ``dp_rss_fit``: same
     noise, ledger, statistics, fallbacks and result.
     Falls back to the constant fit y = 0.5 when the refined size or x-spread
     is not positive or the normal equations are numerically singular.
     """
-    return _fit("dp_rss", data, budget, stream, ledger, degree)
+    return _fit("dp_rss_poly", data, budget, stream, ledger, degree)
 
 
 def dp_ss_fit(data, budget, stream: RandomStream, ledger: NoiseLedger | None = None) -> FitResult:
@@ -178,7 +180,7 @@ def _pair_projections(x: np.ndarray, y: np.ndarray, perm: np.ndarray):
     return z25, z75
 
 
-def _theil_sen_draw(pairs, budgets, hyper: TheilSenHyper | None = None):
+def _theil_sen_draw(release, pairs, budgets, hyper: TheilSenHyper):
     """The private percentiles (p25, p75) of ``dp_theil_sen_fit`` for each pair and budget.
 
     Row p * len(budgets) + j is ``(data, stream)`` pair p at ``budgets[j]``.
@@ -190,10 +192,9 @@ def _theil_sen_draw(pairs, budgets, hyper: TheilSenHyper | None = None):
     x, each median picks a point of the clip range. Every budget is checked
     before the first pair is taken.
     """
-    hyper = hyper or TheilSenHyper()
     # A record lands in k pairs, so it moves up to k projections of each
     # list; each median runs at eps/(2k) to spend its eps/2 share.
-    parts = [_as_epsilon(b) / (_SHARES["dp_theil_sen"] * hyper.k) for b in budgets]
+    parts = [_as_epsilon(b) / (release.share * hyper.k) for b in budgets]
     releases = []
     tables = {}  # the medians' rank table, shared by pairs with as many projections
     for data, stream in pairs:
@@ -249,35 +250,70 @@ def denormalize_fit(fit: FitResult, bounds: Bounds) -> FitResult:
     return FitResult((alpha, beta), fit.fallback)
 
 
-FITTERS = {
-    "dp_rss": dp_rss_fit,
-    "dp_ss": dp_ss_fit,
-    "dp_theil_sen": dp_theil_sen_fit,
-}
+@dataclass(frozen=True)
+class Mechanism:
+    """One mechanism: the one place where its name is a key (DECISIONS.md, D15).
 
-# The (draw, solve) pair of each fitter. The rows of one multi-budget draw
-# together are not epsilon-DP at any one budget (DECISIONS.md, D3), so the
-# pairs stay private and keep no ledger; ``_fit`` runs them at one budget.
-_FIT_CORES = {
-    "dp_rss": (partial(_laplace_draw, "dp_rss"), _solve_refined),
-    "dp_ss": (partial(_laplace_draw, "dp_ss"), _solve_refined),
-    "dp_theil_sen": (_theil_sen_draw, _theil_sen_solve),
-}
-
-
-def _fit(name: str, data, budget, stream: RandomStream, ledger: NoiseLedger | None, *extra):
-    """One private fit: ``_FIT_CORES[name]`` on one pair at ``(eps,)``, ``extra`` after.
-
-    Checks the budget and the records, then writes the ledger from
-    ``noise._RELEASE_PARTS[name]`` before the first uniform is drawn, so it
-    never depends on the data or the draws.
+    ``parts``: ``(ledger label, Laplace?)`` in draw order. Each spends
+    eps / ``share``, the integer ``len(parts)`` (D8); a Laplace part draws
+    at scale ``share`` / eps. ``draw`` and ``solve`` are its core (module
+    docstring), ``fit`` its public fitter. ``hyper``: the draw's degree or
+    ``TheilSenHyper``, or None when each call gives the degree, so that the
+    fits are polynomials. A Laplace release has cells: ``rows(x, y, d)``
+    yields ``(cell, row)``, and ``reading(d)`` reads the noisy sums (D11).
     """
+
+    parts: tuple
+    draw: Callable
+    solve: Callable
+    fit: Callable
+    hyper: object = None
+    rows: Callable | None = None
+    reading: Callable | None = None
+
+    @property
+    def share(self) -> int:
+        return len(self.parts)
+
+
+MECHANISMS = {
+    "dp_rss": Mechanism((("x-group sums", True), ("xy-group sums", True)), _laplace_draw,
+                        _solve_refined, dp_rss_fit, hyper=1, rows=simplex._component_rows,
+                        reading=simplex.transfer_matrix),
+    "dp_ss": Mechanism((("pair s_x/s_1mx", True), ("pair s_y/s_1my", True),
+                        ("pair s_xy/s_1mxy", True), ("pair s_x2/s_1mx2", True)),
+                       _laplace_draw, _solve_refined, dp_ss_fit, hyper=1, rows=simplex._ss_rows,
+                       reading=simplex._ss_reading),
+    "dp_theil_sen": Mechanism((("25th-percentile median", False),
+                               ("75th-percentile median", False)),
+                              _theil_sen_draw, _theil_sen_solve, dp_theil_sen_fit,
+                              hyper=TheilSenHyper()),
+}
+# The refined release at any degree: the groups, ledger and core of dp_rss.
+MECHANISMS["dp_rss_poly"] = replace(MECHANISMS["dp_rss"], fit=dp_rss_poly_fit, hyper=None)
+
+
+def _lines() -> dict:
+    """The records of ``MECHANISMS`` that fit lines, by name, read at each call."""
+    return {name: m for name, m in MECHANISMS.items() if m.hyper is not None}
+
+
+FITTERS = {name: m.fit for name, m in _lines().items()}
+
+
+def _fit(name: str, data, budget, stream: RandomStream, ledger: NoiseLedger | None, hyper=None):
+    """One private fit: ``MECHANISMS[name]`` on one pair at ``(eps,)``, at ``hyper`` or its own.
+
+    Checks the budget and the records, then writes the ledger from the
+    record's parts before the first uniform is drawn, so it never depends
+    on the data or the draws.
+    """
+    mech = MECHANISMS[name]
     eps = _as_epsilon(budget)
     ds = as_dataset(data)
-    shares = _SHARES[name]
     if ledger is not None:
-        for label, laplace in _RELEASE_PARTS[name]:
-            ledger.record(label, eps / shares, scale=shares / eps if laplace else None)
-    draw, solve = _FIT_CORES[name]
-    coeffs, fallback = solve(draw([(ds, stream)], (eps,), *extra))
+        for label, laplace in mech.parts:
+            ledger.record(label, eps / mech.share, scale=mech.share / eps if laplace else None)
+    hyper = mech.hyper if hyper is None else hyper
+    coeffs, fallback = mech.solve(mech.draw(mech, [(ds, stream)], (eps,), hyper))
     return FitResult(tuple(coeffs[0].tolist()), bool(fallback[0]))

@@ -4,7 +4,8 @@ All mechanism randomness flows through :class:`RandomStream` so that a run is
 fully determined by ``(seed, stream_index)``. Laplace draws use the explicit
 inverse CDF (one uniform per draw) and normals use Box-Muller, so the draw
 sequence is stable across numpy versions; only the underlying uniform bit
-stream is delegated to PCG64.
+stream is delegated to PCG64. ``mechanisms._fit`` writes each ledger from
+the budget split of the mechanism's record in ``mechanisms.MECHANISMS``.
 """
 
 from __future__ import annotations
@@ -28,27 +29,13 @@ class PrivacyBudget:
         object.__setattr__(self, "epsilon", _as_epsilon(self.epsilon))
 
 
-# How each release splits its budget: its parts in draw order, each a
-# (ledger label, Laplace?) pair. Every part spends eps / len(parts), and a
-# Laplace part draws at scale len(parts) / eps; the rest are
-# exponential-mechanism medians. dp_rss_poly, at every degree, releases the
-# two groups of dp_rss. Shares stay integers: eps * (1/3) is not eps / 3
-# (DECISIONS.md, D8).
-_RELEASE_PARTS = {
-    "dp_rss": (("x-group sums", True), ("xy-group sums", True)),
-    "dp_ss": (("pair s_x/s_1mx", True), ("pair s_y/s_1my", True),
-              ("pair s_xy/s_1mxy", True), ("pair s_x2/s_1mx2", True)),
-    "dp_theil_sen": (("25th-percentile median", False), ("75th-percentile median", False)),
-}
-_SHARES = {release: len(parts) for release, parts in _RELEASE_PARTS.items()}
-
-# dp_ss's 4/epsilon is the largest Laplace scale per budget of any release.
+# dp_ss's 4/epsilon is the largest Laplace scale per budget of any release;
+# the registry sits above this module, so a test pins the 4 to it (D15).
 # A draw is at most 52 ln 2 (about 36.0) scales, since u is raised to
 # 2^-53; the floor allows 53 ln 2 (about 36.7), which leaves 2% of
-# sqrt(max double) for the exact sum, so at or above it every noisy sum, and
-# the product of any two, is finite. It is about 1.1e-152.
-_LARGEST_SCALE = max(_SHARES[release] for release, parts in _RELEASE_PARTS.items()
-                     if any(laplace for _, laplace in parts))
+# sqrt(max double) for the exact sum, so at or above it every noisy sum,
+# and the product of any two, is finite. It is about 1.1e-152.
+_LARGEST_SCALE = 4
 _EPSILON_FLOOR = _LARGEST_SCALE * 53 * math.log(2) / math.sqrt(np.finfo(np.float64).max)
 
 

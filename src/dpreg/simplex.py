@@ -18,23 +18,25 @@ and the xy-group the d + 2 entries
 
 Degree 1 is the linear release: (x^2, x - x^2, 1 - x) and
 (xy, (1 - x)y, 1 - y). One release spends half the budget on each group
-(``noise._RELEASE_PARTS``): Laplace noise at scale 2/eps on all 3d + 3
-group sums, x-group first. Prefix sums of either noisy group read every
-power sum S_{x^l} (l = 0..2d, where S_{x^0} = n) and S_{x^l y} (l = 0..d)
-in two independent ways: directly from its own group, and as the other
-group's total minus the complementary components. The refined statistic
-averages the two readings with inverse-variance weights, which are
-proportional to how many Laplace terms each reading sums. That map is
-linear, so it is one (3d+3) x (3d+2) matrix, ``transfer_matrix(d)``, and it
-refines a leading axis of trials as readily as a single release.
+(the two ledger parts of its record in ``mechanisms.MECHANISMS``): Laplace
+noise at scale 2/eps on all 3d + 3 group sums, x-group first. Prefix sums
+of either noisy group read every power sum S_{x^l} (l = 0..2d, where
+S_{x^0} = n) and S_{x^l y} (l = 0..d) in two independent ways: directly
+from its own group, and as the other group's total minus the complementary
+components. The refined statistic averages the two readings with
+inverse-variance weights, which are proportional to how many Laplace terms
+each reading sums. That map is linear, so it is one (3d+3) x (3d+2)
+matrix, ``transfer_matrix(d)``, and it refines a leading axis of trials as
+readily as a single release.
 
-``_LAPLACE_RELEASES`` holds this release, ``dp_rss``, beside the NoisyStats
-baseline ``dp_ss``, whose eight cells are read plainly. ``_cell_sums``
-caches a release's exact cell sums, and ``_laplace_draw`` draws one release
-per budget for each ``(data, stream)`` pair and keeps no ledger; the
-fitters run it on one pair at one budget through ``mechanisms._fit``. The
-post-processing after it costs no budget and runs on any (N, 3d + 2) stack
-of statistics at once.
+This module holds the cells and readings of this release, ``dp_rss``, and
+of the NoisyStats baseline ``dp_ss``, whose eight cells are read plainly;
+their records in ``mechanisms.MECHANISMS`` name them. ``_cell_sums`` caches
+the exact sums of a release's cells, and ``_laplace_draw`` draws one release
+of a record per budget for each ``(data, stream)`` pair and keeps no
+ledger; the fitters run it on one pair at one budget through
+``mechanisms._fit``. The post-processing after it costs no budget and runs
+on any (N, 3d + 2) stack of statistics at once.
 ``_solve_refined`` solves each row's normal equations by
 ``_solve_systems``, a batched elimination that repeats the operations of a
 scalar one row by row, so a row's coefficients do not depend on the stack.
@@ -54,7 +56,7 @@ from functools import lru_cache
 import numpy as np
 
 from .data import _check_unit_interval, _chunked_exact_sums, as_dataset
-from .noise import _SHARES, _as_count, _as_epsilon, _unit_laplace
+from .noise import _as_count, _as_epsilon, _unit_laplace
 
 
 def _component_rows(x: np.ndarray, y: np.ndarray, d: int):
@@ -110,7 +112,7 @@ def exact_group_stats(data, degree: int = 1) -> tuple[np.ndarray, np.ndarray]:
     bit-identical to ``math.fsum`` of the components.
     """
     d = _as_count(degree, "degree")
-    sums = _cell_sums(as_dataset(data), "dp_rss", d)
+    sums = _cell_sums(as_dataset(data), _component_rows, d, 3 * d + 3)
     return sums[: 2 * d + 1], sums[2 * d + 1 :]
 
 
@@ -162,52 +164,41 @@ def _ss_reading(degree: int) -> np.ndarray:
     return matrix
 
 
-# The Laplace releases: name -> (rows, reading). ``rows(x, y, d)`` yields
-# ``(cell, row)`` for one chunk of records, each record's cells non-negative
-# and summing to 1 within a part; ``reading(d)`` maps the noisy cell sums,
-# one row per cell, to the statistics. Every cell draws at scale
-# ``noise._SHARES[name] / eps``.
-_LAPLACE_RELEASES = {
-    "dp_rss": (_component_rows, transfer_matrix),
-    "dp_ss": (_ss_rows, _ss_reading),
-}
+def _cell_sums(ds, rows, d: int, count: int) -> np.ndarray:
+    """The exact sums of the ``count`` cells of ``rows(x, y, d)`` on a ``Dataset``.
 
-
-def _cell_sums(ds, name: str, d: int) -> np.ndarray:
-    """The exact cell sums of release ``name`` at degree d on a ``Dataset``; cached.
-
+    Cached under ``(rows, d)``, so records with the same cells share them.
     Reads the arrays ``Dataset`` already validated, so no range check runs.
     The cell rows are built one chunk of records at a time
     (``data._chunked_exact_sums``), so no full-length row is held.
     """
-    sums = ds.cache.get((name, d))
+    sums = ds.cache.get((rows, d))
     if sums is None:
-        rows, reading = _LAPLACE_RELEASES[name]
-        sums = _chunked_exact_sums(ds, len(reading(d)), lambda x, y: rows(x, y, d))
+        sums = _chunked_exact_sums(ds, count, lambda x, y: rows(x, y, d))
         sums.setflags(write=False)
-        ds.cache[name, d] = sums
+        ds.cache[rows, d] = sums
     return sums
 
 
-def _laplace_draw(name: str, pairs, budgets, degree: int = 1) -> np.ndarray:
-    """Statistics of release ``name`` for each ``(data, stream)`` pair at each budget.
+def _laplace_draw(release, pairs, budgets, degree: int = 1) -> np.ndarray:
+    """Statistics of Laplace record ``release`` for each ``(data, stream)`` pair and budget.
 
     Checks the degree and every budget before it takes the first pair, and
     keeps per pair only its cell sums and the uniforms of one unit draw,
     ``stream._laplace_u(k)``. One inverse-CDF pass turns the stacked
-    uniforms into noise, one broadcast scales it by ``_SHARES[name]``/eps
+    uniforms into noise, one broadcast scales it by ``release.share``/eps
     per budget, and one stack of one-row products reads them, each the
-    product ``z @ matrix`` of one row, so row p * len(budgets) + j equals,
-    bit for bit, the release of pair p at ``budgets[j]`` alone (DECISIONS.md,
-    D3). Together a pair's rows are not eps-DP at any one budget; one row
-    alone is.
+    product ``z @ release.reading(d)`` of one row, so row
+    p * len(budgets) + j equals, bit for bit, the release of pair p at
+    ``budgets[j]`` alone (DECISIONS.md, D3). Together a pair's rows are not
+    eps-DP at any one budget; one row alone is.
     """
     d = _as_count(degree, "degree")
-    matrix = _LAPLACE_RELEASES[name][1](d)
-    neg_scales = np.array([-_SHARES[name] / _as_epsilon(b) for b in budgets])
+    matrix = release.reading(d)
+    neg_scales = np.array([-release.share / _as_epsilon(b) for b in budgets])
     sums, uniforms = [], []
     for data, stream in pairs:
-        sums.append(_cell_sums(as_dataset(data), name, d))
+        sums.append(_cell_sums(as_dataset(data), release.rows, d, len(matrix)))
         uniforms.append(stream._laplace_u(len(matrix)))
     noise = _unit_laplace(np.array(uniforms))[:, None, :] * neg_scales[:, None]
     noise += np.array(sums)[:, None, :]

@@ -12,6 +12,7 @@ from dpreg import (
     ExperimentGrid,
     ExperimentRow,
     FitResult,
+    NoiseLedger,
     RandomStream,
     RSS_VARIANCES,
     SS_VARIANCES,
@@ -26,10 +27,9 @@ from dpreg import (
     verify_variances,
 )
 from dpreg.cli import MECHANISM_NAMES
-from dpreg.evaluate import _TRIAL_CHUNK, _gap_means, _generate_on, _line_errors
-from dpreg.mechanisms import _FIT_CORES, FITTERS
-from dpreg.noise import _SHARES
-from dpreg.simplex import _LAPLACE_RELEASES, LINEAR_COLUMNS, _cell_sums, _laplace_draw
+from dpreg.evaluate import VARIANCES, _TRIAL_CHUNK, _gap_means, _generate_on, _line_errors
+from dpreg.mechanisms import FITTERS, MECHANISMS, _fit
+from dpreg.simplex import LINEAR_COLUMNS, _cell_sums, _laplace_draw
 
 
 def test_setup_config_validation():
@@ -53,6 +53,13 @@ def test_setup_config_validation():
     for bad in (True, 10.0):
         with pytest.raises(ValueError, match="n must be a positive integer"):
             SetupConfig(n=bad, alpha=0.0, beta=0.5, sigma=0.1, seed=0)
+    # A bool is not a number here: True would run at alpha 1, False at sigma 0.
+    for name in ("alpha", "beta", "sigma"):
+        for bad in (True, False, np.bool_(True)):
+            values = dict(alpha=0.0, beta=0.5, sigma=0.1)
+            values[name] = bad
+            with pytest.raises(ValueError, match=f"{name} must be a number"):
+                SetupConfig(n=10, seed=0, **values)
 
 
 def test_reference_setups():
@@ -161,6 +168,21 @@ def test_l2_error_worked_examples():
     assert l2_error((0.5, 0.2), (0.5, 0.2)) == 0.0
 
 
+def test_l2_error_equals_the_sweep_score_bitwise():
+    # l2_error scores one line on floats, the sweep a stack of them through
+    # _line_errors; both run the one l2 form, so each line scores the same
+    # bits, past 1e154 too, where the form overflows to inf or NaN without
+    # a warning.
+    g = np.random.default_rng(4)
+    lines = g.normal(size=(3000, 2)) * 10.0 ** g.uniform(-6.0, 200.0, (3000, 1))
+    lines = np.concatenate([lines, [[1e300, -1e300], [0.0, 1e160], [0.5, 0.2]]])
+    for truth in ((0.5, 0.2), (-0.7, 0.8)):
+        stacked = _line_errors(truth, lines)[1]
+        assert np.isinf(stacked).any() and np.isnan(stacked).any()
+        for (a, b), want in zip(lines.tolist(), stacked.tolist()):
+            assert l2_error(truth, (a, b)).hex() == want.hex(), (truth, a, b)
+
+
 def test_l2_error_matches_quadrature():
     xs = np.linspace(0.0, 1.0, 2001)
     g = RandomStream(3, 0)
@@ -189,11 +211,40 @@ def test_experiment_grid_validation():
         ExperimentGrid((1.0,), 3, ("least_squares",))
 
 
-def test_method_names_come_from_the_fitter_registry():
-    assert METHOD_NAMES == tuple(FITTERS) == tuple(_FIT_CORES) == (
-        "dp_rss", "dp_ss", "dp_theil_sen")
-    assert MECHANISM_NAMES == METHOD_NAMES + ("dp_rss_poly",)
+def test_method_names_come_from_the_mechanism_registry():
+    # Every name table is read from the registry: the line records give the
+    # fitters and the sweep's methods, and the CLI offers every record.
+    lines = [name for name, m in MECHANISMS.items() if m.hyper is not None]
+    assert FITTERS == {name: MECHANISMS[name].fit for name in lines}
+    assert METHOD_NAMES == tuple(lines) == ("dp_rss", "dp_ss", "dp_theil_sen")
+    assert MECHANISM_NAMES == tuple(MECHANISMS) == METHOD_NAMES + ("dp_rss_poly",)
     assert ExperimentGrid((1.0,), 1, METHOD_NAMES).methods == METHOD_NAMES
+    assert all(name in MECHANISMS for name in VARIANCES)
+
+
+def test_a_record_added_to_the_registry_alone_is_served(monkeypatch, three_point_line):
+    # dp_ss's cells under a new name and new ledger labels, added to the
+    # registry and nowhere else: the fitter path, its ledger, the sweep and
+    # the simulator serve it as they serve dp_ss.
+    ss = MECHANISMS["dp_ss"]
+    parts = tuple((f"toy {label}", laplace) for label, laplace in ss.parts)
+    monkeypatch.setitem(MECHANISMS, "toy", dataclasses.replace(ss, parts=parts))
+    ds = reference_setup(1, 3)
+    got_ledger, want_ledger = NoiseLedger(), NoiseLedger()
+    got = _fit("toy", three_point_line, 0.7, RandomStream(5, 1), got_ledger)
+    assert got == FITTERS["dp_ss"](three_point_line, 0.7, RandomStream(5, 1), want_ledger)
+    assert [e.label for e in got_ledger.events] == [label for label, _ in parts]
+    assert [(e.epsilon, e.scale) for e in got_ledger.events] == [
+        (e.epsilon, e.scale) for e in want_ledger.events]
+    toy = run_experiment(ds, ExperimentGrid((0.5, 2.0), 6, ("toy",)))
+    ss = run_experiment(ds, ExperimentGrid((0.5, 2.0), 6, ("dp_ss",)))
+    assert [r.method for r in toy] == ["toy", "toy"]
+    assert row_bits([dataclasses.replace(r, method="dp_ss") for r in toy]) == row_bits(ss)
+    for stat, values in simulate_stats("toy", three_point_line, 0.7, 9, RandomStream(2, 0)).items():
+        want = simulate_stats("dp_ss", three_point_line, 0.7, 9, RandomStream(2, 0))[stat]
+        assert values.tobytes() == want.tobytes(), stat
+    # The module-level tables were read at import, so they do not list it.
+    assert "toy" not in METHOD_NAMES and "toy" not in FITTERS
 
 
 def test_run_experiment_shape_and_determinism():
@@ -370,17 +421,18 @@ def test_refined_trial_rows_are_consecutive_dp_rss_releases(three_point_line, tr
     # the smaller draws the one-line one (DECISIONS.md, D3).
     eps = 0.7
     for method, cells in (("dp_rss", 6), ("dp_ss", 8)):
-        scale = _SHARES[method] / eps
+        release = MECHANISMS[method]
+        scale = release.share / eps
         bulk = RecordingStream(11, 2)
         stats = simulate_stats(method, three_point_line, eps, trials, bulk)
         (u,) = bulk.uniforms
         assert u.shape == (trials, cells)
         single = RecordingStream(11, 2)
-        releases = _laplace_draw(method, [(three_point_line, single)] * trials, (eps,))
+        releases = _laplace_draw(release, [(three_point_line, single)] * trials, (eps,))
         assert np.concatenate(single.uniforms).tobytes() == u.tobytes()
         noise = RandomStream(11, 2).laplace(scale, (trials, cells))
-        noisy = noise + _cell_sums(three_point_line, method, 1)
-        want = (noisy[:, None, :] @ _LAPLACE_RELEASES[method][1](1))[:, 0]
+        noisy = noise + _cell_sums(three_point_line, release.rows, 1, cells)
+        want = (noisy[:, None, :] @ release.reading(1))[:, 0]
         assert releases.tobytes() == want.tobytes()
         fit_stream = RecordingStream(11, 2)
         FITTERS[method](three_point_line, eps, fit_stream)

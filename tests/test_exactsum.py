@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from dpreg.data import _CHUNK, Dataset, exact_sum
-from dpreg.simplex import _cell_sums, group_contributions
+from dpreg.simplex import _cell_sums, _component_rows, _ss_rows, group_contributions
 
 TINY = 2.0 ** -1074
 
@@ -108,10 +108,11 @@ def test_chunked_group_sums_equal_fsum_of_full_rows(n):
     for d in (1, 2, 3, 4):
         g1, g2 = group_contributions(x, y, d)  # full-length columns
         want = fsum_hex(np.concatenate([g1, g2], axis=1).T)
-        assert [v.hex() for v in _cell_sums(ds, "dp_rss", d).tolist()] == want, d
+        got = _cell_sums(ds, _component_rows, d, 3 * d + 3)
+        assert [v.hex() for v in got.tolist()] == want, d
     xy, xx = x * y, x * x
     want = fsum_hex([x, 1.0 - x, y, 1.0 - y, xy, 1.0 - xy, xx, 1.0 - xx])
-    assert [v.hex() for v in _cell_sums(ds, "dp_ss", 1).tolist()] == want
+    assert [v.hex() for v in _cell_sums(ds, _ss_rows, 1, 8).tolist()] == want
 
 
 def test_group_sums_hold_one_chunk_of_rows():
@@ -119,7 +120,7 @@ def test_group_sums_hold_one_chunk_of_rows():
     ds = Dataset(rng.random(1 << 20), rng.random(1 << 20))  # 8 MB per coordinate
     tracemalloc.start()
     try:
-        _cell_sums(ds, "dp_rss", 3)
+        _cell_sums(ds, _component_rows, 3, 12)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

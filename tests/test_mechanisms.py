@@ -21,9 +21,11 @@ from dpreg import (
     dp_theil_sen_fit,
     l2_error,
 )
-from dpreg.mechanisms import FALLBACK_ALPHA, FALLBACK_BETA, FITTERS, _pair_projections
-from dpreg.noise import _EPSILON_FLOOR
-from dpreg.simplex import _LAPLACE_RELEASES, _cell_sums, _laplace_draw, _solve_refined
+from dpreg.mechanisms import FALLBACK_ALPHA, FALLBACK_BETA, FITTERS, MECHANISMS, _pair_projections
+from dpreg.noise import _EPSILON_FLOOR, _LARGEST_SCALE
+from dpreg.simplex import _cell_sums, _laplace_draw, _solve_refined
+
+RSS, SS, THEIL_SEN = (MECHANISMS[name] for name in ("dp_rss", "dp_ss", "dp_theil_sen"))
 
 
 def ols_oracle(ds):
@@ -54,6 +56,14 @@ def test_budget_validation():
         for bad in (0.0, float("inf"), 1e-320):
             with pytest.raises(ValueError):
                 fit(ds, bad, RandomStream(0, 0))
+
+
+def test_epsilon_floor_scale_is_the_largest_laplace_share_of_the_registry():
+    # noise sits below the registry, so the floor's scale is a literal;
+    # a record with a larger Laplace share must raise it.
+    laplace = [m.share for m in MECHANISMS.values() if any(is_laplace for _, is_laplace in m.parts)]
+    assert _LARGEST_SCALE == max(laplace) == 4
+    assert _EPSILON_FLOOR == _LARGEST_SCALE * 53 * math.log(2) / math.sqrt(np.finfo(float).max)
 
 
 def test_zero_noise_recovers_ols_on_exact_line(three_point_line):
@@ -178,13 +188,13 @@ def test_drawn_laplace_scales_equal_the_ledger_scales(random_dataset):
             if name.startswith("dp_theil_sen"):
                 assert (stream.scales, stream.uniforms, declared) == ([], [], set()), (name, eps)
                 continue
-            release = "dp_ss" if name == "dp_ss" else "dp_rss"
-            matrix = _LAPLACE_RELEASES[release][1](got.degree)
+            release = SS if name == "dp_ss" else RSS
+            matrix = release.reading(got.degree)
             (scale,), (u,) = declared, stream.uniforms
             assert stream.scales == [] and u.shape == (len(matrix),), (name, eps)
             t = np.maximum(u, 2.0**-53) - 0.5
             unit = -(np.sign(t) * np.log1p(-2.0 * np.abs(t)))
-            stats = (unit * scale + _cell_sums(ds, release, got.degree)) @ matrix
+            stats = (unit * scale + _cell_sums(ds, release.rows, got.degree, len(matrix))) @ matrix
             coeffs, fallback = _solve_refined(stats[None])
             want = FitResult(tuple(coeffs[0].tolist()), bool(fallback[0]))
             assert fit_bits(got) == fit_bits(want), (name, eps)
@@ -436,24 +446,22 @@ def core_cases():
     A core draws every budget's release from one stream and solves the
     stack of releases in one batched call.
     """
-    def core(draw, solve):
+    def core(release, hyper=None):
         def results(coeffs, fallback):
             return [FitResult(tuple(c), f) for c, f in zip(coeffs.tolist(), fallback.tolist())]
-        return lambda d, b, s: results(*solve(draw([(d, s)], b)))
+        hyper = release.hyper if hyper is None else hyper
+        return lambda d, b, s: results(*release.solve(release.draw(release, [(d, s)], b, hyper)))
 
-    cases = [(name, core(*mech._FIT_CORES[name]), FITTERS[name]) for name in FITTERS]
+    cases = [(name, core(MECHANISMS[name]), FITTERS[name]) for name in FITTERS]
     k3 = TheilSenHyper(k=3)
-    cases.append(("dp_theil_sen k=3",
-                  core(lambda p, b: mech._theil_sen_draw(p, b, hyper=k3), mech._theil_sen_solve),
+    cases.append(("dp_theil_sen k=3", core(THEIL_SEN, k3),
                   lambda d, e, s: dp_theil_sen_fit(d, e, s, hyper=k3)))
-    cases.append(("dp_rss_poly d=3",
-                  core(lambda p, b: _laplace_draw("dp_rss", p, b, degree=3), _solve_refined),
+    cases.append(("dp_rss_poly d=3", core(MECHANISMS["dp_rss_poly"], 3),
                   lambda d, e, s: dp_rss_poly_fit(d, 3, e, s)))
     return cases
 
 
 def test_multi_budget_cores_equal_public_fitters_bitwise(random_dataset):
-    assert set(mech._FIT_CORES) == set(FITTERS)
     datasets = [random_dataset(3, n=60), random_dataset(4, n=3),
                 Dataset(np.array([0.2, 0.9]), np.array([0.8, 0.1])),
                 Dataset(np.full(4, 0.3), np.linspace(0.1, 0.9, 4)),
@@ -488,12 +496,13 @@ def test_theil_sen_draw_builds_one_rank_table_per_projection_count(random_datase
     monkeypatch.setattr(median, "_rank_table", counting)
     ds = random_dataset(6, n=500)
     budgets = (0.1, 0.5, 1.0, 2.0, 8.0)
-    draws = mech._theil_sen_draw([(ds, RandomStream(7, i)) for i in range(100)], budgets)
+    draws = mech._theil_sen_draw(THEIL_SEN, [(ds, RandomStream(7, i)) for i in range(100)],
+                                 budgets, THEIL_SEN.hyper)
     assert draws.shape == (100 * len(budgets), 2) and built == [250]
     tied = Dataset(np.array([0.2, 0.2, 0.4, 0.6]), np.array([0.1, 0.2, 0.3, 0.4]))
     built.clear()
     pairs = [(ds, RandomStream(7, 0)), (ds, RandomStream(7, 1)), (tied, RandomStream(7, 2))]
-    mech._theil_sen_draw(pairs, budgets)
+    mech._theil_sen_draw(THEIL_SEN, pairs, budgets, THEIL_SEN.hyper)
     assert built[0] == 250 and len(built) == 2 and built[1] in (1, 2)
 
 
@@ -515,17 +524,18 @@ def test_draws_check_the_degree_and_every_budget_before_the_first_pair():
         raise AssertionError("a pair was taken before the checks")
         yield
 
-    draws = [draw for draw, _ in mech._FIT_CORES.values()]
-    draws.append(lambda p, b: _laplace_draw("dp_rss", p, b, degree=3))
+    draws = [lambda p, b, m=m: m.draw(m, p, b, m.hyper) for m in MECHANISMS.values()
+             if m.hyper is not None]
+    draws.append(lambda p, b: _laplace_draw(RSS, p, b, degree=3))
     for draw in draws:
         for budgets in ((1.0, 0.0), (float("nan"),), (-1.0, 2.0)):
             with pytest.raises(ValueError):
                 draw(untouched(), budgets)
     for degree in (0, 1.5):
         with pytest.raises(ValueError, match="degree"):
-            _laplace_draw("dp_rss", untouched(), (1.0,), degree)
+            _laplace_draw(RSS, untouched(), (1.0,), degree)
     with pytest.raises(ValueError, match="dp_ss releases a line only"):
-        _laplace_draw("dp_ss", untouched(), (1.0,), 2)
+        _laplace_draw(SS, untouched(), (1.0,), 2)
 
 
 def test_every_mechanism_at_the_epsilon_floor_is_finite_or_falls_back(random_dataset):

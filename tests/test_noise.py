@@ -10,7 +10,8 @@ import pytest
 
 from dpreg import NoiseEvent, NoiseLedger, RandomStream, ZeroNoiseStream
 from dpreg.noise import _BLOCK, _pcg64_seeds
-from dpreg.simplex import _LAPLACE_RELEASES, _cell_sums, _laplace_draw
+from dpreg.mechanisms import MECHANISMS
+from dpreg.simplex import _cell_sums, _laplace_draw
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -200,8 +201,10 @@ def test_zero_noise_stream_releases_the_exact_statistics(three_point_line):
     # hook, so each release is the exact cell sums read by the matrix.
     for name, d in (("dp_rss", 1), ("dp_rss", 3), ("dp_ss", 1)):
         pairs = [(three_point_line, ZeroNoiseStream(0, i)) for i in range(3)]
-        got = _laplace_draw(name, pairs, (0.5, 2.0), d)
-        want = _cell_sums(three_point_line, name, d) @ _LAPLACE_RELEASES[name][1](d)
+        release = MECHANISMS[name]
+        matrix = release.reading(d)
+        got = _laplace_draw(release, pairs, (0.5, 2.0), d)
+        want = _cell_sums(three_point_line, release.rows, d, len(matrix)) @ matrix
         assert got.tobytes() == np.tile(want, (6, 1)).tobytes(), (name, d)
 
 

@@ -14,6 +14,7 @@ from dpreg import (
     exact_group_stats,
     group_contributions,
 )
+from dpreg.mechanisms import MECHANISMS
 from dpreg.simplex import (
     _component_rows,
     _laplace_draw,
@@ -101,7 +102,7 @@ def test_noise_free_estimates_recover_power_sums(degree, random_dataset):
     # Oracle: plain fsum of the monomials, computed without the telescoped
     # group representation.
     ds = random_dataset(degree, n=150)
-    stats = _laplace_draw("dp_rss", [(ds, ZeroNoiseStream(0, 0))], (1.0,), degree)[0]
+    stats = _laplace_draw(MECHANISMS["dp_rss"], [(ds, ZeroNoiseStream(0, 0))], (1.0,), degree)[0]
     n_hat, s_x, s_xy = stats[0], stats[1 : 2 * degree + 1], stats[2 * degree + 1 :]
     assert n_hat == pytest.approx(150.0, rel=1e-12)
     for ell in range(1, 2 * degree + 1):

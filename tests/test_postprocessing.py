@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from dpreg import Dataset, RandomStream
-from dpreg.mechanisms import FALLBACK_ALPHA, FALLBACK_BETA
-from dpreg.simplex import _LAPLACE_RELEASES, _cell_sums, _laplace_draw, _solve_refined, _solve_systems
+from dpreg.mechanisms import FALLBACK_ALPHA, FALLBACK_BETA, MECHANISMS
+from dpreg.simplex import _cell_sums, _laplace_draw, _solve_refined, _solve_systems, _ss_rows
 
 
 def solve_stack(a, b, fallback=None):
@@ -196,7 +196,8 @@ def refined_stacks(d):
         x = g.uniform(n)
         datasets.append(Dataset(x, np.clip(0.6 * x + 0.2 + 0.1 * g.normal(n), 0.0, 1.0)))
     names = ("dp_rss", "dp_ss") if d == 1 else ("dp_rss",)
-    return np.concatenate([_laplace_draw(name, [(ds, RandomStream(seed, 1))], BUDGETS, degree=d)
+    return np.concatenate([_laplace_draw(MECHANISMS[name], [(ds, RandomStream(seed, 1))], BUDGETS,
+                                         degree=d)
                            for name in names for ds in datasets for seed in range(15)])
 
 
@@ -224,7 +225,8 @@ def test_ss_solve_equals_scalar_bitwise():
     # reference. On drawn releases the two make the same fallbacks and
     # agree on the coefficients to 1e-10 relative: the elimination and the
     # reading of n by a matrix product move only the last bits.
-    reading = _LAPLACE_RELEASES["dp_ss"][1](1)
+    release = MECHANISMS["dp_ss"]
+    reading = release.reading(1)
     g = RandomStream(50, 0)
     rows = []
     for n in (0, 1, 2, 3, 5, 40):
@@ -233,8 +235,8 @@ def test_ss_solve_equals_scalar_bitwise():
         for seed in range(30):
             scales = np.array([4.0 / eps for eps in BUDGETS])
             unit = RandomStream(seed, 1).laplace(1.0, size=8)
-            noisy = np.multiply.outer(scales, unit) + _cell_sums(ds, "dp_ss", 1)
-            drawn = _laplace_draw("dp_ss", [(ds, RandomStream(seed, 1))], BUDGETS)
+            noisy = np.multiply.outer(scales, unit) + _cell_sums(ds, _ss_rows, 1, 8)
+            drawn = _laplace_draw(release, [(ds, RandomStream(seed, 1))], BUDGETS)
             assert drawn.tobytes() == np.array([z @ reading for z in noisy]).tobytes()
             rows.append(noisy)
     noisy = np.concatenate(rows)
@@ -258,7 +260,7 @@ def test_ss_solve_equals_scalar_bitwise():
         # The noise-free sums of three records at x = 0.01: the x-spread
         # rounds to a positive value, so the covariance form returned the
         # line 32 x + 0.18; the pivot guard now falls back.
-        _cell_sums(Dataset(np.full(3, 0.01), np.array([0.1, 0.5, 0.9])), "dp_ss", 1),
+        _cell_sums(Dataset(np.full(3, 0.01), np.array([0.1, 0.5, 0.9])), _ss_rows, 1, 8),
     ])
     coeffs, fallback = _solve_refined(np.array([z @ reading for z in crafted]))
     assert fallback.tolist() == [True, True, False, False, True]

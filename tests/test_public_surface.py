@@ -1,5 +1,6 @@
 """The package's public names, pinned so that any change to them shows up in review."""
 import dpreg
+import dpreg.noise
 import dpreg.polynomial
 import dpreg.simplex
 
@@ -51,16 +52,20 @@ PUBLIC_NAMES = [
 # value, and the scalar solvers gave way to the batched post-processing.
 # Every fitter, and so every ledger, now runs through mechanisms._fit,
 # which builds the one FitResult of every degree. The line metrics are
-# called one at a time. Both Laplace releases share simplex's table, with
-# one cell-sum cache, one draw, one solve and one simulator.
+# called one at a time. Both Laplace releases share one cell-sum cache, one
+# draw, one solve and one simulator. Every per-mechanism table, the budget
+# splits, the Laplace releases and the (draw, solve) pairs, is now a field
+# of the mechanism's record in mechanisms.MECHANISMS.
 REMOVED = {
+    dpreg.noise: ["_RELEASE_PARTS", "_SHARES"],
     dpreg.simplex: ["simplex_transform_x", "simplex_transform_xy", "_check_unit",
                     "_solve_normal_equations", "_coefficients", "refined_fit", "_refined_fits",
-                    "refined_release", "_group_sums", "_refined_releases"],
+                    "refined_release", "_group_sums", "_refined_releases", "_LAPLACE_RELEASES"],
     dpreg.polynomial: ["poly_group1_contribution", "poly_group2_contribution", "PolyFitResult"],
     dpreg.median: ["DegenerateInputWarning"],
     dpreg.mechanisms: ["_line_fit", "_rss_fits", "_ss_fits", "_theil_sen_fits", "_SS_LABELS",
-                       "_fit_results", "_ss_sums", "_ss_rows", "_ss_draw", "_ss_solve"],
+                       "_fit_results", "_ss_sums", "_ss_rows", "_ss_draw", "_ss_solve",
+                       "_FIT_CORES"],
     dpreg.evaluate: ["_errors_of_fits", "line_errors", "MetricResult", "simulate_refined_stats",
                      "simulate_baseline_stats"],
 }

@@ -18,16 +18,18 @@ from dpreg import (
     group_contributions,
     sensitivity_oracle,
 )
-from dpreg.noise import _SHARES
+from dpreg.mechanisms import MECHANISMS
 from dpreg.simplex import (
-    _LAPLACE_RELEASES,
     LINEAR_COLUMNS,
     _cell_sums,
     _laplace_draw,
     _solve_refined,
     _solve_systems,
+    _ss_rows,
     transfer_matrix,
 )
+
+RSS, SS = MECHANISMS["dp_rss"], MECHANISMS["dp_ss"]
 
 
 @pytest.mark.parametrize("x, expected", [
@@ -120,7 +122,7 @@ def test_privatize_draw_order_and_scales(random_dataset):
     # x-group first, before the transfer matrix refines it.
     ds = random_dataset(6, n=40)
     for degree in (1, 2):
-        got = _laplace_draw("dp_rss", [(ds, RandomStream(6, 0))], (0.5,), degree)[0]
+        got = _laplace_draw(RSS, [(ds, RandomStream(6, 0))], (0.5,), degree)[0]
         ref = RandomStream(6, 0)
         z1 = ref.laplace(4.0, 2 * degree + 1)
         z2 = ref.laplace(4.0, degree + 2)
@@ -128,12 +130,12 @@ def test_privatize_draw_order_and_scales(random_dataset):
         want = np.concatenate([g1 + z1, g2 + z2]) @ transfer_matrix(degree)
         assert np.array_equal(got, want)
     # dp_ss draws its eight cells at scale 4/eps and exists at degree 1 only.
-    got = _laplace_draw("dp_ss", [(ds, RandomStream(6, 0))], (0.5,))[0]
-    sums = _cell_sums(ds, "dp_ss", 1) + RandomStream(6, 0).laplace(8.0, 8)
-    assert np.array_equal(got, sums @ _LAPLACE_RELEASES["dp_ss"][1](1))
+    got = _laplace_draw(SS, [(ds, RandomStream(6, 0))], (0.5,))[0]
+    sums = _cell_sums(ds, _ss_rows, 1, 8) + RandomStream(6, 0).laplace(8.0, 8)
+    assert np.array_equal(got, sums @ SS.reading(1))
     for degree in (2, 3):
         with pytest.raises(ValueError, match="dp_ss releases a line only"):
-            _laplace_draw("dp_ss", [(ds, RandomStream(6, 0))], (0.5,), degree)
+            _laplace_draw(SS, [(ds, RandomStream(6, 0))], (0.5,), degree)
 
 
 def test_pair_major_draw_equals_one_pair_draws_bitwise(random_dataset):
@@ -150,16 +152,17 @@ def test_pair_major_draw_equals_one_pair_draws_bitwise(random_dataset):
                 enumerate(zip(datasets * 2, [RandomStream, ZeroNoiseStream, RandomStream] * 3))]
 
     for name, degrees in (("dp_rss", (1, 2, 3)), ("dp_ss", (1,))):
+        release = MECHANISMS[name]
         for d in degrees:
-            matrix = _LAPLACE_RELEASES[name][1](d)
-            got = _laplace_draw(name, pairs(), budgets, d)
+            matrix = release.reading(d)
+            got = _laplace_draw(release, pairs(), budgets, d)
             assert got.shape == (len(pairs()) * len(budgets), matrix.shape[1])
-            alone = [_laplace_draw(name, [pair], budgets, d) for pair in pairs()]
+            alone = [_laplace_draw(release, [pair], budgets, d) for pair in pairs()]
             assert got.tobytes() == np.concatenate(alone).tobytes(), (name, d)
-            scales = np.array([_SHARES[name] / eps for eps in budgets])
+            scales = np.array([release.share / eps for eps in budgets])
             rows = [z @ matrix for ds, stream in pairs()
                     for z in np.multiply.outer(scales, stream.laplace(1.0, len(matrix)))
-                    + _cell_sums(ds, name, d)]
+                    + _cell_sums(ds, release.rows, d, len(matrix))]
             assert got.tobytes() == np.array(rows).tobytes(), (name, d)
 
 
@@ -168,7 +171,7 @@ def test_stacked_one_row_products_equal_per_row_products():
     # numpy runs as one per-row product each, z @ M; a plain Z @ M can sum
     # in another order. Pinned here, so a numpy that changes it fails.
     g = RandomStream(17, 0)
-    matrices = [transfer_matrix(d) for d in (1, 2, 3)] + [_LAPLACE_RELEASES["dp_ss"][1](1)]
+    matrices = [transfer_matrix(d) for d in (1, 2, 3)] + [SS.reading(1)]
     for matrix in matrices:
         for n in (1, 2, 7, 64, 300, 1400):
             z = (g.uniform((n, len(matrix))) - 0.5) * 10.0 ** g.uniform((n, 1)) * 1e3
@@ -178,7 +181,7 @@ def test_stacked_one_row_products_equal_per_row_products():
 
 def test_privatize_zero_noise_is_identity(random_dataset):
     ds = random_dataset(2)
-    got = _laplace_draw("dp_rss", [(ds, ZeroNoiseStream(0, 0))], (0.5,))[0]
+    got = _laplace_draw(RSS, [(ds, ZeroNoiseStream(0, 0))], (0.5,))[0]
     assert np.array_equal(got, np.concatenate(exact_group_stats(ds)) @ transfer_matrix(1))
 
 
@@ -186,14 +189,14 @@ def test_privatize_rejects_nonpositive_budget(random_dataset):
     ds = random_dataset(0, n=10)
     for bad in (0.0, -0.5, float("inf"), float("nan")):
         with pytest.raises(ValueError):
-            _laplace_draw("dp_rss", [(ds, RandomStream(0, 0))], (bad,))
+            _laplace_draw(RSS, [(ds, RandomStream(0, 0))], (bad,))
         with pytest.raises(ValueError):
             dp_rss_poly_fit(ds, 2, bad, RandomStream(0, 0))
 
 
 def test_refine_zero_noise_recovers_exact_sums(random_dataset):
     ds = random_dataset(4, n=200)
-    n_hat, s_x, s_x2, s_y, s_xy = _laplace_draw("dp_rss", [(ds, ZeroNoiseStream(0, 0))], (0.5,))[0]
+    n_hat, s_x, s_x2, s_y, s_xy = _laplace_draw(RSS, [(ds, ZeroNoiseStream(0, 0))], (0.5,))[0]
     assert n_hat == pytest.approx(200.0, rel=1e-12)
     assert s_x == pytest.approx(math.fsum(ds.x), rel=1e-12)
     assert s_y == pytest.approx(math.fsum(ds.y), rel=1e-12)
@@ -254,9 +257,10 @@ def test_transfer_matrix_gives_closed_form_variances():
     # variances of its statistics are the diagonal of R^T (2 s^2 I) R for
     # its reading matrix R: no sampling.
     variances = {"dp_rss": RSS_VARIANCES, "dp_ss": SS_VARIANCES}
-    for name, (_, reading) in _LAPLACE_RELEASES.items():
-        r = reading(1)
-        got = np.diag(r.T @ (2.0 * _SHARES[name] ** 2 * np.eye(len(r))) @ r)
+    for name in variances:
+        release = MECHANISMS[name]
+        r = release.reading(1)
+        got = np.diag(r.T @ (2.0 * release.share ** 2 * np.eye(len(r))) @ r)
         for stat, k in LINEAR_COLUMNS.items():
             assert got[k] == pytest.approx(variances[name][stat], rel=1e-15), (name, stat)
     # At every degree a statistic's two readings split the 3d + 3 noisy
@@ -297,7 +301,7 @@ def test_one_fallback_rule_for_every_degree():
     # Equal x: the x-spread rounds to +4.4e-16, so only the pivot guard
     # stops a garbage line.
     ds = Dataset(np.full(5, 0.3), np.linspace(0.1, 0.9, 5))
-    n, s_x, s_x2 = _laplace_draw("dp_rss", [(ds, ZeroNoiseStream(0, 0))], (1.0,))[0, :3]
+    n, s_x, s_x2 = _laplace_draw(RSS, [(ds, ZeroNoiseStream(0, 0))], (1.0,))[0, :3]
     assert s_x2 * n - s_x * s_x > 0
     for d in (1, 3):
         assert dp_rss_poly_fit(ds, d, 1.0, ZeroNoiseStream(0, 0)).fallback
@@ -305,7 +309,7 @@ def test_one_fallback_rule_for_every_degree():
     # positive x-spread too; its old covariance-form solve, which had no
     # pivot guard, returned the line 32 x + 0.18 here.
     ds = Dataset(np.full(3, 0.01), np.array([0.1, 0.5, 0.9]))
-    n, s_x, s_x2 = _laplace_draw("dp_ss", [(ds, ZeroNoiseStream(0, 0))], (1.0,))[0, :3]
+    n, s_x, s_x2 = _laplace_draw(SS, [(ds, ZeroNoiseStream(0, 0))], (1.0,))[0, :3]
     assert s_x2 * n - s_x * s_x > 0
     for fitter in (dp_ss_fit, dp_rss_fit):
         assert fitter(ds, 1.0, ZeroNoiseStream(0, 0)).fallback
