@@ -75,12 +75,8 @@ class Dataset:
 
     @classmethod
     def from_records(cls, records: Iterable[tuple]) -> "Dataset":
-        pairs = np.asarray(list(records), dtype=np.float64)
-        if pairs.size == 0:
-            return cls(np.empty(0), np.empty(0))
-        if pairs.ndim != 2 or pairs.shape[1] != 2:
-            raise ValueError(f"records must be (x, y) pairs, got array shape {pairs.shape}")
-        return cls(pairs[:, 0], pairs[:, 1])
+        pairs = _as_pairs(records)  # copied, so the records never share the caller's array
+        return cls(pairs[:, 0].copy(), pairs[:, 1].copy())
 
     def __len__(self) -> int:
         return self.x.size
@@ -98,6 +94,17 @@ def as_dataset(data) -> Dataset:
     if isinstance(data, Dataset):
         return data
     return Dataset.from_records(data)
+
+
+def _as_pairs(records) -> np.ndarray:
+    """``records`` as an (n, 2) float array; an ndarray is converted whole, not row by row."""
+    pairs = np.asarray(records if isinstance(records, np.ndarray) else list(records),
+                       dtype=np.float64)
+    if pairs.size == 0:
+        return np.empty((0, 2))
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValueError(f"records must be (x, y) pairs, got array shape {pairs.shape}")
+    return pairs
 
 
 def _check_unit_interval(values: np.ndarray, name: str) -> None:
@@ -118,11 +125,7 @@ def normalize(data, bounds: Bounds) -> Dataset:
     Raises ValueError naming the first offending record if any point falls
     outside the declared bounds.
     """
-    raw = np.asarray(list(data) if not isinstance(data, np.ndarray) else data, dtype=np.float64)
-    if raw.size == 0:
-        return Dataset(np.empty(0), np.empty(0))
-    if raw.ndim != 2 or raw.shape[1] != 2:
-        raise ValueError(f"records must be (x, y) pairs, got array shape {raw.shape}")
+    raw = _as_pairs(data)
     x, y = raw[:, 0], raw[:, 1]
     for name, v, lo, hi in (
         ("x", x, bounds.x_min, bounds.x_max),

@@ -17,8 +17,8 @@ import numpy as np
 
 from .data import Dataset, as_dataset
 from .mechanisms import FITTERS, MECHANISMS, FitResult, _lines
-from .noise import RandomStream, ZeroNoiseStream, _as_count, _as_epsilon, _as_index
-from .simplex import LINEAR_COLUMNS, _cell_sums
+from .noise import RandomStream, _as_count, _as_epsilon, _as_index, _unit_laplace
+from .simplex import LINEAR_COLUMNS, _cell_sums, _laplace_release
 
 
 @dataclass(frozen=True)
@@ -252,19 +252,21 @@ STATISTIC_ORDER = ("n", "s_x", "s_y", "s_x2", "s_xy")
 def simulate_stats(method: str, data, epsilon: float, trials: int, stream: RandomStream):
     """Statistics of ``trials`` releases of a Laplace line record, as a dict of arrays.
 
-    The noise is one (trials, cells) draw, so its row t is, bit for bit,
-    the noise of the t-th consecutive fit of ``method`` on ``stream``, read
-    by the same matrix as a single fit.
+    Checks the budget and the trial count, then reads one (trials, cells)
+    block of uniforms as the fits do (``simplex._laplace_release``), so entry
+    t is, bit for bit, that of the t-th consecutive fit of ``method`` on ``stream``.
     """
     laplace = {name: m for name, m in _lines().items() if m.reading is not None}
     if method not in laplace:
         raise ValueError(f"method must be one of {sorted(laplace)}, got {method!r}")
     mech = laplace[method]
+    neg_scales = np.array([-mech.share / _as_epsilon(epsilon)])
+    trials = _as_count(trials, "trials")
     matrix = mech.reading(1)
-    noisy = stream.laplace(mech.share / epsilon, size=(trials, len(matrix)))
-    noisy += _cell_sums(as_dataset(data), mech.rows, 1, len(matrix))
-    columns = matrix[:, [LINEAR_COLUMNS[stat] for stat in STATISTIC_ORDER]]
-    return dict(zip(STATISTIC_ORDER, columns.T @ noisy.T))
+    sums = _cell_sums(as_dataset(data), mech.rows, 1, len(matrix))
+    uniforms = stream._laplace_u((trials, len(matrix)))
+    releases = _laplace_release(matrix, sums[None], uniforms, neg_scales)
+    return {stat: releases[:, LINEAR_COLUMNS[stat]] for stat in STATISTIC_ORDER}
 
 
 @dataclass(frozen=True)
@@ -278,46 +280,51 @@ class VarianceRow:
     relative_error: float
 
 
-# Trials that ``verify_variances`` draws, refines and reduces at a time;
-# their arrays take about 3 MB, whatever the trial count (DECISIONS.md, D7).
+# Trials that ``verify_variances`` draws, reads and reduces at a time; its
+# two buffers take about 1.6 MB, whatever the trial count (DECISIONS.md, D7).
 _TRIAL_CHUNK = 1 << 14
 
 
 def verify_variances(epsilon: float, trials: int, stream: RandomStream) -> list[VarianceRow]:
-    """Empirical noise variances of the releases in ``VARIANCES`` on a fixed dataset.
+    """Empirical noise variances of the releases in ``VARIANCES``.
 
     Runs ``trials`` privatizations (at least 1e5; variance estimates have
     relative standard error about sqrt(2/trials)) and reports each released
-    statistic against its closed-form variance. The dataset itself only
-    shifts the statistics, so any fixed one verifies the noise law.
+    statistic against its closed-form variance. A release reads its noisy
+    cell sums linearly, so the data only shift its statistics: the noise
+    alone is drawn and read.
 
     Trials run ``_TRIAL_CHUNK`` at a time, refined releases then baseline
-    ones on ``stream``, so memory does not grow with ``trials``. Each
-    statistic is shifted by its noise-free value, and the chunks' sums of
-    the shifted values and of their squares merge by ``math.fsum`` into the
-    sample (ddof = 1) variance (DECISIONS.md, D7).
+    ones on ``stream``. A chunk's uniforms turn into noise in one reused
+    buffer and one matrix product reads them into another, so memory does
+    not grow with ``trials``. The chunks' sums of the read noise and of its
+    squares merge by ``math.fsum`` into the sample (ddof = 1) variance
+    (DECISIONS.md, D7).
     """
     epsilon = _as_epsilon(epsilon)
+    trials = _as_count(trials, "trials")
     if trials < 100_000:
         raise ValueError(f"trials must be at least 100000 for a stable estimate, got {trials}")
-    ds = Dataset(np.array([0.0, 0.5, 1.0]), np.array([0.2, 0.45, 0.7]))
-    methods = [(name, VARIANCES[name]) for name in MECHANISMS if name in VARIANCES]
-    # Noise-free values: the first release of a stream that draws zeros.
-    shifts = {method: simulate_stats(method, ds, epsilon, 1, ZeroNoiseStream())
-              for method, _ in methods}
-    sums = {(method, stat): ([], []) for method, _ in methods for stat in STATISTIC_ORDER}
+    columns = [LINEAR_COLUMNS[stat] for stat in STATISTIC_ORDER]
+    readings = {method: MECHANISMS[method].reading(1)[:, columns].T for method in VARIANCES}
+    # One pair of buffers, sized for the widest release, serves both releases.
+    uniforms = np.empty(_TRIAL_CHUNK * max(reading.shape[1] for reading in readings.values()))
+    read = np.empty(_TRIAL_CHUNK * len(columns))
+    sums = {method: ([], []) for method in VARIANCES}
     for start in range(0, trials, _TRIAL_CHUNK):
         size = min(_TRIAL_CHUNK, trials - start)
-        for method, _ in methods:
-            for stat, values in simulate_stats(method, ds, epsilon, size, stream).items():
-                d = values - shifts[method][stat]
-                linear, square = sums[method, stat]
-                linear.append(float(d.sum()))
-                square.append(float(np.square(d, out=d).sum()))
+        for method, reading in readings.items():
+            cells = reading.shape[1]
+            u = stream._laplace_u((size, cells), out=uniforms[: size * cells].reshape(size, cells))
+            noise = _unit_laplace(u, -MECHANISMS[method].share / epsilon)
+            values = np.matmul(reading, noise.T, out=read[: len(columns) * size].reshape(-1, size))
+            linear, square = sums[method]
+            linear.append(values.sum(axis=1))
+            square.append(np.square(values, out=values).sum(axis=1))
     rows = []
-    for stat in STATISTIC_ORDER:
-        for method, variances in methods:
-            linear, square = (math.fsum(part) for part in sums[method, stat])
+    for i, stat in enumerate(STATISTIC_ORDER):
+        for method, variances in VARIANCES.items():
+            linear, square = (math.fsum(part[i] for part in parts) for parts in sums[method])
             emp = (square - linear * linear / trials) / (trials - 1)
             theory = variances[stat] / epsilon**2
             rows.append(

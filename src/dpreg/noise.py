@@ -107,9 +107,9 @@ class RandomStream:
         """Uniform draws on [0, 1); scalar float when size is None."""
         return self._gen.random(size)
 
-    def _laplace_u(self, size):
-        """The uniforms that ``laplace``'s inverse CDF reads; a float when size is None."""
-        return self._gen.random(size)
+    def _laplace_u(self, size, out=None):
+        """The uniforms that ``laplace`` reads, into ``out`` if given; a float when size is None."""
+        return self._gen.random(size, out=out)
 
     def laplace(self, scale: float, size=None):
         """Centered Laplace draws via the inverse CDF, one uniform each.
@@ -151,7 +151,10 @@ class ZeroNoiseStream(RandomStream):
     def __init__(self, seed: int = 0, stream_index: int = 0):
         super().__init__(seed, stream_index)
 
-    def _laplace_u(self, size):
+    def _laplace_u(self, size, out=None):
+        if out is not None:
+            out.fill(0.5)
+            return out
         return 0.5 if size is None else np.full(size, 0.5)
 
 

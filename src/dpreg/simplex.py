@@ -185,11 +185,11 @@ def _laplace_draw(release, pairs, budgets, degree: int = 1) -> np.ndarray:
 
     Checks the degree and every budget before it takes the first pair, and
     keeps per pair only its cell sums and the uniforms of one unit draw,
-    ``stream._laplace_u(k)``. One inverse-CDF pass turns the stacked
-    uniforms into noise, one broadcast scales it by ``release.share``/eps
-    per budget, and one stack of one-row products reads them, each the
-    product ``z @ release.reading(d)`` of one row, so row
-    p * len(budgets) + j equals, bit for bit, the release of pair p at
+    ``stream._laplace_u(k)``. In ``_laplace_release``, one inverse-CDF pass
+    turns the stacked uniforms into noise, one broadcast scales it by
+    ``release.share``/eps per budget, and one stack of one-row products
+    reads them, each the product ``z @ release.reading(d)`` of one row, so
+    row p * len(budgets) + j equals, bit for bit, the release of pair p at
     ``budgets[j]`` alone (DECISIONS.md, D3). Together a pair's rows are not
     eps-DP at any one budget; one row alone is.
     """
@@ -200,8 +200,13 @@ def _laplace_draw(release, pairs, budgets, degree: int = 1) -> np.ndarray:
     for data, stream in pairs:
         sums.append(_cell_sums(as_dataset(data), release.rows, d, len(matrix)))
         uniforms.append(stream._laplace_u(len(matrix)))
-    noise = _unit_laplace(np.array(uniforms))[:, None, :] * neg_scales[:, None]
-    noise += np.array(sums)[:, None, :]
+    return _laplace_release(matrix, np.array(sums), np.array(uniforms), neg_scales)
+
+
+def _laplace_release(matrix, sums, uniforms, neg_scales) -> np.ndarray:
+    """``_laplace_draw``'s arithmetic on (N, k) uniforms and (N, k) or shared (1, k) sums."""
+    noise = _unit_laplace(uniforms)[:, None, :] * neg_scales[:, None]
+    noise += sums[:, None, :]
     return (noise.reshape(-1, 1, len(matrix)) @ matrix)[:, 0]
 
 

@@ -1,7 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
-from dpreg import Bounds, Dataset, Record, as_dataset, normalize
+from dpreg import Bounds, Dataset, RandomStream, Record, as_dataset, normalize
+
+UNIT = Bounds(0.0, 1.0, 0.0, 1.0)
 
 
 def test_record_fields():
@@ -33,6 +37,37 @@ def test_dataset_from_records_and_as_dataset():
     again = as_dataset([(0.0, 0.5), (1.0, 1.0)])
     assert np.array_equal(again.x, ds.x)
     assert np.array_equal(again.y, ds.y)
+
+
+def test_as_dataset_takes_an_array_by_columns():
+    # An (n, 2) array is converted whole, not copied record by record, and
+    # gives the columns' bytes; the Dataset never shares the caller's array.
+    a = RandomStream(4, 0).uniform((1000, 2))
+    cols = Dataset(a[:, 0], a[:, 1])
+    for arr in (a.copy(), np.asfortranarray(a)):
+        ds = as_dataset(arr)
+        assert ds.x.tobytes() == cols.x.tobytes() and ds.y.tobytes() == cols.y.tobytes()
+        arr[0] = 0.5
+        assert (ds.x[0], ds.y[0]) == (cols.x[0], cols.y[0])
+    assert len(as_dataset(np.empty((0, 2)))) == len(normalize(np.empty((0, 2)), UNIT)) == 0
+    for entry in (as_dataset, lambda r: normalize(r, UNIT)):
+        assert len(entry(a.view(RowByRow))) == 1000
+
+
+class RowByRow(np.ndarray):
+    """An array that fails when it is taken apart row by row."""
+
+    def __iter__(self):
+        raise AssertionError("the array was iterated row by row")
+
+
+def test_records_that_are_not_pairs_raise_alike_through_every_entry_point():
+    for bad in (np.full((4, 3), 0.5), np.full(4, 0.5)):
+        msg = re.escape(f"records must be (x, y) pairs, got array shape {bad.shape}")
+        for entry in (as_dataset, Dataset.from_records, lambda r: normalize(r, UNIT)):
+            for records in (bad, bad.tolist()):
+                with pytest.raises(ValueError, match=msg):
+                    entry(records)
 
 
 def test_bounds_validation():

@@ -8,7 +8,6 @@ from scipy.integrate import simpson
 
 from dpreg import (
     METHOD_NAMES,
-    Dataset,
     ExperimentGrid,
     ExperimentRow,
     FitResult,
@@ -18,6 +17,7 @@ from dpreg import (
     SS_VARIANCES,
     STATISTIC_ORDER,
     SetupConfig,
+    ZeroNoiseStream,
     generate_setup,
     l1_error,
     l2_error,
@@ -405,18 +405,18 @@ class RecordingStream(RandomStream):
         super().__init__(seed, stream_index)
         self.uniforms = []
 
-    def _laplace_u(self, size):
-        u = super()._laplace_u(size)
+    def _laplace_u(self, size, out=None):
+        u = super()._laplace_u(size, out=out)
         self.uniforms.append(np.array(u, copy=True))
         return u
 
 
 @pytest.mark.parametrize("trials", [1, 7, 3000])
 def test_refined_trial_rows_are_consecutive_dp_rss_releases(three_point_line, trials):
-    # Row t of the trial-major draw is the noise of the t-th fit on the
-    # same stream, bit for bit, for both Laplace releases: the fits take
-    # the same uniforms in the same order, and their releases are the
-    # one-row products of the trial-major noise rows plus the cell sums.
+    # Entry t of each simulated statistic is, bit for bit, that statistic of
+    # the t-th consecutive release on the same stream, for both Laplace
+    # releases: both take one row of uniforms per release, in the same
+    # order, and read them through one core, simplex._laplace_release.
     # 3000 trials take the blocked Laplace path (18000 and 24000 values),
     # the smaller draws the one-line one (DECISIONS.md, D3).
     eps = 0.7
@@ -437,25 +437,86 @@ def test_refined_trial_rows_are_consecutive_dp_rss_releases(three_point_line, tr
         fit_stream = RecordingStream(11, 2)
         FITTERS[method](three_point_line, eps, fit_stream)
         assert fit_stream.uniforms[0].tobytes() == u[0].tobytes()
-        # The reading is one matrix product over all rows, so it may sum in
-        # another order than a single release's; it agrees to rounding.
         for stat in STATISTIC_ORDER:
-            want = releases[:, LINEAR_COLUMNS[stat]]
-            np.testing.assert_allclose(stats[stat], want, rtol=1e-13, atol=1e-12)
+            assert stats[stat].tobytes() == releases[:, LINEAR_COLUMNS[stat]].tobytes(), stat
+
+
+def test_verify_draws_the_uniforms_of_consecutive_fits(three_point_line):
+    # Each chunk fills its reused buffer with the uniforms that as many
+    # consecutive dp_rss releases, then as many dp_ss ones, take on the
+    # same stream: six full chunks of trials and a partial one of 1696.
+    trials = 100_000
+    bulk = RecordingStream(21, 3)
+    verify_variances(1.0, trials, bulk)
+    single = RecordingStream(21, 3)
+    shapes = []
+    for start in range(0, trials, _TRIAL_CHUNK):
+        size = min(_TRIAL_CHUNK, trials - start)
+        for method, cells in (("dp_rss", 6), ("dp_ss", 8)):
+            _laplace_draw(MECHANISMS[method], [(three_point_line, single)] * size, (1.0,))
+            shapes.append((size, cells))
+    assert [u.shape for u in bulk.uniforms] == shapes
+    assert np.concatenate([u.ravel() for u in bulk.uniforms]).tobytes() == np.concatenate(
+        single.uniforms).tobytes()
+
+
+def test_zero_noise_verify_reads_exactly_zero_variance():
+    # ZeroNoiseStream fills the buffer it is given with 1/2, so every noise
+    # value verify reads is +0.0 and every empirical variance exactly 0.
+    buffer = np.full((4, 3), 0.25)
+    assert ZeroNoiseStream(0, 0)._laplace_u((4, 3), out=buffer) is buffer
+    assert (buffer == 0.5).all()
+    rows = verify_variances(1.0, 100_000, ZeroNoiseStream(0, 0))
+    assert len(rows) == 10
+    assert all(r.empirical_var == 0.0 for r in rows), rows
+
+
+def test_simulators_check_the_budget_and_trial_count_before_drawing(three_point_line):
+    # Both simulators check the budget with _as_epsilon and the trial count
+    # with _as_count, as every fitter and count does, before any uniform is
+    # drawn; verify_variances then holds its floor.
+    stream = RecordingStream(3, 0)
+    bad_budgets = (0, 0.0, -1.0, True, float("nan"), float("inf"), 1e-320)
+    bad_counts = (0, -1, True, 2.0, 1e6, "3", None)
+    for method in ("dp_rss", "dp_ss"):
+        for bad in bad_budgets:
+            with pytest.raises(ValueError, match="epsilon must be"):
+                simulate_stats(method, three_point_line, bad, 5, stream)
+        for bad in bad_counts:
+            with pytest.raises(ValueError, match="trials must be a positive integer"):
+                simulate_stats(method, three_point_line, 1.0, bad, stream)
+    for bad in bad_budgets:
+        with pytest.raises(ValueError, match="epsilon must be"):
+            verify_variances(bad, 100_000, stream)
+    for bad in bad_counts + (100_000.0,):
+        with pytest.raises(ValueError, match="trials must be a positive integer"):
+            verify_variances(1.0, bad, stream)
+    with pytest.raises(ValueError, match="trials must be at least 100000 for a stable estimate"):
+        verify_variances(1.0, 99_999, stream)
+    assert stream.uniforms == []
+    # numpy numbers pass, as plain ones.
+    want = simulate_stats("dp_ss", three_point_line, 0.5, 4, RandomStream(3, 1))
+    got = simulate_stats("dp_ss", three_point_line, np.float64(0.5), np.int64(4),
+                         RandomStream(3, 1))
+    assert all(got[stat].tobytes() == want[stat].tobytes() for stat in STATISTIC_ORDER)
 
 
 def chunk_values(epsilon, trials, stream):
-    """Every released statistic of ``verify_variances``'s trials, concatenated.
+    """The noise of every released statistic of ``verify_variances``'s trials, concatenated.
 
-    Replays its draw order: refined then baseline releases, one chunk of
-    trials at a time.
+    Replays its draw order, refined then baseline releases one chunk of
+    trials at a time, and reads each chunk's Laplace noise by the columns
+    of the release's statistics.
     """
-    ds = Dataset(np.array([0.0, 0.5, 1.0]), np.array([0.2, 0.45, 0.7]))
+    columns = [LINEAR_COLUMNS[stat] for stat in STATISTIC_ORDER]
     parts = {}
     for start in range(0, trials, _TRIAL_CHUNK):
         size = min(_TRIAL_CHUNK, trials - start)
         for method in ("dp_rss", "dp_ss"):
-            for stat, values in simulate_stats(method, ds, epsilon, size, stream).items():
+            release = MECHANISMS[method]
+            reading = release.reading(1)[:, columns]
+            noise = stream.laplace(release.share / epsilon, (size, len(reading)))
+            for stat, values in zip(STATISTIC_ORDER, (noise @ reading).T):
                 parts.setdefault((method, stat), []).append(values)
     return {key: np.concatenate(v) for key, v in parts.items()}
 

@@ -62,8 +62,11 @@ class FixedUniforms:
     def __init__(self, u):
         self.u = u
 
-    def random(self, size=None):
+    def random(self, size=None, out=None):  # Generator.random's size and out
         assert np.shape(self.u) == (() if size is None else np.empty(size).shape)
+        if out is not None:
+            out[...] = self.u
+            return out
         return self.u if size is None else self.u.copy()
 
 
