@@ -52,15 +52,31 @@ class Dataset:
 
     Sufficient sums are computed lazily and cached on the instance (see the
     ``cache`` dict used by the statistics modules), so fitting several
-    mechanisms to one dataset pays for each sum once. The coordinate arrays
-    are marked read-only to keep the cache honest.
+    mechanisms to one dataset pays for each sum once. The coordinates are
+    copied and marked read-only to keep the cache honest: a Dataset never
+    shares its caller's memory, so no later write can change a record
+    without its sums.
     """
 
     __slots__ = ("x", "y", "cache")
 
     def __init__(self, x, y):
-        x = np.ascontiguousarray(x, dtype=np.float64)
-        y = np.ascontiguousarray(y, dtype=np.float64)
+        self._hold(np.array(x, dtype=np.float64, order="C"),
+                   np.array(y, dtype=np.float64, order="C"))
+
+    @classmethod
+    def _owning(cls, x: np.ndarray, y: np.ndarray) -> "Dataset":
+        """A Dataset on ``x`` and ``y`` themselves, not on copies.
+
+        For new contiguous float64 arrays that nothing else holds, such as
+        ``normalize``'s rescaled columns, where a copy would only raise the
+        peak memory.
+        """
+        ds = cls.__new__(cls)
+        ds._hold(x, y)
+        return ds
+
+    def _hold(self, x: np.ndarray, y: np.ndarray) -> None:
         if x.ndim != 1 or y.ndim != 1 or x.shape != y.shape:
             raise ValueError(
                 f"x and y must be 1-d arrays of equal length, got shapes {x.shape} and {y.shape}"
@@ -75,8 +91,8 @@ class Dataset:
 
     @classmethod
     def from_records(cls, records: Iterable[tuple]) -> "Dataset":
-        pairs = _as_pairs(records)  # copied, so the records never share the caller's array
-        return cls(pairs[:, 0].copy(), pairs[:, 1].copy())
+        pairs = _as_pairs(records)
+        return cls(pairs[:, 0], pairs[:, 1])
 
     def __len__(self) -> int:
         return self.x.size
@@ -137,12 +153,13 @@ def normalize(data, bounds: Bounds) -> Dataset:
             raise ValueError(
                 f"record {i}: {name}={v[i]!r} outside declared bounds [{lo}, {hi}]"
             )
-    # Rescaled in place: one new array per coordinate, the values unchanged.
+    # Rescaled in place: one new array per coordinate, which the Dataset
+    # keeps; the values are unchanged.
     nx = x - bounds.x_min
     nx /= bounds.x_span
     ny = y - bounds.y_min
     ny /= bounds.y_span
-    return Dataset(nx, ny)
+    return Dataset._owning(nx, ny)
 
 
 # Each double splits exactly into a high part, its top 27 significand bits,

@@ -43,11 +43,14 @@ import numpy as np
 
 from . import simplex
 from .data import Bounds, as_dataset
-from .median import _check_clip, _dp_medians
+from .median import _check_clip, _dp_medians, _width
 from .noise import NoiseLedger, RandomStream, _as_count, _as_epsilon
 from .simplex import _fallback_coeffs, _laplace_draw, _solve_refined
 
 FALLBACK_ALPHA, FALLBACK_BETA = _fallback_coeffs(1)
+# Most entries, budgets x pools x padded width, of one blocked median pass
+# of the Theil-Sen draw.
+_BLOCK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -163,8 +166,10 @@ def _pair_projections(x: np.ndarray, y: np.ndarray, perm: np.ndarray):
     keep = xj != xi
     # x is filtered before y is gathered, and the arithmetic runs in place,
     # so no gather is held twice; each value is the plain expression's.
-    xi, xj = xi[keep], xj[keep]
-    yi, yj = y[i[keep]], y[j[keep]]
+    # Continuous data has no tied pair, and then nothing is filtered.
+    if not keep.all():
+        xi, xj, i, j = xi[keep], xj[keep], i[keep], j[keep]
+    yi, yj = y[i], y[j]
     slope = yj - yi
     slope /= xj - xi
     mid_x = np.add(xi, xj, out=xi)
@@ -186,23 +191,45 @@ def _theil_sen_draw(release, pairs, budgets, hyper: TheilSenHyper):
     Row p * len(budgets) + j is ``(data, stream)`` pair p at ``budgets[j]``.
     A pair draws its ``k`` matchings, then the four uniforms of its two
     medians, and nothing else. Its matchings, projections and their sort
-    serve every budget, and both medians run through one weight pass, whose
-    rank table serves every pair with as many projections. The draws never
-    depend on the data: with fewer than two records or no pair of distinct
-    x, each median picks a point of the clip range. Every budget is checked
-    before the first pair is taken.
+    serve every budget. Consecutive pairs with as many projections share
+    one ``_dp_medians`` call, whose weight array stays within
+    ``_BLOCK_ENTRIES`` unless one pair alone exceeds it; every step of that
+    call reads one pool's row, so each pair's medians equal, bit for bit,
+    those of a call on that pair alone (DECISIONS.md, D16). Its rank table
+    serves every pair with as many projections. The draws never depend on
+    the data: with fewer than two records or no pair of distinct x, each
+    median picks a point of the clip range. Every budget is checked before
+    the first pair is taken.
     """
     # A record lands in k pairs, so it moves up to k projections of each
     # list; each median runs at eps/(2k) to spend its eps/2 share.
     parts = [_as_epsilon(b) / (release.share * hyper.k) for b in budgets]
     releases = []
     tables = {}  # the medians' rank table, shared by pairs with as many projections
+    pools, uniforms, block_m = [], [], None  # the block: both pools and 4 uniforms per pair
+
+    def flush():
+        medians = _dp_medians(pools, parts, hyper.r_lo, hyper.r_hi, np.concatenate(uniforms),
+                              tables)
+        # Column 2p + c is pair p's median c: pair-major rows, as one pair per call gives.
+        releases.append(medians.reshape(len(parts), -1, 2).swapaxes(0, 1).reshape(-1, 2))
+        pools.clear()
+        uniforms.clear()
+
     for data, stream in pairs:
         ds = as_dataset(data)
         z25s, z75s = zip(*[_pair_projections(ds.x, ds.y, stream.permutation(len(ds)))
                            for _ in range(hyper.k)])
-        releases.append(_dp_medians((z25s, z75s), parts, hyper.r_lo, hyper.r_hi, stream.uniform(4),
-                                    tables))
+        m = sum(z.size for z in z25s)
+        if pools and m != block_m:
+            flush()
+        pools += [z25s, z75s]
+        uniforms.append(stream.uniform(4))
+        block_m = m
+        if len(parts) * (len(pools) + 2) * _width(m) > _BLOCK_ENTRIES:  # no room for one more
+            flush()
+    if pools:
+        flush()
     return np.concatenate(releases)
 
 

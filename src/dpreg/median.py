@@ -67,6 +67,11 @@ def _minus_ranks(m: int) -> np.ndarray:
     return np.minimum(minus_rank, after, out=minus_rank)
 
 
+def _width(m: int) -> int:
+    """Columns of the weight rows of m values: the m + 1 intervals padded to whole blocks."""
+    return (m // _BLOCK + 1) * _BLOCK
+
+
 def _rank_table(m: int, halves: np.ndarray) -> np.ndarray:
     """The rank factors of m values, ``(B, width)``: ``exp(-halves[j] * r_i)``.
 
@@ -76,7 +81,7 @@ def _rank_table(m: int, halves: np.ndarray) -> np.ndarray:
     blocks.
     """
     minus_rank = _minus_ranks(m)
-    table = np.zeros((halves.size, -(-(m + 1) // _BLOCK) * _BLOCK))
+    table = np.zeros((halves.size, _width(m)))
     factors = table[:, : m + 1]
     # From h = 705 on, every factor but the best ranks' is 0, so capping h
     # there changes none and keeps h r finite at any epsilon.

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from dpreg import Bounds, Dataset, RandomStream, Record, as_dataset, normalize
+from dpreg import Bounds, Dataset, RandomStream, Record, as_dataset, exact_group_stats, normalize
 
 UNIT = Bounds(0.0, 1.0, 0.0, 1.0)
 
@@ -19,6 +19,30 @@ def test_dataset_basicproperties():
     assert list(ds) == [Record(0.1, 0.3), Record(0.2, 0.4)]
     assert not ds.x.flags.writeable
     assert not ds.y.flags.writeable
+
+
+def test_dataset_copies_its_callers_arrays():
+    # A Dataset that kept its caller's array would make it read-only, and one
+    # built on a view would change under a write to the base while its cached
+    # sums did not: a silent wrong fit.
+    x, y = np.array([0.1, 0.2, 0.9]), np.array([0.5, 0.1, 0.7])
+    a, b = x.copy(), y.copy()
+    ds = Dataset(a, b)
+    a[0] = b[0] = 0.8  # raised "assignment destination is read-only" while the Dataset kept a
+    assert ds.x.tolist() == x.tolist() and ds.y.tolist() == y.tolist()
+    raw = np.column_stack([x, y])
+    ds = normalize(raw, UNIT)
+    raw[0] = 0.8
+    assert ds.x.tolist() == x.tolist() and ds.y.tolist() == y.tolist()
+    want = [s.tolist() for s in exact_group_stats(Dataset(x, y))]
+    base = np.append(x, 0.3)
+    ds = Dataset(base[:3], y)
+    assert [s.tolist() for s in exact_group_stats(ds)] == want
+    base[0] = 0.8
+    assert ds.x.tolist() == x.tolist()
+    assert [s.tolist() for s in exact_group_stats(ds)] == want
+    fresh = [s.tolist() for s in exact_group_stats(Dataset(base[:3], y))]
+    assert fresh != want
 
 
 def test_dataset_rejects_out_of_range_values():

@@ -506,6 +506,48 @@ def test_theil_sen_draw_builds_one_rank_table_per_projection_count(random_datase
     assert built[0] == 250 and len(built) == 2 and built[1] in (1, 2)
 
 
+def test_blocked_theil_sen_draw_equals_one_draw_per_pair_bitwise(random_dataset, monkeypatch):
+    # Consecutive pairs with as many projections share one median pass, cut
+    # where the weight array would pass _BLOCK_ENTRIES or the count changes.
+    # Every row still equals its pair's draw alone, bit for bit, and every
+    # stream ends where its lone draw ends (DECISIONS.md, D16).
+    blocks, log_rows = [], []
+
+    def counting(pools, *args):
+        blocks.append(len(pools) // 2)
+        return dp_medians(pools, *args)
+
+    def log_counting(edges, halves):
+        log_rows.append(edges.size - 2)
+        return log_weights(edges, halves)
+
+    dp_medians, log_weights = mech._dp_medians, median._log_weights
+    monkeypatch.setattr(mech, "_dp_medians", counting)
+    monkeypatch.setattr(median, "_log_weights", log_counting)
+    ds = random_dataset(6, n=500)
+    tied = Dataset(np.round(ds.x * 3) / 3, ds.y)  # fewer projections: equal-x pairs drop out
+    empty, single = Dataset(np.array([]), np.array([])), Dataset(np.array([0.4]), np.array([0.6]))
+    line = np.linspace(0.25, 1.0, 4)
+    collinear = Dataset(line, line)  # every projection ties, so rows take the log pass at 1e300
+    datasets = [ds] * 40 + [tied] + [ds] * 70 + [empty, single, empty] + [collinear] * 5 + [ds] * 2
+    budgets = (0.1, 1.0, 8.0, 1e300)
+    for hyper in (THEIL_SEN.hyper, TheilSenHyper(k=3)):
+        streams = [RandomStream(7, i) for i in range(len(datasets))]
+        blocks.clear()
+        log_rows.clear()
+        got = mech._theil_sen_draw(THEIL_SEN, list(zip(datasets, streams)), budgets, hyper)
+        assert log_rows.count(2 * hyper.k) == 10  # each collinear pool, in one block of 5 pairs
+        per_block = mech._BLOCK_ENTRIES // (len(budgets) * 2 * median._width(250 * hyper.k))
+        assert sum(blocks) == len(datasets) and blocks.count(per_block) >= 2, blocks
+        assert max(blocks) == per_block and 5 in blocks  # the collinear pairs share one pass
+        want = []
+        for i, data in enumerate(datasets):
+            alone = RandomStream(7, i)
+            want.append(mech._theil_sen_draw(THEIL_SEN, [(data, alone)], budgets, hyper))
+            assert streams[i].uniform() == alone.uniform(), (hyper.k, i)
+        np.testing.assert_array_equal(got.view(np.int64), np.concatenate(want).view(np.int64))
+
+
 def test_multi_budget_cores_check_every_budget_before_drawing(random_dataset):
     ds = random_dataset(5, n=20)
     for name, core, _ in core_cases():
