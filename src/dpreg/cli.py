@@ -3,8 +3,10 @@
 Outputs are deterministic functions of the flags: floats are serialized with
 12 significant digits, CSV rows have a fixed order, and run manifests honour
 SOURCE_DATE_EPOCH, so rerunning a command reproduces its files byte for
-byte. Usage and format errors exit with status 2; a mechanism falling back
-is still a successful run and exits 0.
+byte. The one exception is ``dpreg fit`` without ``--seed``, which draws its
+noise from a secret seed that it does not print. Usage and format errors
+exit with status 2; a mechanism falling back is still a successful run and
+exits 0.
 """
 
 from __future__ import annotations
@@ -222,7 +224,7 @@ def _check_budget_flags(args) -> None:
         _as_epsilon(args.epsilon)
     except ValueError as exc:
         raise _CliError(f"--epsilon: {exc}") from exc
-    if args.seed < 0:
+    if args.seed is not None and args.seed < 0:
         raise _CliError(f"--seed must be a non-negative integer, got {args.seed}")
 
 
@@ -259,7 +261,12 @@ def cmd_fit(args) -> int:
             ) from exc
     del pairs  # the Dataset holds its own columns; the fit needs no parse
 
-    fit = _fit(args.mechanism, ds, args.epsilon, RandomStream(args.seed, 0), None, args.degree)
+    seed = args.seed
+    if seed is None:
+        import secrets  # only an unseeded release reads the OS's entropy
+
+        seed = secrets.randbits(128)
+    fit = _fit(args.mechanism, ds, args.epsilon, RandomStream(seed, 0), None, args.degree)
     if bounds is not None:
         fit = denormalize_fit(fit, bounds)
     out = {"mechanism": args.mechanism, "epsilon": args.epsilon, "seed": args.seed}
@@ -373,7 +380,10 @@ def _build_parser() -> argparse.ArgumentParser:
     fit.add_argument("data", help="CSV file with header x,y")
     fit.add_argument("--mechanism", choices=MECHANISM_NAMES, default="dp_rss")
     fit.add_argument("--epsilon", type=float, required=True, help="total privacy budget")
-    fit.add_argument("--seed", type=int, default=0)
+    fit.add_argument("--seed", type=int, default=None,
+                     help="seed of the noise; a seeded release is reproducible and is not "
+                          "private against anyone who knows the seed (default: a secret "
+                          "128-bit seed from the OS, printed as null)")
     fit.add_argument("--degree", type=int, default=None,
                      help=f"polynomial degree ({', '.join(_POLYNOMIAL_NAMES)})")
     fit.add_argument("--x-min", type=float, default=None, help="raw-data bounds for rescaling")

@@ -162,62 +162,108 @@ def normalize(data, bounds: Bounds) -> Dataset:
     return Dataset._owning(nx, ny)
 
 
-# Each double splits exactly into a high part, its top 27 significand bits,
-# and a low part, the remaining 26. Within one exponent bin every high part
-# is an integer below 2^27 times one unit, and every low part an integer
-# below 2^26 times a smaller one, so each bin sums exactly while it holds at
-# most 2^26 terms. Chunks of 2^16 stay far inside that bound and in cache;
-# the group sums build their per-record rows one chunk of records at a time.
-_HIGH_MASK = -(1 << 26)
-_CHUNK = 1 << 16
+# Rump, Ogita and Oishi's error-free extraction ("Accurate Floating-Point
+# Summation Part I: Faithful Rounding", SIAM J. Sci. Comput. 31(1), 2008).
+# For a chunk of c values of magnitude at most 1, take sigma = 2^M with
+# 2^M >= c + 2. Then q = (sigma + v) - sigma is exact, a multiple of
+# 2^-53 sigma of magnitude at most (2^-M + 2^-53) sigma, and v - q is exact
+# with magnitude at most 2^-53 sigma. Any partial sum of c such q is a
+# multiple of 2^-53 sigma below sigma, so ``np.add.reduceat`` sums them
+# exactly in whatever order it adds. The remainders meet the same bound at
+# sigma * 2^(M - 53), so each further pass extracts the next 53 - M bits.
+# Once sigma is at most 2^(-968 - M), the remainders are multiples of
+# 2^-1074 whose sum stays below 2^-1021, so they too sum exactly. The group
+# sums build their per-record rows one chunk of records at a time, and a
+# chunk may hold the records of several datasets, each of which gets its
+# own partials (DECISIONS.md, D17).
+_CHUNK = 1 << 14
 
 
 def exact_sum(values) -> float:
     """Correctly rounded sum of ``values``, bit-identical to ``math.fsum``.
 
-    Input must be finite with magnitude at most 1; every caller sums
-    components of records in the unit square. Both halves of every double
-    are accumulated per biased exponent with ``np.bincount`` (exact, see
-    above), and ``math.fsum`` of the few non-zero bin sums rounds their
-    exact total once, as ``math.fsum`` of the values would (Demmel and
-    Hida, "Accurate and Efficient Floating Point Summation", 2003).
+    Every value must be finite with magnitude at most 1, as every component
+    of a record in the unit square is; anything else raises ValueError
+    before the extraction (see above), which would sum it wrongly.
     """
-    bins = _exact_bins(np.ascontiguousarray(values, dtype=np.float64))
-    return math.fsum(np.concatenate(bins)) if bins else 0.0
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    if not (np.abs(values) <= 1.0).all():  # also catches NaN
+        raise ValueError("exact_sum takes finite values of magnitude at most 1")
+    return float(_exact_sums([(values,)], 1, lambda v: ((0, v),))[0][0])
 
 
-def _exact_bins(values: np.ndarray) -> list:
-    """Arrays of the non-zero exponent-bin sums of ``values``, ``_CHUNK`` at a time.
+def _extract(row: np.ndarray, starts: np.ndarray, q: np.ndarray, r: np.ndarray) -> list:
+    """The exact terms of each segment's sum of ``row``, as lists of floats.
 
-    Each bin sum is exact, so the bins of any split of a vector, gathered
-    into one ``math.fsum``, give its correctly rounded sum. ``values`` must
-    be a contiguous float64 array.
+    Segment s of ``row`` runs from ``starts[s]`` to the next start; ``q``
+    and ``r`` are scratch arrays as long as ``row``. Runs extraction passes
+    (see above), each adding one exact partial per segment, until at most
+    1/256 of the remainders are not zero; those join their segment's terms.
     """
-    bins = []
-    for start in range(0, values.size, _CHUNK):
-        chunk = values[start : start + _CHUNK]
-        bits = chunk.view(np.int64)
-        exponent = (bits >> 52) & 0x7FF
-        high = (bits & _HIGH_MASK).view(np.float64)
-        for part in (high, chunk - high):
-            sums = np.bincount(exponent, weights=part)
-            bins.append(sums[sums != 0.0])
-    return bins
+    m = (row.size + 1).bit_length()
+    sigma, partials, src = math.ldexp(1.0, m), [], row
+    while True:
+        np.add(src, sigma, out=q)
+        q -= sigma
+        np.subtract(src, q, out=r)
+        partials.append(np.add.reduceat(q, starts))
+        src = r
+        if len(partials) > 1:
+            rest = np.flatnonzero(r != 0.0)  # a mask's nonzero is far faster than r's
+            if rest.size <= row.size >> 8:
+                break
+            if sigma <= math.ldexp(1.0, -968 - m):
+                partials.append(np.add.reduceat(r, starts))
+                rest = rest[:0]
+                break
+        sigma = math.ldexp(sigma, m - 53)
+    terms = np.array(partials).T.tolist()
+    if rest.size:
+        left = r[rest].tolist()
+        cuts = np.searchsorted(rest, starts).tolist() + [rest.size]
+        for s, t in enumerate(terms):
+            t += left[cuts[s] : cuts[s + 1]]
+    return terms
 
 
-def _chunked_exact_sums(ds: Dataset, count: int, rows) -> np.ndarray:
-    """``count`` exact sums over the records of ``ds``, ``_CHUNK`` records at a time.
+def _exact_sums(columns: list, count: int, rows) -> list:
+    """``count`` exact sums over each dataset of ``columns``, ``_CHUNK`` records at a time.
 
-    ``rows(x, y)`` yields ``(i, row)`` for the records of one chunk: the
-    values that sum i adds, computed elementwise from the chunk's
-    coordinates. Only one chunk's rows and the exact bins of each sum are
-    alive at once, and one ``math.fsum`` per sum rounds the exact total of
-    its bins, so sum i equals ``math.fsum`` of row i over all records, bit
-    for bit.
+    ``columns`` holds one tuple of equal-length arrays per
+    dataset, such as ``(ds.x, ds.y)``. The records of all datasets are cut
+    into chunks of ``_CHUNK``, and each chunk's columns are copied into
+    buffers that every chunk reuses. ``rows(*chunk)``
+    yields ``(i, row)``: the values that sum i adds, computed elementwise,
+    each of magnitude at most 1. ``_extract`` splits each row exactly into
+    a few terms per dataset, and one ``math.fsum`` per dataset and sum
+    rounds their exact total, so sum i of a dataset equals ``math.fsum`` of
+    row i over its records, bit for bit. Returns one array of ``count`` sums
+    per dataset; a dataset with no records sums to zeros.
     """
-    bins = [[] for _ in range(count)]
-    for start in range(0, len(ds), _CHUNK):
-        stop = start + _CHUNK
-        for i, row in rows(ds.x[start:stop], ds.y[start:stop]):
-            bins[i] += _exact_bins(row)
-    return np.array([math.fsum(np.concatenate(b)) if b else 0.0 for b in bins])
+    terms = [[[] for _ in range(count)] for _ in columns]
+    width = min(sum(len(cols[0]) for cols in columns), _CHUNK)
+    joined = [np.empty(width) for _ in columns[0]] if columns else []
+    q, r = np.empty(width), np.empty(width)
+
+    def run(segments, size):
+        chunk = [np.concatenate([columns[k][j][lo:hi] for k, lo, hi in segments],
+                                out=buf[:size]) for j, buf in enumerate(joined)]
+        starts = np.cumsum([0] + [hi - lo for _, lo, hi in segments[:-1]])
+        for i, row in rows(*chunk):
+            for (k, _, _), t in zip(segments, _extract(row, starts, q[:size], r[:size])):
+                terms[k][i] += t
+
+    segments, size = [], 0
+    for k, cols in enumerate(columns):
+        lo, n = 0, len(cols[0])
+        while lo < n:
+            hi = min(n, lo + _CHUNK - size)
+            segments.append((k, lo, hi))
+            size += hi - lo
+            lo = hi
+            if size == _CHUNK:
+                run(segments, size)
+                segments, size = [], 0
+    if segments:
+        run(segments, size)
+    return [np.array([math.fsum(t) for t in per]) for per in terms]

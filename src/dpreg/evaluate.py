@@ -193,8 +193,10 @@ def run_experiment(
     No mechanism's draws depend on epsilon, so one draw per iteration and
     method serves every epsilon cell. One draw per method takes every
     iteration's ``(data, stream)`` pair from a generator, which seeds the
-    substreams in blocks (``RandomStream._substreams``) and builds one fresh
-    dataset at a time; its releases are solved and scored in one
+    substreams in blocks (``RandomStream._substreams``) and builds each fresh
+    dataset as its pair is taken. The Laplace draws sum the fresh datasets
+    of consecutive iterations in blocks of at most ``data._CHUNK`` records,
+    the fixed one once (D17). The releases are solved and scored in one
     batched pass, and reduced per cell along axis 1 (DECISIONS.md, D3). The
     rows equal, bit for bit, a loop that calls ``FITTERS[method](data, eps,
     RandomStream(seed, i + 1))`` and ``l1_error``/``l2_error`` per cell.

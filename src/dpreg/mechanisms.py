@@ -164,22 +164,23 @@ def _pair_projections(x: np.ndarray, y: np.ndarray, perm: np.ndarray):
     i, j = perm[0::2], perm[1::2]
     xi, xj = x[i], x[j]
     keep = xj != xi
-    # x is filtered before y is gathered, and the arithmetic runs in place,
-    # so no gather is held twice; each value is the plain expression's.
-    # Continuous data has no tied pair, and then nothing is filtered.
+    # x is filtered before y is gathered, and each result is written over a
+    # gather that is no longer read, so at most five n/2-length arrays are
+    # alive at once; each value is the plain expression's. Continuous data
+    # has no tied pair, and then nothing is filtered.
     if not keep.all():
         xi, xj, i, j = xi[keep], xj[keep], i[keep], j[keep]
     yi, yj = y[i], y[j]
     slope = yj - yi
-    slope /= xj - xi
-    mid_x = np.add(xi, xj, out=xi)
-    mid_x *= 0.5
     mid_y = np.add(yi, yj, out=yi)
     mid_y *= 0.5
-    z25 = 0.25 - mid_x
+    slope /= np.subtract(xj, xi, out=yj)
+    mid_x = np.add(xi, xj, out=xi)
+    mid_x *= 0.5
+    z25 = np.subtract(0.25, mid_x, out=xj)
     z25 *= slope
     z25 += mid_y
-    z75 = 0.75 - mid_x
+    z75 = np.subtract(0.75, mid_x, out=yj)
     z75 *= slope
     z75 += mid_y
     return z25, z75

@@ -32,11 +32,12 @@ readily as a single release.
 This module holds the cells and readings of this release, ``dp_rss``, and
 of the NoisyStats baseline ``dp_ss``, whose eight cells are read plainly;
 their records in ``mechanisms.MECHANISMS`` name them. ``_cell_sums`` caches
-the exact sums of a release's cells, and ``_laplace_draw`` draws one release
-of a record per budget for each ``(data, stream)`` pair and keeps no
-ledger; the fitters run it on one pair at one budget through
-``mechanisms._fit``. The post-processing after it costs no budget and runs
-on any (N, 3d + 2) stack of statistics at once.
+the exact sums of a release's cells, ``_sum_cells`` sums a block of datasets
+in one pass, and ``_laplace_draw`` draws one release of a record per budget
+for each ``(data, stream)`` pair and keeps no ledger; the fitters run it
+on one pair at one budget through ``mechanisms._fit``. The post-processing
+after it costs no budget and runs on any (N, 3d + 2) stack of statistics
+at once.
 ``_solve_refined`` solves each row's normal equations by
 ``_solve_systems``, a batched elimination that repeats the operations of a
 scalar one row by row, so a row's coefficients do not depend on the stack.
@@ -55,7 +56,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .data import _check_unit_interval, _chunked_exact_sums, as_dataset
+from .data import _CHUNK, _check_unit_interval, _exact_sums, as_dataset
 from .noise import _as_count, _as_epsilon, _unit_laplace
 
 
@@ -167,17 +168,28 @@ def _ss_reading(degree: int) -> np.ndarray:
 def _cell_sums(ds, rows, d: int, count: int) -> np.ndarray:
     """The exact sums of the ``count`` cells of ``rows(x, y, d)`` on a ``Dataset``.
 
-    Cached under ``(rows, d)``, so records with the same cells share them.
-    Reads the arrays ``Dataset`` already validated, so no range check runs.
-    The cell rows are built one chunk of records at a time
-    (``data._chunked_exact_sums``), so no full-length row is held.
+    Cached under ``(rows, d)``, so records with the same cells share them;
+    an uncached dataset is a block of one for ``_sum_cells``.
     """
     sums = ds.cache.get((rows, d))
     if sums is None:
-        sums = _chunked_exact_sums(ds, count, lambda x, y: rows(x, y, d))
+        _sum_cells([ds], rows, d, count)
+        sums = ds.cache[rows, d]
+    return sums
+
+
+def _sum_cells(block, rows, d: int, count: int) -> None:
+    """Cache the cell sums of each distinct ``Dataset`` of ``block``, in one pass.
+
+    Reads the arrays ``Dataset`` already validated, so no range check runs.
+    The cell rows are built on the block's records one chunk at a time
+    (``data._exact_sums``), so no full-length row is held, and a chunk may
+    hold the records of many small datasets.
+    """
+    columns = [(ds.x, ds.y) for ds in block]
+    for ds, sums in zip(block, _exact_sums(columns, count, lambda x, y: rows(x, y, d))):
         sums.setflags(write=False)
         ds.cache[rows, d] = sums
-    return sums
 
 
 def _laplace_draw(release, pairs, budgets, degree: int = 1) -> np.ndarray:
@@ -185,21 +197,49 @@ def _laplace_draw(release, pairs, budgets, degree: int = 1) -> np.ndarray:
 
     Checks the degree and every budget before it takes the first pair, and
     keeps per pair only its cell sums and the uniforms of one unit draw,
-    ``stream._laplace_u(k)``. In ``_laplace_release``, one inverse-CDF pass
-    turns the stacked uniforms into noise, one broadcast scales it by
-    ``release.share``/eps per budget, and one stack of one-row products
-    reads them, each the product ``z @ release.reading(d)`` of one row, so
-    row p * len(budgets) + j equals, bit for bit, the release of pair p at
-    ``budgets[j]`` alone (DECISIONS.md, D3). Together a pair's rows are not
-    eps-DP at any one budget; one row alone is.
+    ``stream._laplace_u(k)``. The uncached datasets of consecutive pairs
+    are summed in blocks of at most ``data._CHUNK`` records (one larger
+    dataset is a block alone), each dataset once however many pairs share
+    it; a sum draws nothing, so every stream's draws keep their order. In
+    ``_laplace_release``, one inverse-CDF pass turns the stacked uniforms
+    into noise, one broadcast scales it by ``release.share``/eps per budget,
+    and one stack of one-row products reads them, each the product
+    ``z @ release.reading(d)`` of one row, so row p * len(budgets) + j
+    equals, bit for bit, the release of pair p at ``budgets[j]`` alone
+    (DECISIONS.md, D3 and D17). Together a pair's rows are not eps-DP at any
+    one budget; one row alone is.
     """
     d = _as_count(degree, "degree")
     matrix = release.reading(d)
     neg_scales = np.array([-release.share / _as_epsilon(b) for b in budgets])
-    sums, uniforms = [], []
+    key = (release.rows, d)
+    sums, uniforms = [], []  # a pair's entry of sums is its Dataset until its block is summed
+    block, waiting, size = {}, [], 0  # the block's datasets by id, and the pairs they owe
+
+    def flush():
+        nonlocal size
+        _sum_cells(list(block.values()), release.rows, d, len(matrix))
+        for p in waiting:
+            sums[p] = sums[p].cache[key]
+        block.clear()
+        waiting.clear()
+        size = 0
+
     for data, stream in pairs:
-        sums.append(_cell_sums(as_dataset(data), release.rows, d, len(matrix)))
+        ds = as_dataset(data)
+        cached = ds.cache.get(key)
+        if cached is None:
+            if id(ds) not in block:
+                if block and size + len(ds) > _CHUNK:
+                    flush()
+                block[id(ds)] = ds
+                size += len(ds)
+            waiting.append(len(sums))
+            cached = ds
+        sums.append(cached)
         uniforms.append(stream._laplace_u(len(matrix)))
+    if block:
+        flush()
     return _laplace_release(matrix, np.array(sums), np.array(uniforms), neg_scales)
 
 

@@ -134,6 +134,23 @@ def test_fit_stdout_is_deterministic(tmp_path, capsys):
     assert other != first
 
 
+def test_fit_without_seed_draws_secret_noise(tmp_path, capsys):
+    # A default seed would let anyone who knows it replay the noise, so an
+    # unseeded fit draws a fresh secret seed and does not print it. At 200
+    # records and epsilon 10 a fallback, the same constant fit twice, is all
+    # but impossible.
+    path = write_csv(tmp_path, [(i / 199, 0.2 + 0.5 * i / 199) for i in range(200)])
+    argv = ["fit", path, "--mechanism", "dp_rss", "--epsilon", "10"]
+    results = []
+    for _ in range(2):
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, "")
+        results.append(json.loads(out))
+    assert [(r["seed"], r["fallback"]) for r in results] == [(None, False)] * 2
+    assert results[0]["alpha_hat"] != results[1]["alpha_hat"]
+    assert results[0]["beta_hat"] != results[1]["beta_hat"]
+
+
 @pytest.mark.parametrize("rows, header, fragment", [
     ([(0.1, 0.2), ("0.5", "abc")], "x,y", "line 3"),
     ([(0.1, 0.2)], "a,b", "header"),

@@ -314,9 +314,11 @@ def row_bits(rows):
 
 
 @pytest.mark.parametrize("fresh", [False, True])
-@pytest.mark.parametrize("n", [2, 3, 50])
+@pytest.mark.parametrize("n", [2, 3, 50, 1000, 7000])
 def test_run_experiment_equals_per_cell_loop_bitwise(n, fresh):
     # Tiny n makes most fits fall back; the rows must still match exactly.
+    # Fresh data at n = 1000 and 7000 fills several blocks of summed
+    # datasets (data._CHUNK records each) over the 25 iterations.
     setup = SetupConfig(n=n, alpha=0.5, beta=0.2, sigma=0.3, seed=11)
     grid = ExperimentGrid((0.05, 1.0, 10.0), 25, METHOD_NAMES)
     assert row_bits(run_experiment(setup, grid, fresh)) == row_bits(
