@@ -4,9 +4,10 @@ Outputs are deterministic functions of the flags: floats are serialized with
 12 significant digits, CSV rows have a fixed order, and run manifests honour
 SOURCE_DATE_EPOCH, so rerunning a command reproduces its files byte for
 byte. The one exception is ``dpreg fit`` without ``--seed``, which draws its
-noise from a secret seed that it does not print. Usage and format errors
-exit with status 2; a mechanism falling back is still a successful run and
-exits 0.
+noise from a secret seed that it does not print. A seeded fit writes
+``SEEDED_FIT_NOTICE`` to stderr and nothing more to stdout. Usage and
+format errors exit with status 2; a mechanism falling back is still a
+successful run and exits 0.
 """
 
 from __future__ import annotations
@@ -36,6 +37,10 @@ from .noise import RandomStream, _as_epsilon
 
 RESULTS_HEADER = "method,epsilon,mean_l1,std_l1,mean_l2,std_l2,median_l1,median_l2"
 VERIFY_HEADER = "statistic,method,empirical_var,theoretical_var,relative_error,improvement_ratio"
+
+# Written to stderr by every seeded ``dpreg fit``; stdout stays the release alone.
+SEEDED_FIT_NOTICE = ("dpreg: note: --seed makes this release reproducible; it is not private "
+                     "against anyone who knows the seed")
 
 MECHANISM_NAMES = tuple(MECHANISMS)
 # The mechanisms whose every fit is given its degree, so it is a polynomial.
@@ -277,6 +282,8 @@ def cmd_fit(args) -> int:
         out["alpha_hat"], out["beta_hat"] = fit.coeffs
     out["fallback"] = fit.fallback
     print(_json_dumps(out))
+    if args.seed is not None:
+        print(SEEDED_FIT_NOTICE, file=sys.stderr)
     return 0
 
 

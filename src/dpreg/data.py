@@ -61,22 +61,8 @@ class Dataset:
     __slots__ = ("x", "y", "cache")
 
     def __init__(self, x, y):
-        self._hold(np.array(x, dtype=np.float64, order="C"),
-                   np.array(y, dtype=np.float64, order="C"))
-
-    @classmethod
-    def _owning(cls, x: np.ndarray, y: np.ndarray) -> "Dataset":
-        """A Dataset on ``x`` and ``y`` themselves, not on copies.
-
-        For new contiguous float64 arrays that nothing else holds, such as
-        ``normalize``'s rescaled columns, where a copy would only raise the
-        peak memory.
-        """
-        ds = cls.__new__(cls)
-        ds._hold(x, y)
-        return ds
-
-    def _hold(self, x: np.ndarray, y: np.ndarray) -> None:
+        x = np.array(x, dtype=np.float64, order="C")
+        y = np.array(y, dtype=np.float64, order="C")
         if x.ndim != 1 or y.ndim != 1 or x.shape != y.shape:
             raise ValueError(
                 f"x and y must be 1-d arrays of equal length, got shapes {x.shape} and {y.shape}"
@@ -89,6 +75,41 @@ class Dataset:
         self.y = y
         self.cache: dict = {}
 
+    @classmethod
+    def _rows(cls, xy: np.ndarray) -> list:
+        """A Dataset on each row of a new (2, D, n) float64 block, with no copy.
+
+        Dataset k holds ``xy[0, k]`` as x and ``xy[1, k]`` as y. For blocks
+        that nothing else holds, such as ``normalize``'s rescaled columns
+        and the fresh datasets of ``evaluate._datasets``, where a copy would
+        only cost time and peak memory. The block is range-checked once
+        (``_check_rows``) and made read-only first, so every Dataset is a
+        read-only view of a base that is read-only too, and no write can
+        change a record under its cached sums.
+        """
+        _check_rows(xy)
+        xy.setflags(write=False)
+        datasets = []
+        for x, y in zip(*xy):
+            ds = cls.__new__(cls)
+            ds.x, ds.y, ds.cache = x, y, {}
+            datasets.append(ds)
+        return datasets
+
+    def __init__(self, x, y):
+        x = np.array(x, dtype=np.float64, order="C")
+        y = np.array(y, dtype=np.float64, order="C")
+        if x.ndim != 1 or y.ndim != 1 or x.shape != y.shape:
+            raise ValueError(
+                f"x and y must be 1-d arrays of equal length, got shapes {x.shape} and {y.shape}"
+            )
+        _check_unit_interval(x, "x")
+        _check_unit_interval(y, "y")
+        x.setflags(write=False)
+        y.setflags(write=False)
+        self.x = x
+        self.y = y
+        self.cache: dict = {}
     @classmethod
     def from_records(cls, records: Iterable[tuple]) -> "Dataset":
         pairs = _as_pairs(records)
@@ -135,6 +156,19 @@ def _check_unit_interval(values: np.ndarray, name: str) -> None:
         )
 
 
+def _check_rows(xy: np.ndarray) -> None:
+    """Check a (2, D, n) block of D datasets' coordinates as ``Dataset`` checks each.
+
+    One min/max pair passes a block inside [0, 1]. Otherwise the datasets
+    are checked in order, each x before its y, so the error names the same
+    record, with the same message, as ``Dataset`` does on the first that fails.
+    """
+    if xy.size and not (xy.min() >= 0.0 and xy.max() <= 1.0):  # also catches NaN
+        for x, y in zip(*xy):
+            _check_unit_interval(x, "x")
+            _check_unit_interval(y, "y")
+
+
 def normalize(data, bounds: Bounds) -> Dataset:
     """Affinely map raw (x, y) pairs from ``bounds`` into the unit square.
 
@@ -153,13 +187,14 @@ def normalize(data, bounds: Bounds) -> Dataset:
             raise ValueError(
                 f"record {i}: {name}={v[i]!r} outside declared bounds [{lo}, {hi}]"
             )
-    # Rescaled in place: one new array per coordinate, which the Dataset
-    # keeps; the values are unchanged.
-    nx = x - bounds.x_min
-    nx /= bounds.x_span
-    ny = y - bounds.y_min
-    ny /= bounds.y_span
-    return Dataset._owning(nx, ny)
+    # Rescaled into a new block of one dataset, which the Dataset keeps; the
+    # values are unchanged.
+    xy = np.empty((2, 1, len(raw)))
+    for out, v, lo, span in ((xy[0, 0], x, bounds.x_min, bounds.x_span),
+                             (xy[1, 0], y, bounds.y_min, bounds.y_span)):
+        np.subtract(v, lo, out=out)
+        out /= span
+    return Dataset._rows(xy)[0]
 
 
 # Rump, Ogita and Oishi's error-free extraction ("Accurate Floating-Point

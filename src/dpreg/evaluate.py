@@ -10,14 +10,15 @@ variance of every released statistic against its closed form.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, as_dataset
+from .data import _CHUNK, Dataset, as_dataset
 from .mechanisms import FITTERS, MECHANISMS, FitResult, _lines
-from .noise import RandomStream, _as_count, _as_epsilon, _as_index, _unit_laplace
+from .noise import RandomStream, _as_count, _as_epsilon, _as_index, _box_muller, _unit_laplace
 from .simplex import LINEAR_COLUMNS, _cell_sums, _laplace_release
 
 
@@ -82,10 +83,39 @@ def reference_setup(index: int, seed: int) -> SetupConfig:
     raise ValueError(f"reference setup index must be 1 or 2, got {index}")
 
 
-def _generate_on(stream: RandomStream, cfg: SetupConfig) -> Dataset:
-    x = stream.uniform(cfg.n)
-    y = np.clip(cfg.alpha * x + cfg.beta + cfg.sigma * stream.normal(cfg.n), 0.0, 1.0)
-    return Dataset(x, y)
+def _datasets(cfg: SetupConfig, streams):
+    """``(dataset, stream)`` for each of ``streams``, the dataset drawn on its stream.
+
+    Each stream draws n uniforms as x, then n as its normals' u1, then n as
+    their u2, into rows of a block of ``max(1, data._CHUNK // n)``
+    consecutive streams. Box-Muller, the line ``alpha x + beta + sigma z``
+    and the clip to [0, 1] then run once per block, in place, in the order
+    of the per-stream expression, so every dataset is bit-identical to
+    ``clip(alpha * x + beta + sigma * stream.normal(n), 0, 1)`` on
+    ``x = stream.uniform(n)``. u1 and u2 sit in two scratch blocks that
+    every block reuses; x and y sit in a new block that its datasets view
+    (``Dataset._rows``) and no scratch ever backs (DECISIONS.md, D18).
+    """
+    n = cfg.n
+    streams = iter(streams)
+    scratch = None
+    while block := list(itertools.islice(streams, max(1, _CHUNK // n))):
+        if scratch is None:  # the first block is the largest
+            scratch = np.empty((2, len(block), n))
+        u1, u2 = scratch[:, : len(block)]
+        xy = np.empty((2, len(block), n))
+        x, y = xy
+        for k, stream in enumerate(block):
+            stream.uniform(out=x[k])
+            stream.uniform(out=u1[k])
+            stream.uniform(out=u2[k])
+        z = _box_muller(u1, u2)
+        np.multiply(x, cfg.alpha, out=y)
+        y += cfg.beta
+        z *= cfg.sigma
+        y += z
+        np.clip(y, 0.0, 1.0, out=y)
+        yield from zip(Dataset._rows(xy), block)
 
 
 def generate_setup(cfg: SetupConfig) -> Dataset:
@@ -95,7 +125,7 @@ def generate_setup(cfg: SetupConfig) -> Dataset:
     [0, 1]. Substream 0 is reserved for data so iteration substreams
     (1, 2, ...) never overlap it.
     """
-    return _generate_on(RandomStream(cfg.seed, 0), cfg)
+    return next(_datasets(cfg, [RandomStream(cfg.seed, 0)]))[0]
 
 
 def _line_params(fit) -> tuple[float, float]:
@@ -193,9 +223,9 @@ def run_experiment(
     No mechanism's draws depend on epsilon, so one draw per iteration and
     method serves every epsilon cell. One draw per method takes every
     iteration's ``(data, stream)`` pair from a generator, which seeds the
-    substreams in blocks (``RandomStream._substreams``) and builds each fresh
-    dataset as its pair is taken. The Laplace draws sum the fresh datasets
-    of consecutive iterations in blocks of at most ``data._CHUNK`` records,
+    substreams in blocks (``RandomStream._substreams``) and draws the fresh
+    datasets of consecutive iterations in blocks of at most ``data._CHUNK``
+    records (D18). The Laplace draws sum them in blocks of the same size,
     the fixed one once (D17). The releases are solved and scored in one
     batched pass, and reduced per cell along axis 1 (DECISIONS.md, D3). The
     rows equal, bit for bit, a loop that calls ``FITTERS[method](data, eps,
@@ -203,9 +233,11 @@ def run_experiment(
     """
     fixed = None if fresh_data_per_iteration else generate_setup(setup)
 
-    def pairs():  # builds each iteration's stream, and fresh data, as it is taken
-        for stream in RandomStream._substreams(setup.seed, 1, grid.iterations + 1):
-            yield (_generate_on(stream, setup) if fresh_data_per_iteration else fixed), stream
+    def pairs():  # builds the iterations' streams, and fresh data, as they are taken
+        streams = RandomStream._substreams(setup.seed, 1, grid.iterations + 1)
+        if fresh_data_per_iteration:
+            return _datasets(setup, streams)
+        return ((fixed, stream) for stream in streams)
 
     truth = (setup.alpha, setup.beta)
     rows = []

@@ -103,9 +103,9 @@ class RandomStream:
     def __repr__(self) -> str:
         return f"{type(self).__name__}(seed={self.seed}, stream_index={self.stream_index})"
 
-    def uniform(self, size=None):
-        """Uniform draws on [0, 1); scalar float when size is None."""
-        return self._gen.random(size)
+    def uniform(self, size=None, out=None):
+        """Uniform draws on [0, 1), into ``out`` if given; a float when both are None."""
+        return self._gen.random(size, out=out)
 
     def _laplace_u(self, size, out=None):
         """The uniforms that ``laplace`` reads, into ``out`` if given; a float when size is None."""
@@ -128,10 +128,9 @@ class RandomStream:
         return float(unit) if size is None else unit
 
     def normal(self, size=None):
-        """Standard normal draws via Box-Muller (two uniforms per draw)."""
-        u1 = self._gen.random(size)
-        u2 = self._gen.random(size)
-        out = np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(2.0 * np.pi * u2)
+        """Standard normal draws via Box-Muller (``_box_muller``): all u1, then all u2."""
+        u1 = np.asarray(self._gen.random(size))
+        out = _box_muller(u1, np.asarray(self._gen.random(size)))
         return float(out) if size is None else out
 
     def permutation(self, n: int) -> np.ndarray:
@@ -350,6 +349,22 @@ def _unit_laplace_in_place(u, neg_b=None):
         if neg_b is not None:
             np.multiply(out, neg_b, out=out)
     return u
+
+
+def _box_muller(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+    """Overwrite ``u1`` with ``sqrt(-2 log1p(-u1)) * cos(2 pi u2)``; ``u2`` is scratch.
+
+    The standard normals of Box-Muller, one per pair of uniforms. Each
+    operation is the expression's, in its order, on arrays of any shape, so
+    every value is bit-identical to it (DECISIONS.md, D18).
+    """
+    np.negative(u1, out=u1)
+    np.log1p(u1, out=u1)
+    np.multiply(u1, -2.0, out=u1)
+    np.sqrt(u1, out=u1)
+    np.multiply(u2, 2.0 * np.pi, out=u2)
+    np.cos(u2, out=u2)
+    return np.multiply(u1, u2, out=u1)
 
 
 @dataclass(frozen=True)

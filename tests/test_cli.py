@@ -12,6 +12,7 @@ from dpreg.cli import (
     _BLOCK_BYTES,
     MECHANISM_NAMES,
     RESULTS_HEADER,
+    SEEDED_FIT_NOTICE,
     VERIFY_HEADER,
     _count_lines,
     _read_xy_csv,
@@ -46,12 +47,15 @@ def run(capsys, argv):
 
 
 LINE_ROWS = [(0.0, 0.2), (0.5, 0.45), (1.0, 0.7)]
+# The whole stderr of a seeded fit that succeeds; stdout holds the release alone.
+NOTICE = SEEDED_FIT_NOTICE + "\n"
 
 
 def test_fit_recovers_line_at_huge_budget(tmp_path, capsys):
     path = write_csv(tmp_path, LINE_ROWS)
     code, out, err = run(capsys, ["fit", path, "--epsilon", "1e6", "--seed", "3"])
-    assert code == 0 and err == ""
+    assert code == 0 and err == NOTICE
+    assert NOTICE.count("\n") == 1 and "reproducible" in NOTICE and "not private" in NOTICE
     res = json.loads(out)
     assert res["mechanism"] == "dp_rss"
     assert res["fallback"] is False
@@ -93,7 +97,7 @@ def test_fit_constant_x_falls_back_at_huge_budget(tmp_path, capsys, mechanism):
     path = write_csv(tmp_path, [(0.01, 0.1), (0.01, 0.5), (0.01, 0.9)])
     code, out, err = run(capsys, ["fit", path, "--mechanism", mechanism,
                                   "--epsilon", "1e300", "--seed", "1"])
-    assert (code, err) == (0, "")
+    assert (code, err) == (0, NOTICE)
     res = json.loads(out)
     assert (res["alpha_hat"], res["beta_hat"], res["fallback"]) == (0, 0.5, True)
 
@@ -252,12 +256,12 @@ def test_fit_accepts_quotes_crlf_and_header_only(tmp_path, capsys, monkeypatch):
     names = [write_csv(tmp_path, LINE_ROWS, name=n) for n in ("data.GZ", "data.csv.txt")]
     for path in (quoted, str(crlf), *names, "file://localhost/data.csv"):
         code, out, err = run(capsys, ["fit", path, *argv])
-        assert (code, out, err) == (0, plain, ""), path
+        assert (code, out, err) == (0, plain, NOTICE), path
 
     header_only = tmp_path / "header.csv"
     header_only.write_text("x,y")
     code, out, err = run(capsys, ["fit", str(header_only), *argv])
-    assert code == 0 and err == ""
+    assert code == 0 and err == NOTICE
     assert json.loads(out)["fallback"] is True
 
 
@@ -355,7 +359,7 @@ def test_fit_golden_outputs(tmp_path, capsys, flags, expected):
     else:
         path = golden_csv(tmp_path, "unit.csv")
     code, out, err = run(capsys, ["fit", path, "--epsilon", "0.7", "--seed", "5", *flags])
-    assert (code, err) == (0, "")
+    assert (code, err) == (0, NOTICE)
     assert out == expected
 
 

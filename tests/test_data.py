@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dpreg import Bounds, Dataset, RandomStream, Record, as_dataset, exact_group_stats, normalize
+from dpreg.data import _check_rows
 
 UNIT = Bounds(0.0, 1.0, 0.0, 1.0)
 
@@ -52,6 +53,27 @@ def test_dataset_rejects_out_of_range_values():
         Dataset(np.array([0.5]), np.array([-0.01]))
     with pytest.raises(ValueError):
         Dataset(np.array([0.1, 0.2]), np.array([0.3]))
+
+
+@pytest.mark.parametrize("bad", [1.5, -0.25, np.nan])
+def test_block_check_names_the_record_that_dataset_names(bad):
+    # A block of fresh datasets is checked at once; on a bad value it must
+    # raise Dataset's error for the first dataset that fails, x before y.
+    rng = np.random.default_rng(4)
+    for places in ([(0, 1, 3)], [(1, 1, 3)], [(1, 1, 0), (0, 1, 4)], [(1, 2, 0), (0, 2, 1)]):
+        xy = rng.random((2, 4, 5))
+        for place in places:
+            xy[place] = bad
+        xy[0, 3, 0] = bad  # a later dataset fails too
+        k = places[0][1]
+        with pytest.raises(ValueError) as want:
+            Dataset(xy[0, k], xy[1, k])
+        with pytest.raises(ValueError) as got:
+            _check_rows(xy)
+        assert str(got.value) == str(want.value)
+        assert re.match(r"record \d: [xy]=", str(got.value))
+    _check_rows(rng.random((2, 4, 5)))
+    _check_rows(np.empty((2, 3, 0)))
 
 
 def test_dataset_from_records_and_as_dataset():

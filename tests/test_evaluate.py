@@ -27,7 +27,8 @@ from dpreg import (
     verify_variances,
 )
 from dpreg.cli import MECHANISM_NAMES
-from dpreg.evaluate import VARIANCES, _TRIAL_CHUNK, _gap_means, _generate_on, _line_errors
+from dpreg.data import _CHUNK, Dataset
+from dpreg.evaluate import VARIANCES, _TRIAL_CHUNK, _datasets, _gap_means, _line_errors
 from dpreg.mechanisms import FITTERS, MECHANISMS, _fit
 from dpreg.simplex import LINEAR_COLUMNS, _cell_sums, _laplace_draw
 
@@ -278,12 +279,19 @@ def test_run_experiment_fresh_data_mode_is_reproducible():
     assert fresh != fixed
 
 
+def fresh_dataset(setup, stream):
+    """One iteration's fresh data, by the plain per-stream expression: x, then the noise."""
+    x = stream.uniform(setup.n)
+    y = np.clip(setup.alpha * x + setup.beta + setup.sigma * stream.normal(setup.n), 0.0, 1.0)
+    return Dataset(x, y)
+
+
 def per_cell_rows(setup, grid, fresh_data_per_iteration=False):
     """The semantics of ``run_experiment``: one public fit per cell.
 
     Each (method, epsilon, iteration) cell builds its own stream, draws its
-    own data in fresh mode, and scores its fit with ``l1_error`` and
-    ``l2_error``.
+    own data in fresh mode with ``fresh_dataset``, not the blocked draw under
+    test, and scores its fit with ``l1_error`` and ``l2_error``.
     """
     fixed = None if fresh_data_per_iteration else generate_setup(setup)
     truth = (setup.alpha, setup.beta)
@@ -293,7 +301,7 @@ def per_cell_rows(setup, grid, fresh_data_per_iteration=False):
             l1s, l2s = [], []
             for i in range(grid.iterations):
                 stream = RandomStream(setup.seed, i + 1)
-                data = _generate_on(stream, setup) if fresh_data_per_iteration else fixed
+                data = fresh_dataset(setup, stream) if fresh_data_per_iteration else fixed
                 fit = FITTERS[method](data, eps, stream)
                 l1s.append(l1_error(truth, fit))
                 l2s.append(l2_error(truth, fit))
@@ -314,13 +322,16 @@ def row_bits(rows):
 
 
 @pytest.mark.parametrize("fresh", [False, True])
-@pytest.mark.parametrize("n", [2, 3, 50, 1000, 7000])
+@pytest.mark.parametrize("n", [2, 3, 50, 500, 1000, 3000, 7000, 20000])
 def test_run_experiment_equals_per_cell_loop_bitwise(n, fresh):
     # Tiny n makes most fits fall back; the rows must still match exactly.
-    # Fresh data at n = 1000 and 7000 fills several blocks of summed
-    # datasets (data._CHUNK records each) over the 25 iterations.
+    # Fresh data is drawn, and summed, in blocks of data._CHUNK // n
+    # datasets. Over 25 iterations, n = 1000 and 7000 fill several blocks
+    # and n = 500 less than one; n = 3000 at 7 iterations ends on a block of
+    # 2 after one of 5, and n = 20000, past data._CHUNK, is a block alone.
+    iterations = {3000: 7, 20000: 3}.get(n, 25)
     setup = SetupConfig(n=n, alpha=0.5, beta=0.2, sigma=0.3, seed=11)
-    grid = ExperimentGrid((0.05, 1.0, 10.0), 25, METHOD_NAMES)
+    grid = ExperimentGrid((0.05, 1.0, 10.0), iterations, METHOD_NAMES)
     assert row_bits(run_experiment(setup, grid, fresh)) == row_bits(
         per_cell_rows(setup, grid, fresh))
 
@@ -339,7 +350,7 @@ def test_run_experiment_equals_per_cell_loop_in_fallback_heavy_cells(n, fresh):
         fallbacks = 0
         for i in range(grid.iterations):
             stream = RandomStream(setup.seed, i + 1)
-            data = _generate_on(stream, setup) if fresh else fixed
+            data = fresh_dataset(setup, stream) if fresh else fixed
             fallbacks += FITTERS[method](data, 0.05, stream).fallback
         assert 50 <= fallbacks < grid.iterations, (method, fallbacks)
 
@@ -352,6 +363,32 @@ def test_run_experiment_equals_per_cell_loop_at_one_iteration(fresh):
     grid = ExperimentGrid((0.1, 1.0, 10.0), 1, METHOD_NAMES)
     assert row_bits(run_experiment(setup, grid, fresh)) == row_bits(
         per_cell_rows(setup, grid, fresh))
+
+
+@pytest.mark.parametrize("n", [50, 1000, 3000, 20000])
+def test_fresh_datasets_are_read_only_views_with_their_own_caches(n):
+    # The blocked draw hands out views of its x and y block, never of the
+    # scratch that holds the uniforms: each is read-only on a read-only
+    # base, so no write can change a record under its cached sums.
+    setup = SetupConfig(n=n, alpha=0.5, beta=0.2, sigma=0.3, seed=6)
+    count = 2 * max(1, _CHUNK // n) + 1  # two full blocks and one of a dataset
+    pairs = list(_datasets(setup, RandomStream._substreams(setup.seed, 1, count + 1)))
+    assert [s.stream_index for _, s in pairs] == list(range(1, count + 1))
+    for ds, stream in pairs:
+        want = fresh_dataset(setup, RandomStream(setup.seed, stream.stream_index))
+        assert (ds.x.tobytes(), ds.y.tobytes()) == (want.x.tobytes(), want.y.tobytes())
+        assert ds.cache == {}
+        for values in (ds.x, ds.y):
+            assert not values.flags.writeable
+            assert values.base is not None and not values.base.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] = 0.5
+    assert len({id(ds.cache) for ds, _ in pairs}) == count
+    bases = {id(values.base) for ds, _ in pairs for values in (ds.x, ds.y)}
+    assert len(bases) == 3  # one x and y block per block of datasets
+    rss = MECHANISMS["dp_rss"]
+    _cell_sums(pairs[0][0], rss.rows, 1, len(rss.reading(1)))
+    assert all(ds.cache == {} for ds, _ in pairs[1:])
 
 
 def test_run_experiment_equals_per_cell_loop_on_reference_setups():

@@ -174,6 +174,21 @@ def test_normal_moments():
     assert abs(draws.var() - 1.0) <= 5.0 * math.sqrt(2.0 / n)
 
 
+@pytest.mark.parametrize("n", [None, 1, 1000, 20000])
+def test_normal_equals_the_box_muller_expression_bitwise(n):
+    # A draw reads all its u1, then all its u2, and transforms them in
+    # place; each value is the one-line expression's, bit for bit, and the
+    # stream ends where a plain draw of the uniforms ends.
+    plain = RandomStream(8, 3)
+    u1, u2 = plain.uniform(n), plain.uniform(n)
+    want = np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(2.0 * np.pi * u2)
+    s = RandomStream(8, 3)
+    got = s.normal(n)
+    assert isinstance(got, float) == (n is None)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    assert s.uniform() == plain.uniform()
+
+
 def test_permutation_is_a_permutation():
     p = RandomStream(9, 0).permutation(257)
     assert sorted(p.tolist()) == list(range(257))
