@@ -8,7 +8,7 @@ mechanisms (noisy sufficient statistics, private Theil-Sen) and a Monte
 Carlo evaluation harness round it out.
 """
 
-from .data import Bounds, Dataset, Record, as_dataset, normalize
+from .data import Bounds, Dataset, as_dataset, normalize
 from .evaluate import (
     ExperimentGrid,
     ExperimentRow,
@@ -37,7 +37,7 @@ from .mechanisms import (
     dp_theil_sen_fit,
 )
 from .median import dp_median, median_interval_probs
-from .noise import NoiseEvent, NoiseLedger, PrivacyBudget, RandomStream, ZeroNoiseStream
+from .noise import NoiseEvent, NoiseLedger, RandomStream
 # Through the re-export, so that ``import dpreg`` binds ``dpreg.polynomial``.
 from .polynomial import dp_rss_poly_fit
 from .simplex import exact_group_stats, group_contributions, sensitivity_oracle
@@ -55,16 +55,13 @@ __all__ = [
     "METHOD_NAMES",
     "NoiseEvent",
     "NoiseLedger",
-    "PrivacyBudget",
     "RSS_VARIANCES",
     "RandomStream",
-    "Record",
     "STATISTIC_ORDER",
     "SS_VARIANCES",
     "SetupConfig",
     "TheilSenHyper",
     "VarianceRow",
-    "ZeroNoiseStream",
     "as_dataset",
     "denormalize_fit",
     "dp_median",

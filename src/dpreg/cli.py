@@ -25,6 +25,7 @@ import numpy as np
 
 from .data import Bounds, Dataset, normalize
 from .evaluate import (
+    _MIN_TRIALS,
     VARIANCES,
     ExperimentGrid,
     SetupConfig,
@@ -61,8 +62,6 @@ def _fmt(value: float) -> str:
 def _json_dumps(value) -> str:
     """Minimal JSON writer of a flat object that formats every float via :func:`_fmt`."""
     if isinstance(value, dict):
-        if not value:
-            return "{}"
         items = ",\n".join(f'  "{k}": {_json_dumps(v)}' for k, v in value.items())
         return "{\n" + items + "\n}"
     if isinstance(value, (list, tuple)):
@@ -82,19 +81,22 @@ def _json_dumps(value) -> str:
 
 
 def _timestamp() -> str:
-    """UTC timestamp, overridable via SOURCE_DATE_EPOCH for reproducible runs."""
+    """UTC timestamp, overridable via SOURCE_DATE_EPOCH; read before a command writes a file."""
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
-    ts = int(epoch) if epoch else int(datetime.now(tz=timezone.utc).timestamp())
-    return datetime.fromtimestamp(ts, tz=timezone.utc).isoformat()
+    try:
+        ts = int(epoch) if epoch else int(datetime.now(tz=timezone.utc).timestamp())
+        return datetime.fromtimestamp(ts, tz=timezone.utc).isoformat()
+    except (ValueError, OverflowError, OSError):
+        raise _CliError(f"SOURCE_DATE_EPOCH must be Unix seconds in years 1-9999, got {epoch!r}")
 
 
-def _write_manifest(command: str, seed, budget, mechanism, output_path: str) -> None:
+def _write_manifest(command: str, seed, budget, timestamp: str, output_path: str) -> None:
     manifest = {
         "command": command,
         "seed": seed,
         "budget": budget,
-        "mechanism": mechanism,
-        "timestamp": _timestamp(),
+        "mechanism": None,
+        "timestamp": timestamp,
         "output_paths": [output_path],
     }
     with open(output_path + ".manifest.json", "w") as fh:
@@ -341,10 +343,11 @@ def _results_csv_lines(rows):
 
 def cmd_experiment(args) -> int:
     setup, grid, fresh = _load_experiment_config(args.config)
+    timestamp = _timestamp()
     rows = run_experiment(setup, grid, fresh_data_per_iteration=fresh)
     with open(args.output, "w") as fh:
         fh.write("\n".join(_results_csv_lines(rows)) + "\n")
-    _write_manifest("experiment", setup.seed, None, None, args.output)
+    _write_manifest("experiment", setup.seed, None, timestamp, args.output)
     return 0
 
 
@@ -363,14 +366,15 @@ def _verify_csv_lines(rows):
 
 def cmd_verify(args) -> int:
     _check_budget_flags(args)
-    if args.trials < 100_000:
-        raise _CliError(f"--trials must be at least 100000, got {args.trials}")
+    if args.trials < _MIN_TRIALS:
+        raise _CliError(f"--trials must be at least {_MIN_TRIALS}, got {args.trials}")
+    timestamp = _timestamp() if args.output else None
     rows = verify_variances(args.epsilon, args.trials, RandomStream(args.seed, 0))
     lines = _verify_csv_lines(rows)
     if args.output:
         with open(args.output, "w") as fh:
             fh.write("\n".join(lines) + "\n")
-        _write_manifest("verify", args.seed, args.epsilon, None, args.output)
+        _write_manifest("verify", args.seed, args.epsilon, timestamp, args.output)
     else:
         print("\n".join(lines))
     return 0

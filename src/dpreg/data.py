@@ -10,16 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
-
-
-class Record(NamedTuple):
-    """One (x, y) observation; both coordinates must lie in [0, 1]."""
-
-    x: float
-    y: float
 
 
 @dataclass(frozen=True)
@@ -53,27 +46,24 @@ class Dataset:
     Sufficient sums are computed lazily and cached on the instance (see the
     ``cache`` dict used by the statistics modules), so fitting several
     mechanisms to one dataset pays for each sum once. The coordinates are
-    copied and marked read-only to keep the cache honest: a Dataset never
-    shares its caller's memory, so no later write can change a record
-    without its sums.
+    views of a read-only block (``_rows``) to keep the cache honest: a
+    Dataset never shares its caller's memory, so no later write can change
+    a record without its sums.
     """
 
     __slots__ = ("x", "y", "cache")
 
     def __init__(self, x, y):
-        x = np.array(x, dtype=np.float64, order="C")
-        y = np.array(y, dtype=np.float64, order="C")
+        x = np.asarray(x, dtype=np.float64)
+        y = np.asarray(y, dtype=np.float64)
         if x.ndim != 1 or y.ndim != 1 or x.shape != y.shape:
             raise ValueError(
                 f"x and y must be 1-d arrays of equal length, got shapes {x.shape} and {y.shape}"
             )
-        _check_unit_interval(x, "x")
-        _check_unit_interval(y, "y")
-        x.setflags(write=False)
-        y.setflags(write=False)
-        self.x = x
-        self.y = y
-        self.cache: dict = {}
+        xy = np.empty((2, 1, x.size))
+        xy[0, 0], xy[1, 0] = x, y
+        (ds,) = self._rows(xy)  # the copies, checked and frozen as every block is
+        self.x, self.y, self.cache = ds.x, ds.y, ds.cache
 
     @classmethod
     def _rows(cls, xy: np.ndarray) -> list:
@@ -96,20 +86,6 @@ class Dataset:
             datasets.append(ds)
         return datasets
 
-    def __init__(self, x, y):
-        x = np.array(x, dtype=np.float64, order="C")
-        y = np.array(y, dtype=np.float64, order="C")
-        if x.ndim != 1 or y.ndim != 1 or x.shape != y.shape:
-            raise ValueError(
-                f"x and y must be 1-d arrays of equal length, got shapes {x.shape} and {y.shape}"
-            )
-        _check_unit_interval(x, "x")
-        _check_unit_interval(y, "y")
-        x.setflags(write=False)
-        y.setflags(write=False)
-        self.x = x
-        self.y = y
-        self.cache: dict = {}
     @classmethod
     def from_records(cls, records: Iterable[tuple]) -> "Dataset":
         pairs = _as_pairs(records)
@@ -117,10 +93,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return self.x.size
-
-    def __iter__(self):
-        for xi, yi in zip(self.x, self.y):
-            yield Record(float(xi), float(yi))
 
     def __repr__(self) -> str:
         return f"Dataset(n={len(self)})"
@@ -145,8 +117,6 @@ def _as_pairs(records) -> np.ndarray:
 
 
 def _check_unit_interval(values: np.ndarray, name: str) -> None:
-    if values.size == 0:
-        return
     bad = ~((values >= 0.0) & (values <= 1.0))  # also catches NaN
     if bad.any():
         i = int(np.argmax(bad))
@@ -157,11 +127,11 @@ def _check_unit_interval(values: np.ndarray, name: str) -> None:
 
 
 def _check_rows(xy: np.ndarray) -> None:
-    """Check a (2, D, n) block of D datasets' coordinates as ``Dataset`` checks each.
+    """Check that a (2, D, n) block of D datasets' coordinates lies in [0, 1].
 
     One min/max pair passes a block inside [0, 1]. Otherwise the datasets
     are checked in order, each x before its y, so the error names the same
-    record, with the same message, as ``Dataset`` does on the first that fails.
+    record, with the same message, as a block of the first that fails alone.
     """
     if xy.size and not (xy.min() >= 0.0 and xy.max() <= 1.0):  # also catches NaN
         for x, y in zip(*xy):

@@ -317,6 +317,7 @@ class VarianceRow:
 # Trials that ``verify_variances`` draws, reads and reduces at a time; its
 # two buffers take about 1.6 MB, whatever the trial count (DECISIONS.md, D7).
 _TRIAL_CHUNK = 1 << 14
+_MIN_TRIALS = 100_000  # the fewest that ``verify_variances`` and ``dpreg verify`` take
 
 
 def verify_variances(epsilon: float, trials: int, stream: RandomStream) -> list[VarianceRow]:
@@ -337,8 +338,9 @@ def verify_variances(epsilon: float, trials: int, stream: RandomStream) -> list[
     """
     epsilon = _as_epsilon(epsilon)
     trials = _as_count(trials, "trials")
-    if trials < 100_000:
-        raise ValueError(f"trials must be at least 100000 for a stable estimate, got {trials}")
+    if trials < _MIN_TRIALS:
+        raise ValueError(
+            f"trials must be at least {_MIN_TRIALS} for a stable estimate, got {trials}")
     columns = [LINEAR_COLUMNS[stat] for stat in STATISTIC_ORDER]
     readings = {method: MECHANISMS[method].reading(1)[:, columns].T for method in VARIANCES}
     # One pair of buffers, sized for the widest release, serves both releases.

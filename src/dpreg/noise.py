@@ -19,16 +19,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-@dataclass(frozen=True)
-class PrivacyBudget:
-    """Total epsilon available to one mechanism invocation."""
-
-    epsilon: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "epsilon", _as_epsilon(self.epsilon))
-
-
 # dp_ss's 4/epsilon is the largest Laplace scale per budget of any release;
 # the registry sits above this module, so a test pins the 4 to it (D15).
 # A draw is at most 52 ln 2 (about 36.0) scales, since u is raised to
@@ -40,13 +30,11 @@ _EPSILON_FLOOR = _LARGEST_SCALE * 53 * math.log(2) / math.sqrt(np.finfo(np.float
 
 
 def _as_epsilon(budget) -> float:
-    """The epsilon of a ``PrivacyBudget`` or a number; every budget's one check.
+    """``budget`` as a float epsilon; every budget's one check.
 
     Raises ValueError for a bool, NaN, infinity, and values below
     ``_EPSILON_FLOOR``, where the largest draws and their products overflow.
     """
-    if isinstance(budget, PrivacyBudget):
-        return budget.epsilon
     if isinstance(budget, bool):  # float(True) would pass as 1.0
         raise ValueError(f"epsilon must be a number, got {budget}")
     eps = float(budget)
@@ -136,25 +124,6 @@ class RandomStream:
     def permutation(self, n: int) -> np.ndarray:
         """Uniformly random permutation of range(n)."""
         return self._gen.permutation(n)
-
-
-class ZeroNoiseStream(RandomStream):
-    """Stream whose Laplace draws are exactly zero.
-
-    Used to check that mechanisms reduce to their non-private estimators
-    when the noise is switched off. Its Laplace uniforms are all 1/2, the
-    centre of the inverse CDF, so every draw is +0.0 and no uniform is
-    consumed; scale validation is kept so misuse still surfaces.
-    """
-
-    def __init__(self, seed: int = 0, stream_index: int = 0):
-        super().__init__(seed, stream_index)
-
-    def _laplace_u(self, size, out=None):
-        if out is not None:
-            out.fill(0.5)
-            return out
-        return 0.5 if size is None else np.full(size, 0.5)
 
 
 def _as_index(value, name: str) -> int:

@@ -27,7 +27,6 @@ from dpreg import (
     SS_VARIANCES,
     STATISTIC_ORDER,
     TheilSenHyper,
-    ZeroNoiseStream,
     denormalize_fit,
     dp_median,
     dp_rss_fit,
@@ -47,6 +46,8 @@ from dpreg import (
     verify_variances,
 )
 from dpreg.cli import main as cli_main
+
+from zero_noise import ZeroNoiseStream
 
 
 def report(number, description, passed, detail=""):

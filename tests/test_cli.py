@@ -3,6 +3,7 @@ import csv
 import gzip
 import json
 import lzma
+from datetime import datetime, timezone
 from typing import NamedTuple
 
 import numpy as np
@@ -451,6 +452,38 @@ def test_experiment_writes_csv_and_manifest(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     assert out_path.read_bytes() == first_csv
     assert (tmp_path / "results.csv.manifest.json").read_bytes() == first_manifest
+
+
+@pytest.mark.parametrize("epoch", ["abc", "1e3", "-99999999999999", "9" * 30])
+def test_bad_source_date_epoch_is_a_usage_error_that_writes_nothing(tmp_path, capsys,
+                                                                    monkeypatch, epoch):
+    # It once ended in a traceback after the results file was written,
+    # which was left without its manifest.
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+    for argv, name in ((["experiment", experiment_config(tmp_path)], "results.csv"),
+                       (["verify", "--epsilon", "1.0", "--trials", "100000"], "variances.csv")):
+        code, out, err = run(capsys, argv + ["--output", str(tmp_path / name)])
+        assert (code, out) == (2, "")
+        assert err == ("dpreg: error: SOURCE_DATE_EPOCH must be Unix seconds in years 1-9999, "
+                       f"got {epoch!r}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+@pytest.mark.parametrize("epoch", [None, ""])
+def test_unset_or_empty_source_date_epoch_stamps_the_current_time(tmp_path, capsys,
+                                                                  monkeypatch, epoch):
+    if epoch is None:
+        monkeypatch.delenv("SOURCE_DATE_EPOCH", raising=False)
+    else:
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+    for argv in (["experiment", experiment_config(tmp_path, methods=["dp_rss"])],
+                 ["verify", "--epsilon", "1.0", "--trials", "100000"]):
+        before = datetime.now(tz=timezone.utc).replace(microsecond=0)
+        code, _, err = run(capsys, argv + ["--output", str(tmp_path / "out.csv")])
+        assert (code, err) == (0, "")
+        manifest = json.loads((tmp_path / "out.csv.manifest.json").read_text())
+        stamp = datetime.fromisoformat(manifest["timestamp"])
+        assert before <= stamp <= datetime.now(tz=timezone.utc)
 
 
 def test_experiment_single_iteration_writes_na(tmp_path, capsys):

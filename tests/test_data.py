@@ -3,21 +3,15 @@ import re
 import numpy as np
 import pytest
 
-from dpreg import Bounds, Dataset, RandomStream, Record, as_dataset, exact_group_stats, normalize
+from dpreg import Bounds, Dataset, RandomStream, as_dataset, exact_group_stats, normalize
 from dpreg.data import _check_rows
 
 UNIT = Bounds(0.0, 1.0, 0.0, 1.0)
 
 
-def test_record_fields():
-    r = Record(0.25, 0.75)
-    assert r.x == 0.25 and r.y == 0.75
-
-
 def test_dataset_basicproperties():
     ds = Dataset(np.array([0.1, 0.2]), np.array([0.3, 0.4]))
     assert len(ds) == 2
-    assert list(ds) == [Record(0.1, 0.3), Record(0.2, 0.4)]
     assert not ds.x.flags.writeable
     assert not ds.y.flags.writeable
 
@@ -44,6 +38,12 @@ def test_dataset_copies_its_callers_arrays():
     assert [s.tolist() for s in exact_group_stats(ds)] == want
     fresh = [s.tolist() for s in exact_group_stats(Dataset(base[:3], y))]
     assert fresh != want
+    # Nor can a caller make the coordinates writable again under their
+    # cached sums, whichever entry point built the Dataset.
+    for ds in (Dataset(x, y), Dataset.from_records(raw), as_dataset(raw), normalize(raw, UNIT)):
+        for coord in (ds.x, ds.y):
+            with pytest.raises(ValueError):
+                coord.setflags(write=True)
 
 
 def test_dataset_rejects_out_of_range_values():
@@ -77,7 +77,7 @@ def test_block_check_names_the_record_that_dataset_names(bad):
 
 
 def test_dataset_from_records_and_as_dataset():
-    ds = Dataset.from_records([(0.0, 0.5), Record(1.0, 1.0)])
+    ds = Dataset.from_records([(0.0, 0.5), (1.0, 1.0)])
     assert len(ds) == 2
     assert as_dataset(ds) is ds
     again = as_dataset([(0.0, 0.5), (1.0, 1.0)])

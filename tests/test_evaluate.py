@@ -17,7 +17,6 @@ from dpreg import (
     SS_VARIANCES,
     STATISTIC_ORDER,
     SetupConfig,
-    ZeroNoiseStream,
     generate_setup,
     l1_error,
     l2_error,
@@ -31,6 +30,8 @@ from dpreg.data import _CHUNK, Dataset
 from dpreg.evaluate import VARIANCES, _TRIAL_CHUNK, _datasets, _gap_means, _line_errors
 from dpreg.mechanisms import FITTERS, MECHANISMS, _fit
 from dpreg.simplex import LINEAR_COLUMNS, _cell_sums, _laplace_draw
+
+from zero_noise import ZeroNoiseStream
 
 
 def test_setup_config_validation():

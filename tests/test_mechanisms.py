@@ -10,10 +10,8 @@ from dpreg import (
     Dataset,
     FitResult,
     NoiseLedger,
-    PrivacyBudget,
     RandomStream,
     TheilSenHyper,
-    ZeroNoiseStream,
     denormalize_fit,
     dp_rss_fit,
     dp_rss_poly_fit,
@@ -22,8 +20,10 @@ from dpreg import (
     l2_error,
 )
 from dpreg.mechanisms import FALLBACK_ALPHA, FALLBACK_BETA, FITTERS, MECHANISMS, _pair_projections
-from dpreg.noise import _EPSILON_FLOOR, _LARGEST_SCALE
+from dpreg.noise import _EPSILON_FLOOR, _LARGEST_SCALE, _as_epsilon
 from dpreg.simplex import _cell_sums, _laplace_draw, _solve_refined
+
+from zero_noise import ZeroNoiseStream
 
 RSS, SS, THEIL_SEN = (MECHANISMS[name] for name in ("dp_rss", "dp_ss", "dp_theil_sen"))
 
@@ -36,21 +36,21 @@ def ols_oracle(ds):
 
 def test_budget_validation():
     with pytest.raises(ValueError):
-        PrivacyBudget(0.0)
+        _as_epsilon(0.0)
     with pytest.raises(ValueError):
-        PrivacyBudget(-1.0)
+        _as_epsilon(-1.0)
     with pytest.raises(ValueError):
-        PrivacyBudget(float("inf"))
-    assert PrivacyBudget(0.5).epsilon == 0.5
+        _as_epsilon(float("inf"))
+    assert _as_epsilon(0.5) == 0.5
     # The smallest epsilon at which every noisy sum, and the product of any
     # two, stays finite; 4/max_double, where dp_ss's scale 4/epsilon itself
     # overflows, is far below it.
     assert 1e-153 < _EPSILON_FLOOR < 1e-151
-    assert PrivacyBudget(_EPSILON_FLOOR).epsilon == _EPSILON_FLOOR
+    assert _as_epsilon(_EPSILON_FLOOR) == _EPSILON_FLOOR
     for bad in (float("nan"), -float("inf"), 1e-320, 4.0 / np.finfo(np.float64).max,
                 2.3e-308, np.nextafter(_EPSILON_FLOOR, 0.0)):
         with pytest.raises(ValueError):
-            PrivacyBudget(bad)
+            _as_epsilon(bad)
     ds = Dataset(np.array([0.5]), np.array([0.5]))
     for fit in (dp_rss_fit, dp_ss_fit, dp_theil_sen_fit):
         for bad in (0.0, float("inf"), 1e-320):
@@ -84,10 +84,12 @@ def test_zero_noise_matches_least_squares_oracle(random_dataset):
             assert res.beta_hat == pytest.approx(b, abs=1e-10)
 
 
-def test_accepts_budget_object_and_plain_float(three_point_line):
-    a = dp_rss_fit(three_point_line, PrivacyBudget(1.5), RandomStream(3, 0))
+def test_accepts_any_real_budget_as_its_float(three_point_line):
+    # A budget is a plain number; a numpy scalar or an int fits as its float.
     b = dp_rss_fit(three_point_line, 1.5, RandomStream(3, 0))
-    assert a == b
+    assert dp_rss_fit(three_point_line, np.float64(1.5), RandomStream(3, 0)) == b
+    assert dp_rss_fit(three_point_line, 2, RandomStream(3, 0)) == dp_rss_fit(
+        three_point_line, 2.0, RandomStream(3, 0))
 
 
 def test_fallback_fit_is_fixed_line():

@@ -8,10 +8,12 @@ import warnings
 import numpy as np
 import pytest
 
-from dpreg import NoiseEvent, NoiseLedger, RandomStream, ZeroNoiseStream
+from dpreg import NoiseEvent, NoiseLedger, RandomStream
 from dpreg.noise import _BLOCK, _pcg64_seeds
 from dpreg.mechanisms import MECHANISMS
 from dpreg.simplex import _cell_sums, _laplace_draw
+
+from zero_noise import ZeroNoiseStream
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 

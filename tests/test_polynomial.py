@@ -8,7 +8,6 @@ from dpreg import (
     FitResult,
     NoiseLedger,
     RandomStream,
-    ZeroNoiseStream,
     dp_rss_fit,
     dp_rss_poly_fit,
     exact_group_stats,
@@ -21,6 +20,8 @@ from dpreg.simplex import (
     _solve_systems,
     transfer_matrix,
 )
+
+from zero_noise import ZeroNoiseStream
 
 
 def stacked_power_groups(x, y, degree):

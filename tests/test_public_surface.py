@@ -1,5 +1,9 @@
 """The package's public names, pinned so that any change to them shows up in review."""
+import ast
+import pathlib
+
 import dpreg
+import dpreg.data
 import dpreg.noise
 import dpreg.polynomial
 import dpreg.simplex
@@ -15,16 +19,13 @@ PUBLIC_NAMES = [
     "METHOD_NAMES",
     "NoiseEvent",
     "NoiseLedger",
-    "PrivacyBudget",
     "RSS_VARIANCES",
     "RandomStream",
-    "Record",
     "SS_VARIANCES",
     "STATISTIC_ORDER",
     "SetupConfig",
     "TheilSenHyper",
     "VarianceRow",
-    "ZeroNoiseStream",
     "as_dataset",
     "denormalize_fit",
     "dp_median",
@@ -55,9 +56,12 @@ PUBLIC_NAMES = [
 # called one at a time. Both Laplace releases share one cell-sum cache, one
 # draw, one solve and one simulator. Every per-mechanism table, the budget
 # splits, the Laplace releases and the (draw, solve) pairs, is now a field
-# of the mechanism's record in mechanisms.MECHANISMS.
+# of the mechanism's record in mechanisms.MECHANISMS. No path needs a
+# budget wrapper or a record type, and a stream that releases the exact sums
+# under a ledger of epsilon lives in the tests (tests/zero_noise.py).
 REMOVED = {
-    dpreg.noise: ["_RELEASE_PARTS", "_SHARES"],
+    dpreg.data: ["Record"],
+    dpreg.noise: ["_RELEASE_PARTS", "_SHARES", "PrivacyBudget", "ZeroNoiseStream"],
     dpreg.simplex: ["simplex_transform_x", "simplex_transform_xy", "_check_unit",
                     "_solve_normal_equations", "_coefficients", "refined_fit", "_refined_fits",
                     "refined_release", "_group_sums", "_refined_releases", "_LAPLACE_RELEASES"],
@@ -72,7 +76,7 @@ REMOVED = {
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC_NAMES) == 39
+    assert len(PUBLIC_NAMES) == 36
     assert sorted(dpreg.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(dpreg, name) is not None, name
@@ -83,3 +87,31 @@ def test_removed_names_are_gone():
         for name in names:
             assert not hasattr(module, name), (module.__name__, name)
             assert not hasattr(dpreg, name), name
+
+
+def test_dataset_is_not_iterable():
+    assert not hasattr(dpreg.Dataset, "__iter__")
+
+
+def duplicate_definitions(tree):
+    """(body owner, name) for each function or class defined twice in one body."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef)):
+            seen = set()
+            for child in node.body:
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    if child.name in seen:
+                        found.append((getattr(node, "name", "<module>"), child.name))
+                    seen.add(child.name)
+    return found
+
+
+def test_no_name_is_defined_twice_in_one_body():
+    # A second definition silently replaces the first, which then reads as
+    # live code; pyflakes' redefinition check, without the dependency.
+    src = pathlib.Path(dpreg.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        assert duplicate_definitions(ast.parse(path.read_text())) == [], path.name
+    assert duplicate_definitions(ast.parse("class A:\n def f(s): 1\n def f(s): 2\n")) == [
+        ("A", "f")]

@@ -10,7 +10,6 @@ from dpreg import (
     Dataset,
     NoiseLedger,
     RandomStream,
-    ZeroNoiseStream,
     dp_rss_fit,
     dp_rss_poly_fit,
     dp_ss_fit,
@@ -28,6 +27,8 @@ from dpreg.simplex import (
     _ss_rows,
     transfer_matrix,
 )
+
+from zero_noise import ZeroNoiseStream
 
 RSS, SS = MECHANISMS["dp_rss"], MECHANISMS["dp_ss"]
 
