@@ -18,7 +18,7 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import astuple
+from dataclasses import astuple, fields
 from datetime import datetime, timezone
 
 import numpy as np
@@ -28,16 +28,20 @@ from .evaluate import (
     _MIN_TRIALS,
     VARIANCES,
     ExperimentGrid,
+    ExperimentRow,
     SetupConfig,
     STATISTIC_ORDER,
+    VarianceRow,
     run_experiment,
     verify_variances,
 )
 from .mechanisms import MECHANISMS, _fit, denormalize_fit
 from .noise import RandomStream, _as_epsilon
+from .simplex import _as_degree
 
-RESULTS_HEADER = "method,epsilon,mean_l1,std_l1,mean_l2,std_l2,median_l1,median_l2"
-VERIFY_HEADER = "statistic,method,empirical_var,theoretical_var,relative_error,improvement_ratio"
+RESULTS_HEADER = ",".join(f.name for f in fields(ExperimentRow))
+# VarianceRow's fields, then the baseline's variance over the refined one's.
+VERIFY_HEADER = ",".join([f.name for f in fields(VarianceRow)] + ["improvement_ratio"])
 
 # Written to stderr by every seeded ``dpreg fit``; stdout stays the release alone.
 SEEDED_FIT_NOTICE = ("dpreg: note: --seed makes this release reproducible; it is not private "
@@ -88,6 +92,26 @@ def _timestamp() -> str:
         return datetime.fromtimestamp(ts, tz=timezone.utc).isoformat()
     except (ValueError, OverflowError, OSError):
         raise _CliError(f"SOURCE_DATE_EPOCH must be Unix seconds in years 1-9999, got {epoch!r}")
+
+
+def _start_output(path: str) -> str:
+    """The manifest's timestamp, once ``path`` and its manifest are known to be writable.
+
+    Runs before any work. Opens each file for appending, so an existing one
+    keeps its bytes, and removes one that it created; exits 2 naming the
+    first that cannot be written, so a run never leaves a CSV without its
+    manifest, and writes nothing when the timestamp is refused.
+    """
+    timestamp = _timestamp()
+    for target in (path, path + ".manifest.json"):
+        existed = os.path.lexists(target)
+        try:
+            open(target, "a").close()
+        except OSError as exc:
+            raise _CliError(f"cannot write {target}: {exc.strerror}") from exc
+        if not existed:
+            os.remove(target)
+    return timestamp
 
 
 def _write_manifest(command: str, seed, budget, timestamp: str, output_path: str) -> None:
@@ -185,6 +209,17 @@ def _is_utf8(fields) -> bool:
     return True
 
 
+def _parse_float(field: str) -> float:
+    """``float(field)``, refusing also what ``float`` takes and numpy's parser does not.
+
+    Those are underscores and non-ASCII digits; whitespace around the
+    number, Unicode included, both take.
+    """
+    if "_" in field or not field.strip().isascii():
+        raise ValueError(f"could not convert string to float: {field!r}")
+    return float(field)
+
+
 def _first_bad_line(path: str) -> str | None:
     """Describe the first record of ``path`` that is not two floats, if any.
 
@@ -204,7 +239,7 @@ def _first_bad_line(path: str) -> str | None:
                 if len(row) != 2:
                     return f"{path} line {lineno}: expected 2 fields, got {len(row)}"
                 try:
-                    float(row[0]), float(row[1])
+                    _parse_float(row[0]), _parse_float(row[1])
                 except ValueError as exc:
                     return f"{path} line {lineno}: {exc}"
         except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
@@ -242,8 +277,10 @@ def cmd_fit(args) -> int:
     if polynomial:
         if args.degree is None:
             raise _CliError(f"{args.mechanism} requires --degree")
-        if args.degree < 1:
-            raise _CliError(f"--degree must be at least 1, got {args.degree}")
+        try:
+            _as_degree(args.degree)
+        except ValueError as exc:
+            raise _CliError(f"--degree: {exc}") from exc
         if bounds is not None:
             raise _CliError(
                 "bounds rescaling applies to the linear mechanisms only; "
@@ -333,7 +370,6 @@ def _load_experiment_config(path: str):
 
 
 def _results_csv_lines(rows):
-    # The columns are the fields of ExperimentRow, in order.
     lines = [RESULTS_HEADER]
     for r in rows:
         method, *values = astuple(r)
@@ -343,7 +379,7 @@ def _results_csv_lines(rows):
 
 def cmd_experiment(args) -> int:
     setup, grid, fresh = _load_experiment_config(args.config)
-    timestamp = _timestamp()
+    timestamp = _start_output(args.output)
     rows = run_experiment(setup, grid, fresh_data_per_iteration=fresh)
     with open(args.output, "w") as fh:
         fh.write("\n".join(_results_csv_lines(rows)) + "\n")
@@ -352,7 +388,6 @@ def cmd_experiment(args) -> int:
 
 
 def _verify_csv_lines(rows):
-    # VarianceRow's fields, then the baseline's variance over the refined one's.
     by_key = {(r.statistic, r.method): r for r in rows}
     refined, baseline = VARIANCES
     lines = [VERIFY_HEADER]
@@ -368,7 +403,7 @@ def cmd_verify(args) -> int:
     _check_budget_flags(args)
     if args.trials < _MIN_TRIALS:
         raise _CliError(f"--trials must be at least {_MIN_TRIALS}, got {args.trials}")
-    timestamp = _timestamp() if args.output else None
+    timestamp = _start_output(args.output) if args.output else None
     rows = verify_variances(args.epsilon, args.trials, RandomStream(args.seed, 0))
     lines = _verify_csv_lines(rows)
     if args.output:

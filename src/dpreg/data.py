@@ -116,14 +116,19 @@ def _as_pairs(records) -> np.ndarray:
     return pairs
 
 
-def _check_unit_interval(values: np.ndarray, name: str) -> None:
-    bad = ~((values >= 0.0) & (values <= 1.0))  # also catches NaN
+def _check_range(values: np.ndarray, name: str, declared=None) -> None:
+    """Raise ValueError naming the first of ``values`` outside [0, 1], or NaN.
+
+    With ``declared = (lo, hi)``, ``normalize``'s bounds, the range is
+    [lo, hi] and the message names the declared bounds.
+    """
+    lo, hi = declared or (0.0, 1.0)
+    bad = ~((values >= lo) & (values <= hi))  # also catches NaN
     if bad.any():
         i = int(np.argmax(bad))
-        raise ValueError(
-            f"record {i}: {name}={values[i]!r} outside [0, 1]; "
-            "rescale with normalize() and explicit bounds first"
-        )
+        where = (f"declared bounds [{lo}, {hi}]" if declared
+                 else "[0, 1]; rescale with normalize() and explicit bounds first")
+        raise ValueError(f"record {i}: {name}={values[i]!r} outside {where}")
 
 
 def _check_rows(xy: np.ndarray) -> None:
@@ -135,8 +140,8 @@ def _check_rows(xy: np.ndarray) -> None:
     """
     if xy.size and not (xy.min() >= 0.0 and xy.max() <= 1.0):  # also catches NaN
         for x, y in zip(*xy):
-            _check_unit_interval(x, "x")
-            _check_unit_interval(y, "y")
+            _check_range(x, "x")
+            _check_range(y, "y")
 
 
 def normalize(data, bounds: Bounds) -> Dataset:
@@ -147,16 +152,8 @@ def normalize(data, bounds: Bounds) -> Dataset:
     """
     raw = _as_pairs(data)
     x, y = raw[:, 0], raw[:, 1]
-    for name, v, lo, hi in (
-        ("x", x, bounds.x_min, bounds.x_max),
-        ("y", y, bounds.y_min, bounds.y_max),
-    ):
-        bad = ~((v >= lo) & (v <= hi))
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise ValueError(
-                f"record {i}: {name}={v[i]!r} outside declared bounds [{lo}, {hi}]"
-            )
+    _check_range(x, "x", (bounds.x_min, bounds.x_max))
+    _check_range(y, "y", (bounds.y_min, bounds.y_max))
     # Rescaled into a new block of one dataset, which the Dataset keeps; the
     # values are unchanged.
     xy = np.empty((2, 1, len(raw)))

@@ -104,10 +104,10 @@ class RandomStream:
 
         ``scale`` must be one positive, finite number; anything else, an
         array included, raises ValueError before a uniform is drawn. A draw
-        of more than ``_BLOCK`` values is transformed in place, one block at
-        a time: it allocates the array of uniforms, which it overwrites with
-        its result, and two scratch blocks of ``_BLOCK`` floats. Every value
-        equals the unblocked expression's bit for bit (DECISIONS.md, D5).
+        is transformed in place, ``_BLOCK`` values at a time: it allocates
+        the array of uniforms, which it overwrites with its result, and two
+        scratch arrays of at most a block. Every value equals the unblocked
+        expression's bit for bit (DECISIONS.md, D5).
         """
         b = float(scale) if isinstance(scale, numbers.Real) and not isinstance(scale, bool) else 0.0
         if not (b > 0 and math.isfinite(b)):
@@ -166,10 +166,12 @@ _POOL_SIZE = 4
 _SEED_BLOCK = 1024
 
 
+@functools.cache
 def _hash_steps(init: int, mult: int, count: int) -> tuple:
     """The ``(xor, mult)`` constants of ``count`` hash steps.
 
     Step k xors by ``init * mult^k`` mod 2^32 and multiplies by the next power.
+    They depend on no data, so each count's are computed once, at first use.
     """
     consts = [init]
     for _ in range(count):
@@ -177,10 +179,6 @@ def _hash_steps(init: int, mult: int, count: int) -> tuple:
     return tuple(zip(consts[:-1], consts[1:]))
 
 
-# The hash steps' constants depend on no data: the pool's first 64 steps,
-# enough for a seed and an index of 16 words in all, and the output's 8.
-_STEPS_A = _hash_steps(_INIT_A, _MULT_A, 64)
-_STEPS_B = _hash_steps(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
 # The order in which the seed's pool words are mixed into each other.
 _MIX_ORDER = tuple((src, dst) for src in range(_POOL_SIZE) for dst in range(_POOL_SIZE)
                    if src != dst)
@@ -202,7 +200,7 @@ def _pcg64_seeds(seed: int, index) -> np.ndarray:
     index_words = [index] if isinstance(index, np.ndarray) else _uint32_words(index)
     extra = words[_POOL_SIZE:] + index_words
     count = _POOL_SIZE * (_POOL_SIZE + len(extra))
-    steps = iter(_STEPS_A if count <= len(_STEPS_A) else _hash_steps(_INIT_A, _MULT_A, count))
+    steps = iter(_hash_steps(_INIT_A, _MULT_A, count))
     pool = []
     for word, (xor, mult) in zip(words[:_POOL_SIZE], steps):
         value = (word ^ xor) * mult & _MASK32
@@ -217,7 +215,7 @@ def _pcg64_seeds(seed: int, index) -> np.ndarray:
             value = (_MIX_MULT_L * pool[dst] - _MIX_MULT_R * (value ^ value >> 16)) & _MASK32
             pool[dst] = value ^ value >> 16
     state = []
-    for i, (xor, mult) in enumerate(_STEPS_B):
+    for i, (xor, mult) in enumerate(_hash_steps(_INIT_B, _MULT_B, 2 * _POOL_SIZE)):
         value = (pool[i % _POOL_SIZE] ^ xor) * mult & _MASK32
         state.append(value ^ value >> 16)
     seeds = [state[k] | state[k + 1] << 32 for k in range(0, len(state), 2)]
@@ -261,47 +259,35 @@ def _seeding():
     return Generator, PCG64
 
 
-# Draws of more than this many values are transformed block by block, in
-# place; smaller ones (every fit's) keep the one-line expression, which is
-# faster below a block.
+# Draws are transformed in place, this many values at a time, so the
+# scratch of a bulk draw stays two blocks of floats.
 _BLOCK = 1 << 14
 # The smallest positive value Generator.random returns; u = 0 is raised to it.
 _U_MIN = 2.0**-53
 
 
 def _unit_laplace(u, neg_b=None):
-    """The inverse CDF ``sign(t) * log1p(-2|t|)``, t = max(u, 2^-53) - 1/2, times ``neg_b``.
+    """Overwrite ``u`` with ``sign(t) * log1p(-2|t|)``, t = max(u, 2^-53) - 1/2, times ``neg_b``.
 
-    Laplace(b) draws are this at ``neg_b = -b``; with no ``neg_b`` it is the
-    draw at b = -1, for the caller to scale by -b. ``u`` is a float or an
-    array; an array of more than ``_BLOCK`` values is overwritten and
-    returned (DECISIONS.md, D5).
+    F^{-1}(u) = -b * sign(u - 1/2) * ln(1 - 2|u - 1/2|), computed with
+    log1p so values of u near 1/2 lose no precision. u = 0 is raised to
+    2^-53, the smallest positive uniform, so no draw is infinite and the
+    two extreme draws stay exact negatives. sign(.) * ln(.) is exact, so
+    -b enters after the single rounding and every scale rounds the same
+    real product it would round on its own. Laplace(b) draws are this at
+    ``neg_b = -b``; with no ``neg_b`` it is the draw at b = -1, for the
+    caller to scale by -b.
+
+    ``u`` is a float or a float64 array; an array is overwritten and
+    returned, a float gives a 0-d array. Each block of ``_BLOCK`` values
+    runs the expression's operations in the same order into two scratch
+    arrays of at most a block, so every value is bit-identical to it
+    (DECISIONS.md, D5).
     """
-    if np.size(u) > _BLOCK:
-        return _unit_laplace_in_place(u, neg_b)
-    # F^{-1}(u) = -b * sign(u - 1/2) * ln(1 - 2|u - 1/2|), computed with
-    # log1p so values of u near 1/2 lose no precision. u = 0 is raised to
-    # 2^-53, the smallest positive uniform, so no draw is infinite and
-    # the two extreme draws stay exact negatives. sign(.) * ln(.) is
-    # exact, so -b enters after the single rounding and every scale
-    # rounds the same real product it would round on its own.
-    t = np.maximum(u, _U_MIN) - 0.5
-    unit = np.sign(t) * np.log1p(-2.0 * np.abs(t))
-    if neg_b is not None:
-        unit *= neg_b
-    return unit
-
-
-def _unit_laplace_in_place(u, neg_b=None):
-    """Overwrite ``u`` with ``sign(t) * log1p(-2|t|)``, t = max(u, 2^-53) - 1/2.
-
-    Each block runs the unblocked expression's operations in the same order
-    into two scratch blocks, so every value is bit-identical to it. A
-    ``neg_b`` (-scale) multiplies each block as its last step.
-    """
+    u = np.asarray(u, dtype=np.float64)
     flat = u.reshape(-1)
-    t_buf = np.empty(_BLOCK)
-    a_buf = np.empty(_BLOCK)
+    t_buf = np.empty(min(flat.size, _BLOCK))
+    a_buf = np.empty(t_buf.size)
     for start in range(0, flat.size, _BLOCK):
         out = flat[start:start + _BLOCK]
         t = t_buf[:out.size]

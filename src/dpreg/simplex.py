@@ -56,8 +56,23 @@ from functools import lru_cache
 
 import numpy as np
 
-from .data import _CHUNK, _check_unit_interval, _exact_sums, as_dataset
+from .data import _CHUNK, _check_range, _exact_sums, as_dataset
 from .noise import _as_count, _as_epsilon, _unit_laplace
+
+# The largest degree a release takes. The fallback rule's pivot-ratio bound
+# (D2) refused every noise-free fit tried above degree 17, so a higher
+# degree could only fall back; 32 leaves room for data that condition
+# better, and bounds a fit's cells at 99 per record (DECISIONS.md, D10).
+_MAX_DEGREE = 32
+
+
+def _as_degree(degree) -> int:
+    """``degree`` as a positive int of at most ``_MAX_DEGREE``; every degree's one check."""
+    d = _as_count(degree, "degree")
+    if d > _MAX_DEGREE:
+        raise ValueError(f"degree must be at most {_MAX_DEGREE}, got {d}; every noise-free fit "
+                         "tried above degree 17 falls back as singular (DECISIONS.md, D10)")
+    return d
 
 
 def _component_rows(x: np.ndarray, y: np.ndarray, d: int):
@@ -112,7 +127,7 @@ def exact_group_stats(data, degree: int = 1) -> tuple[np.ndarray, np.ndarray]:
     d + 2 xy-group sums. Each sum is exact and correctly rounded,
     bit-identical to ``math.fsum`` of the components.
     """
-    d = _as_count(degree, "degree")
+    d = _as_degree(degree)
     sums = _cell_sums(as_dataset(data), _component_rows, d, 3 * d + 3)
     return sums[: 2 * d + 1], sums[2 * d + 1 :]
 
@@ -126,7 +141,7 @@ def transfer_matrix(degree: int) -> np.ndarray:
     term count over their total; the two readings use disjoint noise terms,
     so every entry is one weight with the reading's sign. Read-only.
     """
-    d = _as_count(degree, "degree")
+    d = _as_degree(degree)
     unit = np.eye(3 * d + 3)
     g1, g2 = unit[: 2 * d + 1], unit[2 * d + 1 :]
     n_x, n_y = g1.sum(axis=0), g2.sum(axis=0)
@@ -209,7 +224,7 @@ def _laplace_draw(release, pairs, budgets, degree: int = 1) -> np.ndarray:
     (DECISIONS.md, D3 and D17). Together a pair's rows are not eps-DP at any
     one budget; one row alone is.
     """
-    d = _as_count(degree, "degree")
+    d = _as_degree(degree)
     matrix = release.reading(d)
     neg_scales = np.array([-release.share / _as_epsilon(b) for b in budgets])
     key = (release.rows, d)
@@ -343,12 +358,12 @@ def group_contributions(x, y, degree: int) -> tuple[np.ndarray, np.ndarray]:
     adds. Raises ValueError, as ``Dataset`` does, when a coordinate lies
     outside [0, 1] or is NaN.
     """
-    d = _as_count(degree, "degree")
+    d = _as_degree(degree)
     x, y = np.broadcast_arrays(np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64))
     shape = x.shape
     x, y = np.ravel(x), np.ravel(y)  # contiguous, as a Dataset's arrays are
-    _check_unit_interval(x, "x")
-    _check_unit_interval(y, "y")
+    _check_range(x, "x")
+    _check_range(y, "y")
     cells = np.empty((x.size, 3 * d + 3))
     for cell, row in _component_rows(x, y, d):
         cells[:, cell] = row
@@ -369,7 +384,7 @@ def sensitivity_oracle(degree: int, grid_step: float) -> tuple:
     """
     from fractions import Fraction  # 4 ms to import; only the oracle needs it
 
-    d = _as_count(degree, "degree")
+    d = _as_degree(degree)
     if not (0 < grid_step <= 0.1):
         raise ValueError(f"grid_step must lie in (0, 0.1], got {grid_step}")
     pts = np.linspace(0.0, 1.0, round(1.0 / grid_step) + 1)

@@ -19,6 +19,7 @@ from dpreg.cli import (
     _read_xy_csv,
     main,
 )
+from dpreg.simplex import _MAX_DEGREE
 
 
 def write_csv(tmp_path, rows, header="x,y", name="data.csv"):
@@ -205,6 +206,18 @@ def test_fit_without_seed_draws_secret_noise(tmp_path, capsys):
      "--seed must be a non-negative integer, got -3"),
     (Flags(("--mechanism", "dp_theil_sen", "--epsilon", "1", "--seed=-1")), "x,y",
      "--seed must be a non-negative integer, got -1"),
+    (RawFile("data.csv", b""), None, "empty file, expected header 'x,y'"),
+    # float() takes these and numpy's parser does not; the line is still named.
+    (RawFile("data.csv", b"x,y\n0.1,0.2\n0_5,0.4\n"), None,
+     "line 3: could not convert string to float: '0_5'"),
+    (RawFile("data.csv", "x,y\n0.1,0.2\n\u0660.\u0665,0.4\n".encode()), None,
+     "line 3: could not convert string to float: '\u0660.\u0665'"),
+    (Flags(("--mechanism", "dp_rss_poly", "--degree", "0", "--epsilon", "1")), "x,y",
+     "--degree: degree must be a positive integer, got 0"),
+    (Flags(("--mechanism", "dp_rss_poly", "--degree", str(_MAX_DEGREE + 1), "--epsilon", "1")),
+     "x,y", f"--degree: degree must be at most {_MAX_DEGREE}, got {_MAX_DEGREE + 1}"),
+    (Flags(("--epsilon", "1", "--x-min", "0", "--x-max", "0.5", "--y-min", "0", "--y-max", "1")),
+     "x,y", "outside declared bounds [0.0, 0.5]"),
 ])
 def test_fit_input_errors(tmp_path, capsys, rows, header, fragment):
     flags = ("--epsilon", "1.0")
@@ -411,6 +424,22 @@ def test_fit_flag_misuse(tmp_path, capsys):
     assert "invalid choice" in err
 
 
+def test_fit_degree_bound(tmp_path, capsys):
+    # The largest degree fits (here it falls back); one above it is refused
+    # before the file is read, so a missing file is not reported.
+    path = write_csv(tmp_path, LINE_ROWS)
+    code, out, err = run(capsys, ["fit", path, "--mechanism", "dp_rss_poly", "--degree",
+                                  str(_MAX_DEGREE), "--epsilon", "1", "--seed", "3"])
+    assert (code, err) == (0, NOTICE)
+    assert json.loads(out)["degree"] == _MAX_DEGREE
+    code, out, err = run(capsys, ["fit", str(tmp_path / "missing.csv"), "--mechanism",
+                                  "dp_rss_poly", "--degree", str(_MAX_DEGREE + 1),
+                                  "--epsilon", "1"])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"dpreg: error: --degree: degree must be at most {_MAX_DEGREE}, "
+                          f"got {_MAX_DEGREE + 1}; ")
+
+
 def experiment_config(tmp_path, **overrides):
     cfg = {
         "n": 60, "alpha": 0.5, "beta": 0.2, "sigma": 0.05, "seed": 3,
@@ -542,10 +571,45 @@ def test_experiment_missing_key_and_bad_json(tmp_path, capsys):
     assert code == 2 and "missing config key" in err
 
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    code, _, err = run(capsys, ["experiment", str(bad), "--output",
-                                str(tmp_path / "x.csv")])
-    assert code == 2 and "invalid JSON" in err
+    for text, fragment in (("{not json", "invalid JSON"), ("[1, 2]", "config must be a JSON object"),
+                           (None, "cannot read")):
+        if text is None:
+            bad.unlink()
+        else:
+            bad.write_text(text)
+        code, _, err = run(capsys, ["experiment", str(bad), "--output",
+                                    str(tmp_path / "x.csv")])
+        assert code == 2 and fragment in err, text
+
+
+@pytest.mark.parametrize("command", ["experiment", "verify"])
+def test_unwritable_output_is_a_usage_error_before_any_work(tmp_path, capsys, monkeypatch,
+                                                            command):
+    # An unwritable --output once ended in a traceback after the whole run.
+    # Each path is checked before the run, and a CSV that exists keeps its
+    # bytes when its manifest cannot be written.
+    def no_run(*args, **kwargs):
+        raise AssertionError("the run started before its output was checked")
+
+    monkeypatch.setattr("dpreg.cli.run_experiment", no_run)
+    monkeypatch.setattr("dpreg.cli.verify_variances", no_run)
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+    argv = (["experiment", experiment_config(tmp_path)] if command == "experiment"
+            else ["verify", "--epsilon", "1.0", "--trials", "100000"])
+    missing = tmp_path / "missing" / "out.csv"
+    kept = tmp_path / "kept.csv"
+    kept.write_text("old\n")
+    (tmp_path / "kept.csv.manifest.json").mkdir()
+    (tmp_path / "new.csv.manifest.json").mkdir()
+    for out_path, reason in ((missing, "No such file or directory"),
+                             (kept, "Is a directory"), (tmp_path / "new.csv", "Is a directory")):
+        code, out, err = run(capsys, argv + ["--output", str(out_path)])
+        assert (code, out) == (2, "")
+        failed = missing if out_path == missing else f"{out_path}.manifest.json"
+        assert err == f"dpreg: error: cannot write {failed}: {reason}\n"
+    assert kept.read_text() == "old\n"
+    left = sorted(p.name for p in tmp_path.iterdir() if p.name != "config.json")
+    assert left == ["kept.csv", "kept.csv.manifest.json", "new.csv.manifest.json"]
 
 
 def test_verify_prints_table(capsys):

@@ -12,9 +12,11 @@ from dpreg import (
     dp_rss_poly_fit,
     exact_group_stats,
     group_contributions,
+    sensitivity_oracle,
 )
 from dpreg.mechanisms import MECHANISMS
 from dpreg.simplex import (
+    _MAX_DEGREE,
     _component_rows,
     _laplace_draw,
     _solve_systems,
@@ -96,6 +98,28 @@ def test_degree_validation():
     for degree in (np.int64(2), np.uint8(1)):
         assert dp_rss_poly_fit(ds, degree, 1.0, RandomStream(0, 0)) == dp_rss_poly_fit(
             ds, int(degree), 1.0, RandomStream(0, 0))
+
+
+def test_degree_bound():
+    # Every entry point takes the largest degree and refuses one above it,
+    # before any uniform is drawn. No noise-free fit above degree 17 was
+    # found to pass the fallback rule (DECISIONS.md, D10), and this one
+    # falls back too.
+    ds = Dataset(np.linspace(0.0, 1.0, 200), np.linspace(0.2, 0.6, 200))
+    fit = dp_rss_poly_fit(ds, _MAX_DEGREE, 1e300, ZeroNoiseStream(0, 0))
+    assert (fit.degree, fit.fallback) == (_MAX_DEGREE, True)
+    assert transfer_matrix(_MAX_DEGREE).shape == (3 * _MAX_DEGREE + 3, 3 * _MAX_DEGREE + 2)
+    assert len(exact_group_stats(ds, _MAX_DEGREE)[0]) == 2 * _MAX_DEGREE + 1
+    stream = RandomStream(0, 0)
+    calls = (lambda d: dp_rss_poly_fit(ds, d, 1.0, stream), transfer_matrix,
+             lambda d: exact_group_stats(ds, d), lambda d: group_contributions(0.5, 0.5, d),
+             lambda d: sensitivity_oracle(d, 0.1),
+             lambda d: _laplace_draw(MECHANISMS["dp_rss"], [(ds, stream)], (1.0,), d))
+    for call in calls:
+        with pytest.raises(ValueError, match=f"degree must be at most {_MAX_DEGREE}, "
+                                             f"got {_MAX_DEGREE + 1}; "):
+            call(_MAX_DEGREE + 1)
+    assert stream.uniform() == RandomStream(0, 0).uniform()
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3])
