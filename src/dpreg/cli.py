@@ -23,7 +23,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .data import Bounds, Dataset, normalize
+from .data import _RESCALE_HINT, Bounds, Dataset, normalize
 from .evaluate import (
     _MIN_TRIALS,
     VARIANCES,
@@ -299,10 +299,9 @@ def cmd_fit(args) -> int:
     else:
         try:
             ds = Dataset(pairs[:, 0], pairs[:, 1])
-        except ValueError as exc:
-            raise _CliError(
-                f"{exc}; pass --x-min/--x-max/--y-min/--y-max to rescale raw data"
-            ) from exc
+        except ValueError as exc:  # the CLI's rescaling hint replaces the library's
+            hint = "pass --x-min/--x-max/--y-min/--y-max to rescale raw data"
+            raise _CliError(str(exc).replace(_RESCALE_HINT, hint)) from exc
     del pairs  # the Dataset holds its own columns; the fit needs no parse
 
     seed = args.seed

@@ -116,19 +116,22 @@ def _as_pairs(records) -> np.ndarray:
     return pairs
 
 
+_RESCALE_HINT = "rescale with normalize() and explicit bounds first"
+
+
 def _check_range(values: np.ndarray, name: str, declared=None) -> None:
     """Raise ValueError naming the first of ``values`` outside [0, 1], or NaN.
 
     With ``declared = (lo, hi)``, ``normalize``'s bounds, the range is
-    [lo, hi] and the message names the declared bounds.
+    [lo, hi] and the message names the declared bounds. The value prints as
+    a Python float, the same on every numpy (whose scalar repr changed in 2.0).
     """
     lo, hi = declared or (0.0, 1.0)
     bad = ~((values >= lo) & (values <= hi))  # also catches NaN
     if bad.any():
         i = int(np.argmax(bad))
-        where = (f"declared bounds [{lo}, {hi}]" if declared
-                 else "[0, 1]; rescale with normalize() and explicit bounds first")
-        raise ValueError(f"record {i}: {name}={values[i]!r} outside {where}")
+        where = f"declared bounds [{lo}, {hi}]" if declared else f"[0, 1]; {_RESCALE_HINT}"
+        raise ValueError(f"record {i}: {name}={float(values[i])!r} outside {where}")
 
 
 def _check_rows(xy: np.ndarray) -> None:

@@ -10,6 +10,7 @@ variance of every released statistic against its closed form.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -128,6 +129,28 @@ def generate_setup(cfg: SetupConfig) -> Dataset:
     return next(_datasets(cfg, [RandomStream(cfg.seed, 0)]))[0]
 
 
+# Setups of up to 2^19 records keep their fixed dataset, two at most: about
+# 16 MiB of coordinates (DECISIONS.md, D21).
+_KEPT_MAX_N = 1 << 19
+
+
+@functools.lru_cache(maxsize=2)
+def _kept_setup(n: int, seed: int, *bits: str) -> Dataset:
+    """``generate_setup`` of the setup whose alpha, beta and sigma have these ``float.hex``."""
+    return generate_setup(SetupConfig(n, *map(float.fromhex, bits), seed))
+
+
+def _fixed_dataset(cfg: SetupConfig) -> Dataset:
+    """The setup's dataset, kept with the sums it caches if it has at most ``_KEPT_MAX_N``.
+
+    Keyed on the floats' bits, not on ``SetupConfig.__eq__``, which takes
+    -0.0 for 0.0. A kept dataset is read-only: it and its sums equal a new draw's.
+    """
+    if cfg.n > _KEPT_MAX_N:
+        return generate_setup(cfg)
+    return _kept_setup(cfg.n, cfg.seed, *(float(v).hex() for v in (cfg.alpha, cfg.beta, cfg.sigma)))
+
+
 def _line_params(fit) -> tuple[float, float]:
     if isinstance(fit, FitResult):
         return (fit.alpha_hat, fit.beta_hat)
@@ -230,8 +253,9 @@ def run_experiment(
     batched pass, and reduced per cell along axis 1 (DECISIONS.md, D3). The
     rows equal, bit for bit, a loop that calls ``FITTERS[method](data, eps,
     RandomStream(seed, i + 1))`` and ``l1_error``/``l2_error`` per cell.
+    Repeated sweeps of one setup reuse its fixed dataset and sums (D21).
     """
-    fixed = None if fresh_data_per_iteration else generate_setup(setup)
+    fixed = None if fresh_data_per_iteration else _fixed_dataset(setup)
 
     def pairs():  # builds the iterations' streams, and fresh data, as they are taken
         streams = RandomStream._substreams(setup.seed, 1, grid.iterations + 1)

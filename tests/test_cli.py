@@ -235,6 +235,20 @@ def test_fit_input_errors(tmp_path, capsys, rows, header, fragment):
     assert fragment in err
 
 
+@pytest.mark.parametrize("flags, message", [
+    ((), "record 0: x=1.5 outside [0, 1]; "
+         "pass --x-min/--x-max/--y-min/--y-max to rescale raw data"),
+    (("--x-min", "0", "--x-max", "1", "--y-min", "0", "--y-max", "1"),
+     "record 0: x=1.5 outside declared bounds [0.0, 1.0]"),
+])
+def test_fit_out_of_range_message(tmp_path, capsys, flags, message):
+    # The value prints as a Python float on every numpy, and the message
+    # gives the CLI's rescaling hint alone, not the library's as well.
+    path = write_csv(tmp_path, [(1.5, 0.2)])
+    assert run(capsys, ["fit", path, "--epsilon", "1", *flags]) == (
+        2, "", f"dpreg: error: {message}\n")
+
+
 COMPRESSORS = {
     ".gz": gzip.compress,
     ".bz2": bz2.compress,

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -27,7 +29,16 @@ from dpreg import (
 )
 from dpreg.cli import MECHANISM_NAMES
 from dpreg.data import _CHUNK, Dataset
-from dpreg.evaluate import VARIANCES, _TRIAL_CHUNK, _datasets, _gap_means, _line_errors
+from dpreg.evaluate import (
+    _KEPT_MAX_N,
+    _TRIAL_CHUNK,
+    VARIANCES,
+    _datasets,
+    _fixed_dataset,
+    _gap_means,
+    _kept_setup,
+    _line_errors,
+)
 from dpreg.mechanisms import FITTERS, MECHANISMS, _fit
 from dpreg.simplex import LINEAR_COLUMNS, _cell_sums, _laplace_draw
 
@@ -401,6 +412,83 @@ def test_run_experiment_equals_per_cell_loop_on_reference_setups():
     setup = reference_setup(1, 7)
     assert row_bits(run_experiment(setup, single, True)) == row_bits(
         per_cell_rows(setup, single, True))
+
+
+def test_kept_fixed_datasets_give_the_per_cell_rows_bitwise():
+    # run_experiment keeps the fixed datasets of its last two setups, with
+    # their cached sums (D21). Interleaved setups, one call per method, and
+    # a call after a public generate_setup of the same config all read them
+    # and must give the per-cell loop's rows, which draw their own.
+    _kept_setup.cache_clear()
+    grid = ExperimentGrid((0.1, 1.0, 8.0), 6, METHOD_NAMES)
+    setups = [SetupConfig(n=500, alpha=-0.7, beta=0.8, sigma=0.05, seed=31),
+              SetupConfig(n=3000, alpha=0.5, beta=0.2, sigma=0.1, seed=32)]
+    want = [row_bits(per_cell_rows(setup, grid)) for setup in setups]
+    for k in (0, 1, 0):
+        assert row_bits(run_experiment(setups[k], grid)) == want[k]
+    for method in METHOD_NAMES:
+        alone = ExperimentGrid(grid.epsilons, grid.iterations, (method,))
+        assert row_bits(run_experiment(setups[1], alone)) == [
+            r for r in want[1] if r[0] == method]
+    drawn = generate_setup(setups[0])
+    again = generate_setup(setups[0])
+    assert drawn is not again and drawn.cache == {} and again.cache == {}
+    assert row_bits(run_experiment(setups[0], grid)) == want[0]
+    assert drawn.cache == {} and again.cache == {}
+    info = _kept_setup.cache_info()
+    assert (info.misses, info.currsize) == (2, 2)
+
+
+def test_kept_fixed_datasets_are_bounded_and_keyed_on_exact_bits():
+    _kept_setup.cache_clear()
+    one = ExperimentGrid((1.0,), 1, ("dp_rss",))
+    for seed in range(1, 5):
+        run_experiment(SetupConfig(n=100, alpha=0.5, beta=0.2, sigma=0.1, seed=seed), one)
+        assert _kept_setup.cache_info().currsize == min(seed, 2)
+    # Past 2^19 records the dataset is drawn per call and never kept.
+    big = SetupConfig(n=_KEPT_MAX_N + 1, alpha=0.5, beta=0.2, sigma=0.1, seed=5)
+    before = _kept_setup.cache_info()
+    run_experiment(big, one)
+    assert _kept_setup.cache_info() == before
+    # SetupConfig.__eq__ takes -0.0 for 0.0, but the two draw different bits.
+    zero, negative = (SetupConfig(n=50, alpha=z, beta=z, sigma=z, seed=3) for z in (0.0, -0.0))
+    assert zero == negative
+    _kept_setup.cache_clear()
+    kept = [_fixed_dataset(setup) for setup in (zero, negative)]
+    assert _kept_setup.cache_info().currsize == 2
+    for setup, ds in zip((zero, negative), kept):
+        assert ds.y.tobytes() == generate_setup(setup).y.tobytes()
+        assert row_bits(run_experiment(setup, one)) == row_bits(per_cell_rows(setup, one))
+    assert kept[0].y.tobytes() != kept[1].y.tobytes()
+
+
+def test_kept_fixed_datasets_serve_concurrent_sweeps():
+    # Four threads sweep two setups at once, with thread switches forced
+    # often: each row must still be the per-cell loop's, whichever thread
+    # drew a kept dataset or filled its cached sums.
+    grid = ExperimentGrid((0.5, 4.0), 8, ("dp_rss", "dp_ss"))
+    setups = [SetupConfig(n=400, alpha=0.3, beta=0.4, sigma=0.1, seed=s) for s in (41, 42)]
+    want = [row_bits(per_cell_rows(setup, grid)) for setup in setups]
+    _kept_setup.cache_clear()
+    got, interval = [], sys.getswitchinterval()
+
+    def sweep(k):
+        for j in range(6):
+            setup = (k + j) % 2
+            got.append((setup, row_bits(run_experiment(setups[setup], grid))))
+
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=sweep, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(got) == 24
+    assert all(rows == want[setup] for setup, rows in got)
 
 
 def test_simulated_stat_arrays_have_trial_shape(three_point_line):
