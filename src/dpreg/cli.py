@@ -350,9 +350,9 @@ def _load_experiment_config(path: str):
     fresh = raw.get("fresh_data_per_iteration", False)
     if not isinstance(fresh, bool):
         raise _CliError(f"{path}: fresh_data_per_iteration must be true or false")
-    # JSON true and false load as bools, which float() takes for 1 and 0.
+    # JSON numbers load as int or float; float() would take true for 1 and "0.5" for 0.5.
     for key in ("alpha", "beta", "sigma"):
-        if isinstance(raw[key], bool):
+        if type(raw[key]) not in (int, float):
             raise _CliError(f"{path}: {key} must be a number, got {json.dumps(raw[key])}")
     try:
         setup = SetupConfig(

@@ -24,10 +24,12 @@ of either noisy group read every power sum S_{x^l} (l = 0..2d, where
 S_{x^0} = n) and S_{x^l y} (l = 0..d) in two independent ways: directly
 from its own group, and as the other group's total minus the complementary
 components. The refined statistic averages the two readings with
-inverse-variance weights, which are proportional to how many Laplace terms
-each reading sums. That map is linear, so it is one (3d+3) x (3d+2)
-matrix, ``transfer_matrix(d)``, and it refines a leading axis of trials as
-readily as a single release.
+inverse-variance weights: a direct reading of m of the K = 3d + 3 sums,
+less m/K times its own group's total minus the other's. Both totals
+estimate n, and their difference is the release's only redundancy, so this
+is also its least-squares reading (DECISIONS.md, D11). The map is one
+(3d+3) x (3d+2) matrix, ``transfer_matrix(d)``, and it refines a leading
+axis of trials as readily as a single release.
 
 This module holds the cells and readings of this release, ``dp_rss``, and
 of the NoisyStats baseline ``dp_ss``, whose eight cells are read plainly;
@@ -134,27 +136,24 @@ def exact_group_stats(data, degree: int = 1) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=None, typed=True)  # typed, so True is refused, not served 1's entry
 def transfer_matrix(degree: int) -> np.ndarray:
-    """Map from the 3d + 3 noisy group sums to the 3d + 2 refined statistics.
+    """Map from the K = 3d + 3 noisy group sums to the 3d + 2 refined statistics.
 
-    Columns are (n, S_x, ..., S_{x^{2d}}, S_y, S_{xy}, ..., S_{x^d y}). Each
-    column weights a direct and a complement reading by the other's Laplace
-    term count over their total; the two readings use disjoint noise terms,
-    so every entry is one weight with the reading's sign. Read-only.
+    Columns are (n, S_x, ..., S_{x^{2d}}, S_y, S_{xy}, ..., S_{x^d y}). The
+    direct reading of a column sums the first m cells of its own group (m =
+    2d + 1 - l for S_{x^l}, d + 1 - l for S_{x^l y}), and its complement
+    reading the other K - m, so their inverse-variance weights are (K - m)/K
+    and m/K. The column is (K - m)/K on its m direct cells, -m/K on the rest
+    of its group and m/K on the other group, each entry one correctly
+    rounded division of two small integers. Read-only.
     """
     d = _as_degree(degree)
-    unit = np.eye(3 * d + 3)
-    g1, g2 = unit[: 2 * d + 1], unit[2 * d + 1 :]
-    n_x, n_y = g1.sum(axis=0), g2.sum(axis=0)
-    readings = [(n_x, n_y)]
-    for l in range(1, 2 * d + 1):  # S_{x^l}: telescope x^{2d} down to x^l
-        readings.append((g1[: 2 * d - l + 1].sum(axis=0), n_y - g1[2 * d - l + 1 :].sum(axis=0)))
-    for l in range(d + 1):  # S_{x^l y}
-        readings.append((g2[: d - l + 1].sum(axis=0), n_x - g2[d - l + 1 :].sum(axis=0)))
-    columns = []
-    for direct, complement in readings:
-        m_d, m_c = np.abs(direct).sum(), np.abs(complement).sum()
-        columns.append((m_c * direct + m_d * complement) / (m_d + m_c))
-    matrix = np.column_stack(columns)
+    k = 3 * d + 3
+    cell = np.arange(k)[:, None]
+    first = np.repeat([0, 2 * d + 1], [2 * d + 1, d + 1])  # first cell of each column's group
+    m = np.concatenate([np.arange(2 * d + 1, 0, -1), np.arange(d + 1, 0, -1)])
+    own = (cell > 2 * d) == (first > 0)
+    direct = own & (cell < first + m)
+    matrix = np.where(direct, k - m, np.where(own, -m, m)) / k
     matrix.setflags(write=False)
     return matrix
 

@@ -46,6 +46,8 @@ from dpreg import (
     verify_variances,
 )
 from dpreg.cli import main as cli_main
+from dpreg.mechanisms import MECHANISMS
+from dpreg.simplex import LINEAR_COLUMNS
 
 from zero_noise import ZeroNoiseStream
 
@@ -232,28 +234,16 @@ def _predicted_rss_l2(data, truth, eps):
     """Delta-method E[l2] of dp_rss from the Laplace scales in its ledger.
 
     Noise vector z = six group components, x-group then xy-group, with
-    variance 2 b^2 at each group's ledger scale b. Each statistic has a
-    direct reading and a complement reading (the other group's total minus
-    the complementary components, per simplex.py); the two are independent
-    and are combined with inverse-variance weights.
+    variance 2 b^2 at each group's ledger scale b. The statistics are z read
+    by the record's reading matrix R, so their covariance is
+    R^T diag(var z) R.
     """
     events = _ledger_events(dp_rss_fit, data, eps)
     b1, b2 = events["x-group sums"].scale, events["xy-group sums"].scale
     noise_var = np.array([2.0 * b1 * b1] * 3 + [2.0 * b2 * b2] * 3)
-    g1, g2 = np.eye(6)[:3], np.eye(6)[3:]
-    readings = {  # statistic: (direct, complement) noise coefficient vectors
-        "n": (g1.sum(0), g2.sum(0)),
-        "s_x": (g1[0] + g1[1], g2.sum(0) - g1[2]),
-        "s_y": (g2[0] + g2[1], g1.sum(0) - g2[2]),
-        "s_x2": (g1[0], g2.sum(0) - g1[1] - g1[2]),
-        "s_xy": (g2[0], g1.sum(0) - g2[1] - g2[2]),
-    }
-    rows = []
-    for direct, complement in readings.values():
-        v_d, v_c = direct**2 @ noise_var, complement**2 @ noise_var
-        rows.append((v_c * direct + v_d * complement) / (v_d + v_c))
-    transfer = np.array(rows)
-    cov = transfer @ np.diag(noise_var) @ transfer.T
+    order = [LINEAR_COLUMNS[stat] for stat in ("n", "s_x", "s_y", "s_x2", "s_xy")]
+    reading = MECHANISMS["dp_rss"].reading(1)[:, order]
+    cov = reading.T @ np.diag(noise_var) @ reading
     x, y = data.x, data.y
     n, sx, sy = float(len(x)), math.fsum(x), math.fsum(y)
     sx2, sxy = math.fsum(x * x), math.fsum(x * y)

@@ -566,12 +566,19 @@ def test_experiment_single_iteration_writes_na(tmp_path, capsys):
     ({"alpha": True}, "alpha must be a number, got true"),
     ({"sigma": False}, "sigma must be a number, got false"),
     ({"seed": -1}, "seed must be a non-negative integer, got -1"),
+    # float() takes text: these once ran, at epsilons 1 and 2 and at alpha 0.5.
+    ({"epsilons": "12"}, "epsilon must be a number, got '1'"),
+    ({"epsilons": ["0.5", 1.0]}, "epsilon must be a number, got '0.5'"),
+    ({"alpha": "0.5"}, 'alpha must be a number, got "0.5"'),
+    ({"beta": None}, "beta must be a number, got null"),
+    ({"sigma": [0.1]}, "sigma must be a number, got [0.1]"),
 ])
 def test_experiment_config_errors(tmp_path, capsys, overrides, fragment):
     config = experiment_config(tmp_path, **overrides)
     code, _, err = run(capsys, ["experiment", config, "--output",
                                 str(tmp_path / "x.csv")])
     assert code == 2
+    assert not (tmp_path / "x.csv").exists()
     assert err.startswith("dpreg: error: ") and "Traceback" not in err
     assert fragment in err
 

@@ -8,6 +8,7 @@ import dpreg.median as median
 from dpreg import (
     Bounds,
     Dataset,
+    ExperimentGrid,
     FitResult,
     NoiseLedger,
     RandomStream,
@@ -56,6 +57,22 @@ def test_budget_validation():
         for bad in (0.0, float("inf"), 1e-320):
             with pytest.raises(ValueError):
                 fit(ds, bad, RandomStream(0, 0))
+
+
+def test_text_budgets_are_refused():
+    # float() reads "1.0" and b"1.0" as 1.0, so a text budget once fitted at
+    # epsilon 1, and a string of epsilons swept one epsilon per character.
+    ds = Dataset(np.array([0.5]), np.array([0.5]))
+    for bad in ("1.0", b"1.0", "inf"):
+        with pytest.raises(ValueError, match="epsilon must be a number, got " + repr(bad)):
+            _as_epsilon(bad)
+        for fit in (dp_rss_fit, dp_ss_fit, dp_theil_sen_fit):
+            with pytest.raises(ValueError, match="epsilon must be a number"):
+                fit(ds, bad, RandomStream(0, 0))
+        with pytest.raises(ValueError, match="epsilon must be a number"):
+            dp_rss_poly_fit(ds, 2, bad, RandomStream(0, 0))
+    with pytest.raises(ValueError, match="epsilon must be a number, got '1'"):
+        ExperimentGrid(epsilons="12", iterations=1, methods=("dp_rss",))
 
 
 def test_epsilon_floor_scale_is_the_largest_laplace_share_of_the_registry():

@@ -19,6 +19,7 @@ from dpreg import (
 )
 from dpreg.mechanisms import MECHANISMS
 from dpreg.simplex import (
+    _MAX_DEGREE,
     LINEAR_COLUMNS,
     _cell_sums,
     _laplace_draw,
@@ -233,6 +234,37 @@ def test_refine_propagates_single_noise_terms():
     assert not transfer_matrix(1).flags.writeable
 
 
+def _two_readings_transfer(d):
+    """The refined reading as the paper states it: per statistic, a direct and a
+    complement reading of the noisy sums, weighted by the other's term count."""
+    unit = np.eye(3 * d + 3)
+    g1, g2 = unit[: 2 * d + 1], unit[2 * d + 1 :]
+    n_x, n_y = g1.sum(axis=0), g2.sum(axis=0)
+    readings = [(n_x, n_y)]
+    for l in range(1, 2 * d + 1):  # S_{x^l}: telescope x^{2d} down to x^l
+        readings.append((g1[: 2 * d - l + 1].sum(axis=0), n_y - g1[2 * d - l + 1 :].sum(axis=0)))
+    for l in range(d + 1):  # S_{x^l y}
+        readings.append((g2[: d - l + 1].sum(axis=0), n_x - g2[d - l + 1 :].sum(axis=0)))
+    columns = []
+    for direct, complement in readings:
+        m_d, m_c = np.abs(direct).sum(), np.abs(complement).sum()
+        columns.append((m_c * direct + m_d * complement) / (m_d + m_c))
+    return np.column_stack(columns)
+
+
+def test_closed_form_transfer_matrix_equals_two_readings_bytewise():
+    # The closed form, (K - m)/K, -m/K and m/K per column, is the
+    # inverse-variance average of the two readings, sign bits included, at
+    # every degree a release takes.
+    for d in range(1, _MAX_DEGREE + 1):
+        got = transfer_matrix(d)
+        assert got.dtype == np.float64 and got.shape == (3 * d + 3, 3 * d + 2)
+        assert got.tobytes() == _two_readings_transfer(d).tobytes(), d
+        assert not got.flags.writeable
+        with pytest.raises(ValueError):
+            got[0, 0] = 0.0
+
+
 def test_refine_broadcasts_and_is_unbiased(random_dataset):
     # Monte Carlo over a leading trials axis: refined estimates centre on
     # the exact sums within four standard errors.
@@ -352,6 +384,20 @@ def test_sensitivity_exceeds_one_by_less_than_an_ulp():
         for vector in group_contributions(x, y, 1)
     )
     assert lo == pytest.approx(1.0, abs=1e-12)
+
+
+def test_ss_parts_exceed_one_by_less_than_half_an_ulp():
+    # Each of dp_ss's four ledger parts is a pair (s, 1 - s) of cells per
+    # record. 1 - s rounds by at most half an ulp of 0.5, so summed exactly
+    # the pair's norm stays strictly below 1 + 2^-53; on the 0.005 grid
+    # every part reaches 1 + 2^-54 (DECISIONS.md, D6).
+    pts = np.linspace(0.0, 1.0, 201)
+    xg, yg = (g.ravel() for g in np.meshgrid(pts, pts, indexing="ij"))
+    cells = dict(_ss_rows(xg, yg, 1))
+    for part in range(4):
+        pairs = np.unique(np.abs(np.column_stack([cells[2 * part], cells[2 * part + 1]])), axis=0)
+        worst = max(Fraction(s) + Fraction(t) for s, t in pairs.tolist())
+        assert 1 < worst < 1 + Fraction(1, 2**53), part
 
 
 def test_sensitivity_oracle_validates_step():
