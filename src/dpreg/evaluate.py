@@ -85,11 +85,12 @@ def reference_setup(index: int, seed: int) -> SetupConfig:
 
 
 def _datasets(cfg: SetupConfig, streams):
-    """``(dataset, stream)`` for each of ``streams``, the dataset drawn on its stream.
+    """Blocks of ``(dataset, stream)`` pairs for ``streams``, each dataset drawn on its stream.
 
-    Each stream draws n uniforms as x, then n as its normals' u1, then n as
-    their u2, into rows of a block of ``max(1, data._CHUNK // n)``
-    consecutive streams. Box-Muller, the line ``alpha x + beta + sigma z``
+    Yields a list of pairs per ``max(1, data._CHUNK // n)`` consecutive
+    streams, the blocks that a draw sums (DECISIONS.md, D22). Each stream
+    draws n uniforms as x, then n as its normals' u1, then n as their u2,
+    into rows of its block. Box-Muller, the line ``alpha x + beta + sigma z``
     and the clip to [0, 1] then run once per block, in place, in the order
     of the per-stream expression, so every dataset is bit-identical to
     ``clip(alpha * x + beta + sigma * stream.normal(n), 0, 1)`` on
@@ -116,7 +117,7 @@ def _datasets(cfg: SetupConfig, streams):
         z *= cfg.sigma
         y += z
         np.clip(y, 0.0, 1.0, out=y)
-        yield from zip(Dataset._rows(xy), block)
+        yield list(zip(Dataset._rows(xy), block))
 
 
 def generate_setup(cfg: SetupConfig) -> Dataset:
@@ -126,7 +127,7 @@ def generate_setup(cfg: SetupConfig) -> Dataset:
     [0, 1]. Substream 0 is reserved for data so iteration substreams
     (1, 2, ...) never overlap it.
     """
-    return next(_datasets(cfg, [RandomStream(cfg.seed, 0)]))[0]
+    return next(_datasets(cfg, [RandomStream(cfg.seed, 0)]))[0][0]
 
 
 # Setups of up to 2^19 records keep their fixed dataset, two at most: about
@@ -245,29 +246,29 @@ def run_experiment(
 
     No mechanism's draws depend on epsilon, so one draw per iteration and
     method serves every epsilon cell. One draw per method takes every
-    iteration's ``(data, stream)`` pair from a generator, which seeds the
-    substreams in blocks (``RandomStream._substreams``) and draws the fresh
-    datasets of consecutive iterations in blocks of at most ``data._CHUNK``
-    records (D18). The Laplace draws sum them in blocks of the same size,
-    the fixed one once (D17). The releases are solved and scored in one
-    batched pass, and reduced per cell along axis 1 (DECISIONS.md, D3). The
+    iteration's ``(data, stream)`` pair as it is built, the substreams
+    seeded in blocks (``RandomStream._substreams``). The fixed dataset's
+    pairs are one block; fresh datasets are drawn in blocks of at most
+    ``data._CHUNK`` records (D18), and each block is summed in one pass
+    (D17, D22). The releases are solved and scored in one batched pass, and
+    reduced per cell along axis 1 (DECISIONS.md, D3). The
     rows equal, bit for bit, a loop that calls ``FITTERS[method](data, eps,
     RandomStream(seed, i + 1))`` and ``l1_error``/``l2_error`` per cell.
     Repeated sweeps of one setup reuse its fixed dataset and sums (D21).
     """
     fixed = None if fresh_data_per_iteration else _fixed_dataset(setup)
 
-    def pairs():  # builds the iterations' streams, and fresh data, as they are taken
+    def blocks():  # builds the iterations' streams, and fresh data, as they are taken
         streams = RandomStream._substreams(setup.seed, 1, grid.iterations + 1)
         if fresh_data_per_iteration:
             return _datasets(setup, streams)
-        return ((fixed, stream) for stream in streams)
+        return [((fixed, stream) for stream in streams)]
 
     truth = (setup.alpha, setup.beta)
     rows = []
     for method in sorted(grid.methods):
         mech = MECHANISMS[method]
-        coeffs, _ = mech.solve(mech.draw(mech, pairs(), grid.epsilons, mech.hyper))
+        coeffs, _ = mech.solve(mech.draw(mech, blocks(), grid.epsilons, mech.hyper))
         # Line i * len(epsilons) + j is iteration i at epsilons[j]. On these
         # contiguous copies an axis-1 reduction sums row j as it sums alone.
         l1s, l2s = (e.reshape(grid.iterations, -1).T.copy() for e in _line_errors(truth, coeffs))
@@ -321,7 +322,7 @@ def simulate_stats(method: str, data, epsilon: float, trials: int, stream: Rando
     neg_scales = np.array([-mech.share / _as_epsilon(epsilon)])
     trials = _as_count(trials, "trials")
     matrix = mech.reading(1)
-    sums = _cell_sums(as_dataset(data), mech.rows, 1, len(matrix))
+    sums = _cell_sums([as_dataset(data)], mech.rows, 1, len(matrix))[0]
     uniforms = stream._laplace_u((trials, len(matrix)))
     releases = _laplace_release(matrix, sums[None], uniforms, neg_scales)
     return {stat: releases[:, LINEAR_COLUMNS[stat]] for stat in STATISTIC_ORDER}

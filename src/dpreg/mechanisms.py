@@ -7,17 +7,18 @@ flag set instead of raising, so Monte Carlo loops never die mid-run.
 
 ``MECHANISMS``, the registry, holds one :class:`Mechanism` record per
 name, and every other table is read from it (DECISIONS.md, D15). A
-record's draw ``(record, pairs, budgets, hyper)`` takes an iterable of
-``(data, stream)`` pairs, draws each pair's uniforms once, and returns one
-row of released numbers per pair and budget, pair-major; row
-p * len(budgets) + j equals, bit for bit, the release of pair p at
-``budgets[j]`` alone. Its solve, post-processing that costs no budget,
-maps any (N, k) stack of releases to (N, d + 1) coefficients and an (N,)
-fallback mask. The draws keep no ledger: their rows together are not
-epsilon-DP at any one budget (D3). Each fitter is one ``_fit`` call: it
-writes the ledger from the record's parts and runs the pair on one
-``(data, stream)`` at one budget (D8); the sweep draws all its iterations
-in one call.
+record's draw ``(record, blocks, budgets, hyper)`` takes an iterable of
+blocks of ``(data, stream)`` pairs, which its caller sizes, since a
+Laplace draw sums a block's datasets at once (D22). It draws each pair's
+uniforms once and returns one row of released numbers per pair and
+budget, pair-major; row p * len(budgets) + j equals, bit for bit, the
+release of pair p at ``budgets[j]`` alone. Its solve, post-processing
+that costs no budget, maps any (N, k) stack of releases to (N, d + 1)
+coefficients and an (N,) fallback mask. The draws keep no ledger: their
+rows together are not epsilon-DP at any one budget (D3). Each fitter is
+one ``_fit`` call: it writes the ledger from the record's parts and runs
+the draw on one block of one pair at one budget (D8); the sweep draws
+all its iterations in one call.
 
 * ``dp_rss_poly_fit`` is the refined release in :mod:`dpreg.simplex` at
   any degree d: two privatized simplex query groups, refined power sums,
@@ -36,6 +37,7 @@ in one call.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -186,10 +188,10 @@ def _pair_projections(x: np.ndarray, y: np.ndarray, perm: np.ndarray):
     return z25, z75
 
 
-def _theil_sen_draw(release, pairs, budgets, hyper: TheilSenHyper):
+def _theil_sen_draw(release, blocks, budgets, hyper: TheilSenHyper):
     """The private percentiles (p25, p75) of ``dp_theil_sen_fit`` for each pair and budget.
 
-    Row p * len(budgets) + j is ``(data, stream)`` pair p at ``budgets[j]``.
+    Row p * len(budgets) + j is pair p of ``blocks``, read in order, at ``budgets[j]``.
     A pair draws its ``k`` matchings, then the four uniforms of its two
     medians, and nothing else. Its matchings, projections and their sort
     serve every budget. Consecutive pairs with as many projections share
@@ -217,7 +219,7 @@ def _theil_sen_draw(release, pairs, budgets, hyper: TheilSenHyper):
         pools.clear()
         uniforms.clear()
 
-    for data, stream in pairs:
+    for data, stream in itertools.chain.from_iterable(blocks):
         ds = as_dataset(data)
         z25s, z75s = zip(*[_pair_projections(ds.x, ds.y, stream.permutation(len(ds)))
                            for _ in range(hyper.k)])
@@ -284,11 +286,12 @@ class Mechanism:
 
     ``parts``: ``(ledger label, Laplace?)`` in draw order. Each spends
     eps / ``share``, the integer ``len(parts)`` (D8); a Laplace part draws
-    at scale ``share`` / eps. ``draw`` and ``solve`` are its core (module
-    docstring), ``fit`` its public fitter. ``hyper``: the draw's degree or
-    ``TheilSenHyper``, or None when each call gives the degree, so that the
-    fits are polynomials. A Laplace release has cells: ``rows(x, y, d)``
-    yields ``(cell, row)``, and ``reading(d)`` reads the noisy sums (D11).
+    at scale ``share`` / eps. ``draw``, on blocks of pairs that its caller
+    sizes (D22), and ``solve`` are its core (module docstring), ``fit`` its
+    public fitter. ``hyper``: the draw's degree or ``TheilSenHyper``, or
+    None when each call gives the degree, so that the fits are polynomials.
+    A Laplace release has cells: ``rows(x, y, d)`` yields ``(cell, row)``,
+    and ``reading(d)`` reads the noisy sums (D11).
     """
 
     parts: tuple
@@ -343,5 +346,5 @@ def _fit(name: str, data, budget, stream: RandomStream, ledger: NoiseLedger | No
         for label, laplace in mech.parts:
             ledger.record(label, eps / mech.share, scale=mech.share / eps if laplace else None)
     hyper = mech.hyper if hyper is None else hyper
-    coeffs, fallback = mech.solve(mech.draw(mech, [(ds, stream)], (eps,), hyper))
+    coeffs, fallback = mech.solve(mech.draw(mech, [[(ds, stream)]], (eps,), hyper))
     return FitResult(tuple(coeffs[0].tolist()), bool(fallback[0]))

@@ -32,10 +32,10 @@ _EPSILON_FLOOR = _LARGEST_SCALE * 53 * math.log(2) / math.sqrt(np.finfo(np.float
 def _as_epsilon(budget) -> float:
     """``budget`` as a float epsilon; every budget's one check.
 
-    Raises ValueError for a bool or text, NaN, infinity, and values below
+    Raises ValueError for a bool or any non-real, NaN, infinity, and values below
     ``_EPSILON_FLOOR``, where the largest draws and their products overflow.
     """
-    if isinstance(budget, (bool, str, bytes)):  # float() would take True as 1.0, "1" as 1.0
+    if not isinstance(budget, numbers.Real) or isinstance(budget, bool):  # float() reads True, "1"
         raise ValueError(f"epsilon must be a number, got {budget!r}")
     eps = float(budget)
     if not (eps >= _EPSILON_FLOOR and math.isfinite(eps)):

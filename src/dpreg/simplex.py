@@ -33,13 +33,13 @@ axis of trials as readily as a single release.
 
 This module holds the cells and readings of this release, ``dp_rss``, and
 of the NoisyStats baseline ``dp_ss``, whose eight cells are read plainly;
-their records in ``mechanisms.MECHANISMS`` name them. ``_cell_sums`` caches
-the exact sums of a release's cells, ``_sum_cells`` sums a block of datasets
-in one pass, and ``_laplace_draw`` draws one release of a record per budget
-for each ``(data, stream)`` pair and keeps no ledger; the fitters run it
-on one pair at one budget through ``mechanisms._fit``. The post-processing
-after it costs no budget and runs on any (N, 3d + 2) stack of statistics
-at once.
+their records in ``mechanisms.MECHANISMS`` name them. ``_cell_sums`` sums
+a list of datasets' cells in one pass and caches them, and
+``_laplace_draw`` draws one release of a record per budget for each
+``(data, stream)`` pair of the blocks its caller cuts, and keeps no ledger;
+the fitters run it on a block of one pair at one budget through
+``mechanisms._fit``. The post-processing after it costs no budget and runs
+on any (N, 3d + 2) stack of statistics at once.
 ``_solve_refined`` solves each row's normal equations by
 ``_solve_systems``, a batched elimination that repeats the operations of a
 scalar one row by row, so a row's coefficients do not depend on the stack.
@@ -58,7 +58,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .data import _CHUNK, _check_range, _exact_sums, as_dataset
+from .data import _check_range, _exact_sums, as_dataset
 from .noise import _as_count, _as_epsilon, _unit_laplace
 
 # The largest degree a release takes. The fallback rule's pivot-ratio bound
@@ -130,7 +130,7 @@ def exact_group_stats(data, degree: int = 1) -> tuple[np.ndarray, np.ndarray]:
     bit-identical to ``math.fsum`` of the components.
     """
     d = _as_degree(degree)
-    sums = _cell_sums(as_dataset(data), _component_rows, d, 3 * d + 3)
+    sums = _cell_sums([as_dataset(data)], _component_rows, d, 3 * d + 3)[0]
     return sums[: 2 * d + 1], sums[2 * d + 1 :]
 
 
@@ -179,81 +179,52 @@ def _ss_reading(degree: int) -> np.ndarray:
     return matrix
 
 
-def _cell_sums(ds, rows, d: int, count: int) -> np.ndarray:
-    """The exact sums of the ``count`` cells of ``rows(x, y, d)`` on a ``Dataset``.
+def _cell_sums(datasets, rows, d: int, count: int) -> list:
+    """The exact sums of the ``count`` cells of ``rows(x, y, d)`` on each ``Dataset`` of a list.
 
-    Cached under ``(rows, d)``, so records with the same cells share them;
-    an uncached dataset is a block of one for ``_sum_cells``.
+    Cached read-only under ``(rows, d)``, so records with the same cells
+    share them. One ``data._exact_sums`` pass sums the distinct uncached
+    datasets, building their cell rows one chunk of records at a time, so
+    no full-length row is held and a chunk may hold many small datasets.
+    It reads arrays that ``Dataset`` validated, so no range check runs.
     """
-    sums = ds.cache.get((rows, d))
-    if sums is None:
-        _sum_cells([ds], rows, d, count)
-        sums = ds.cache[rows, d]
-    return sums
+    key = (rows, d)
+    todo = list({id(ds): ds for ds in datasets if key not in ds.cache}.values())
+    if todo:
+        columns = [(ds.x, ds.y) for ds in todo]
+        for ds, sums in zip(todo, _exact_sums(columns, count, lambda x, y: rows(x, y, d))):
+            sums.setflags(write=False)
+            ds.cache[key] = sums
+    return [ds.cache[key] for ds in datasets]
 
 
-def _sum_cells(block, rows, d: int, count: int) -> None:
-    """Cache the cell sums of each distinct ``Dataset`` of ``block``, in one pass.
-
-    Reads the arrays ``Dataset`` already validated, so no range check runs.
-    The cell rows are built on the block's records one chunk at a time
-    (``data._exact_sums``), so no full-length row is held, and a chunk may
-    hold the records of many small datasets.
-    """
-    columns = [(ds.x, ds.y) for ds in block]
-    for ds, sums in zip(block, _exact_sums(columns, count, lambda x, y: rows(x, y, d))):
-        sums.setflags(write=False)
-        ds.cache[rows, d] = sums
-
-
-def _laplace_draw(release, pairs, budgets, degree: int = 1) -> np.ndarray:
+def _laplace_draw(release, blocks, budgets, degree: int = 1) -> np.ndarray:
     """Statistics of Laplace record ``release`` for each ``(data, stream)`` pair and budget.
 
-    Checks the degree and every budget before it takes the first pair, and
-    keeps per pair only its cell sums and the uniforms of one unit draw,
-    ``stream._laplace_u(k)``. The uncached datasets of consecutive pairs
-    are summed in blocks of at most ``data._CHUNK`` records (one larger
-    dataset is a block alone), each dataset once however many pairs share
-    it; a sum draws nothing, so every stream's draws keep their order. In
-    ``_laplace_release``, one inverse-CDF pass turns the stacked uniforms
-    into noise, one broadcast scales it by ``release.share``/eps per budget,
-    and one stack of one-row products reads them, each the product
-    ``z @ release.reading(d)`` of one row, so row p * len(budgets) + j
-    equals, bit for bit, the release of pair p at ``budgets[j]`` alone
-    (DECISIONS.md, D3 and D17). Together a pair's rows are not eps-DP at any
-    one budget; one row alone is.
+    ``blocks`` is an iterable of blocks, each an iterable of pairs; the
+    caller sizes them. Checks the degree and every budget before it takes
+    the first pair, and keeps per pair only its cell sums and the uniforms
+    of one unit draw, ``stream._laplace_u(k)``. Each block's uncached
+    datasets are summed in one ``_cell_sums`` pass, each once however many
+    pairs share it; a sum draws nothing, so every stream's draws keep their
+    order. In ``_laplace_release``, one inverse-CDF pass turns the stacked
+    uniforms into noise, one broadcast scales it by ``release.share``/eps
+    per budget, and one stack of one-row products reads them, each the
+    product ``z @ release.reading(d)`` of one row, so row
+    p * len(budgets) + j equals, bit for bit, the release of pair p at
+    ``budgets[j]`` alone (DECISIONS.md, D3, D17 and D22). Together a pair's
+    rows are not eps-DP at any one budget; one row alone is.
     """
     d = _as_degree(degree)
     matrix = release.reading(d)
     neg_scales = np.array([-release.share / _as_epsilon(b) for b in budgets])
-    key = (release.rows, d)
-    sums, uniforms = [], []  # a pair's entry of sums is its Dataset until its block is summed
-    block, waiting, size = {}, [], 0  # the block's datasets by id, and the pairs they owe
-
-    def flush():
-        nonlocal size
-        _sum_cells(list(block.values()), release.rows, d, len(matrix))
-        for p in waiting:
-            sums[p] = sums[p].cache[key]
-        block.clear()
-        waiting.clear()
-        size = 0
-
-    for data, stream in pairs:
-        ds = as_dataset(data)
-        cached = ds.cache.get(key)
-        if cached is None:
-            if id(ds) not in block:
-                if block and size + len(ds) > _CHUNK:
-                    flush()
-                block[id(ds)] = ds
-                size += len(ds)
-            waiting.append(len(sums))
-            cached = ds
-        sums.append(cached)
-        uniforms.append(stream._laplace_u(len(matrix)))
-    if block:
-        flush()
+    sums, uniforms = [], []
+    for block in blocks:
+        datasets = []
+        for data, stream in block:
+            datasets.append(as_dataset(data))
+            uniforms.append(stream._laplace_u(len(matrix)))
+        sums += _cell_sums(datasets, release.rows, d, len(matrix))
     return _laplace_release(matrix, np.array(sums), np.array(uniforms), neg_scales)
 
 

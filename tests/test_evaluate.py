@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import sys
 import threading
@@ -384,7 +385,8 @@ def test_fresh_datasets_are_read_only_views_with_their_own_caches(n):
     # base, so no write can change a record under its cached sums.
     setup = SetupConfig(n=n, alpha=0.5, beta=0.2, sigma=0.3, seed=6)
     count = 2 * max(1, _CHUNK // n) + 1  # two full blocks and one of a dataset
-    pairs = list(_datasets(setup, RandomStream._substreams(setup.seed, 1, count + 1)))
+    pairs = list(itertools.chain.from_iterable(
+        _datasets(setup, RandomStream._substreams(setup.seed, 1, count + 1))))
     assert [s.stream_index for _, s in pairs] == list(range(1, count + 1))
     for ds, stream in pairs:
         want = fresh_dataset(setup, RandomStream(setup.seed, stream.stream_index))
@@ -399,7 +401,7 @@ def test_fresh_datasets_are_read_only_views_with_their_own_caches(n):
     bases = {id(values.base) for ds, _ in pairs for values in (ds.x, ds.y)}
     assert len(bases) == 3  # one x and y block per block of datasets
     rss = MECHANISMS["dp_rss"]
-    _cell_sums(pairs[0][0], rss.rows, 1, len(rss.reading(1)))
+    _cell_sums([pairs[0][0]], rss.rows, 1, len(rss.reading(1)))
     assert all(ds.cache == {} for ds, _ in pairs[1:])
 
 
@@ -556,10 +558,10 @@ def test_refined_trial_rows_are_consecutive_dp_rss_releases(three_point_line, tr
         (u,) = bulk.uniforms
         assert u.shape == (trials, cells)
         single = RecordingStream(11, 2)
-        releases = _laplace_draw(release, [(three_point_line, single)] * trials, (eps,))
+        releases = _laplace_draw(release, [[(three_point_line, single)] * trials], (eps,))
         assert np.concatenate(single.uniforms).tobytes() == u.tobytes()
         noise = RandomStream(11, 2).laplace(scale, (trials, cells))
-        noisy = noise + _cell_sums(three_point_line, release.rows, 1, cells)
+        noisy = noise + _cell_sums([three_point_line], release.rows, 1, cells)[0]
         want = (noisy[:, None, :] @ release.reading(1))[:, 0]
         assert releases.tobytes() == want.tobytes()
         fit_stream = RecordingStream(11, 2)
@@ -581,7 +583,7 @@ def test_verify_draws_the_uniforms_of_consecutive_fits(three_point_line):
     for start in range(0, trials, _TRIAL_CHUNK):
         size = min(_TRIAL_CHUNK, trials - start)
         for method, cells in (("dp_rss", 6), ("dp_ss", 8)):
-            _laplace_draw(MECHANISMS[method], [(three_point_line, single)] * size, (1.0,))
+            _laplace_draw(MECHANISMS[method], [[(three_point_line, single)] * size], (1.0,))
             shapes.append((size, cells))
     assert [u.shape for u in bulk.uniforms] == shapes
     assert np.concatenate([u.ravel() for u in bulk.uniforms]).tobytes() == np.concatenate(
@@ -672,3 +674,21 @@ def test_verify_variances_memory_does_not_grow_with_trials():
         finally:
             tracemalloc.stop()
     assert peaks[1] - peaks[0] < 1e6, peaks
+
+
+@pytest.mark.parametrize("method", METHOD_NAMES)
+def test_fresh_sweep_memory_does_not_grow_with_iterations(method):
+    # A fresh sweep draws and sums its datasets one block at a time, so ten
+    # times the iterations keeps the same peak: 640 datasets of 1,000
+    # records held at once would take about 10 MB (DECISIONS.md, D22).
+    setup = SetupConfig(n=1000, alpha=0.5, beta=0.2, sigma=0.1, seed=9)
+    peaks = []
+    for iterations in (64, 640):
+        grid = ExperimentGrid((0.5, 2.0), iterations, (method,))
+        tracemalloc.start()
+        try:
+            run_experiment(setup, grid, True)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 2e6, peaks

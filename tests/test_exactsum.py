@@ -23,7 +23,6 @@ from dpreg.simplex import (
     _component_rows,
     _laplace_draw,
     _ss_rows,
-    _sum_cells,
     group_contributions,
 )
 
@@ -130,11 +129,11 @@ def test_chunked_group_sums_equal_fsum_of_full_rows(n):
     for d in (1, 2, 3, 4):
         g1, g2 = group_contributions(x, y, d)  # full-length columns
         want = fsum_hex(np.concatenate([g1, g2], axis=1).T)
-        got = _cell_sums(ds, _component_rows, d, 3 * d + 3)
+        got = _cell_sums([ds], _component_rows, d, 3 * d + 3)[0]
         assert [v.hex() for v in got.tolist()] == want, d
     xy, xx = x * y, x * x
     want = fsum_hex([x, 1.0 - x, y, 1.0 - y, xy, 1.0 - xy, xx, 1.0 - xx])
-    assert [v.hex() for v in _cell_sums(ds, _ss_rows, 1, 8).tolist()] == want
+    assert [v.hex() for v in _cell_sums([ds], _ss_rows, 1, 8)[0].tolist()] == want
 
 
 def test_group_sums_hold_one_chunk_of_rows():
@@ -142,7 +141,7 @@ def test_group_sums_hold_one_chunk_of_rows():
     ds = Dataset(rng.random(1 << 20), rng.random(1 << 20))  # 8 MB per coordinate
     tracemalloc.start()
     try:
-        _cell_sums(ds, _component_rows, 3, 12)
+        _cell_sums([ds], _component_rows, 3, 12)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -208,10 +207,10 @@ def test_laplace_draw_blocks_mixed_cached_and_uncached_datasets():
         for ds in datasets:
             ds.cache.clear()
         for ds in datasets[::3]:
-            _cell_sums(ds, rows, d, count)
+            _cell_sums([ds], rows, d, count)
         records = [(0.5, 0.25), (2.0 ** -1074, 1.0)]
         data = datasets + datasets[::2] + [records]
-        got = _laplace_draw(release, [(ds, ZeroNoiseStream(0, 0)) for ds in data], (1.0,), d)
+        got = _laplace_draw(release, [[(ds, ZeroNoiseStream(0, 0)) for ds in data]], (1.0,), d)
         matrix = release.reading(d)
         for row, ds in zip(got, data):
             want = fsum_hex(cells(rows, *(np.array(records).T if ds is records else (ds.x, ds.y)),
@@ -234,12 +233,28 @@ def test_fixed_dataset_over_many_pairs_is_summed_once(monkeypatch):
     rng = np.random.default_rng(47)
     ds = Dataset(rng.random(300), rng.random(300))
     pairs = [(ds, RandomStream(5, i)) for i in range(100)]
-    got = _laplace_draw(MECHANISMS["dp_rss"], pairs, (0.5, 2.0))
+    got = _laplace_draw(MECHANISMS["dp_rss"], [pairs], (0.5, 2.0))
     assert calls == [1]
-    alone = [_laplace_draw(MECHANISMS["dp_rss"], [(ds, RandomStream(5, i))], (0.5, 2.0))
+    alone = [_laplace_draw(MECHANISMS["dp_rss"], [[(ds, RandomStream(5, i))]], (0.5, 2.0))
              for i in range(100)]
     assert got.tobytes() == np.concatenate(alone).tobytes()
     assert calls == [1]
+    # The caller's blocks are the draw's: a block's distinct uncached
+    # datasets take one call however often they repeat, the same datasets
+    # over two blocks take two, and a block of cached datasets takes none.
+    datasets = block_datasets(rng)
+    half = len(datasets) // 2
+    for blocks, want in (([datasets + datasets[::2]], [len(datasets)]),
+                         ([datasets[:half], datasets[half:]], [half, len(datasets) - half]),
+                         ([datasets[::3] * 2], [])):
+        if want:
+            for data in datasets:
+                data.cache.clear()
+        calls.clear()
+        _laplace_draw(MECHANISMS["dp_rss"],
+                      [[(data, ZeroNoiseStream(0, 0)) for data in block] for block in blocks],
+                      (1.0,))
+        assert calls == want, [len(block) for block in blocks]
 
 
 def test_rows_of_a_concatenated_block_equal_each_datasets_rows_bitwise():

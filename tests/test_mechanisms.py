@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -62,9 +63,12 @@ def test_budget_validation():
 def test_text_budgets_are_refused():
     # float() reads "1.0" and b"1.0" as 1.0, so a text budget once fitted at
     # epsilon 1, and a string of epsilons swept one epsilon per character.
+    # It reads np.True_, a bytearray, a memoryview and a 0-d array too, and
+    # None, a list or a complex raised TypeError: only a real number passes.
     ds = Dataset(np.array([0.5]), np.array([0.5]))
-    for bad in ("1.0", b"1.0", "inf"):
-        with pytest.raises(ValueError, match="epsilon must be a number, got " + repr(bad)):
+    for bad in ("1.0", b"1.0", "inf", np.True_, bytearray(b"1.0"), memoryview(b"2"),
+                np.array(1.0), None, [1.0], 1j):
+        with pytest.raises(ValueError, match=re.escape(f"epsilon must be a number, got {bad!r}")):
             _as_epsilon(bad)
         for fit in (dp_rss_fit, dp_ss_fit, dp_theil_sen_fit):
             with pytest.raises(ValueError, match="epsilon must be a number"):
@@ -73,6 +77,8 @@ def test_text_budgets_are_refused():
             dp_rss_poly_fit(ds, 2, bad, RandomStream(0, 0))
     with pytest.raises(ValueError, match="epsilon must be a number, got '1'"):
         ExperimentGrid(epsilons="12", iterations=1, methods=("dp_rss",))
+    with pytest.raises(ValueError, match="epsilon must be a number"):
+        ExperimentGrid(epsilons=(np.True_,), iterations=1, methods=("dp_rss",))
 
 
 def test_epsilon_floor_scale_is_the_largest_laplace_share_of_the_registry():
@@ -213,7 +219,8 @@ def test_drawn_laplace_scales_equal_the_ledger_scales(random_dataset):
             assert stream.scales == [] and u.shape == (len(matrix),), (name, eps)
             t = np.maximum(u, 2.0**-53) - 0.5
             unit = -(np.sign(t) * np.log1p(-2.0 * np.abs(t)))
-            stats = (unit * scale + _cell_sums(ds, release.rows, got.degree, len(matrix))) @ matrix
+            sums = _cell_sums([ds], release.rows, got.degree, len(matrix))[0]
+            stats = (unit * scale + sums) @ matrix
             coeffs, fallback = _solve_refined(stats[None])
             want = FitResult(tuple(coeffs[0].tolist()), bool(fallback[0]))
             assert fit_bits(got) == fit_bits(want), (name, eps)
@@ -469,7 +476,7 @@ def core_cases():
         def results(coeffs, fallback):
             return [FitResult(tuple(c), f) for c, f in zip(coeffs.tolist(), fallback.tolist())]
         hyper = release.hyper if hyper is None else hyper
-        return lambda d, b, s: results(*release.solve(release.draw(release, [(d, s)], b, hyper)))
+        return lambda d, b, s: results(*release.solve(release.draw(release, [[(d, s)]], b, hyper)))
 
     cases = [(name, core(MECHANISMS[name]), FITTERS[name]) for name in FITTERS]
     k3 = TheilSenHyper(k=3)
@@ -515,13 +522,13 @@ def test_theil_sen_draw_builds_one_rank_table_per_projection_count(random_datase
     monkeypatch.setattr(median, "_rank_table", counting)
     ds = random_dataset(6, n=500)
     budgets = (0.1, 0.5, 1.0, 2.0, 8.0)
-    draws = mech._theil_sen_draw(THEIL_SEN, [(ds, RandomStream(7, i)) for i in range(100)],
+    draws = mech._theil_sen_draw(THEIL_SEN, [[(ds, RandomStream(7, i)) for i in range(100)]],
                                  budgets, THEIL_SEN.hyper)
     assert draws.shape == (100 * len(budgets), 2) and built == [250]
     tied = Dataset(np.array([0.2, 0.2, 0.4, 0.6]), np.array([0.1, 0.2, 0.3, 0.4]))
     built.clear()
     pairs = [(ds, RandomStream(7, 0)), (ds, RandomStream(7, 1)), (tied, RandomStream(7, 2))]
-    mech._theil_sen_draw(THEIL_SEN, pairs, budgets, THEIL_SEN.hyper)
+    mech._theil_sen_draw(THEIL_SEN, [pairs], budgets, THEIL_SEN.hyper)
     assert built[0] == 250 and len(built) == 2 and built[1] in (1, 2)
 
 
@@ -554,7 +561,7 @@ def test_blocked_theil_sen_draw_equals_one_draw_per_pair_bitwise(random_dataset,
         streams = [RandomStream(7, i) for i in range(len(datasets))]
         blocks.clear()
         log_rows.clear()
-        got = mech._theil_sen_draw(THEIL_SEN, list(zip(datasets, streams)), budgets, hyper)
+        got = mech._theil_sen_draw(THEIL_SEN, [list(zip(datasets, streams))], budgets, hyper)
         assert log_rows.count(2 * hyper.k) == 10  # each collinear pool, in one block of 5 pairs
         per_block = mech._BLOCK_ENTRIES // (len(budgets) * 2 * median._width(250 * hyper.k))
         assert sum(blocks) == len(datasets) and blocks.count(per_block) >= 2, blocks
@@ -562,7 +569,7 @@ def test_blocked_theil_sen_draw_equals_one_draw_per_pair_bitwise(random_dataset,
         want = []
         for i, data in enumerate(datasets):
             alone = RandomStream(7, i)
-            want.append(mech._theil_sen_draw(THEIL_SEN, [(data, alone)], budgets, hyper))
+            want.append(mech._theil_sen_draw(THEIL_SEN, [[(data, alone)]], budgets, hyper))
             assert streams[i].uniform() == alone.uniform(), (hyper.k, i)
         np.testing.assert_array_equal(got.view(np.int64), np.concatenate(want).view(np.int64))
 

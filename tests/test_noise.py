@@ -223,8 +223,8 @@ def test_zero_noise_stream_releases_the_exact_statistics(three_point_line):
         pairs = [(three_point_line, ZeroNoiseStream(0, i)) for i in range(3)]
         release = MECHANISMS[name]
         matrix = release.reading(d)
-        got = _laplace_draw(release, pairs, (0.5, 2.0), d)
-        want = _cell_sums(three_point_line, release.rows, d, len(matrix)) @ matrix
+        got = _laplace_draw(release, [pairs], (0.5, 2.0), d)
+        want = _cell_sums([three_point_line], release.rows, d, len(matrix))[0] @ matrix
         assert got.tobytes() == np.tile(want, (6, 1)).tobytes(), (name, d)
 
 

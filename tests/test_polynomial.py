@@ -114,7 +114,7 @@ def test_degree_bound():
     calls = (lambda d: dp_rss_poly_fit(ds, d, 1.0, stream), transfer_matrix,
              lambda d: exact_group_stats(ds, d), lambda d: group_contributions(0.5, 0.5, d),
              lambda d: sensitivity_oracle(d, 0.1),
-             lambda d: _laplace_draw(MECHANISMS["dp_rss"], [(ds, stream)], (1.0,), d))
+             lambda d: _laplace_draw(MECHANISMS["dp_rss"], [[(ds, stream)]], (1.0,), d))
     for call in calls:
         with pytest.raises(ValueError, match=f"degree must be at most {_MAX_DEGREE}, "
                                              f"got {_MAX_DEGREE + 1}; "):
@@ -127,7 +127,8 @@ def test_noise_free_estimates_recover_power_sums(degree, random_dataset):
     # Oracle: plain fsum of the monomials, computed without the telescoped
     # group representation.
     ds = random_dataset(degree, n=150)
-    stats = _laplace_draw(MECHANISMS["dp_rss"], [(ds, ZeroNoiseStream(0, 0))], (1.0,), degree)[0]
+    stats = _laplace_draw(MECHANISMS["dp_rss"], [[(ds, ZeroNoiseStream(0, 0))]], (1.0,),
+                          degree)[0]
     n_hat, s_x, s_xy = stats[0], stats[1 : 2 * degree + 1], stats[2 * degree + 1 :]
     assert n_hat == pytest.approx(150.0, rel=1e-12)
     for ell in range(1, 2 * degree + 1):

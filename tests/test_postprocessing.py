@@ -196,7 +196,7 @@ def refined_stacks(d):
         x = g.uniform(n)
         datasets.append(Dataset(x, np.clip(0.6 * x + 0.2 + 0.1 * g.normal(n), 0.0, 1.0)))
     names = ("dp_rss", "dp_ss") if d == 1 else ("dp_rss",)
-    return np.concatenate([_laplace_draw(MECHANISMS[name], [(ds, RandomStream(seed, 1))], BUDGETS,
+    return np.concatenate([_laplace_draw(MECHANISMS[name], [[(ds, RandomStream(seed, 1))]], BUDGETS,
                                          degree=d)
                            for name in names for ds in datasets for seed in range(15)])
 
@@ -235,8 +235,8 @@ def test_ss_solve_equals_scalar_bitwise():
         for seed in range(30):
             scales = np.array([4.0 / eps for eps in BUDGETS])
             unit = RandomStream(seed, 1).laplace(1.0, size=8)
-            noisy = np.multiply.outer(scales, unit) + _cell_sums(ds, _ss_rows, 1, 8)
-            drawn = _laplace_draw(release, [(ds, RandomStream(seed, 1))], BUDGETS)
+            noisy = np.multiply.outer(scales, unit) + _cell_sums([ds], _ss_rows, 1, 8)[0]
+            drawn = _laplace_draw(release, [[(ds, RandomStream(seed, 1))]], BUDGETS)
             assert drawn.tobytes() == np.array([z @ reading for z in noisy]).tobytes()
             rows.append(noisy)
     noisy = np.concatenate(rows)
@@ -260,7 +260,7 @@ def test_ss_solve_equals_scalar_bitwise():
         # The noise-free sums of three records at x = 0.01: the x-spread
         # rounds to a positive value, so the covariance form returned the
         # line 32 x + 0.18; the pivot guard now falls back.
-        _cell_sums(Dataset(np.full(3, 0.01), np.array([0.1, 0.5, 0.9])), _ss_rows, 1, 8),
+        _cell_sums([Dataset(np.full(3, 0.01), np.array([0.1, 0.5, 0.9]))], _ss_rows, 1, 8)[0],
     ])
     coeffs, fallback = _solve_refined(np.array([z @ reading for z in crafted]))
     assert fallback.tolist() == [True, True, False, False, True]

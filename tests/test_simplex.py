@@ -124,7 +124,7 @@ def test_privatize_draw_order_and_scales(random_dataset):
     # x-group first, before the transfer matrix refines it.
     ds = random_dataset(6, n=40)
     for degree in (1, 2):
-        got = _laplace_draw(RSS, [(ds, RandomStream(6, 0))], (0.5,), degree)[0]
+        got = _laplace_draw(RSS, [[(ds, RandomStream(6, 0))]], (0.5,), degree)[0]
         ref = RandomStream(6, 0)
         z1 = ref.laplace(4.0, 2 * degree + 1)
         z2 = ref.laplace(4.0, degree + 2)
@@ -132,12 +132,12 @@ def test_privatize_draw_order_and_scales(random_dataset):
         want = np.concatenate([g1 + z1, g2 + z2]) @ transfer_matrix(degree)
         assert np.array_equal(got, want)
     # dp_ss draws its eight cells at scale 4/eps and exists at degree 1 only.
-    got = _laplace_draw(SS, [(ds, RandomStream(6, 0))], (0.5,))[0]
-    sums = _cell_sums(ds, _ss_rows, 1, 8) + RandomStream(6, 0).laplace(8.0, 8)
+    got = _laplace_draw(SS, [[(ds, RandomStream(6, 0))]], (0.5,))[0]
+    sums = _cell_sums([ds], _ss_rows, 1, 8)[0] + RandomStream(6, 0).laplace(8.0, 8)
     assert np.array_equal(got, sums @ SS.reading(1))
     for degree in (2, 3):
         with pytest.raises(ValueError, match="dp_ss releases a line only"):
-            _laplace_draw(SS, [(ds, RandomStream(6, 0))], (0.5,), degree)
+            _laplace_draw(SS, [[(ds, RandomStream(6, 0))]], (0.5,), degree)
 
 
 def test_pair_major_draw_equals_one_pair_draws_bitwise(random_dataset):
@@ -157,14 +157,14 @@ def test_pair_major_draw_equals_one_pair_draws_bitwise(random_dataset):
         release = MECHANISMS[name]
         for d in degrees:
             matrix = release.reading(d)
-            got = _laplace_draw(release, pairs(), budgets, d)
+            got = _laplace_draw(release, [pairs()], budgets, d)
             assert got.shape == (len(pairs()) * len(budgets), matrix.shape[1])
-            alone = [_laplace_draw(release, [pair], budgets, d) for pair in pairs()]
+            alone = [_laplace_draw(release, [[pair]], budgets, d) for pair in pairs()]
             assert got.tobytes() == np.concatenate(alone).tobytes(), (name, d)
             scales = np.array([release.share / eps for eps in budgets])
             rows = [z @ matrix for ds, stream in pairs()
                     for z in np.multiply.outer(scales, stream.laplace(1.0, len(matrix)))
-                    + _cell_sums(ds, release.rows, d, len(matrix))]
+                    + _cell_sums([ds], release.rows, d, len(matrix))[0]]
             assert got.tobytes() == np.array(rows).tobytes(), (name, d)
 
 
@@ -183,7 +183,7 @@ def test_stacked_one_row_products_equal_per_row_products():
 
 def test_privatize_zero_noise_is_identity(random_dataset):
     ds = random_dataset(2)
-    got = _laplace_draw(RSS, [(ds, ZeroNoiseStream(0, 0))], (0.5,))[0]
+    got = _laplace_draw(RSS, [[(ds, ZeroNoiseStream(0, 0))]], (0.5,))[0]
     assert np.array_equal(got, np.concatenate(exact_group_stats(ds)) @ transfer_matrix(1))
 
 
@@ -191,14 +191,14 @@ def test_privatize_rejects_nonpositive_budget(random_dataset):
     ds = random_dataset(0, n=10)
     for bad in (0.0, -0.5, float("inf"), float("nan")):
         with pytest.raises(ValueError):
-            _laplace_draw(RSS, [(ds, RandomStream(0, 0))], (bad,))
+            _laplace_draw(RSS, [[(ds, RandomStream(0, 0))]], (bad,))
         with pytest.raises(ValueError):
             dp_rss_poly_fit(ds, 2, bad, RandomStream(0, 0))
 
 
 def test_refine_zero_noise_recovers_exact_sums(random_dataset):
     ds = random_dataset(4, n=200)
-    n_hat, s_x, s_x2, s_y, s_xy = _laplace_draw(RSS, [(ds, ZeroNoiseStream(0, 0))], (0.5,))[0]
+    n_hat, s_x, s_x2, s_y, s_xy = _laplace_draw(RSS, [[(ds, ZeroNoiseStream(0, 0))]], (0.5,))[0]
     assert n_hat == pytest.approx(200.0, rel=1e-12)
     assert s_x == pytest.approx(math.fsum(ds.x), rel=1e-12)
     assert s_y == pytest.approx(math.fsum(ds.y), rel=1e-12)
@@ -334,7 +334,7 @@ def test_one_fallback_rule_for_every_degree():
     # Equal x: the x-spread rounds to +4.4e-16, so only the pivot guard
     # stops a garbage line.
     ds = Dataset(np.full(5, 0.3), np.linspace(0.1, 0.9, 5))
-    n, s_x, s_x2 = _laplace_draw(RSS, [(ds, ZeroNoiseStream(0, 0))], (1.0,))[0, :3]
+    n, s_x, s_x2 = _laplace_draw(RSS, [[(ds, ZeroNoiseStream(0, 0))]], (1.0,))[0, :3]
     assert s_x2 * n - s_x * s_x > 0
     for d in (1, 3):
         assert dp_rss_poly_fit(ds, d, 1.0, ZeroNoiseStream(0, 0)).fallback
@@ -342,7 +342,7 @@ def test_one_fallback_rule_for_every_degree():
     # positive x-spread too; its old covariance-form solve, which had no
     # pivot guard, returned the line 32 x + 0.18 here.
     ds = Dataset(np.full(3, 0.01), np.array([0.1, 0.5, 0.9]))
-    n, s_x, s_x2 = _laplace_draw(SS, [(ds, ZeroNoiseStream(0, 0))], (1.0,))[0, :3]
+    n, s_x, s_x2 = _laplace_draw(SS, [[(ds, ZeroNoiseStream(0, 0))]], (1.0,))[0, :3]
     assert s_x2 * n - s_x * s_x > 0
     for fitter in (dp_ss_fit, dp_rss_fit):
         assert fitter(ds, 1.0, ZeroNoiseStream(0, 0)).fallback
