@@ -36,7 +36,7 @@ from .evaluate import (
     verify_variances,
 )
 from .mechanisms import MECHANISMS, _fit, denormalize_fit
-from .noise import RandomStream, _as_epsilon
+from .noise import RandomStream, _as_epsilon, _as_float
 from .simplex import _as_degree
 
 RESULTS_HEADER = ",".join(f.name for f in fields(ExperimentRow))
@@ -325,7 +325,7 @@ def cmd_fit(args) -> int:
     return 0
 
 
-_CONFIG_REQUIRED = ("n", "alpha", "beta", "sigma", "seed", "epsilons", "iterations", "methods")
+_CONFIG_REQUIRED = tuple(f.name for f in fields(SetupConfig) + fields(ExperimentGrid))
 _CONFIG_OPTIONAL = ("fresh_data_per_iteration",)
 
 
@@ -337,7 +337,7 @@ def _load_experiment_config(path: str):
             raw = json.load(fh)
     except OSError as exc:
         raise _CliError(f"cannot read {path}: {exc.strerror}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past json's digit limit
         raise _CliError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise _CliError(f"{path}: config must be a JSON object")
@@ -356,8 +356,8 @@ def _load_experiment_config(path: str):
             raise _CliError(f"{path}: {key} must be a number, got {json.dumps(raw[key])}")
     try:
         setup = SetupConfig(
-            n=raw["n"], alpha=float(raw["alpha"]), beta=float(raw["beta"]),
-            sigma=float(raw["sigma"]), seed=raw["seed"],
+            n=raw["n"], alpha=_as_float(raw["alpha"]), beta=_as_float(raw["beta"]),
+            sigma=_as_float(raw["sigma"]), seed=raw["seed"],
         )
         grid = ExperimentGrid(
             epsilons=tuple(raw["epsilons"]), iterations=raw["iterations"],

@@ -14,6 +14,8 @@ from typing import Iterable
 
 import numpy as np
 
+from .noise import _as_float
+
 
 @dataclass(frozen=True)
 class Bounds:
@@ -27,7 +29,7 @@ class Bounds:
     def __post_init__(self):
         # An infinite span would map every value to 0 or NaN: a silent wrong fit.
         for axis, lo, hi in (("x", self.x_min, self.x_max), ("y", self.y_min, self.y_max)):
-            if not (lo < hi and math.isfinite(lo) and math.isfinite(hi - lo)):
+            if not (lo < hi and math.isfinite(_as_float(hi) - _as_float(lo))):
                 raise ValueError(f"{axis} bounds must be finite and satisfy {axis}_min < "
                                  f"{axis}_max with a finite span, got [{lo}, {hi}]")
 

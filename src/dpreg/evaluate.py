@@ -13,13 +13,15 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import _CHUNK, Dataset, as_dataset
 from .mechanisms import FITTERS, MECHANISMS, FitResult, _lines
-from .noise import RandomStream, _as_count, _as_epsilon, _as_index, _box_muller, _unit_laplace
+from .noise import (RandomStream, _as_count, _as_epsilon, _as_float, _as_index, _box_muller,
+                    _unit_laplace)
 from .simplex import LINEAR_COLUMNS, _cell_sums, _laplace_release
 
 
@@ -37,9 +39,9 @@ class SetupConfig:
         object.__setattr__(self, "n", _as_count(self.n, "n"))
         for name in ("alpha", "beta", "sigma"):
             value = getattr(self, name)
-            if isinstance(value, (bool, np.bool_)):  # math.isfinite(True) would pass as 1.0
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):  # float() reads True
                 raise ValueError(f"{name} must be a number, got {value!r}")
-            if not math.isfinite(value):
+            if not math.isfinite(_as_float(value)):
                 raise ValueError(f"{name} must be finite, got {value}")
         if self.sigma < 0:
             raise ValueError(f"sigma must be non-negative, got {self.sigma}")

@@ -193,46 +193,36 @@ def _theil_sen_draw(release, blocks, budgets, hyper: TheilSenHyper):
 
     Row p * len(budgets) + j is pair p of ``blocks``, read in order, at ``budgets[j]``.
     A pair draws its ``k`` matchings, then the four uniforms of its two
-    medians, and nothing else. Its matchings, projections and their sort
-    serve every budget. Consecutive pairs with as many projections share
-    one ``_dp_medians`` call, whose weight array stays within
-    ``_BLOCK_ENTRIES`` unless one pair alone exceeds it; every step of that
-    call reads one pool's row, so each pair's medians equal, bit for bit,
-    those of a call on that pair alone (DECISIONS.md, D16). Its rank table
-    serves every pair with as many projections. The draws never depend on
-    the data: with fewer than two records or no pair of distinct x, each
-    median picks a point of the clip range. Every budget is checked before
-    the first pair is taken.
+    medians, and nothing else; its matchings, projections and their sort
+    serve every budget. A run of consecutive pairs with as many projections
+    is cut into passes of as many pairs as keep the weight array within
+    ``_BLOCK_ENTRIES``, or one. A pass is one ``_dp_medians`` call, every
+    step of which reads one pool's row, so each pair's medians equal, bit
+    for bit, those of a call on that pair alone (DECISIONS.md, D16, D23).
+    The draws never depend on the data: with fewer than two records or no
+    pair of distinct x, each median picks a point of the clip range. Every
+    budget is checked before the first pair is taken.
     """
     # A record lands in k pairs, so it moves up to k projections of each
     # list; each median runs at eps/(2k) to spend its eps/2 share.
     parts = [_as_epsilon(b) / (release.share * hyper.k) for b in budgets]
+
+    def draws():  # each pair's projection count, both its pools and its four uniforms
+        for data, stream in itertools.chain.from_iterable(blocks):
+            ds = as_dataset(data)
+            z25s, z75s = zip(*[_pair_projections(ds.x, ds.y, stream.permutation(len(ds)))
+                               for _ in range(hyper.k)])
+            yield sum(z.size for z in z25s), (z25s, z75s), stream.uniform(4)
+
     releases = []
-    tables = {}  # the medians' rank table, shared by pairs with as many projections
-    pools, uniforms, block_m = [], [], None  # the block: both pools and 4 uniforms per pair
-
-    def flush():
-        medians = _dp_medians(pools, parts, hyper.r_lo, hyper.r_hi, np.concatenate(uniforms),
-                              tables)
-        # Column 2p + c is pair p's median c: pair-major rows, as one pair per call gives.
-        releases.append(medians.reshape(len(parts), -1, 2).swapaxes(0, 1).reshape(-1, 2))
-        pools.clear()
-        uniforms.clear()
-
-    for data, stream in itertools.chain.from_iterable(blocks):
-        ds = as_dataset(data)
-        z25s, z75s = zip(*[_pair_projections(ds.x, ds.y, stream.permutation(len(ds)))
-                           for _ in range(hyper.k)])
-        m = sum(z.size for z in z25s)
-        if pools and m != block_m:
-            flush()
-        pools += [z25s, z75s]
-        uniforms.append(stream.uniform(4))
-        block_m = m
-        if len(parts) * (len(pools) + 2) * _width(m) > _BLOCK_ENTRIES:  # no room for one more
-            flush()
-    if pools:
-        flush()
+    for m, run in itertools.groupby(draws(), key=lambda draw: draw[0]):
+        per_pass = max(1, _BLOCK_ENTRIES // (2 * len(parts) * _width(m)))
+        while chunk := list(itertools.islice(run, per_pass)):
+            _, pools, uniforms = zip(*chunk)
+            medians = _dp_medians(list(itertools.chain.from_iterable(pools)), parts,
+                                  hyper.r_lo, hyper.r_hi, np.concatenate(uniforms))
+            # Column 2p + c is pair p's median c: pair-major rows, as one pair per call gives.
+            releases.append(medians.reshape(len(parts), -1, 2).swapaxes(0, 1).reshape(-1, 2))
     return np.concatenate(releases)
 
 

@@ -16,11 +16,12 @@ e^-600 of their largest weight take a log-domain pass instead.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
-from .noise import RandomStream, _as_epsilon
+from .noise import RandomStream, _as_epsilon, _as_float
 
 # Width of the blocks whose sums locate the picked interval.
 _BLOCK = 64
@@ -32,9 +33,19 @@ _DEAD_WEIGHT = float(np.exp(np.array([_DEAD_BELOW]))[0])
 
 
 def _check_clip(clip_lo: float, clip_hi: float) -> None:
-    # A finite span implies finite bounds; the interval lengths need it.
-    if not (clip_lo < clip_hi and math.isfinite(clip_hi - clip_lo)):
+    # A finite span of the bounds as floats implies finite bounds; the interval lengths need it.
+    if not (clip_lo < clip_hi and math.isfinite(_as_float(clip_hi) - _as_float(clip_lo))):
         raise ValueError(f"clip range must be finite with lower < upper, got [{clip_lo}, {clip_hi}]")
+
+
+def _check_call(values, epsilon, clip_lo: float, clip_hi: float) -> tuple:
+    """``values`` and ``epsilon`` of a public call, checked; NaN, which no clip holds, raises."""
+    epsilon = _as_epsilon(epsilon)
+    _check_clip(clip_lo, clip_hi)
+    values = np.asarray(values, dtype=np.float64)
+    if np.isnan(values).any():
+        raise ValueError("median values must not be NaN")
+    return values, epsilon
 
 
 def _prepare(pools, clip_lo: float, clip_hi: float) -> np.ndarray:
@@ -72,16 +83,18 @@ def _width(m: int) -> int:
     return (m // _BLOCK + 1) * _BLOCK
 
 
-def _rank_table(m: int, halves: np.ndarray) -> np.ndarray:
-    """The rank factors of m values, ``(B, width)``: ``exp(-halves[j] * r_i)``.
+@functools.lru_cache(maxsize=1)
+def _rank_table(m: int, halves: tuple) -> np.ndarray:
+    """The rank factors of m values, ``(B, width)``: ``exp(-halves[j] * r_i)``, read-only.
 
     Like every weight here, the factor is ``exp(max(a, -705)) -
     exp(-705)``: exactly 1 at the best ranks, and exactly 0 where ``a <=
     _DEAD_BELOW`` and on the columns past m that pad the width to whole
-    blocks.
+    blocks. The last table built is kept, so that lists of one size at the
+    same budgets, such as a draw's run of pairs, share it (DECISIONS.md, D23).
     """
     minus_rank = _minus_ranks(m)
-    table = np.zeros((halves.size, _width(m)))
+    table = np.zeros((len(halves), _width(m)))
     factors = table[:, : m + 1]
     # From h = 705 on, every factor but the best ranks' is 0, so capping h
     # there changes none and keeps h r finite at any epsilon.
@@ -89,6 +102,7 @@ def _rank_table(m: int, halves: np.ndarray) -> np.ndarray:
     np.maximum(factors, _DEAD_BELOW, out=factors)
     np.exp(factors, out=factors)
     factors -= _DEAD_WEIGHT
+    table.setflags(write=False)
     return table
 
 
@@ -102,22 +116,16 @@ def _trust_floor(span: float) -> float:
     return math.exp(600.0) * (span * _DEAD_WEIGHT + 2.0**-1074)
 
 
-def _weights(edges: np.ndarray, halves: np.ndarray, tables: dict | None = None) -> np.ndarray:
+def _weights(edges: np.ndarray, halves: np.ndarray) -> np.ndarray:
     """Unnormalized interval weights, ``(B, L, width)``, at each half-budget ``halves[j]``.
 
     Entry (j, l, i) is interval i's length in pool l times the factor
-    (j, i) of ``_rank_table``, and 0 on the padding columns. ``tables``, a
-    dict that one draw owns across its calls at the same budgets, keeps
-    the table of the last m. A row whose largest weight is below
-    ``_trust_floor`` of the clip span, as when the best ranks tie or are
-    tiny, gets ``_log_weights`` instead.
+    (j, i) of ``_rank_table``, and 0 on the padding columns. A row whose
+    largest weight is below ``_trust_floor`` of the clip span, as when the
+    best ranks tie or are tiny, gets ``_log_weights`` instead.
     """
     m = edges.shape[1] - 2
-    tables = {} if tables is None else tables
-    table = tables.get(m)
-    if table is None:
-        tables.clear()
-        table = tables[m] = _rank_table(m, halves)
+    table = _rank_table(m, tuple(halves.tolist()))
     w = np.empty((halves.size, edges.shape[0], table.shape[1]))
     # Each pool's lengths go straight into its first weight row, which
     # every other budget's row reads before it is scaled itself.
@@ -203,17 +211,15 @@ def median_interval_probs(values, epsilon: float, clip_lo: float, clip_hi: float
     the largest are set to 0, and none larger is (DECISIONS.md, D13). No
     ``epsilon * m`` product can overflow them. At an epsilon so large that
     every other weight rounds away, the best-ranked intervals of positive
-    length share the mass by length.
+    length share the mass by length. A NaN value raises ValueError.
     """
-    epsilon = _as_epsilon(epsilon)
-    _check_clip(clip_lo, clip_hi)
+    values, epsilon = _check_call(values, epsilon, clip_lo, clip_hi)
     edges = _prepare([[values]], clip_lo, clip_hi)
     w = _weights(edges, np.array([0.5 * epsilon]))[0, 0, : edges.shape[1] - 1]
     return edges[0], w / w.sum()
 
 
-def _dp_medians(pools, epsilons, clip_lo: float, clip_hi: float, uniforms,
-                tables: dict | None = None) -> np.ndarray:
+def _dp_medians(pools, epsilons, clip_lo: float, clip_hi: float, uniforms) -> np.ndarray:
     """``dp_median`` of each pool at each budget, ``(B, L)``, from one uniform pair per pool.
 
     ``pools`` holds L pools of equal size, each a sequence of arrays whose
@@ -222,14 +228,11 @@ def _dp_medians(pools, epsilons, clip_lo: float, clip_hi: float, uniforms,
     pick first, so entry (j, l) equals ``dp_median(pool l, epsilons[j], ...)``
     on a stream that yields them. Together the outputs are not epsilon-DP
     at any one budget. The caller has checked every budget and the clip
-    range. A caller that runs many calls at the same ``epsilons`` passes
-    one ``tables`` dict to them all, so that pools of one size share a
-    rank table (``_weights``).
+    range, and no value is NaN.
     """
     edges = _prepare(pools, clip_lo, clip_hi)
     u_pick, u_point = np.asarray(uniforms, dtype=np.float64).reshape(len(pools), 2).T
-    idx = _locate(_weights(edges, 0.5 * np.asarray(epsilons, dtype=np.float64), tables),
-                  u_pick)
+    idx = _locate(_weights(edges, 0.5 * np.asarray(epsilons, dtype=np.float64)), u_pick)
     row = np.arange(len(pools))
     lo, hi = edges[row, idx], edges[row, idx + 1]
     return lo + (hi - lo) * u_point
@@ -248,8 +251,8 @@ def dp_median(
     :func:`median_interval_probs`, one for the point inside it, so replaying
     a stream replays the output. Empty input is one interval, the clip
     range, so it returns a uniform point of that range; it draws the same
-    two uniforms, and a single value gives the same law.
+    two uniforms, and a single value gives the same law. ±inf are clipped,
+    and a NaN value raises ValueError before a uniform is drawn.
     """
-    epsilon = _as_epsilon(epsilon)
-    _check_clip(clip_lo, clip_hi)
+    values, epsilon = _check_call(values, epsilon, clip_lo, clip_hi)
     return float(_dp_medians([[values]], (epsilon,), clip_lo, clip_hi, stream.uniform(2))[0, 0])

@@ -29,6 +29,16 @@ _LARGEST_SCALE = 4
 _EPSILON_FLOOR = _LARGEST_SCALE * 53 * math.log(2) / math.sqrt(np.finfo(np.float64).max)
 
 
+def _as_float(value) -> float:
+    """``value`` as a float for a finiteness check: NaN if a bool or a non-real."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return math.nan
+    try:
+        return float(value)
+    except OverflowError:  # past the double range, as 10**400 is: an infinity of its sign
+        return math.inf if value > 0 else -math.inf
+
+
 def _as_epsilon(budget) -> float:
     """``budget`` as a float epsilon; every budget's one check.
 
@@ -37,7 +47,7 @@ def _as_epsilon(budget) -> float:
     """
     if not isinstance(budget, numbers.Real) or isinstance(budget, bool):  # float() reads True, "1"
         raise ValueError(f"epsilon must be a number, got {budget!r}")
-    eps = float(budget)
+    eps = _as_float(budget)
     if not (eps >= _EPSILON_FLOOR and math.isfinite(eps)):
         raise ValueError(
             f"epsilon must be positive and finite, with a finite Laplace scale "
@@ -109,7 +119,7 @@ class RandomStream:
         scratch arrays of at most a block. Every value equals the unblocked
         expression's bit for bit (DECISIONS.md, D5).
         """
-        b = float(scale) if isinstance(scale, numbers.Real) and not isinstance(scale, bool) else 0.0
+        b = _as_float(scale)
         if not (b > 0 and math.isfinite(b)):
             raise ValueError(f"Laplace scale must be one positive, finite number, got {scale!r}")
         unit = _unit_laplace(self._laplace_u(size), -b)

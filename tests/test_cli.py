@@ -603,6 +603,24 @@ def test_experiment_missing_key_and_bad_json(tmp_path, capsys):
         assert code == 2 and fragment in err, text
 
 
+def test_experiment_numbers_past_the_double_range_are_usage_errors(tmp_path, capsys):
+    # A 401-digit alpha, sigma or epsilon once ended in an OverflowError
+    # traceback, and a 5,001-digit number in json's digit-limit ValueError,
+    # which is not a JSONDecodeError. Each exits 2 naming the file.
+    out_path = tmp_path / "x.csv"
+    big = 10**400
+    for overrides, fragment in (({"alpha": big}, "alpha must be finite"),
+                                ({"sigma": big}, "sigma must be finite"),
+                                ({"epsilons": [0.5, big]}, "epsilon must be positive"),
+                                ({"seed": "many digits"}, "invalid JSON")):
+        config = experiment_config(tmp_path, **overrides)
+        path = tmp_path / "config.json"
+        path.write_text(path.read_text().replace('"many digits"', "1" + "0" * 5000))
+        code, _, err = run(capsys, ["experiment", config, "--output", str(out_path)])
+        assert code == 2 and err.startswith(f"dpreg: error: {config}: ") and fragment in err
+        assert "Traceback" not in err and not out_path.exists()
+
+
 @pytest.mark.parametrize("command", ["experiment", "verify"])
 def test_unwritable_output_is_a_usage_error_before_any_work(tmp_path, capsys, monkeypatch,
                                                             command):

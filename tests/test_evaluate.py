@@ -76,6 +76,13 @@ def test_setup_config_validation():
                 SetupConfig(n=10, seed=0, **values)
 
 
+def test_setup_config_refuses_values_that_are_not_real_numbers():
+    # Text, None, a list and a complex once raised TypeError from math.isfinite.
+    for bad in ("0.5", None, [0.5], 1j):
+        with pytest.raises(ValueError, match="beta must be a number"):
+            SetupConfig(n=10, alpha=0.0, beta=bad, sigma=0.1, seed=0)
+
+
 def test_reference_setups():
     one = reference_setup(1, seed=7)
     assert (one.n, one.alpha, one.beta, one.sigma) == (5000, -0.7, 0.8, 0.05)

@@ -508,28 +508,28 @@ def test_multi_budget_cores_equal_public_fitters_bitwise(random_dataset):
                         assert alone.uniform() == after, (name, len(ds), seed, eps)
 
 
-def test_theil_sen_draw_builds_one_rank_table_per_projection_count(random_dataset, monkeypatch):
+def test_theil_sen_draw_builds_one_rank_table_per_projection_count(random_dataset):
     # The medians' rank table depends on the number of projections and the
-    # budgets alone, so a draw over 100 pairs of one dataset builds it
-    # once; a pair with another count builds its own (DECISIONS.md, D13).
-    built = []
-
-    def counting(m, halves):
-        built.append(m)
-        return rank_table(m, halves)
-
-    rank_table = median._rank_table
-    monkeypatch.setattr(median, "_rank_table", counting)
+    # budgets alone, and median keeps the last one built, so a draw over 100
+    # pairs of one dataset builds it once and an identical draw builds none;
+    # a pair with another count builds its own (DECISIONS.md, D13, D23).
+    table = median._rank_table
+    table.cache_clear()
     ds = random_dataset(6, n=500)
     budgets = (0.1, 0.5, 1.0, 2.0, 8.0)
-    draws = mech._theil_sen_draw(THEIL_SEN, [[(ds, RandomStream(7, i)) for i in range(100)]],
-                                 budgets, THEIL_SEN.hyper)
-    assert draws.shape == (100 * len(budgets), 2) and built == [250]
+    for _ in range(2):  # the second, identical draw builds no table
+        draws = mech._theil_sen_draw(THEIL_SEN, [[(ds, RandomStream(7, i)) for i in range(100)]],
+                                     budgets, THEIL_SEN.hyper)
+        assert draws.shape == (100 * len(budgets), 2) and table.cache_info().misses == 1
     tied = Dataset(np.array([0.2, 0.2, 0.4, 0.6]), np.array([0.1, 0.2, 0.3, 0.4]))
-    built.clear()
     pairs = [(ds, RandomStream(7, 0)), (ds, RandomStream(7, 1)), (tied, RandomStream(7, 2))]
     mech._theil_sen_draw(THEIL_SEN, [pairs], budgets, THEIL_SEN.hyper)
-    assert built[0] == 250 and len(built) == 2 and built[1] in (1, 2)
+    assert table.cache_info().misses == 2 and table.cache_info().currsize == 1
+    m = _pair_projections(tied.x, tied.y, RandomStream(7, 2).permutation(4))[0].size
+    assert m in (1, 2)
+    hits = table.cache_info().hits
+    table(m, tuple(0.5 * (b / 2) for b in budgets))  # the tied pair's table is the one kept
+    assert table.cache_info().hits == hits + 1 and table.cache_info().misses == 2
 
 
 def test_blocked_theil_sen_draw_equals_one_draw_per_pair_bitwise(random_dataset, monkeypatch):

@@ -184,6 +184,38 @@ def test_rejects_bad_parameters():
     assert s.uniform() == RandomStream(0, 0).uniform()
 
 
+def test_nan_values_are_refused_before_a_draw_and_infinities_clip():
+    # A NaN once came back as the median itself, outside the clip range, or
+    # gave all-NaN weights, under which the sampler took the first interval
+    # at every epsilon, and all-NaN probabilities.
+    nan, inf = float("nan"), float("inf")
+    s = RandomStream(1, 0)
+    for values in ([nan], [0.1, nan, 0.3], np.array([nan, nan])):
+        with pytest.raises(ValueError, match="must not be NaN"):
+            dp_median(values, 1.0, -2.0, 2.0, s)
+        with pytest.raises(ValueError, match="must not be NaN"):
+            median_interval_probs(values, 1.0, -2.0, 2.0)
+    assert s.uniform() == RandomStream(1, 0).uniform()
+    # ±inf clip to the range's ends: the same release as those ends.
+    for seed in range(5):
+        got = dp_median([-inf, 0.1, inf], 1.0, -2.0, 2.0, RandomStream(seed, 0))
+        assert got == dp_median([-2.0, 0.1, 2.0], 1.0, -2.0, 2.0, RandomStream(seed, 0))
+    edges, probs = median_interval_probs([inf, 0.1, -inf], 1.0, -2.0, 2.0)
+    assert edges.tolist() == [-2.0, -2.0, 0.1, 2.0, 2.0] and np.isfinite(probs).all()
+
+
+def test_rank_tables_are_read_only_and_the_last_one_is_kept():
+    table = median._rank_table
+    table.cache_clear()
+    first = table(5, (0.25, 1.0))
+    assert not first.flags.writeable
+    with pytest.raises(ValueError):
+        first[0, 0] = 2.0
+    assert table(5, (0.25, 1.0)) is first and table.cache_info().hits == 1
+    table(6, (0.25, 1.0))
+    assert table(5, (0.25, 1.0)) is not first  # one table is kept, the last one built
+
+
 def test_huge_budgets_overflow_the_rank_penalty_without_warning():
     # Near the largest double, the rank penalty of every interval but the
     # two middle ones of these 41 values overflows to inf, which is weight

@@ -169,6 +169,32 @@ def test_laplace_rejects_bad_scale():
         s.laplace(float("inf"))
 
 
+def test_integers_past_the_double_range_raise_each_checks_value_error(random_dataset):
+    # float() raises OverflowError on these; each check reads them as an
+    # infinity of their sign and refuses them with its own ValueError.
+    from dpreg import Bounds, ExperimentGrid, SetupConfig, TheilSenHyper, dp_median, dp_rss_fit
+
+    big = 10**400
+    ds = random_dataset(1, n=10)
+    calls = [
+        (lambda: dp_rss_fit(ds, big, RandomStream(1, 0)), "epsilon must be positive"),
+        (lambda: ExperimentGrid((big,), 1, ("dp_rss",)), "epsilon must be positive"),
+        (lambda: SetupConfig(10, big, 0.5, 0.1, 0), "alpha must be finite"),
+        (lambda: SetupConfig(10, 0.5, -big, 0.1, 0), "beta must be finite"),
+        (lambda: Bounds(0, big, 0, 1), "x bounds must be finite"),
+        (lambda: Bounds(0, 1, -big, 1), "y bounds must be finite"),
+        (lambda: TheilSenHyper(r_lo=-big, r_hi=big), "clip range must be finite"),
+        (lambda: TheilSenHyper(r_lo=big, r_hi=big + 1), "clip range must be finite"),
+        (lambda: dp_median([0.1], big, -2, 2, RandomStream(1, 0)), "epsilon must be positive"),
+        (lambda: dp_median([0.1], 1.0, -big, 2, RandomStream(1, 0)), "clip range must be finite"),
+        (lambda: RandomStream(1, 0).laplace(big), "Laplace scale must be"),
+        (lambda: RandomStream(1, 0).laplace(-big, 3), "Laplace scale must be"),
+    ]
+    for call, message in calls:
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
 def test_normal_moments():
     n = 1_000_000
     draws = RandomStream(3, 0).normal(n)
