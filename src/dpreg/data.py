@@ -8,6 +8,7 @@ into the unit square.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -31,7 +32,8 @@ class Bounds:
         for axis, lo, hi in (("x", self.x_min, self.x_max), ("y", self.y_min, self.y_max)):
             if not (lo < hi and math.isfinite(_as_float(hi) - _as_float(lo))):
                 raise ValueError(f"{axis} bounds must be finite and satisfy {axis}_min < "
-                                 f"{axis}_max with a finite span, got [{lo}, {hi}]")
+                                 f"{axis}_max with a finite span, got "
+                                 f"[{_as_float(lo)}, {_as_float(hi)}]")
 
     @property
     def x_span(self) -> float:
@@ -248,29 +250,23 @@ def _exact_sums(columns: list, count: int, rows) -> list:
     per dataset; a dataset with no records sums to zeros.
     """
     terms = [[[] for _ in range(count)] for _ in columns]
-    width = min(sum(len(cols[0]) for cols in columns), _CHUNK)
+    bounds = np.cumsum([0] + [len(cols[0]) for cols in columns]).tolist()
+    width = min(bounds[-1], _CHUNK)
     joined = [np.empty(width) for _ in columns[0]] if columns else []
     q, r = np.empty(width), np.empty(width)
-
-    def run(segments, size):
+    for first in range(0, bounds[-1], _CHUNK):
+        end = min(first + _CHUNK, bounds[-1])
+        # (dataset, lo, hi) for each dataset's records lo to hi in this chunk.
+        # One with no records has none: np.add.reduceat reads a repeated
+        # start as one value, not as 0.
+        held = range(bisect.bisect_right(bounds, first) - 1, bisect.bisect_left(bounds, end))
+        segments = [(k, max(first, bounds[k]) - bounds[k], min(end, bounds[k + 1]) - bounds[k])
+                    for k in held if bounds[k] < bounds[k + 1]]
+        size = end - first
         chunk = [np.concatenate([columns[k][j][lo:hi] for k, lo, hi in segments],
                                 out=buf[:size]) for j, buf in enumerate(joined)]
         starts = np.cumsum([0] + [hi - lo for _, lo, hi in segments[:-1]])
         for i, row in rows(*chunk):
             for (k, _, _), t in zip(segments, _extract(row, starts, q[:size], r[:size])):
                 terms[k][i] += t
-
-    segments, size = [], 0
-    for k, cols in enumerate(columns):
-        lo, n = 0, len(cols[0])
-        while lo < n:
-            hi = min(n, lo + _CHUNK - size)
-            segments.append((k, lo, hi))
-            size += hi - lo
-            lo = hi
-            if size == _CHUNK:
-                run(segments, size)
-                segments, size = [], 0
-    if segments:
-        run(segments, size)
     return [np.array([math.fsum(t) for t in per]) for per in terms]

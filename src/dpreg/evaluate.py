@@ -13,15 +13,14 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import _CHUNK, Dataset, as_dataset
 from .mechanisms import FITTERS, MECHANISMS, FitResult, _lines
-from .noise import (RandomStream, _as_count, _as_epsilon, _as_float, _as_index, _box_muller,
-                    _unit_laplace)
+from .noise import (RandomStream, _Run, _as_count, _as_epsilon, _as_float, _as_index,
+                    _box_muller, _unit_laplace)
 from .simplex import LINEAR_COLUMNS, _cell_sums, _laplace_release
 
 
@@ -38,10 +37,8 @@ class SetupConfig:
     def __post_init__(self):
         object.__setattr__(self, "n", _as_count(self.n, "n"))
         for name in ("alpha", "beta", "sigma"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or isinstance(value, bool):  # float() reads True
-                raise ValueError(f"{name} must be a number, got {value!r}")
-            if not math.isfinite(_as_float(value)):
+            value = _as_float(getattr(self, name), name)
+            if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
         if self.sigma < 0:
             raise ValueError(f"sigma must be non-negative, got {self.sigma}")
@@ -248,9 +245,9 @@ def run_experiment(
 
     No mechanism's draws depend on epsilon, so one draw per iteration and
     method serves every epsilon cell. One draw per method takes every
-    iteration's ``(data, stream)`` pair as it is built, the substreams
-    seeded in blocks (``RandomStream._substreams``). The fixed dataset's
-    pairs are one block; fresh datasets are drawn in blocks of at most
+    iteration's ``(data, stream)`` pair, the substreams seeded in blocks.
+    The fixed dataset's pairs are one ``noise._Run``, which a Laplace draw
+    reads whole (D24); fresh datasets are drawn in blocks of at most
     ``data._CHUNK`` records (D18), and each block is summed in one pass
     (D17, D22). The releases are solved and scored in one batched pass, and
     reduced per cell along axis 1 (DECISIONS.md, D3). The
@@ -259,18 +256,13 @@ def run_experiment(
     Repeated sweeps of one setup reuse its fixed dataset and sums (D21).
     """
     fixed = None if fresh_data_per_iteration else _fixed_dataset(setup)
-
-    def blocks():  # builds the iterations' streams, and fresh data, as they are taken
-        streams = RandomStream._substreams(setup.seed, 1, grid.iterations + 1)
-        if fresh_data_per_iteration:
-            return _datasets(setup, streams)
-        return [((fixed, stream) for stream in streams)]
-
     truth = (setup.alpha, setup.beta)
     rows = []
     for method in sorted(grid.methods):
         mech = MECHANISMS[method]
-        coeffs, _ = mech.solve(mech.draw(mech, blocks(), grid.epsilons, mech.hyper))
+        run = _Run(fixed, setup.seed, 1, grid.iterations + 1)  # streams built as they are taken
+        blocks = [run] if fixed is not None else _datasets(setup, (s for _, s in run))
+        coeffs, _ = mech.solve(mech.draw(mech, blocks, grid.epsilons, mech.hyper))
         # Line i * len(epsilons) + j is iteration i at epsilons[j]. On these
         # contiguous copies an axis-1 reduction sums row j as it sums alone.
         l1s, l2s = (e.reshape(grid.iterations, -1).T.copy() for e in _line_errors(truth, coeffs))

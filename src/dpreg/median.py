@@ -35,7 +35,8 @@ _DEAD_WEIGHT = float(np.exp(np.array([_DEAD_BELOW]))[0])
 def _check_clip(clip_lo: float, clip_hi: float) -> None:
     # A finite span of the bounds as floats implies finite bounds; the interval lengths need it.
     if not (clip_lo < clip_hi and math.isfinite(_as_float(clip_hi) - _as_float(clip_lo))):
-        raise ValueError(f"clip range must be finite with lower < upper, got [{clip_lo}, {clip_hi}]")
+        raise ValueError("clip range must be finite with lower < upper, got "
+                         f"[{_as_float(clip_lo)}, {_as_float(clip_hi)}]")
 
 
 def _check_call(values, epsilon, clip_lo: float, clip_hi: float) -> tuple:

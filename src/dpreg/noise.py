@@ -29,9 +29,11 @@ _LARGEST_SCALE = 4
 _EPSILON_FLOOR = _LARGEST_SCALE * 53 * math.log(2) / math.sqrt(np.finfo(np.float64).max)
 
 
-def _as_float(value) -> float:
-    """``value`` as a float for a finiteness check: NaN if a bool or a non-real."""
-    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+def _as_float(value, name: str | None = None) -> float:
+    """``value`` as a float for a finiteness check; a bool or non-real is NaN, or raises if named."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):  # float() reads True, "1"
+        if name is not None:
+            raise ValueError(f"{name} must be a number, got {value!r}")
         return math.nan
     try:
         return float(value)
@@ -45,9 +47,7 @@ def _as_epsilon(budget) -> float:
     Raises ValueError for a bool or any non-real, NaN, infinity, and values below
     ``_EPSILON_FLOOR``, where the largest draws and their products overflow.
     """
-    if not isinstance(budget, numbers.Real) or isinstance(budget, bool):  # float() reads True, "1"
-        raise ValueError(f"epsilon must be a number, got {budget!r}")
-    eps = _as_float(budget)
+    eps = _as_float(budget, "epsilon")
     if not (eps >= _EPSILON_FLOOR and math.isfinite(eps)):
         raise ValueError(
             f"epsilon must be positive and finite, with a finite Laplace scale "
@@ -83,20 +83,12 @@ class RandomStream:
     def _substreams(cls, seed: int, start: int, stop: int):
         """``cls(seed, i)`` for i in range(start, stop), each built as it is taken.
 
-        Seeds up to ``_SEED_BLOCK`` indices in one array pass; each stream
-        equals ``cls(seed, i)`` draw for draw. ``stop`` is at most 2^32, the
-        array path's limit; a larger one raises ValueError at the first draw.
+        The streams of a ``_Run``, seeded ``_SEED_BLOCK`` indices per array
+        pass; each equals ``cls(seed, i)`` draw for draw. ``stop`` is at most
+        2^32, the array path's limit; a larger one raises ValueError at the
+        first draw.
         """
-        seed, start = _as_index(seed, "seed"), _as_index(start, "stream_index")
-        if stop > 1 << 32:
-            raise ValueError(f"substreams stop at index 2**32, got stop={stop}")
-        for lo in range(start, stop, _SEED_BLOCK):
-            hi = min(lo + _SEED_BLOCK, stop)
-            block = _pcg64_seeds(seed, np.arange(lo, hi, dtype=np.uint64))
-            for i, words in zip(range(lo, hi), block):
-                stream = cls.__new__(cls)
-                stream._start(seed, i, words)
-                yield stream
+        return (stream for _, stream in _Run(None, seed, start, stop, cls))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(seed={self.seed}, stream_index={self.stream_index})"
@@ -136,6 +128,45 @@ class RandomStream:
         return self._gen.permutation(n)
 
 
+@dataclass(frozen=True)
+class _Run:
+    """The pairs ``(data, cls(seed, i))``, i from ``start`` to ``stop``: a block on one dataset.
+
+    Iterated, it yields them, each stream built as it is taken; a Laplace
+    draw reads it whole instead, through ``laplace_u`` (DECISIONS.md, D24).
+    """
+
+    data: object
+    seed: int
+    start: int
+    stop: int
+    cls: type = RandomStream
+
+    def __iter__(self):
+        seed = _as_index(self.seed, "seed")
+        for lo, block in self._seeds(seed):
+            for i, words in enumerate(block, lo):
+                stream = self.cls.__new__(self.cls)
+                stream._start(seed, i, words)
+                yield self.data, stream
+
+    def _seeds(self, seed: int):
+        """``(lo, words)`` per ``_SEED_BLOCK`` indices, ``words[i - lo]`` the seeds of index i."""
+        start = _as_index(self.start, "stream_index")
+        if self.stop > 1 << 32:
+            raise ValueError(f"substreams stop at index 2**32, got stop={self.stop}")
+        for lo in range(start, self.stop, _SEED_BLOCK):
+            indices = np.arange(lo, min(lo + _SEED_BLOCK, self.stop), dtype=np.uint64)
+            yield lo, _pcg64_seeds(seed, indices)
+
+    def laplace_u(self, k: int) -> np.ndarray:
+        """(N, k) uniforms, row i - start ``cls(seed, i)._laplace_u(k)``, read by any override."""
+        if self.cls._laplace_u is not RandomStream._laplace_u:
+            return np.array([stream._laplace_u(k) for _, stream in self]).reshape(-1, k)
+        blocks = self._seeds(_as_index(self.seed, "seed"))
+        return np.concatenate([np.empty((0, k))] + [_pcg64_uniforms(w, k) for _, w in blocks])
+
+
 def _as_index(value, name: str) -> int:
     """``value`` as a non-negative int; numpy integers pass, bools and floats raise."""
     try:
@@ -172,7 +203,7 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _POOL_SIZE = 4
-# Indices seeded in one array pass by RandomStream._substreams.
+# Indices seeded, and streams drawn by ``_pcg64_uniforms``, in one array pass.
 _SEED_BLOCK = 1024
 
 
@@ -202,14 +233,17 @@ def _pcg64_seeds(seed: int, index) -> np.ndarray:
     The seed is padded with zeros to the pool size, since a spawn key is
     given; its first four words are hashed into the pool and mixed into
     each other, and its further words, then the index's, are mixed into
-    every pool word. Each step is written out rather than called, which
-    takes about a quarter off the cost of a single stream.
+    every pool word. Each step on Python ints is written out rather than
+    called, which takes about a quarter off their cost. An array's one word
+    is mixed into the four pool words in one (4, N) pass, since they do not
+    depend on each other there, and the eight output words are one
+    (2, 4, N) pass (D12).
     """
     words = _uint32_words(seed)
     words += [0] * (_POOL_SIZE - len(words))
-    index_words = [index] if isinstance(index, np.ndarray) else _uint32_words(index)
-    extra = words[_POOL_SIZE:] + index_words
-    count = _POOL_SIZE * (_POOL_SIZE + len(extra))
+    array = isinstance(index, np.ndarray)
+    extra = words[_POOL_SIZE:] + ([] if array else _uint32_words(index))
+    count = _POOL_SIZE * (_POOL_SIZE + len(extra) + array)
     steps = iter(_hash_steps(_INIT_A, _MULT_A, count))
     pool = []
     for word, (xor, mult) in zip(words[:_POOL_SIZE], steps):
@@ -224,12 +258,18 @@ def _pcg64_seeds(seed: int, index) -> np.ndarray:
             value = (word ^ xor) * mult & _MASK32
             value = (_MIX_MULT_L * pool[dst] - _MIX_MULT_R * (value ^ value >> 16)) & _MASK32
             pool[dst] = value ^ value >> 16
-    state = []
-    for i, (xor, mult) in enumerate(_hash_steps(_INIT_B, _MULT_B, 2 * _POOL_SIZE)):
-        value = (pool[i % _POOL_SIZE] ^ xor) * mult & _MASK32
-        state.append(value ^ value >> 16)
-    seeds = [state[k] | state[k + 1] << 32 for k in range(0, len(state), 2)]
-    return np.ascontiguousarray(np.array(seeds, dtype=np.uint64).T)
+    pool = np.array(pool, dtype=np.uint64)[:, None]
+    if array:  # the four pool words take the index's one word at once, a row each
+        tail = np.array(_hash_steps(_INIT_A, _MULT_A, count)[-_POOL_SIZE:], dtype=np.uint64)
+        value = (index ^ tail[:, :1]) * tail[:, 1:] & _MASK32
+        value = (_MIX_MULT_L * pool - _MIX_MULT_R * (value ^ value >> 16)) & _MASK32
+        pool = value ^ value >> 16
+    out = np.array(_hash_steps(_INIT_B, _MULT_B, 2 * _POOL_SIZE), dtype=np.uint64)
+    xors, mults = out.T.reshape(2, 2, _POOL_SIZE, 1)
+    value = (pool ^ xors) * mults & _MASK32
+    state = (value ^ value >> 16).reshape(2 * _POOL_SIZE, -1)
+    seeds = np.ascontiguousarray((state[0::2] | state[1::2] << 32).T)
+    return seeds if array else seeds[0]
 
 
 def _uint32_words(n: int) -> list:
@@ -239,6 +279,47 @@ def _uint32_words(n: int) -> list:
         n >>= 32
         words.append(n & _MASK32)
     return words
+
+
+# -- PCG64 by jumps: numpy's bit generator, transcribed (DECISIONS.md, D24) ----
+#
+# PCG64 steps its 128-bit state s to s M + inc and draws rotr64(hi ^ lo,
+# hi >> 58) of the new state. Seeded with words (w0, w1, w2, w3), draw j
+# (from 1) reads initstate M^(j+1) + inc (M^(j+1) + c_(j+1)), where
+# initstate = w0 2^64 + w1, inc = 2 (w2 2^64 + w3) + 1 and
+# c_t = 1 + M + ... + M^(t-1); Generator.random returns (draw >> 11) 2^-53.
+_PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_MASK64, _MASK128 = (1 << 64) - 1, (1 << 128) - 1
+
+
+@functools.cache
+def _jumps(k: int) -> tuple:
+    """Draws 1 to k's multipliers of initstate (row 0) and inc (row 1), in (2, 1, k) uint64 parts."""
+    power, total, pairs = _PCG64_MULT, 1, []  # M^t and c_t, from t = 1
+    for _ in range(k):
+        power, total = power * _PCG64_MULT & _MASK128, total + power & _MASK128
+        pairs.append((power, power + total & _MASK128))
+    hi, lo = (np.array([[c >> shift & _MASK64 for c in row] for row in zip(*pairs)],
+                       dtype=np.uint64)[:, None] for shift in (64, 0))
+    return hi, lo, lo & _MASK32, lo >> 32
+
+
+def _pcg64_uniforms(words: np.ndarray, k: int) -> np.ndarray:
+    """(N, k): ``Generator.random(k)`` of the PCG64 seeded by each row of (N, 4) ``words``."""
+    c_hi, c_lo, c_lo0, c_lo1 = _jumps(k)
+    w0, w1, w2, w3 = words.T
+    with np.errstate(over="ignore"):  # arrays wrap silently; a scalar operand would warn
+        x_hi = np.stack([w0, w2 << 1 | w3 >> 63])[:, :, None]  # initstate, then inc, one pass
+        x_lo = np.stack([w1, w3 << 1 | 1])[:, :, None]
+        x0, x1 = x_lo & _MASK32, x_lo >> 32
+        low = x1 * c_lo0 + (x0 * c_lo0 >> 32)  # the high half of x_lo c_lo, from 32-bit halves
+        mid = x0 * c_lo1 + (low & _MASK32)
+        hi = x1 * c_lo1 + (low >> 32) + (mid >> 32) + x_lo * c_hi + x_hi * c_lo
+        lo = x_lo * c_lo
+        s_lo = lo[0] + lo[1]
+        s_hi = hi[0] + hi[1] + (s_lo < lo[0])
+        x, rot = s_hi ^ s_lo, s_hi >> 58
+        return ((x >> rot | x << (64 - rot & 63)) >> 11) * 2.0**-53
 
 
 class _SeedWords:

@@ -59,7 +59,7 @@ from functools import lru_cache
 import numpy as np
 
 from .data import _check_range, _exact_sums, as_dataset
-from .noise import _as_count, _as_epsilon, _unit_laplace
+from .noise import _Run, _as_count, _as_epsilon, _unit_laplace
 
 # The largest degree a release takes. The fallback rule's pivot-ratio bound
 # (D2) refused every noise-free fit tried above degree 17, so a higher
@@ -207,25 +207,31 @@ def _laplace_draw(release, blocks, budgets, degree: int = 1) -> np.ndarray:
     of one unit draw, ``stream._laplace_u(k)``. Each block's uncached
     datasets are summed in one ``_cell_sums`` pass, each once however many
     pairs share it; a sum draws nothing, so every stream's draws keep their
-    order. In ``_laplace_release``, one inverse-CDF pass turns the stacked
-    uniforms into noise, one broadcast scales it by ``release.share``/eps
-    per budget, and one stack of one-row products reads them, each the
-    product ``z @ release.reading(d)`` of one row, so row
-    p * len(budgets) + j equals, bit for bit, the release of pair p at
+    order. A ``noise._Run`` block's sums are read once and its uniforms in
+    one call (D24). In ``_laplace_release``, one inverse-CDF pass turns the
+    stacked uniforms into noise, one broadcast scales it by
+    ``release.share``/eps per budget, and one stack of one-row products
+    reads them, each the product ``z @ release.reading(d)`` of one row, so
+    row p * len(budgets) + j equals, bit for bit, the release of pair p at
     ``budgets[j]`` alone (DECISIONS.md, D3, D17 and D22). Together a pair's
     rows are not eps-DP at any one budget; one row alone is.
     """
     d = _as_degree(degree)
     matrix = release.reading(d)
+    k = len(matrix)
     neg_scales = np.array([-release.share / _as_epsilon(b) for b in budgets])
     sums, uniforms = [], []
     for block in blocks:
-        datasets = []
-        for data, stream in block:
-            datasets.append(as_dataset(data))
-            uniforms.append(stream._laplace_u(len(matrix)))
-        sums += _cell_sums(datasets, release.rows, d, len(matrix))
-    return _laplace_release(matrix, np.array(sums), np.array(uniforms), neg_scales)
+        if isinstance(block, _Run):  # one dataset's sums, shared by every row (D24)
+            datasets, drawn = [as_dataset(block.data)], block.laplace_u(k)
+        else:
+            pairs = [(as_dataset(data), s._laplace_u(k)) for data, s in block]
+            datasets, drawn = [ds for ds, _ in pairs], [u for _, u in pairs]
+        sums.append(np.array(_cell_sums(datasets, release.rows, d, k)).reshape(-1, k))
+        uniforms.append(np.reshape(drawn, (-1, k)))
+    if len(sums) > 1:  # a run's shared sums, repeated for the rows of other blocks
+        sums = [np.broadcast_to(s, u.shape) for s, u in zip(sums, uniforms)]
+    return _laplace_release(matrix, np.concatenate(sums), np.concatenate(uniforms), neg_scales)
 
 
 def _laplace_release(matrix, sums, uniforms, neg_scales) -> np.ndarray:

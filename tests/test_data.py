@@ -135,6 +135,15 @@ def test_bounds_validation():
     assert Bounds(-1e308, 0.0, 0.0, 1e308).x_span == 1e308
 
 
+def test_bounds_of_more_than_4300_digits_are_refused_by_their_own_rule():
+    # str() of such an int raises Python's digit-limit ValueError, which once
+    # replaced the message; the message names the bound as the float it reads.
+    with pytest.raises(ValueError, match=r"^x bounds must be finite .* got \[0\.0, inf\]$"):
+        Bounds(0, 10**5000, 0, 1)
+    with pytest.raises(ValueError, match=r"^y bounds must be finite .* got \[-inf, 1\.0\]$"):
+        Bounds(0, 1, -(10**5000), 1)
+
+
 def test_normalize_maps_bounds_to_unit_square():
     bounds = Bounds(0.0, 10.0, 0.0, 100.0)
     ds = normalize([(5.0, 50.0), (0.0, 0.0), (10.0, 100.0)], bounds)

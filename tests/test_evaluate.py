@@ -76,6 +76,15 @@ def test_setup_config_validation():
                 SetupConfig(n=10, seed=0, **values)
 
 
+def test_setup_values_of_more_than_4300_digits_are_refused_by_their_own_rule():
+    # str() of such an int raises Python's digit-limit ValueError, which once
+    # replaced the message; the message names the field and the float it reads.
+    for name, big in (("alpha", 10**5000), ("beta", -(10**5000))):
+        values = {"alpha": 0.0, "beta": 0.5, "sigma": 0.1, name: big}
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got -?inf$"):
+            SetupConfig(n=10, seed=0, **values)
+
+
 def test_setup_config_refuses_values_that_are_not_real_numbers():
     # Text, None, a list and a complex once raised TypeError from math.isfinite.
     for bad in ("0.5", None, [0.5], 1j):

@@ -184,6 +184,18 @@ def test_rejects_bad_parameters():
     assert s.uniform() == RandomStream(0, 0).uniform()
 
 
+def test_clip_bounds_of_more_than_4300_digits_are_refused_by_their_own_rule():
+    # str() of such an int raises Python's digit-limit ValueError, which once
+    # replaced the message; the message names the bounds as the floats it reads.
+    from dpreg import TheilSenHyper
+
+    message = r"^clip range must be finite with lower < upper, got \[0\.0, inf\]$"
+    with pytest.raises(ValueError, match=message):
+        TheilSenHyper(r_lo=0, r_hi=10**5000)
+    with pytest.raises(ValueError, match=message):
+        dp_median([0.1], 1.0, 0, 10**5000, RandomStream(0, 0))
+
+
 def test_nan_values_are_refused_before_a_draw_and_infinities_clip():
     # A NaN once came back as the median itself, outside the clip range, or
     # gave all-NaN weights, under which the sampler took the first interval

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from dpreg import NoiseEvent, NoiseLedger, RandomStream
-from dpreg.noise import _BLOCK, _pcg64_seeds
+from dpreg.noise import _BLOCK, _SEED_BLOCK, _Run, _pcg64_seeds
 from dpreg.mechanisms import MECHANISMS
 from dpreg.simplex import _cell_sums, _laplace_draw
 
@@ -304,6 +304,16 @@ def test_pcg64_seeds_equal_numpys_seed_sequence(seed):
     assert got.dtype == np.uint64 and got.shape == (len(indices), 4) and got.flags.c_contiguous
     want = np.array([numpy_seeds(seed, i) for i in indices.tolist()])
     assert got.tobytes() == want.tobytes(), seed
+    # The four-wide passes on one index, and on the blocks of a run that
+    # crosses _SEED_BLOCK and ends at 2^32: first and last rows of each.
+    one = _pcg64_seeds(seed, np.array([2**32 - 1], dtype=np.uint64))
+    assert one.shape == (1, 4) and one.tobytes() == numpy_seeds(seed, 2**32 - 1).tobytes()
+    blocks = list(_Run(None, seed, 2**32 - _SEED_BLOCK - 6, 2**32)._seeds(seed))
+    assert [(lo, len(words)) for lo, words in blocks] == [(2**32 - _SEED_BLOCK - 6, _SEED_BLOCK),
+                                                          (2**32 - 6, 6)]
+    for lo, words in blocks:
+        for row in (0, 1, len(words) - 1):
+            assert words[row].tobytes() == numpy_seeds(seed, lo + row).tobytes(), (seed, lo, row)
 
 
 @pytest.mark.parametrize("seed, start, stop", [(3, 0, 5), (2**40 + 3, 1000, 2100),
@@ -326,6 +336,76 @@ def test_substreams_equal_single_streams(seed, start, stop):
 def test_substreams_stop_at_two_to_the_32():
     with pytest.raises(ValueError):
         next(RandomStream._substreams(7, 2**32 - 3, 2**32 + 1))
+
+
+# Seeds of 1 to 7 32-bit words; a seed of more than four fills the pool
+# with its own words before the index's is mixed in.
+RUN_SEEDS = (0, 1, 2**32, 2**64 + 5, 2**127 + 3, 2**128 + 7, 2**200)
+
+
+@pytest.mark.parametrize("seed", RUN_SEEDS)
+def test_run_uniforms_equal_each_streams_own_bytewise(seed):
+    # A run's uniforms come from the transcribed PCG64, one pass per
+    # _SEED_BLOCK streams, and must be every stream's own Generator draws:
+    # runs of 1 to 1025 streams from index 0 and up to 2^32, and for two
+    # seeds one of 3000 up to 2^32, at every k from 1 to 16. A stream's
+    # first k uniforms are the first k of its 16.
+    size = 3000 if seed in (0, 2**200) else _SEED_BLOCK + 1
+    first = np.array([RandomStream(seed, i)._laplace_u(16) for i in range(_SEED_BLOCK + 1)])
+    last = np.array([RandomStream(seed, i)._laplace_u(16) for i in range(2**32 - size, 2**32)])
+    sizes = (1, 100, _SEED_BLOCK, _SEED_BLOCK + 1)
+    runs = [(0, n, first[:n]) for n in sizes]
+    runs += [(2**32 - n, 2**32, last[-n:]) for n in sorted({*sizes, size})]
+    for k in range(1, 17):
+        for start, stop, want in runs:
+            got = _Run(None, seed, start, stop).laplace_u(k)
+            assert got.dtype == np.float64 and got.shape == (stop - start, k)
+            assert got.tobytes() == want[:, :k].tobytes(), (start, stop, k)
+
+
+def test_a_run_is_drawn_as_its_pairs_bitwise(random_dataset):
+    # A run, alone or between blocks of pairs, one of them empty, gives the
+    # rows of its pairs drawn one by one; a Theil-Sen draw takes its pairs
+    # as their streams are built.
+    ds, other = random_dataset(3, n=40), random_dataset(4, n=30)
+    for name, mech in MECHANISMS.items():
+        if mech.hyper is None:
+            continue
+        run = _Run(ds, 9, 5, 12)
+        alone = np.concatenate([mech.draw(mech, [[(ds, RandomStream(9, i))]], (0.5, 2.0),
+                                          mech.hyper) for i in range(5, 12)])
+        assert mech.draw(mech, [run], (0.5, 2.0), mech.hyper).tobytes() == alone.tobytes(), name
+        mixed = [run, [(other, RandomStream(9, 1)), (ds, RandomStream(9, 2))], [],
+                 _Run(other, 9, 3, 5)]
+        pairs = [*run, (other, RandomStream(9, 1)), (ds, RandomStream(9, 2)), *_Run(other, 9, 3, 5)]
+        want = np.concatenate([mech.draw(mech, [[pair]], (0.5, 2.0), mech.hyper)
+                               for pair in pairs])
+        assert mech.draw(mech, mixed, (0.5, 2.0), mech.hyper).tobytes() == want.tobytes(), name
+
+
+def test_a_zero_noise_run_releases_the_exact_statistics(random_dataset):
+    # A stream class that overrides _laplace_u is read through it, stream by
+    # stream, so every row of a ZeroNoiseStream run is the exact release.
+    ds = random_dataset(5, n=50)
+    for name in ("dp_rss", "dp_ss"):
+        release = MECHANISMS[name]
+        exact = _laplace_draw(release, [[(ds, ZeroNoiseStream(0, 0))]], (1.0,))[0]
+        sums = _cell_sums([ds], release.rows, 1, len(release.reading(1)))[0]
+        assert exact.tobytes() == (sums[None] @ release.reading(1))[0].tobytes()
+        got = _laplace_draw(release, [_Run(ds, 3, 1, 8, ZeroNoiseStream)], (0.5, 2.0))
+        assert got.tobytes() == np.tile(exact, (14, 1)).tobytes(), name
+    assert np.array_equal(_Run(ds, 3, 1, 4, ZeroNoiseStream).laplace_u(6), np.full((3, 6), 0.5))
+
+
+def test_a_run_past_two_to_the_32_raises(random_dataset):
+    ds = random_dataset(6, n=20)
+    run = _Run(ds, 7, 2**32 - 3, 2**32 + 1)
+    with pytest.raises(ValueError, match=r"2\*\*32"):
+        run.laplace_u(6)
+    for name, mech in MECHANISMS.items():
+        if mech.hyper is not None:
+            with pytest.raises(ValueError, match=r"2\*\*32"):
+                mech.draw(mech, [run], (1.0,), mech.hyper)
 
 
 def replay(streams):
